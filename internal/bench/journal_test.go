@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -290,5 +292,92 @@ func TestJournalNilReceiver(t *testing.T) {
 	}
 	if !errors.Is(j.Err(), nil) {
 		t.Fatal("nil journal reports an error")
+	}
+}
+
+// journalFig13 runs Fig13 under opt with a fresh journal at path and returns
+// the journal file's bytes.
+func journalFig13(t *testing.T, path string, opt Options) []byte {
+	t.Helper()
+	j, err := CreateJournal(path, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Journal = j
+	if _, err := Fig13(opt); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) == 0 {
+		t.Fatal("journal file is empty")
+	}
+	return data
+}
+
+// canonicalJournal splits a journal file into its header line and its
+// record lines ordered by (sweep, index). The Runner appends records in
+// completion order, which a crash-safe journal needs but which depends on
+// scheduling whenever Jobs > 1; the stable sort keeps the retries of one
+// job, which run in sequence, in their written order.
+func canonicalJournal(t *testing.T, data []byte) (header string, records []string) {
+	t.Helper()
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	type key struct {
+		Sweep string `json:"sweep"`
+		Index int    `json:"index"`
+	}
+	keys := make(map[string]key, len(lines)-1)
+	for _, line := range lines[1:] {
+		var k key
+		if err := json.Unmarshal([]byte(line), &k); err != nil {
+			t.Fatalf("journal record %q: %v", line, err)
+		}
+		keys[line] = k
+	}
+	records = lines[1:]
+	sort.SliceStable(records, func(i, j int) bool {
+		a, b := keys[records[i]], keys[records[j]]
+		if a.Sweep != b.Sweep {
+			return a.Sweep < b.Sweep
+		}
+		return a.Index < b.Index
+	})
+	return lines[0], records
+}
+
+// checkSameJournal requires two journals of one sweep to hold the same
+// header and the same records, each byte for byte (CRCs included), in any
+// completion order.
+func checkSameJournal(t *testing.T, gotName string, got []byte, wantName string, want []byte) {
+	t.Helper()
+	gh, gr := canonicalJournal(t, got)
+	wh, wr := canonicalJournal(t, want)
+	if gh != wh {
+		t.Errorf("journal headers differ:\n%s: %s\n%s: %s", gotName, gh, wantName, wh)
+	}
+	if len(gr) != len(wr) {
+		t.Fatalf("%s journal has %d records, %s has %d", gotName, len(gr), wantName, len(wr))
+	}
+	for i := range gr {
+		if gr[i] != wr[i] {
+			t.Errorf("journal record %d differs:\n%s: %s\n%s: %s", i, gotName, gr[i], wantName, wr[i])
+		}
+	}
+}
+
+func TestCheckSameJournalIgnoresCompletionOrder(t *testing.T) {
+	header := `{"journal":"fifer-bench","version":1,"crc":1}` + "\n"
+	a := header + `{"sweep":"fig13","index":1,"crc":2}` + "\n" + `{"sweep":"fig13","index":0,"crc":3}` + "\n"
+	b := header + `{"sweep":"fig13","index":0,"crc":3}` + "\n" + `{"sweep":"fig13","index":1,"crc":2}` + "\n"
+	checkSameJournal(t, "a", []byte(a), "b", []byte(b))
+	_, records := canonicalJournal(t, []byte(a))
+	if !strings.Contains(records[0], `"index":0`) {
+		t.Fatalf("records not ordered by index: %v", records)
 	}
 }

@@ -61,56 +61,109 @@ func Build(backing *mem.Backing, keys, values []uint64) (*Tree, error) {
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("btree: empty key set")
 	}
-	type kv struct{ k, v uint64 }
-	pairs := make([]kv, len(keys))
-	for i := range keys {
-		pairs[i] = kv{keys[i], values[i]}
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
-	for i := 1; i < len(pairs); i++ {
-		if pairs[i].k == pairs[i-1].k {
-			return nil, fmt.Errorf("btree: duplicate key %d", pairs[i].k)
+	sortedKeys, sortedVals := sortByKey(keys, values)
+	for i := 1; i < len(sortedKeys); i++ {
+		if sortedKeys[i] == sortedKeys[i-1] {
+			return nil, fmt.Errorf("btree: duplicate key %d", sortedKeys[i])
 		}
 	}
 
-	// Bulk-load leaves.
-	var level []*node
-	for i := 0; i < len(pairs); i += Fanout {
-		end := i + Fanout
-		if end > len(pairs) {
-			end = len(pairs)
-		}
-		n := &node{leaf: true}
-		for _, p := range pairs[i:end] {
-			n.keys = append(n.keys, p.k)
-			n.values = append(n.values, p.v)
-		}
-		level = append(level, n)
+	// Bulk-load leaves: each slices its keys and values out of the sorted
+	// arrays.
+	n := len(sortedKeys)
+	leaves := make([]node, (n+Fanout-1)/Fanout)
+	level := make([]*node, len(leaves))
+	for i := range leaves {
+		lo, hi := i*Fanout, min((i+1)*Fanout, n)
+		leaves[i] = node{leaf: true, keys: sortedKeys[lo:hi:hi], values: sortedVals[lo:hi:hi]}
+		level[i] = &leaves[i]
 	}
 	height := 1
 	// Build internal levels: an internal node over children c0..ck uses
 	// separator keys = first key of each child after the first.
 	for len(level) > 1 {
-		var up []*node
-		for i := 0; i < len(level); i += Fanout + 1 {
-			end := i + Fanout + 1
-			if end > len(level) {
-				end = len(level)
-			}
-			n := &node{}
-			n.children = append(n.children, level[i:end]...)
-			for _, c := range level[i+1 : end] {
-				n.keys = append(n.keys, firstKey(c))
-			}
-			up = append(up, n)
+		seps := make([]uint64, len(level))
+		for i, c := range level {
+			seps[i] = firstKey(c)
+		}
+		inner := make([]node, (len(level)+Fanout)/(Fanout+1))
+		up := make([]*node, len(inner))
+		for i := range inner {
+			lo, hi := i*(Fanout+1), min((i+1)*(Fanout+1), len(level))
+			inner[i] = node{children: level[lo:hi:hi], keys: seps[lo+1 : hi : hi]}
+			up[i] = &inner[i]
 		}
 		level = up
 		height++
 	}
-	t := &Tree{root: level[0], height: height, numKeys: len(pairs)}
+	t := &Tree{root: level[0], height: height, numKeys: n}
 	t.layout(backing, t.root)
 	t.RootAddr = t.root.addr
 	return t, nil
+}
+
+type kv struct{ k, v uint64 }
+
+// sortByKey returns copies of keys and values ordered by key. It scatters
+// the pairs into 256 buckets by the key's top byte, then sorts each bucket,
+// small enough to stay in cache for spread-out keys, by radixSort on the
+// remaining bytes.
+func sortByKey(keys, values []uint64) (sortedKeys, sortedVals []uint64) {
+	var start [257]int
+	for _, k := range keys {
+		start[k>>56+1]++
+	}
+	for d := 0; d < 256; d++ {
+		start[d+1] += start[d]
+	}
+	pairs := make([]kv, len(keys))
+	next := start
+	for i, k := range keys {
+		pairs[next[k>>56]] = kv{k, values[i]}
+		next[k>>56]++
+	}
+	sortedKeys, sortedVals = make([]uint64, len(keys)), make([]uint64, len(keys))
+	var scratch []kv
+	for d := 0; d < 256; d++ {
+		lo, hi := start[d], start[d+1]
+		if lo == hi {
+			continue
+		}
+		if cap(scratch) < hi-lo {
+			scratch = make([]kv, hi-lo)
+		}
+		for i, p := range radixSort(pairs[lo:hi], scratch[:hi-lo], 56) {
+			sortedKeys[lo+i], sortedVals[lo+i] = p.k, p.v
+		}
+	}
+	return sortedKeys, sortedVals
+}
+
+// radixSort orders src by the key's low bits with an LSD radix sort, one
+// byte per pass, skipping the bytes on which every key agrees. It uses dst
+// (as long as src) as scratch and returns whichever of the two holds the
+// result.
+func radixSort(src, dst []kv, bits int) []kv {
+	for shift := 0; shift < bits; shift += 8 {
+		var next [256]int
+		for _, p := range src {
+			next[byte(p.k>>shift)]++
+		}
+		if next[byte(src[0].k>>shift)] == len(src) {
+			continue
+		}
+		pos := 0
+		for d, n := range next {
+			next[d], pos = pos, pos+n
+		}
+		for _, p := range src {
+			d := byte(p.k >> shift)
+			dst[next[d]] = p
+			next[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 func firstKey(n *node) uint64 {

@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -122,6 +123,37 @@ func TestTreeMatchesMapOracle(t *testing.T) {
 	}
 }
 
+// Property: sortByKey orders any key set, keeping each value with its key.
+// Narrowed, masked keys crowd into one top-byte bucket, repeat, and share
+// the bytes whose radix passes are skipped.
+func TestSortByKeyProperty(t *testing.T) {
+	f := func(seed, mask uint64, width uint8, size uint16) bool {
+		r := sim.NewRand(seed)
+		mask &= ^uint64(0) >> (width % 64)
+		keys := make([]uint64, int(size%3000)+1)
+		vals := make([]uint64, len(keys))
+		for i := range keys {
+			keys[i] = r.Uint64() & mask
+			vals[i] = keys[i] ^ 0x5555
+		}
+		sk, sv := sortByKey(keys, vals)
+		want := slices.Clone(keys)
+		slices.Sort(want)
+		if !slices.Equal(sk, want) {
+			return false
+		}
+		for i := range sv {
+			if sv[i] != sk[i]^0x5555 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestHeightGrowsLogarithmically(t *testing.T) {
 	small, _ := build(t, Fanout) // one leaf
 	if small.Height() != 1 {
@@ -141,5 +173,31 @@ func TestHeaderCodec(t *testing.T) {
 	n, leaf = DecodeHeader(3 << 1)
 	if n != 3 || leaf {
 		t.Fatal("internal header decode wrong")
+	}
+}
+
+var sinkTree *Tree
+
+// BenchmarkBTreeBuild bulk-loads Silo's scale-2 index size: 1M scattered
+// keys.
+func BenchmarkBTreeBuild(b *testing.B) {
+	const n = 1 << 20
+	keys := make([]uint64, n)
+	vals := make([]uint64, n)
+	for i := range keys {
+		keys[i] = uint64(i) * 0x9e3779b97f4a7c15
+		vals[i] = uint64(i)
+	}
+	size := (n/Fanout + 2) * 2 * NodeBytes
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		backing := mem.NewBacking(size)
+		b.StartTimer()
+		tr, err := Build(backing, keys, vals)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkTree = tr
 	}
 }

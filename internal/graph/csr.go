@@ -6,7 +6,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Graph is an unweighted directed graph in CSR form. For the paper's
@@ -79,39 +79,48 @@ func (g *Graph) Validate() error {
 }
 
 // FromEdges builds a CSR graph from an edge list, deduplicating and sorting
-// adjacency lists, dropping self-loops, and (when undirected) adding both
-// directions.
+// adjacency lists, dropping self-loops and out-of-range edges, and (when
+// undirected) adding both directions.
 func FromEdges(name string, n int, edges [][2]int, undirected bool) *Graph {
-	type pair struct{ u, v int }
-	seen := make(map[pair]struct{}, len(edges)*2)
-	adj := make([][]uint64, n)
-	add := func(u, v int) {
-		if u == v || u < 0 || v < 0 || u >= n || v >= n {
-			return
-		}
-		p := pair{u, v}
-		if _, ok := seen[p]; ok {
-			return
-		}
-		seen[p] = struct{}{}
-		adj[u] = append(adj[u], uint64(v))
+	keep := func(e [2]int) bool {
+		return e[0] != e[1] && e[0] >= 0 && e[1] >= 0 && e[0] < n && e[1] < n
 	}
+	// Degree-count every kept edge, duplicates included, into the offsets,
+	// then fill one flat neighbor array.
+	offsets := make([]uint64, n+1)
 	for _, e := range edges {
-		add(e[0], e[1])
-		if undirected {
-			add(e[1], e[0])
+		if keep(e) {
+			offsets[e[0]+1]++
+			if undirected {
+				offsets[e[1]+1]++
+			}
 		}
 	}
-	g := &Graph{Name: name, Offsets: make([]uint64, n+1)}
-	total := 0
-	for _, a := range adj {
-		total += len(a)
-	}
-	g.Neighbors = make([]uint64, 0, total)
 	for v := 0; v < n; v++ {
-		sort.Slice(adj[v], func(i, j int) bool { return adj[v][i] < adj[v][j] })
-		g.Neighbors = append(g.Neighbors, adj[v]...)
-		g.Offsets[v+1] = uint64(len(g.Neighbors))
+		offsets[v+1] += offsets[v]
 	}
-	return g
+	neighbors := make([]uint64, offsets[n])
+	next := slices.Clone(offsets[:n])
+	for _, e := range edges {
+		if keep(e) {
+			neighbors[next[e[0]]] = uint64(e[1])
+			next[e[0]]++
+			if undirected {
+				neighbors[next[e[1]]] = uint64(e[0])
+				next[e[1]]++
+			}
+		}
+	}
+	// Sort and deduplicate each list, compacting the lists toward the front;
+	// offsets[v] is already final when vertex v's list moves.
+	lo := uint64(0)
+	for v := 0; v < n; v++ {
+		hi := offsets[v+1]
+		list := neighbors[lo:hi]
+		slices.Sort(list)
+		list = slices.Compact(list)
+		offsets[v+1] = offsets[v] + uint64(copy(neighbors[offsets[v]:], list))
+		lo = hi
+	}
+	return &Graph{Name: name, Offsets: offsets, Neighbors: neighbors[:offsets[n]]}
 }

@@ -76,24 +76,29 @@ func DatasetName(in Input) string { return specs[in].dataset }
 // Generate produces the synthetic stand-in for the named Table 3 input at
 // the given scale, deterministically from seed.
 func Generate(in Input, scale Scale, seed uint64) *Graph {
+	n, edges := generateEdges(in, scale, seed)
+	return FromEdges(string(in), n, edges, true)
+}
+
+// generateEdges returns the vertex count and undirected edge list that
+// Generate symmetrizes and compresses into CSR form.
+func generateEdges(in Input, scale Scale, seed uint64) (int, [][2]int) {
 	s, ok := specs[in]
 	if !ok {
 		panic(fmt.Sprintf("graph: unknown input %q", in))
 	}
 	n := s.vertices[scale]
 	r := sim.NewRand(seed ^ uint64(len(in)) ^ uint64(n))
-	var g *Graph
 	switch s.kind {
 	case "rmat":
-		g = RMAT(string(in), n, int(float64(n)*s.deg/2), s.skew, r)
+		return n, rmatEdges(n, int(float64(n)*s.deg/2), s.skew, r)
 	case "mesh":
-		g = Mesh(string(in), n, r)
+		return meshEdges(n)
 	case "road":
-		g = Road(string(in), n, r)
+		return roadEdges(n, r)
 	default:
 		panic("graph: unknown generator kind " + s.kind)
 	}
-	return g
 }
 
 // RMAT generates a recursive-matrix (Kronecker-like) graph with `m`
@@ -101,6 +106,11 @@ func Generate(in Input, scale Scale, seed uint64) *Graph {
 // mass of the "a" quadrant: 0.25 is uniform (Erdős–Rényi-like), 0.57 gives
 // as-Skitter-like power-law degree distributions.
 func RMAT(name string, n, m int, skew float64, r *sim.Rand) *Graph {
+	return FromEdges(name, n, rmatEdges(n, m, skew, r), true)
+}
+
+// rmatEdges draws RMAT's m edges, self-loops excluded and duplicates kept.
+func rmatEdges(n, m int, skew float64, r *sim.Rand) [][2]int {
 	bits := 0
 	for 1<<bits < n {
 		bits++
@@ -129,13 +139,14 @@ func RMAT(name string, n, m int, skew float64, r *sim.Rand) *Graph {
 			edges = append(edges, [2]int{u, v})
 		}
 	}
-	return FromEdges(name, n, edges, true)
+	return edges
 }
 
-// Mesh generates a triangulated 2D grid: the topology class of hugetrace
-// (dynamic-simulation meshes): degree ~3 via a hexagonal-like lattice,
-// low skew, large diameter.
-func Mesh(name string, n int, r *sim.Rand) *Graph {
+// meshEdges generates a triangulated 2D grid: the topology class of
+// hugetrace (dynamic-simulation meshes): degree ~3 via a hexagonal-like
+// lattice, low skew, large diameter. n is rounded up to a square; the
+// rounded vertex count is returned with the edges.
+func meshEdges(n int) (int, [][2]int) {
 	side := 1
 	for side*side < n {
 		side++
@@ -157,16 +168,16 @@ func Mesh(name string, n int, r *sim.Rand) *Graph {
 			}
 		}
 	}
-	_ = r
-	return FromEdges(name, n, edges, true)
+	return n, edges
 }
 
-// Road generates a road-network-like graph: a 2D grid with most degree-4
+// roadEdges generates a road-network-like graph: a 2D grid with most degree-4
 // intersections thinned to degree ~2.4 by deleting random edges while
 // keeping the grid connected via a spanning backbone, plus a few long
 // "highway" shortcuts. Its diameter is Θ(side), reproducing the many-round
-// BFS behavior of USA-road.
-func Road(name string, n int, r *sim.Rand) *Graph {
+// BFS behavior of USA-road. Like meshEdges, it returns the rounded vertex
+// count with the edges.
+func roadEdges(n int, r *sim.Rand) (int, [][2]int) {
 	side := 1
 	for side*side < n {
 		side++
@@ -199,5 +210,5 @@ func Road(name string, n int, r *sim.Rand) *Graph {
 			}
 		}
 	}
-	return FromEdges(name, n, edges, true)
+	return n, edges
 }

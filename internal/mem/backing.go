@@ -75,10 +75,8 @@ func (b *Backing) AllocWords(n int) Addr { return b.Alloc(n * WordBytes) }
 // AllocSlice reserves storage for vals and copies them in, returning the
 // base address. It is the workhorse for laying out CSR arrays and the like.
 func (b *Backing) AllocSlice(vals []uint64) Addr {
-	base := b.AllocWords(len(vals))
-	for i, v := range vals {
-		b.Store(base+Addr(i*WordBytes), v)
-	}
+	base := b.AllocWords(len(vals)) // range-checks the whole slice
+	copy(b.words[base/WordBytes:], vals)
 	return base
 }
 

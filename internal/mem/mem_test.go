@@ -187,3 +187,24 @@ func TestHierarchyConfigs(t *testing.T) {
 		t.Fatal("client caches missing")
 	}
 }
+
+var sinkAddr Addr
+
+func BenchmarkAllocSlice(b *testing.B) {
+	vals := make([]uint64, 1<<16)
+	for i := range vals {
+		vals[i] = uint64(i) * 0x9e3779b97f4a7c15
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(vals) * WordBytes))
+	back := NewBacking(64 << 20)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if back.Footprint()+len(vals)*WordBytes > back.Size() {
+			b.StopTimer()
+			back = NewBacking(64 << 20)
+			b.StartTimer()
+		}
+		sinkAddr = back.AllocSlice(vals)
+	}
+}

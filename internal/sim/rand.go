@@ -1,6 +1,5 @@
-// Package sim provides the shared building blocks of the cycle-level
-// simulator: a deterministic random-number generator, cycle bookkeeping,
-// and a small statistics registry.
+// Package sim provides the simulator's deterministic random-number
+// generator, shared by every input generator and fault plan.
 //
 // Everything in this package (and in the packages built on it) is
 // deterministic: the same seed and configuration always produce the same

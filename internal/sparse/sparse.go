@@ -7,7 +7,7 @@ package sparse
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"fifer/internal/sim"
 )
@@ -228,7 +228,12 @@ func Generate(in Input, scale int, seed uint64) *CSR {
 	if band > n {
 		band = n
 	}
-	cols := make(map[uint64]struct{}, int(s.nnzRow)+4)
+	// Presize for the expected nnz: nnzRow per row, with 5% of rows tripled,
+	// plus slack so the arrays are not regrown near the end.
+	expected := int(float64(n) * s.nnzRow * 1.15)
+	m.ColIdx = make([]uint64, 0, expected)
+	m.Values = make([]float64, 0, expected)
+	seen := make([]int32, n) // seen[c] == row+1 once this row holds column c
 	for row := 0; row < n; row++ {
 		// Per-row non-zero count: mean nnzRow with geometric-ish spread.
 		target := int(s.nnzRow)
@@ -249,10 +254,8 @@ func Generate(in Input, scale int, seed uint64) *CSR {
 		if target > n {
 			target = n
 		}
-		for k := range cols {
-			delete(cols, k)
-		}
-		for len(cols) < target {
+		start, stamp := len(m.ColIdx), int32(row+1)
+		for len(m.ColIdx)-start < target {
 			var c int
 			if s.banded {
 				c = row - band/2 + r.Intn(band)
@@ -262,15 +265,13 @@ func Generate(in Input, scale int, seed uint64) *CSR {
 			} else {
 				c = r.Intn(n)
 			}
-			cols[uint64(c)] = struct{}{}
+			if seen[c] != stamp {
+				seen[c] = stamp
+				m.ColIdx = append(m.ColIdx, uint64(c))
+			}
 		}
-		sorted := make([]uint64, 0, len(cols))
-		for c := range cols {
-			sorted = append(sorted, c)
-		}
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		for _, c := range sorted {
-			m.ColIdx = append(m.ColIdx, c)
+		slices.Sort(m.ColIdx[start:])
+		for range m.ColIdx[start:] {
 			m.Values = append(m.Values, 1+r.Float64())
 		}
 		m.RowOffsets[row+1] = uint64(len(m.ColIdx))
