@@ -202,21 +202,17 @@ func BenchmarkAblationDRM(b *testing.B) {
 // the BENCH_*.json baselines track; `fiferbench -perfjson` records the same
 // runs with an explicit fast-forward-vs-oracle comparison. The FastForward/
 // Oracle sub-benchmarks time the same simulation under both execution modes,
-// so `-bench BenchmarkRun` shows the event-horizon win directly; Sharded
-// adds the epoch-barrier kernel at four shards (DESIGN.md §11) on top of
-// fast-forward, so the shard win shows next to it.
+// so `-bench BenchmarkRun` shows the parking kernel's win directly.
 
 func benchRunApp(b *testing.B, app string) {
 	input := bench.InputsOf(app)[0]
 	for _, mode := range []struct {
 		name   string
 		oracle bool
-		shards int
-	}{{"FastForward", false, 1}, {"Oracle", true, 1}, {"Sharded", false, 4}} {
+	}{{"FastForward", false}, {"Oracle", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			opt := benchOpt()
 			opt.NoFastForward = mode.oracle
-			opt.Shards = mode.shards
 			var cycles uint64
 			for i := 0; i < b.N; i++ {
 				out, err := bench.RunOne(app, input, fifer.FiferPipe, false, opt, nil)

@@ -27,16 +27,13 @@
 // -sample N sets the sample period in cycles. Tracing only observes the
 // simulation — every table stays byte-identical with or without it.
 //
-// Performance: the simulator fast-forwards provably-inert cycles by default
-// (DESIGN.md §10); -no-fast-forward runs the naive per-cycle loop instead —
-// results are byte-identical, only wall time changes. -shards N partitions
-// each simulation's PEs into N epoch-barrier shards so inert regions of the
-// machine park instead of ticking (DESIGN.md §11); results are again
-// byte-identical, and -shards below 1 is rejected up front with exit code 2.
-// -perfjson FILE skips the experiments and instead times every app three
-// ways (oracle loop, fast-forward, sharded fast-forward), writing the
-// baseline (cycles/s, wall time, speedups) as JSON; scripts/bench.sh wraps
-// this to refresh BENCH_<n>.json. -cpuprofile/-memprofile write pprof
+// Performance: the simulator parks provably-inert PEs and skips cycles in
+// which the whole machine is inert by default (DESIGN.md §10);
+// -no-fast-forward runs the naive per-cycle loop instead — results are
+// byte-identical, only wall time changes. -perfjson FILE skips the
+// experiments and instead times every app both ways, writing the baseline
+// (cycles/s, wall time, speedup, the share of PE-cycles the kernel ticked)
+// as JSON; scripts/bench.sh wraps this to refresh BENCH_<n>.json. -cpuprofile/-memprofile write pprof
 // profiles of whatever the invocation ran (see EXPERIMENTS.md §profiling).
 //
 // Crash-safe sweeps: -journal FILE appends every finished job to a
@@ -62,7 +59,6 @@ import (
 
 	"fifer"
 	"fifer/internal/bench"
-	"fifer/internal/core"
 )
 
 func main() { os.Exit(fiferbench()) }
@@ -84,21 +80,15 @@ func fiferbench() int {
 	metricsPath := flag.String("metrics", "", "write periodic per-PE metrics samples to this file (.csv extension = CSV, else JSONL)")
 	sample := flag.Uint64("sample", 0, "metrics sample period in cycles (0 = default 4096)")
 	perfJSON := flag.String("perfjson", "", "instead of experiments, time each app fast-forward vs oracle and write the perf baseline to this JSON file")
-	noFF := flag.Bool("no-fast-forward", false, "run the naive per-cycle loop instead of the event-horizon fast-forward (identical results, slower)")
-	shards := flag.Int("shards", 1, "shard each simulation's PEs across this many epoch-barrier shards (1 = sequential kernel; identical results)")
+	noFF := flag.Bool("no-fast-forward", false, "run the naive per-cycle loop instead of the parking kernel (identical results, slower)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
 	flag.Parse()
 
-	if err := validateShards(*shards); err != nil {
-		fmt.Fprintf(os.Stderr, "fiferbench: %v\n", err)
-		return 2
-	}
-
 	opt := bench.Options{Scale: *scale, Seed: *seed, Jobs: *jobs,
 		WatchdogCycles: *watchdog, AuditCycles: *audit,
 		JobTimeout: *jobTimeout, Retries: *retries,
-		NoFastForward: *noFF, Shards: *shards}
+		NoFastForward: *noFF}
 	if *appsFlag != "" {
 		opt.Apps = strings.Split(*appsFlag, ",")
 	}
@@ -350,18 +340,6 @@ func fiferbench() int {
 		}
 	}
 	return code
-}
-
-// validateShards rejects unusable -shards values up front with the named
-// core sentinel, so a typo'd flag exits with usage-style code 2 instead of
-// surfacing mid-sweep (or, worse, panicking) after minutes of simulation.
-// Counts above a system's PE count are still caught later, per simulation,
-// by core's own Config.Validate — they depend on each experiment's PE count.
-func validateShards(n int) error {
-	if n < 1 {
-		return fmt.Errorf("%w: -shards %d (need at least 1; 1 = sequential kernel)", core.ErrBadShards, n)
-	}
-	return nil
 }
 
 // writeFileWith creates path and streams write into it, reporting either

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"runtime"
@@ -10,53 +11,48 @@ import (
 
 	"fifer/internal/apps"
 	"fifer/internal/bench"
+	"fifer/internal/core"
+	"fifer/internal/trace"
 )
 
 // The -perfjson mode records the simulator's performance baseline: every
-// selected app's first input is simulated three times on the Fifer pipeline —
-// with the Config.NoFastForward oracle loop, with the default event-horizon
-// fast-forward, and with the sharded kernel (fast-forward plus -shards
-// epoch-barrier shards, default 4) — and the wall times, simulated
-// cycles/second, and speedups land in one JSON document (BENCH_<n>.json in
-// the repo root, by convention). Simulated cycle counts are deterministic
-// and double-checked equal across all three modes; wall times are whatever
-// the host delivered, which is the point of a perf baseline.
+// selected app's first input is simulated twice on the Fifer pipeline —
+// with the Config.NoFastForward oracle loop and with the default parking
+// kernel — and the wall times, simulated cycles/second, speedup, and the
+// share of PE-cycles the default kernel actually ticked land in one JSON
+// document (BENCH_<n>.json in the repo root, by convention). Simulated
+// cycle counts are deterministic and double-checked equal across both
+// modes; wall times are whatever the host delivered, which is the point of
+// a perf baseline.
 
 // perfSchema tags perf baseline files; bump on incompatible changes.
-// v2 added the sharded-kernel column (wall_ns_sharded et al.).
-const perfSchema = "fifer-perf-v2"
-
-// perfShards is the shard count the baseline records when -shards was left
-// at its sequential default.
-const perfShards = 4
+// v2 added the sharded-kernel column; v3 dropped it with the sharded
+// kernel and added executed_share.
+const perfSchema = "fifer-perf-v3"
 
 // perfApp is one application's timing comparison.
 type perfApp struct {
-	App                 string  `json:"app"`
-	Input               string  `json:"input"`
-	Kind                string  `json:"kind"`
-	Cycles              uint64  `json:"cycles"` // simulated, identical in all modes
-	WallNSFast          int64   `json:"wall_ns_fast"`
-	WallNSOracle        int64   `json:"wall_ns_oracle"`
-	WallNSSharded       int64   `json:"wall_ns_sharded"`
-	CyclesPerSecFast    float64 `json:"cycles_per_sec_fast"`
-	CyclesPerSecOracle  float64 `json:"cycles_per_sec_oracle"`
-	CyclesPerSecSharded float64 `json:"cycles_per_sec_sharded"`
-	Speedup             float64 `json:"speedup"`         // oracle wall / fast wall
-	SpeedupSharded      float64 `json:"speedup_sharded"` // fast wall / sharded wall
+	App                string  `json:"app"`
+	Input              string  `json:"input"`
+	Kind               string  `json:"kind"`
+	Cycles             uint64  `json:"cycles"` // simulated, identical in both modes
+	WallNSFast         int64   `json:"wall_ns_fast"`
+	WallNSOracle       int64   `json:"wall_ns_oracle"`
+	CyclesPerSecFast   float64 `json:"cycles_per_sec_fast"`
+	CyclesPerSecOracle float64 `json:"cycles_per_sec_oracle"`
+	Speedup            float64 `json:"speedup"`        // oracle wall / fast wall
+	ExecutedShare      float64 `json:"executed_share"` // PE ticks / (PEs × cycles), default kernel
 }
 
 // perfFile is the whole baseline document.
 type perfFile struct {
-	Schema              string    `json:"schema"`
-	Scale               int       `json:"scale"`
-	Seed                uint64    `json:"seed"`
-	Shards              int       `json:"shards"`
-	GoVersion           string    `json:"go_version"`
-	NumCPU              int       `json:"num_cpu"`
-	Apps                []perfApp `json:"apps"`
-	TotalSpeedup        float64   `json:"total_speedup"`         // sum(oracle wall) / sum(fast wall)
-	TotalSpeedupSharded float64   `json:"total_speedup_sharded"` // sum(fast wall) / sum(sharded wall)
+	Schema       string    `json:"schema"`
+	Scale        int       `json:"scale"`
+	Seed         uint64    `json:"seed"`
+	GoVersion    string    `json:"go_version"`
+	NumCPU       int       `json:"num_cpu"`
+	Apps         []perfApp `json:"apps"`
+	TotalSpeedup float64   `json:"total_speedup"` // sum(oracle wall) / sum(fast wall)
 }
 
 // runPerfJSON measures every selected app and writes the baseline to path.
@@ -65,67 +61,55 @@ func runPerfJSON(path string, opt bench.Options) error {
 	if len(names) == 0 {
 		names = bench.AppNames
 	}
-	shards := opt.Shards
-	if shards <= 1 {
-		shards = perfShards
-	}
-	pf := perfFile{Schema: perfSchema, Scale: opt.Scale, Seed: opt.Seed, Shards: shards,
+	pf := perfFile{Schema: perfSchema, Scale: opt.Scale, Seed: opt.Seed,
 		GoVersion: runtime.Version(), NumCPU: runtime.NumCPU()}
-	var totalFast, totalOracle, totalSharded time.Duration
+	var totalFast, totalOracle time.Duration
 	for _, app := range names {
 		input := bench.InputsOf(app)[0]
-		timed := func(oracle bool, shards int) (apps.Outcome, time.Duration, error) {
+		timed := func(oracle bool, override func(*core.Config)) (apps.Outcome, time.Duration, error) {
 			o := opt
 			o.Jobs = 1
 			o.NoFastForward = oracle
-			o.Shards = shards
 			start := time.Now()
-			out, err := bench.RunOne(app, input, apps.FiferPipe, false, o, nil)
+			out, err := bench.RunOne(app, input, apps.FiferPipe, false, o, override)
 			return out, time.Since(start), err
 		}
-		fastOut, fastD, err := timed(false, 1)
+		// The collector receives the kernel counters when Run returns; with a
+		// sample period no run reaches, it costs one final metrics flush.
+		col := trace.NewCollector(1)
+		fastOut, fastD, err := timed(false, func(cfg *core.Config) {
+			cfg.Metrics, cfg.MetricsCycles = col, math.MaxUint64
+		})
 		if err != nil {
 			return fmt.Errorf("%s/%s fast-forward: %w", app, input, err)
 		}
-		oracleOut, oracleD, err := timed(true, 1)
+		oracleOut, oracleD, err := timed(true, nil)
 		if err != nil {
 			return fmt.Errorf("%s/%s oracle: %w", app, input, err)
 		}
-		shardedOut, shardedD, err := timed(false, shards)
-		if err != nil {
-			return fmt.Errorf("%s/%s sharded: %w", app, input, err)
-		}
 		if !reflect.DeepEqual(fastOut, oracleOut) {
-			return fmt.Errorf("%s/%s: fast-forward outcome differs from the oracle loop — fast-forward bug, do not trust this baseline", app, input)
-		}
-		if !reflect.DeepEqual(shardedOut, fastOut) {
-			return fmt.Errorf("%s/%s: sharded outcome differs from the sequential kernel — shard bug, do not trust this baseline", app, input)
+			return fmt.Errorf("%s/%s: fast-forward outcome differs from the oracle loop — kernel bug, do not trust this baseline", app, input)
 		}
 		row := perfApp{
 			App: app, Input: input, Kind: apps.FiferPipe.String(),
-			Cycles:              fastOut.Cycles,
-			WallNSFast:          fastD.Nanoseconds(),
-			WallNSOracle:        oracleD.Nanoseconds(),
-			WallNSSharded:       shardedD.Nanoseconds(),
-			CyclesPerSecFast:    float64(fastOut.Cycles) / fastD.Seconds(),
-			CyclesPerSecOracle:  float64(oracleOut.Cycles) / oracleD.Seconds(),
-			CyclesPerSecSharded: float64(shardedOut.Cycles) / shardedD.Seconds(),
-			Speedup:             float64(oracleD) / float64(fastD),
-			SpeedupSharded:      float64(fastD) / float64(shardedD),
+			Cycles:             fastOut.Cycles,
+			WallNSFast:         fastD.Nanoseconds(),
+			WallNSOracle:       oracleD.Nanoseconds(),
+			CyclesPerSecFast:   float64(fastOut.Cycles) / fastD.Seconds(),
+			CyclesPerSecOracle: float64(oracleOut.Cycles) / oracleD.Seconds(),
+			Speedup:            float64(oracleD) / float64(fastD),
+			ExecutedShare:      col.Kernel().ExecutedShare(),
 		}
 		pf.Apps = append(pf.Apps, row)
 		totalFast += fastD
 		totalOracle += oracleD
-		totalSharded += shardedD
-		fmt.Fprintf(os.Stderr, "perf %-6s %-8s %12d cycles  fast %10v  oracle %10v (%.2fx)  sharded %10v (%.2fx)\n",
+		fmt.Fprintf(os.Stderr, "perf %-6s %-8s %12d cycles  fast %10v  oracle %10v (%.2fx)  ticked %5.1f%% of PE-cycles\n",
 			app, input, row.Cycles, fastD.Round(time.Microsecond), oracleD.Round(time.Microsecond), row.Speedup,
-			shardedD.Round(time.Microsecond), row.SpeedupSharded)
+			100*row.ExecutedShare)
 	}
 	pf.TotalSpeedup = float64(totalOracle) / float64(totalFast)
-	pf.TotalSpeedupSharded = float64(totalFast) / float64(totalSharded)
-	fmt.Fprintf(os.Stderr, "perf total: oracle %v, fast %v (%.2fx), sharded %v (%.2fx)\n",
-		totalOracle.Round(time.Microsecond), totalFast.Round(time.Microsecond), pf.TotalSpeedup,
-		totalSharded.Round(time.Microsecond), pf.TotalSpeedupSharded)
+	fmt.Fprintf(os.Stderr, "perf total: oracle %v, fast %v (%.2fx)\n",
+		totalOracle.Round(time.Microsecond), totalFast.Round(time.Microsecond), pf.TotalSpeedup)
 	data, err := json.MarshalIndent(pf, "", "  ")
 	if err != nil {
 		return err

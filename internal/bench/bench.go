@@ -84,20 +84,11 @@ type Options struct {
 	Trace *TraceSink
 
 	// NoFastForward runs every simulation with the naive per-cycle loop
-	// instead of the event-horizon fast-forward (core.Config.NoFastForward)
-	// — the differential oracle. Results are bit-identical either way; only
+	// instead of the parking kernel (core.Config.NoFastForward) — the
+	// differential oracle. Results are bit-identical either way; only
 	// wall-clock time differs. Applied before the per-job Override, which
 	// wins as usual.
 	NoFastForward bool
-
-	// Shards > 1 runs every simulation on the sharded kernel
-	// (core.Config.Shards): the PEs are partitioned into this many groups,
-	// each ticked by its own goroutine under the deterministic epoch-barrier
-	// protocol. Results are bit-identical to the sequential kernel — the
-	// shard-invariance differential suite pins every surface — so this is
-	// purely a wall-clock knob, orthogonal to Jobs (which parallelizes
-	// across simulations). Applied before the per-job Override, which wins.
-	Shards int
 }
 
 // DefaultOptions returns the standard harness configuration.
@@ -181,9 +172,6 @@ func RunOne(app, input string, kind apps.SystemKind, merged bool, opt Options, o
 		}
 		if opt.NoFastForward {
 			cfg.NoFastForward = true
-		}
-		if opt.Shards > 1 {
-			cfg.Shards = opt.Shards
 		}
 		if user != nil {
 			user(cfg)

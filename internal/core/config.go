@@ -1,18 +1,12 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"fifer/internal/cgra"
 	"fifer/internal/mem"
 	"fifer/internal/trace"
 )
-
-// ErrBadShards reports an unusable Config.Shards value: negative, or more
-// shards than PEs. Validate wraps it so callers (the fiferbench flag layer,
-// tests) can detect the class with errors.Is.
-var ErrBadShards = errors.New("core: invalid shard count")
 
 // Mode selects between the two CGRA-based systems the paper evaluates.
 type Mode int
@@ -72,21 +66,12 @@ type Config struct {
 
 	MaxCycles uint64 // safety limit; Run fails beyond this
 
-	// Shards partitions the PEs into this many contiguous groups, each ticked
-	// by its own goroutine under the deterministic epoch-barrier protocol of
-	// shard.go (DESIGN.md §11). Results are bit-identical to the sequential
-	// kernel for every surface — Result, traces, metrics, goldens, journal
-	// bytes — which the shard-invariance differential suite pins. 0 or 1
-	// selects the sequential kernel (the always-available oracle); values
-	// above PEs are rejected by Validate with ErrBadShards.
-	Shards int
-
-	// NoFastForward disables the event-horizon fast-forward (horizon.go) and
-	// makes Run tick every cycle naively. Fast-forward produces bit-identical
-	// results — the differential suite holds every run surface (Result,
-	// goldens, journal CRCs, metrics, traces) equal between the two loops —
-	// so this exists as the test oracle and as an escape hatch, not a mode
-	// anyone should need.
+	// NoFastForward disables per-PE parking and the whole-machine clock jump
+	// (horizon.go) and makes Run tick every PE on every cycle naively. The
+	// default kernel produces bit-identical results — the differential suite
+	// holds every run surface (Result, goldens, journal CRCs, metrics,
+	// traces) equal between the two — so this exists as the test oracle and
+	// as an escape hatch, not a mode anyone should need.
 	NoFastForward bool
 
 	// WatchdogCycles is the progress watchdog's window: if no component of
@@ -196,11 +181,6 @@ func (c *Config) Validate() error {
 	case c.Hier.Clients != 0 && c.Hier.Clients != c.PEs:
 		return fmt.Errorf("core: Hier.Clients=%d does not match PEs=%d (leave it 0 to size automatically)",
 			c.Hier.Clients, c.PEs)
-	case c.Shards < 0:
-		return fmt.Errorf("%w: Shards=%d is negative (0 or 1 = sequential kernel)", ErrBadShards, c.Shards)
-	case c.Shards > c.PEs:
-		return fmt.Errorf("%w: Shards=%d exceeds PEs=%d (each shard needs at least one PE)",
-			ErrBadShards, c.Shards, c.PEs)
 	}
 	return nil
 }

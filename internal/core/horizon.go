@@ -1,71 +1,114 @@
 package core
 
-// Event-horizon fast-forward (DESIGN.md §10).
+import (
+	"fifer/internal/queue"
+	"fifer/internal/trace"
+)
+
+// Event-horizon kernel: wake cycles, per-PE parking, lazy catch-up
+// (DESIGN.md §10).
 //
 // Every PE.Tick publishes a wake cycle: the earliest future cycle at which
-// that PE — fabric or any of its DRMs — could possibly act. "Act" means any
-// state change beyond the fixed per-cycle bookkeeping of an inert machine:
-// firing, activating, beginning or finishing a reconfiguration, issuing or
-// delivering a DRM access, enqueueing or dequeueing a token. The sources:
+// the PE — fabric or any DRM — could act (fire, activate, begin or end a
+// reconfiguration, issue or deliver a DRM access, move a token). A
+// reconfiguring or stalled fabric wakes at reconfigUntil or stallUntil, a
+// fabric blocked with a ready stage cooling down at the soonest expiry, a
+// DRM with an access in flight at the head's ready cycle, anything that
+// acted at now+1, and anything only another component can unblock never
+// (horizonNever).
 //
-//   - fabric reconfiguring:   wake = reconfigUntil (each cycle until then
-//     charges Reconfig; the activation at reconfigUntil is the action)
-//   - fabric stalled:         wake = stallUntil (charges Stall)
-//   - fabric blocked:         wake = the soonest cooldown expiry among
-//     ready-but-cooling stages (charges Queue or Idle); horizonNever when
-//     only another component's token flow can unblock it
-//   - fabric acted:           wake = now+1 (no window can start)
-//   - DRM head in flight:     wake = inflight.front().ready
-//   - DRM delivered/issued:   wake = now+1
-//   - DRM otherwise:          horizonNever (needs input tokens, output
-//     space, or a completion slot — all external)
+// A PE whose wake lies in the future is bit-exactly inert unless something
+// arrives from outside, so Run parks it: the sweep skips its tick and
+// peCatchUp later replays the fixed charges it owes — one CPI-bucket
+// increment per cycle, the 64-cycle occupancy samples, blocked-DRM OutFull
+// counts, the sliding scheduler cooldown. The arrival edges are the arbiter
+// hooks (exchangeHooks): a credited send settles the consumer against the
+// pre-send occupancy and marks it dirty, so it ticks this cycle if the
+// ascending sweep has not passed it and next cycle otherwise; a credit
+// return marks the producing port's PE dirty; program injection at
+// quiescence marks every PE dirty. A PE with an exotic port
+// (stage.Exotic) polls after every firing instead.
 //
-// When every PE's wake lies strictly beyond the next cycle, every cycle up
-// to the minimum wake W is provably inert: no queue changes, no trace
-// events, no counter movement except the fixed per-cycle charges. Run then
-// jumps the clock to min(W, next observation boundary) and advanceInert
-// replays those fixed charges in one step — the same CPI-bucket increments,
-// the same 64-cycle queue-occupancy samples, the same OutFull counts, the
-// same sliding scheduler cooldown — leaving the machine in the exact state
-// the naive loop would have reached. Observation boundaries (watchdog
-// checkpoints, metrics samples, audits, cancellation polls, MaxCycles)
-// clamp the jump so every check still runs at its original cycle against
-// the same frozen state, which is why results are bit-identical to the
-// Config.NoFastForward oracle.
-//
-// Fast-forward never engages while OnCycle hooks are registered (fault
-// injectors mutate state at arbitrary cycles) and never crosses a cycle in
-// which any component could act, so the only behavioral assumption is the
-// kernel contract stage.Kernel already documents: a blocked TryFire consumes
-// nothing and is repeatable. The differential suite in internal/bench pins
-// the equivalence for every app.
+// Observation boundaries settle every PE first; the watchdog signature
+// reads only monotonic counters and needs no settling. When every PE is
+// parked past the next cycle, Run jumps the clock to min(wake, next
+// boundary) and nothing else. OnCycle hooks and Config.NoFastForward force
+// every PE to settle and tick each cycle: the naive loop exactly.
 
 // horizonNever is the wake cycle of a component that cannot act again
 // without an external state change.
 const horizonNever = ^uint64(0)
 
-// advanceInert batch-executes the inert cycles [s.Cycle, to): it applies
-// exactly the per-cycle side effects the naive loop would have applied —
-// one CPI-bucket charge per PE per cycle, the 64-cycle queue-memory
-// sampling rhythm, blocked-DRM OutFull counts, and the sliding scheduler
-// cooldown — then sets the clock to `to`. The caller guarantees every PE's
-// wake is ≥ to, hooks are absent, and no observation boundary lies inside
-// (s.Cycle, to).
-func (s *System) advanceInert(to uint64) {
-	from := s.Cycle
-	k := to - from
-	for _, pe := range s.PEs {
-		pe.advanceInert(to, k)
+// KernelStats returns the run loop's own work counters, accumulated over
+// every Run of this system. They legitimately differ between the default
+// kernel and the NoFastForward oracle, so they live outside Result:
+// journals, goldens and the differential suites never see them.
+func (s *System) KernelStats() trace.KernelStats {
+	return trace.KernelStats{PEs: len(s.PEs), Cycles: s.Cycle, Ticks: s.ticks,
+		Jumped: s.jumped, CatchUps: s.catchUps}
+}
+
+// exchangeHooks wires one inter-PE arbiter into parking: sends settle and
+// mark the consumer PE, returns mark the producing port's PE, and credit
+// grants and returns are traced when tracing is on.
+func (s *System) exchangeHooks(a *queue.Arbiter, consumer int) {
+	cpe := s.PEs[consumer]
+	// portPE[p] is the PE that was ticking when port p first sent; a port
+	// has exactly one producer PE, so the binding is stable. -1: never sent.
+	portPE := make([]int, a.Ports())
+	for i := range portPE {
+		portPE[i] = -1
 	}
-	// Multiples of 64 in [from, to): each is a cycle whose tick the naive
-	// loop would have followed with a QMem.Sample(). Occupancies are frozen,
-	// so the samples batch into one SampleN per queue.
-	if n64 := (to-1)/64 - (from-1)/64; n64 > 0 {
-		for _, pe := range s.PEs {
-			pe.QMem.SampleN(n64)
+	a.SetSendHook(func(port int) {
+		if portPE[port] < 0 {
+			portPE[port] = s.curPE
 		}
+		s.peCatchUp(cpe, s.Cycle)
+		cpe.dirty = true
+	})
+	a.SetCreditHook(func(port int, granted bool) {
+		if !granted {
+			// A return mutates only the producer port's credit counter —
+			// nothing peCatchUp accounts — so the producer just has to tick.
+			if p := portPE[port]; p >= 0 {
+				s.PEs[p].dirty = true
+			} else {
+				for _, pe := range s.PEs {
+					pe.dirty = true
+				}
+			}
+		}
+		if s.tracer != nil {
+			k := trace.KindCreditReturn
+			if granted {
+				k = trace.KindCreditGrant
+			}
+			s.tracer.Emit(trace.Event{Cycle: s.Cycle, PE: consumer, Kind: k, Name: a.Queue().Name(), Arg: uint64(port)})
+		}
+	})
+}
+
+// peCatchUp replays one parked PE's deferred per-cycle accounting for cycles
+// [caughtUp, to): one CPI-bucket charge per cycle and one queue-memory
+// sample per multiple of 64, against the frozen occupancy.
+func (s *System) peCatchUp(pe *PE, to uint64) {
+	from := pe.caughtUp
+	if to <= from {
+		return
 	}
-	s.Cycle = to
+	pe.advanceInert(to, to-from)
+	if n64 := (to+63)/64 - (from+63)/64; n64 > 0 {
+		pe.QMem.SampleN(n64)
+	}
+	pe.caughtUp = to
+	s.catchUps++
+}
+
+// settle brings every PE's deferred accounting up to the current cycle.
+func (s *System) settle() {
+	for _, pe := range s.PEs {
+		s.peCatchUp(pe, s.Cycle)
+	}
 }
 
 // advanceInert applies k inert cycles (ending at cycle to-1) to one PE.

@@ -45,18 +45,17 @@ type PE struct {
 	inertBucket   inertBucket
 	slideCooldown bool
 
-	// Sharded-kernel per-PE parking state (shard.go): caughtUp is the cycle
-	// up to which this PE's deferred inert accounting has been applied;
-	// shDirty marks an external arrival (credited token, credit return,
-	// program injection) that obliges the PE to tick even though its
-	// published wake predates the arrival; poll marks a PE hosting a stage
-	// with an exotic port (stage.Exotic), whose readiness may depend on
-	// program state outside the queue/credit fabric — such a PE cannot be
-	// parked while stages fire anywhere; firedNow records whether this
-	// tick's fabric fired a stage (the only place user code runs). All
-	// unused by the sequential kernel.
+	// Parking state (horizon.go): caughtUp is the cycle up to which this
+	// PE's deferred inert accounting has been applied; dirty marks an
+	// external arrival (credited token, credit return, program injection)
+	// that obliges the PE to tick even though its published wake predates
+	// the arrival; poll marks a PE hosting a stage with an exotic port
+	// (stage.Exotic), whose readiness may depend on program state outside
+	// the queue/credit fabric — such a PE cannot be parked while stages fire
+	// anywhere; firedNow records whether this tick's fabric fired a stage
+	// (the only place user code runs).
 	caughtUp uint64
-	shDirty  bool
+	dirty    bool
 	poll     bool
 	firedNow bool
 
@@ -192,7 +191,7 @@ func (p *PE) Busy(now uint64) bool {
 
 // Tick advances the PE by one cycle. Exactly one CPIStack bucket is
 // incremented per call. It also publishes the PE's wake cycle — the minimum
-// over the fabric's and every DRM's — for the event-horizon kernel.
+// over the fabric's and every DRM's — for the run loop's parking.
 func (p *PE) Tick(now uint64) {
 	p.firedNow = false
 	wake := horizonNever

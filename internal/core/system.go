@@ -39,25 +39,16 @@ type System struct {
 	Cycle   uint64
 
 	arbiters []*queue.Arbiter
-	// arbConsumers records, parallel to arbiters, the consumer PE of each
-	// inter-PE queue; the sharded kernel maps it to the consumer's shard when
-	// installing its exchange hooks (shard.go).
-	arbConsumers []int
 
-	// Sharded-kernel state (shard.go); nil/zero for the sequential kernel.
-	shards   []*shard
-	peShard  []int // PE id -> shard index
-	curShard int   // shard currently ticking, -1 between engagements
-	curPE    int   // PE currently ticking inside an engagement, -1 otherwise
-	// crossTouch is set by the exchange hooks whenever they mark a shard
-	// other than the one currently ticking; a batched engagement (shard.go)
-	// must end its autonomous run at the cycle that touched another shard.
-	crossTouch bool
-	// sweepFired: some stage fired during the current sweep cycle; every
-	// poll PE (exotic ports, see PE.poll) must then tick no later than the
-	// next cycle. hasPoll caches whether any poll PE exists.
-	sweepFired bool
-	hasPoll    bool
+	// Run-loop state (horizon.go): curPE is the PE currently ticking (-1
+	// between ticks), which the exchange hooks use to learn each credit
+	// port's producer; hasPoll caches whether any PE polls (stage.Exotic).
+	// ticks, jumped and catchUps are the KernelStats counters.
+	curPE    int
+	hasPoll  bool
+	ticks    uint64
+	jumped   uint64
+	catchUps uint64
 
 	// hooks run at the top of every cycle, before the PEs tick. They exist
 	// for observers and fault injectors (internal/faults); Run never skips
@@ -103,11 +94,12 @@ func NewSystemChecked(cfg Config) (*System, error) {
 		Backing: mem.NewBacking(cfg.BackingBytes),
 		Hier:    mem.NewHierarchy(cfg.Hier),
 		tracer:  cfg.Tracer,
+		curPE:   -1,
 	}
 	// PEs live in one contiguous backing array so the run loop's per-cycle
 	// sweep walks sequential memory instead of pointer-chasing individually
 	// boxed PEs; s.PEs keeps the pointer-slice shape the rest of the code
-	// (and the shard partitioning) works in.
+	// works in.
 	pes := make([]PE, cfg.PEs)
 	s.PEs = make([]*PE, cfg.PEs)
 	for i := range pes {
@@ -131,30 +123,9 @@ func (s *System) PE(i int) *PE { return s.PEs[i] }
 func (s *System) InterPEQueue(consumer int, name string, capTokens, producers int) *queue.Arbiter {
 	q := s.PEs[consumer].AllocQueue(name, capTokens)
 	a := queue.NewArbiter(q, producers)
-	if h := s.creditTracer(consumer, q); h != nil {
-		a.SetCreditHook(h)
-	}
+	s.exchangeHooks(a, consumer)
 	s.arbiters = append(s.arbiters, a)
-	s.arbConsumers = append(s.arbConsumers, consumer)
 	return a
-}
-
-// creditTracer builds the credit-movement trace hook for an inter-PE queue,
-// or nil when tracing is off. The sequential kernel installs it directly;
-// the sharded kernel chains it behind its own exchange bookkeeping so traced
-// runs emit the identical event stream (shard.go).
-func (s *System) creditTracer(consumer int, q *queue.Queue) func(port int, granted bool) {
-	t := s.tracer
-	if t == nil {
-		return nil
-	}
-	return func(port int, granted bool) {
-		k := trace.KindCreditReturn
-		if granted {
-			k = trace.KindCreditGrant
-		}
-		t.Emit(trace.Event{Cycle: s.Cycle, PE: consumer, Kind: k, Name: q.Name(), Arg: uint64(port)})
-	}
 }
 
 // Arbiters returns all inter-PE queue arbiters (for invariant checks).
@@ -199,11 +170,8 @@ type Result struct {
 // queue-layer corruption panics, which are recovered here so a corrupted
 // simulation fails as one job instead of crashing the process), and with
 // ErrCanceled when Cfg.Done is closed (checked before the first cycle and
-// at watchdog-checkpoint granularity thereafter).
-//
-// Cfg.Shards > 1 selects the sharded kernel (shard.go), whose results are
-// bit-identical to the sequential kernel's for every surface; 0 or 1 runs
-// the sequential loop below.
+// at watchdog-checkpoint granularity thereafter). A Cfg.Metrics sink that
+// implements trace.KernelSink receives KernelStats when Run returns.
 func (s *System) Run(prog Program) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -211,20 +179,36 @@ func (s *System) Run(prog Program) (res Result, err error) {
 			if !ok {
 				panic(r)
 			}
+			s.settlePanic()
 			err = fmt.Errorf("%w: corruption: %s: %s\n%s",
 				ErrInvariant, c.Component, c.Detail, s.BlockedSummary(dumpExcerptLines))
 		}
+		if ks, ok := s.Cfg.Metrics.(trace.KernelSink); ok {
+			ks.SampleKernel(s.KernelStats())
+		}
 	}()
-	if s.Cfg.Shards > 1 {
-		return s.runSharded(prog)
-	}
-	return s.runSeq(prog)
+	return s.run(prog)
 }
 
-// runSeq is the sequential kernel: one goroutine ticks every PE in
-// ascending id order each cycle, with the event-horizon fast-forward of
-// horizon.go batching provably inert windows.
-func (s *System) runSeq(prog Program) (res Result, err error) {
+// settlePanic settles the machine to the cycle a PE tick panicked in: PEs
+// the sweep had already passed owe this cycle's inert charge (its
+// occupancy sample never happens — the cycle never ends), the rest owe
+// charges up to it.
+func (s *System) settlePanic() {
+	s.settle()
+	for _, pe := range s.PEs[:max(s.curPE, 0)] {
+		if pe.caughtUp == s.Cycle {
+			pe.advanceInert(s.Cycle+1, 1)
+			pe.caughtUp = s.Cycle + 1
+		}
+	}
+	s.curPE = -1
+}
+
+// run is the simulation kernel: each cycle it ticks, in ascending id order,
+// only the PEs that can act, parks the rest with their accounting deferred,
+// and jumps the clock when every PE is parked (horizon.go).
+func (s *System) run(prog Program) (res Result, err error) {
 	// The watchdog compares monotonic progress counters at checkpoints half
 	// a window apart: two equal consecutive snapshots prove zero progress
 	// over at least half a window, and the deadlock is reported within one
@@ -260,23 +244,40 @@ func (s *System) runSeq(prog Program) (res Result, err error) {
 			s.lastStacks = make([]CPIStack, len(s.PEs))
 		}
 	}
+	// A stage with an exotic port may read program state the exchange hooks
+	// cannot see — e.g. an in-flight throttle decremented by a stage on
+	// another PE — so its PE polls instead of parking (horizon.go).
+	s.hasPoll = false
+	for _, pe := range s.PEs {
+		pe.poll = false
+		for _, st := range pe.stages {
+			if st.Exotic() {
+				pe.poll, s.hasPoll = true, true
+				break
+			}
+		}
+	}
 	lastSig := s.progressSig()
 	lastProgress := s.Cycle
 	// checks runs the per-cycle observation points at the current (already
-	// incremented) cycle, in the order the loop has always run them:
+	// incremented) cycle, in the order the naive loop runs them:
 	// cancellation poll, metrics sample, watchdog checkpoint, invariant
-	// audit, cycle budget. The fast-forward path calls it too, after landing
-	// the clock exactly on the next boundary, so every observation happens
-	// at its original cycle against the same state in both loops.
+	// audit, cycle budget. The clock jump calls it too, after landing
+	// exactly on the next boundary, so every observation happens at its
+	// original cycle. Every boundary that reads non-monotonic state (CPI
+	// stacks, occupancies, state dumps) settles the parked PEs first; the
+	// watchdog signature reads only monotonic counters and runs unsettled.
 	checks := func() (stop bool, err error) {
 		if cancelEvery > 0 && s.Cycle%cancelEvery == 0 {
 			select {
 			case <-s.Cfg.Done:
+				s.settle()
 				return true, s.canceledError()
 			default:
 			}
 		}
 		if sampleEvery > 0 && s.Cycle%sampleEvery == 0 {
+			s.settle()
 			s.sampleMetrics()
 		}
 		if wdInterval > 0 && s.Cycle%wdInterval == 0 {
@@ -286,92 +287,123 @@ func (s *System) runSeq(prog Program) (res Result, err error) {
 					Kind: trace.KindCheckpoint, Name: "watchdog", Arg: sig.firings})
 			}
 			if sig == lastSig {
+				s.settle()
 				return true, s.deadlockError(lastProgress)
 			}
 			lastSig, lastProgress = sig, s.Cycle
 		}
 		if s.Cfg.AuditCycles > 0 && s.Cycle%s.Cfg.AuditCycles == 0 {
+			s.settle()
 			if aerr := s.AuditLive(); aerr != nil {
 				return true, aerr
 			}
 		}
 		if s.Cycle >= s.Cfg.MaxCycles {
+			s.settle()
 			return true, fmt.Errorf("%w: MaxCycles=%d (deadlock or runaway program)\n%s",
 				ErrMaxCycles, s.Cfg.MaxCycles, s.BlockedSummary(dumpExcerptLines))
 		}
 		return false, nil
 	}
 	for {
-		quiet := true
-		if len(s.hooks) > 0 {
-			for _, f := range s.hooks {
-				f(s, s.Cycle)
-			}
+		now := s.Cycle
+		// OnCycle hooks (fault injectors) may mutate anything, so they force
+		// every PE to settle and tick, as does the NoFastForward oracle.
+		force := s.Cfg.NoFastForward || len(s.hooks) > 0
+		for _, f := range s.hooks {
+			f(s, now)
 		}
+		// The sweep: tick the PEs that can act — woken, marked dirty by an
+		// exchange hook, forced, or polling after a firing — and leave the
+		// rest parked. sysWake needs no dirty term: a hook only fires inside
+		// an acting PE's tick, and that PE's wake is now+1.
 		sysWake := horizonNever
+		fired := false
+		var ticked uint64
 		for _, pe := range s.PEs {
-			pe.Tick(s.Cycle)
+			if force || pe.dirty || pe.wake <= now || (pe.poll && fired) {
+				s.peCatchUp(pe, now)
+				pe.dirty = false
+				s.curPE = pe.ID
+				pe.Tick(now)
+				pe.caughtUp = now + 1
+				ticked++
+				fired = fired || pe.firedNow
+			}
 			if pe.wake < sysWake {
 				sysWake = pe.wake
 			}
 		}
-		if s.Cycle%64 == 0 {
+		s.curPE = -1
+		s.ticks += ticked
+		if fired && s.hasPoll {
+			// Poll PEs the sweep already passed see this cycle's firings
+			// next cycle, exactly when the naive loop's order lets them.
 			for _, pe := range s.PEs {
-				pe.QMem.Sample()
+				if pe.poll {
+					pe.dirty = true
+				}
 			}
 		}
+		if now%64 == 0 {
+			// The cycle's queue-occupancy samples, after every same-cycle send
+			// has landed; a parked PE's sample rides its catch-up against the
+			// frozen occupancy.
+			for _, pe := range s.PEs {
+				if pe.caughtUp == now+1 {
+					pe.QMem.Sample()
+				}
+			}
+		}
+		// A parked PE's frozen state answers Busy exactly as a ticked one.
+		quiet := true
 		for _, pe := range s.PEs {
-			if pe.Busy(s.Cycle) {
+			if pe.Busy(now) {
 				quiet = false
 				break
 			}
 		}
 		s.Cycle++
 		if quiet {
+			s.settle()
 			if !prog.Quiesced(s) {
 				break
 			}
 			res.Rounds++
+			// Injection bypasses the queue hooks (programs seed local queues
+			// directly), so every PE ticks next cycle.
+			for _, pe := range s.PEs {
+				pe.dirty = true
+			}
 		}
 		if stop, cerr := checks(); stop {
 			return res, cerr
 		}
-		// Event-horizon fast-forward (horizon.go): when every PE just proved
-		// it cannot act before sysWake, batch-execute the inert cycles up to
-		// the earlier of sysWake and the next observation boundary, then run
-		// that boundary's checks at its original cycle. Skipped only when
-		// hooks are registered (fault injectors mutate state mid-window),
-		// when the system just quiesced (the program may have injected new
-		// work the stale wakes don't see), or with the NoFastForward oracle.
-		if !quiet && sysWake > s.Cycle && !s.Cfg.NoFastForward && len(s.hooks) == 0 {
-			w := sysWake
-			clampMult := func(period uint64) {
+		// Whole-machine jump: every PE is parked past the next cycle, so
+		// land the clock on the earlier of sysWake and the next observation
+		// boundary. Skipped when the system just quiesced (the program may
+		// have injected work the stale wakes don't see) and when forced.
+		if !quiet && sysWake > s.Cycle && !force {
+			w := min(sysWake, s.Cfg.MaxCycles)
+			for _, period := range [...]uint64{cancelEvery, sampleEvery, wdInterval, s.Cfg.AuditCycles} {
 				if period > 0 {
-					if next := (s.Cycle/period + 1) * period; next < w {
-						w = next
-					}
+					w = min(w, (s.Cycle/period+1)*period)
 				}
 			}
-			clampMult(cancelEvery)
-			clampMult(sampleEvery)
-			clampMult(wdInterval)
-			clampMult(s.Cfg.AuditCycles)
-			if s.Cfg.MaxCycles < w {
-				w = s.Cfg.MaxCycles
-			}
-			s.advanceInert(w)
+			s.jumped += w - s.Cycle
+			s.Cycle = w
 			if stop, cerr := checks(); stop {
 				return res, cerr
 			}
 		}
 	}
+	s.settle()
 	s.finishRun(&res)
 	return res, nil
 }
 
 // finishRun flushes the final partial metrics window and aggregates per-PE
-// statistics into res. Both kernels end a successful run here, against
-// identical machine state.
+// statistics into res, against settled machine state.
 func (s *System) finishRun(res *Result) {
 	res.Cycles = s.Cycle
 	// Flush the final partial metrics window so per-PE deltas sum to the

@@ -79,7 +79,10 @@ func (f StuckStage) Name() string {
 	return fmt.Sprintf("stuck-stage(pe%d/stage%d@%d)", f.PE, f.Stage, f.At)
 }
 
-// Arm wraps the target stage's kernel with the fault gate.
+// Arm wraps the target stage's kernel with the fault gate. The gate is
+// thrown from the per-cycle hook, like every other fault: a kernel whose
+// status changed with the clock alone would be invisible to a PE parked
+// before the trigger cycle.
 func (f StuckStage) Arm(sys *core.System) error {
 	if f.PE < 0 || f.PE >= len(sys.PEs) {
 		return fmt.Errorf("no pe%d in a %d-PE system", f.PE, len(sys.PEs))
@@ -90,13 +93,16 @@ func (f StuckStage) Arm(sys *core.System) error {
 	}
 	st := stages[f.Stage]
 	healthy := st.Kernel
-	at := f.At
+	stuck := false
 	st.Kernel = stage.KernelFunc{KernelName: healthy.Name(), Fn: func(c *stage.Ctx) stage.Status {
-		if c.Now >= at {
+		if stuck {
 			return stage.NoOutput // hung datapath: work visible, nothing moves
 		}
 		return healthy.TryFire(c)
 	}}
+	sys.OnCycle(func(_ *core.System, now uint64) {
+		stuck = now >= f.At
+	})
 	return nil
 }
 

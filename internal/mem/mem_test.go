@@ -38,6 +38,38 @@ func TestBackingAllocSlice(t *testing.T) {
 	}
 }
 
+// TestBackingGrowsWithAllocations pins the lazy host allocation: the
+// configured size stays the capacity, words past the allocated prefix read
+// as zero and accept stores, and data survives every growth step.
+func TestBackingGrowsWithAllocations(t *testing.T) {
+	b := NewBacking(64 << 20)
+	if b.Size() != 64<<20 {
+		t.Fatalf("Size %d, want %d", b.Size(), 64<<20)
+	}
+	far := Addr(32 << 20)
+	if b.Load(far) != 0 {
+		t.Fatal("untouched word not zero")
+	}
+	var addrs []Addr
+	for i := 0; i < 200; i++ {
+		a := b.AllocWords(1 + i*37)
+		b.Store(a, uint64(i))
+		addrs = append(addrs, a)
+	}
+	b.Store(far, 7)
+	for i, a := range addrs {
+		if got := b.Load(a); got != uint64(i) {
+			t.Fatalf("word %d at %#x = %d after growth", i, uint64(a), got)
+		}
+	}
+	if b.Load(far) != 7 || b.Load(far-8) != 0 || b.Load(far+8) != 0 {
+		t.Fatal("store beyond the allocated prefix lost or leaked")
+	}
+	if got := cap(b.words) * WordBytes; got > 2*int(far)+LineBytes {
+		t.Fatalf("host allocation %d B for a %d B touched prefix", got, far)
+	}
+}
+
 func TestBackingPanics(t *testing.T) {
 	b := NewBacking(1 << 12)
 	for _, f := range []func(){

@@ -72,10 +72,11 @@ type Arbiter struct {
 	credit func(port int, granted bool)
 
 	// send, when non-nil, runs at the top of every successful Send, BEFORE
-	// the token lands in the destination queue. The sharded simulation kernel
-	// uses it to settle the consumer's deferred per-cycle accounting while the
-	// destination queue's occupancy is still the pre-send value; rejected
-	// sends (no credits) never invoke it. Nil costs one branch per send.
+	// the token lands in the destination queue. The simulation kernel uses
+	// it to settle a parked consumer's deferred per-cycle accounting while
+	// the destination queue's occupancy is still the pre-send value, and to
+	// mark the consumer for ticking; rejected sends (no credits) never
+	// invoke it. Nil costs one branch per send.
 	send func(port int)
 }
 

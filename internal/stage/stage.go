@@ -226,7 +226,7 @@ func (s *Stage) Name() string { return s.Kernel.Name() }
 // through (a test double, or an application wrapper like a throttling
 // in-port). An exotic port's readiness may depend on state outside the
 // queue/credit fabric, so execution kernels that skip provably-idle PEs
-// must instead poll a stage with one (see core's sharded kernel).
+// must instead poll a stage with one (see core's horizon.go).
 func (s *Stage) Exotic() bool {
 	if !s.bound {
 		s.bind()

@@ -137,18 +137,50 @@ type MetricsSink interface {
 	SampleRow(r MetricsRow)
 }
 
+// KernelStats counts a simulation kernel's own work, as opposed to the
+// simulated machine's: PE ticks it executed, cycles it skipped in
+// whole-machine clock jumps, and lazy catch-ups that replayed parked cycles.
+type KernelStats struct {
+	PEs      int    // machine width
+	Cycles   uint64 // simulated cycles
+	Ticks    uint64 // PE ticks executed
+	Jumped   uint64 // cycles skipped by whole-machine clock jumps
+	CatchUps uint64 // catch-ups that replayed at least one parked cycle
+}
+
+// Parked returns the PE-cycles the kernel settled without ticking:
+// PEs×Cycles minus the ticks it executed.
+func (k KernelStats) Parked() uint64 { return uint64(k.PEs)*k.Cycles - k.Ticks }
+
+// ExecutedShare returns the fraction of PE-cycles the kernel ticked (0 for
+// an empty run).
+func (k KernelStats) ExecutedShare() float64 {
+	if total := uint64(k.PEs) * k.Cycles; total > 0 {
+		return float64(k.Ticks) / float64(total)
+	}
+	return 0
+}
+
+// KernelSink is implemented by a MetricsSink that also wants the kernel's
+// counters: the core reports them once, when Run returns.
+type KernelSink interface {
+	SampleKernel(k KernelStats)
+}
+
 // DefaultBufEvents is the collector's default ring capacity.
 const DefaultBufEvents = 1 << 20
 
-// Collector is the standard Tracer and MetricsSink: a fixed-capacity event
-// ring (flight-recorder semantics — when full, the oldest events are
-// overwritten and counted in Dropped) plus an append-only metrics log.
+// Collector is the standard Tracer, MetricsSink and KernelSink: a
+// fixed-capacity event ring (flight-recorder semantics — when full, the
+// oldest events are overwritten and counted in Dropped), an append-only
+// metrics log, and the run's kernel counters.
 // A Collector belongs to one simulation and is not safe for concurrent use.
 type Collector struct {
 	buf     []Event
 	start   int // index of the oldest event once the ring has wrapped
 	dropped uint64
 	rows    []MetricsRow
+	kernel  KernelStats
 }
 
 // NewCollector returns a collector with the given ring capacity in events
@@ -178,6 +210,12 @@ func (c *Collector) Emit(e Event) {
 
 // SampleRow implements MetricsSink.
 func (c *Collector) SampleRow(r MetricsRow) { c.rows = append(c.rows, r) }
+
+// SampleKernel implements KernelSink.
+func (c *Collector) SampleKernel(k KernelStats) { c.kernel = k }
+
+// Kernel returns the kernel counters the last run reported.
+func (c *Collector) Kernel() KernelStats { return c.kernel }
 
 // Events returns the collected events, oldest first. The slice is a copy;
 // mutating it does not affect the collector.

@@ -5,10 +5,10 @@
 #
 # Writes BENCH_<N>.json (default N from the highest existing baseline + 1,
 # or 0 when none exist) in the repo root: every app's first input simulated
-# with the event-horizon fast-forward, with the naive-loop oracle, and with
-# the sharded kernel (-shards, default 4), with wall times, simulated
-# cycles/second, and speedups. Compare successive BENCH_*.json files to
-# track the simulator's perf trajectory across PRs.
+# with the default parking kernel and with the naive-loop oracle, with wall
+# times, simulated cycles/second, speedups, and the share of PE-cycles the
+# default kernel ticked. Compare successive BENCH_*.json files to track the
+# simulator's perf trajectory across PRs.
 set -eu
 cd "$(dirname "$0")/.."
 
