@@ -27,8 +27,7 @@ type replica struct {
 	resultsA mem.Addr
 	resIdx   int // S3's result counter register
 
-	inFlight int // lookups inside the traversal loop
-	maxFly   int
+	inFlight stage.Gate // lookups inside the traversal loop
 
 	drmKeys *core.DRM // scan over keysA
 	drmNode *core.DRM // dereference node headers
@@ -113,17 +112,8 @@ func build(sys *core.System, ds Dataset, merged bool) *pipeline {
 		rep.drmNode.Configure(core.DRMDereference, drmOut(rep.hdrQ, pe1))
 		rep.nodeFromQ0 = rep.nodeQ.Out(0)
 		rep.nodeFromS2 = rep.nodeQ.Out(1)
-		caps := []int{rep.nodeQ.Queue().Cap(), rep.pendQ.Queue().Cap(), rep.leafQ.Queue().Cap()}
-		m := caps[0]
-		for _, c := range caps {
-			if c < m {
-				m = c
-			}
-		}
-		rep.maxFly = m / 4
-		if rep.maxFly < 2 {
-			rep.maxFly = 2
-		}
+		m := min(rep.nodeQ.Queue().Cap(), rep.pendQ.Queue().Cap(), rep.leafQ.Queue().Cap())
+		rep.inFlight.Limit = max(m/4, 2)
 		p.addFull(rep)
 	}
 	return p
@@ -162,7 +152,7 @@ func (p *pipeline) addFull(rep *replica) {
 		Kernel: stage.KernelFunc{
 			KernelName: fmt.Sprintf("silo.r%d.query", r),
 			Fn: func(c *stage.Ctx) stage.Status {
-				if rep.inFlight >= rep.maxFly {
+				if rep.inFlight.Full() {
 					return stage.Sleep
 				}
 				t, ok := c.In[0].Peek()
@@ -175,13 +165,14 @@ func (p *pipeline) addFull(rep *replica) {
 				c.In[0].Pop()
 				rep.nodeFromQ0.Push(queue.Data(t.Value))
 				rep.nodeFromQ0.Push(queue.Data(root))
-				rep.inFlight++
+				rep.inFlight.Acquire()
 				return stage.Fired
 			},
 		},
 		Mapping: mustPlace(p.sys, queryDFG()),
-		In:      []stage.InPort{throttledIn{InPort: rep.keyQ.In(), rep: rep}},
+		In:      []stage.InPort{rep.keyQ.In()},
 		Out:     []stage.OutPort{rep.nodeFromQ0},
+		Gate:    &rep.inFlight,
 	})
 
 	// S1: lookup — issue the header dereference.
@@ -274,7 +265,7 @@ func (p *pipeline) addFull(rep *replica) {
 				}
 				c.Store(rep.resultsA+mem.Addr(rep.resIdx*mem.WordBytes), val)
 				rep.resIdx++
-				rep.inFlight--
+				rep.inFlight.Release()
 				return stage.Fired
 			},
 		},

@@ -10,23 +10,7 @@ import (
 	"fifer/internal/mem"
 	"fifer/internal/ooo"
 	"fifer/internal/queue"
-	"fifer/internal/stage"
 )
-
-// throttledIn hides the key queue from the scheduler while the traversal
-// loop is at its in-flight-lookup limit, so the query stage is not
-// considered ready when it cannot actually inject.
-type throttledIn struct {
-	stage.InPort
-	rep *replica
-}
-
-func (t throttledIn) Len() int {
-	if t.rep.inFlight >= t.rep.maxFly {
-		return 0
-	}
-	return t.InPort.Len()
-}
 
 func backingFor(ds Dataset) int {
 	nodes := (len(ds.Keys)/btree.Fanout + 2) * 2

@@ -23,6 +23,7 @@ import (
 //     credits equal its queue capacity; no port holds negative credits; no
 //     more credited senders are recorded than tokens buffered.
 //   - drm-inflight: no DRM exceeds its outstanding-access bound.
+//   - gate-count: every stage gate holds between 0 and Limit slots.
 func (s *System) AuditLive() error {
 	for _, pe := range s.PEs {
 		if total := pe.Stack.Total(); total != s.Cycle {
@@ -56,6 +57,12 @@ func (s *System) AuditLive() error {
 			if got := d.inflight.Len(); got > d.max+1 {
 				return auditErr("drm-inflight", "%s: %d entries in flight, bound is %d (+1 boundary slack)",
 					d.Name(), got, d.max)
+			}
+		}
+		for _, st := range pe.stages {
+			if g := st.Gate; g != nil && (g.Held() < 0 || g.Held() > g.Limit) {
+				return auditErr("gate-count", "pe%d/%s: gate holds %d slots, limit %d",
+					pe.ID, st.Name(), g.Held(), g.Limit)
 			}
 		}
 	}

@@ -3,17 +3,12 @@ package core
 import (
 	"fmt"
 	"strings"
-
-	"fifer/internal/stage"
 )
 
 // dumpExcerptLines bounds the state-dump excerpt embedded in error messages
 // (deadlock reports, MaxCycles exhaustion, recovered corruption) so a
 // 16-PE system's failure stays readable in a test log or bench report.
 const dumpExcerptLines = 24
-
-// portName names the queue behind a stage port, or "?" for anonymous ports.
-func portName(p any) string { return stage.PortName(p) }
 
 // truncateLines keeps the first n lines of s, annotating elision.
 func truncateLines(s string, n int) string {
@@ -62,6 +57,9 @@ func (s *System) Dump() string {
 			fmt.Fprintf(&b, "  stage %s work=%d ready=%v outBlocked=%v", st.Name(), st.InputWork(), st.Ready(), st.OutputsBlocked())
 			if st.StateWork != nil {
 				fmt.Fprintf(&b, " stateWork=%d", st.StateWork())
+			}
+			if g := st.Gate; g != nil {
+				fmt.Fprintf(&b, " gate=%d/%d", g.Held(), g.Limit)
 			}
 			fmt.Fprintln(&b)
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"fifer/internal/mem"
 	"fifer/internal/queue"
 	"fifer/internal/stage"
@@ -159,8 +161,14 @@ func NewDRM(name string, in *queue.Queue, port *mem.Port, maxOutstanding, issueW
 }
 
 // Configure sets the DRM's mode and output; it is called once at program
-// initialization.
+// initialization. It panics on an output port type other than
+// stage.LocalPort or stage.CreditOut, as PE.AddStage does for stages.
 func (d *DRM) Configure(mode DRMMode, out stage.OutPort) {
+	switch out.(type) {
+	case stage.LocalPort, stage.CreditOut:
+	default:
+		panic(fmt.Sprintf("%s: output port %s has unsupported type %T", d.name, out.Name(), out))
+	}
 	d.mode = mode
 	d.out = out
 }

@@ -25,9 +25,12 @@ import (
 // hooks (exchangeHooks): a credited send settles the consumer against the
 // pre-send occupancy and marks it dirty, so it ticks this cycle if the
 // ascending sweep has not passed it and next cycle otherwise; a credit
-// return marks the producing port's PE dirty; program injection at
-// quiescence marks every PE dirty. A PE with an exotic port
-// (stage.Exotic) polls after every firing instead.
+// return marks the producing port's PE dirty; a stage.Gate release marks
+// the gated stage's PE dirty (PE.AddStage); program injection at
+// quiescence marks every PE dirty. Neither a credit return nor a release
+// changes anything peCatchUp replays, so neither settles first. Port types
+// whose readiness these edges cannot see are rejected at AddStage and
+// DRM.Configure.
 //
 // Observation boundaries settle every PE first; the watchdog signature
 // reads only monotonic counters and needs no settling. When every PE is

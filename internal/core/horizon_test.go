@@ -192,44 +192,45 @@ func reconfigCase() horizonCase {
 	}
 }
 
-// gatedIn is an exotic in-port: it shows its queue only while a counter
-// that another PE's stage raises is positive, the way Silo's throttled key
-// port reads program state the exchange hooks cannot see.
-type gatedIn struct {
-	stage.LocalPort
-	gate *int
-}
-
-func (g gatedIn) Len() int {
-	if *g.gate == 0 {
-		return 0
-	}
-	return g.LocalPort.Len()
-}
-
-// pollCase runs the poll contract around a three-PE loop: PE 1, parked
-// behind its exotic port, sends a key to PE 2, whose DRM dereference
-// returns it to PE 0 many cycles later, and PE 0 reopens the gate. PE 1
-// must fire in the cycle PE 0 reopens it, as the naive loop's ascending
-// order lets it, or every round of the loop runs a cycle late.
-func pollCase() horizonCase {
+// gateCase runs a stage.Gate around a three-PE loop: the gated PE sends a
+// key to the forwarding PE, whose DRM dereference returns it, many cycles
+// later, to the releasing PE, which releases the gate. The gated PE parks
+// behind its full gate with no wake of its own, so only the release's
+// dirty mark brings it back. With the releaser's id below the gated PE's,
+// the gated stage must fire in the release cycle, as the naive loop's
+// ascending order lets it; with the releaser above, one cycle later.
+func gateCase(name string, gated, releaser int) horizonCase {
+	fwd := 3 - gated - releaser
 	return horizonCase{
-		name: "exotic-poll",
+		name: name,
 		mut:  func(cfg *Config) { cfg.PEs, cfg.Hier.Clients = 3, 3 },
 		build: func(t *testing.T, sys *System) Program {
 			arr := sys.Backing.AllocWords(1 << 17)
-			gate := 1
-			keys := sys.PE(1).AllocQueue("keys", 64)
+			gate := &stage.Gate{Limit: 2}
+			keys := sys.PE(gated).AllocQueue("keys", 64)
 			for i := 0; i < 32; i++ {
 				keys.Enq(queue.Data(uint64(i)))
 			}
-			toPE2 := sys.InterPEQueue(2, "keys", 4, 1)
-			toPE0 := sys.InterPEQueue(0, "vals", 4, 1)
-			drm := sys.PE(2).DRM(0)
-			drm.Configure(DRMDereference, stage.CreditOut{P: toPE0.Port(0)})
-			sys.PE(0).AddStage(sinkStage("open", stage.ArbiterPort{A: toPE0}, &gate))
-			sys.PE(1).AddStage(&stage.Stage{
+			toFwd := sys.InterPEQueue(fwd, "keys", 4, 1)
+			toRel := sys.InterPEQueue(releaser, "vals", 4, 1)
+			drm := sys.PE(fwd).DRM(0)
+			drm.Configure(DRMDereference, stage.CreditOut{P: toRel.Port(0)})
+			sys.PE(releaser).AddStage(&stage.Stage{
+				Kernel: stage.KernelFunc{KernelName: "release", Fn: func(c *stage.Ctx) stage.Status {
+					if _, ok := c.In[0].Pop(); !ok {
+						return stage.NoInput
+					}
+					gate.Release()
+					return stage.Fired
+				}},
+				Mapping: passDFG("release"),
+				In:      []stage.InPort{stage.ArbiterPort{A: toRel}},
+			})
+			sys.PE(gated).AddStage(&stage.Stage{
 				Kernel: stage.KernelFunc{KernelName: "gated", Fn: func(c *stage.Ctx) stage.Status {
+					if gate.Full() {
+						return stage.Sleep
+					}
 					if c.In[0].Len() == 0 {
 						return stage.NoInput
 					}
@@ -237,15 +238,16 @@ func pollCase() horizonCase {
 						return stage.NoOutput
 					}
 					tok, _ := c.In[0].Pop()
-					gate--
+					gate.Acquire()
 					c.Out[0].Push(tok)
 					return stage.Fired
 				}},
 				Mapping: passDFG("gated"),
-				In:      []stage.InPort{gatedIn{stage.LocalPort{Q: keys}, &gate}},
-				Out:     []stage.OutPort{stage.CreditOut{P: toPE2.Port(0)}},
+				In:      []stage.InPort{stage.LocalPort{Q: keys}},
+				Out:     []stage.OutPort{stage.CreditOut{P: toFwd.Port(0)}},
+				Gate:    gate,
 			})
-			sys.PE(2).AddStage(&stage.Stage{
+			sys.PE(fwd).AddStage(&stage.Stage{
 				Kernel: stage.KernelFunc{KernelName: "fwd", Fn: func(c *stage.Ctx) stage.Status {
 					tok, ok := c.In[0].Peek()
 					if !ok {
@@ -259,7 +261,7 @@ func pollCase() horizonCase {
 					return stage.Fired
 				}},
 				Mapping: passDFG("fwd"),
-				In:      []stage.InPort{stage.ArbiterPort{A: toPE2}},
+				In:      []stage.InPort{stage.ArbiterPort{A: toFwd}},
 				Out:     []stage.OutPort{stage.LocalPort{Q: drm.In()}},
 			})
 			return ProgramFunc(func(*System) bool { return false })
@@ -314,7 +316,8 @@ func outFullCase() horizonCase {
 // synthetic shape, the fast-forward and naive loops must agree on every
 // observable surface.
 func TestFastForwardMatchesOracle(t *testing.T) {
-	for _, hc := range []horizonCase{drmLatencyCase(), stallCase(), reconfigCase(), outFullCase(), pollCase()} {
+	for _, hc := range []horizonCase{drmLatencyCase(), stallCase(), reconfigCase(), outFullCase(),
+		gateCase("gate-release-below", 1, 0), gateCase("gate-release-above", 0, 2)} {
 		t.Run(hc.name, func(t *testing.T) { checkHorizonCase(t, hc) })
 	}
 }

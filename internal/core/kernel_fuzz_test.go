@@ -18,17 +18,19 @@ import (
 // The kernel equivalence property (DESIGN.md §10): seeded random synthetic
 // pipelines whose credited queues cross between PEs in both directions —
 // forward sends (the consumer ticks later the same cycle), backward sends
-// (the consumer already ticked), backward credit returns, DRM-latency
-// windows, coupled-load stalls — must produce the same observable run under
+// (the consumer already ticked), backward credit returns, gate releases,
+// DRM-latency windows, coupled-load stalls — must produce the same observable run under
 // the parking kernel as under the Config.NoFastForward oracle that ticks
 // every PE on every cycle. Holding the equality also proves that neither a
 // parked PE nor a whole-machine clock jump ever skips past an exchange.
 
 // randPipeline is one random synthetic machine: a credited forwarding chain
 // over the PEs with a reflection edge sending a fraction of the traffic
-// backward, so tokens repeatedly cross PE boundaries both ways.
+// backward, so tokens repeatedly cross PE boundaries both ways, and a gate
+// the head acquires per token and the tail releases per sunk token.
 type randPipeline struct {
 	inbox0   *queue.Queue
+	gate     stage.Gate
 	sunk     int
 	rounds   int
 	maxRound int
@@ -54,7 +56,8 @@ func passDFG(name string) *cgra.Mapping {
 
 // buildRandPipeline wires the random chain onto sys. The seed fixes the PE
 // order, the hop behaviors (plain forward, coupled load, DRM dereference),
-// queue capacities, and the reflection schedule. A chain has at least three
+// queue capacities, the reflection schedule and the gate's limit (drawn
+// last, so the committed corpus keeps its pipelines). A chain has at least three
 // stages; with fewer PEs than stages, stages share PEs round-robin and
 // time-multiplex on the fabric.
 func buildRandPipeline(sys *core.System, seed int64) *randPipeline {
@@ -122,9 +125,16 @@ func buildRandPipeline(sys *core.System, seed int64) *randPipeline {
 			}
 			outPort[k+1] = stage.LocalPort{Q: d.In()}
 		}
+		var gate *stage.Gate
+		if k == 0 {
+			gate = &p.gate
+		}
 		name := fmt.Sprintf("hop%d", k)
 		pe.AddStage(&stage.Stage{
 			Kernel: stage.KernelFunc{KernelName: name, Fn: func(c *stage.Ctx) stage.Status {
+				if gate != nil && gate.Full() {
+					return stage.Sleep
+				}
 				for i := len(c.In) - 1; i >= 0; i-- {
 					t, ok := c.In[i].Peek()
 					if !ok {
@@ -137,6 +147,9 @@ func buildRandPipeline(sys *core.System, seed int64) *randPipeline {
 						return stage.NoOutput
 					}
 					c.In[i].Pop()
+					if gate != nil {
+						gate.Acquire()
+					}
 					return stage.Fired
 				}
 				return stage.NoInput
@@ -144,6 +157,7 @@ func buildRandPipeline(sys *core.System, seed int64) *randPipeline {
 			Mapping: passDFG(name),
 			In:      ins,
 			Out:     []stage.OutPort{outPort[k+1]},
+			Gate:    gate,
 		})
 	}
 	// Tail: reflect tokens with reflections left, sink the rest.
@@ -160,6 +174,7 @@ func buildRandPipeline(sys *core.System, seed int64) *randPipeline {
 				}
 			} else {
 				p.sunk++
+				p.gate.Release()
 			}
 			c.In[0].Pop()
 			return stage.Fired
@@ -167,6 +182,7 @@ func buildRandPipeline(sys *core.System, seed int64) *randPipeline {
 		Mapping: passDFG("tail"),
 		In:      []stage.InPort{inPort[stages-1]},
 	})
+	p.gate.Limit = 1 + rng.Intn(8)
 	return p
 }
 

@@ -47,17 +47,11 @@ type PE struct {
 
 	// Parking state (horizon.go): caughtUp is the cycle up to which this
 	// PE's deferred inert accounting has been applied; dirty marks an
-	// external arrival (credited token, credit return, program injection)
-	// that obliges the PE to tick even though its published wake predates
-	// the arrival; poll marks a PE hosting a stage with an exotic port
-	// (stage.Exotic), whose readiness may depend on program state outside
-	// the queue/credit fabric — such a PE cannot be parked while stages fire
-	// anywhere; firedNow records whether this tick's fabric fired a stage
-	// (the only place user code runs).
+	// external arrival (credited token, credit return, gate release,
+	// program injection) that obliges the PE to tick even though its
+	// published wake predates the arrival.
 	caughtUp uint64
 	dirty    bool
-	poll     bool
-	firedNow bool
 
 	// Per-tick stage snapshot (scanStages): InputWork and readiness of every
 	// resident stage, computed once per blocked cycle and shared by pick,
@@ -121,11 +115,21 @@ func (p *PE) DRM(i int) *DRM { return p.DRMs[i] }
 
 // AddStage makes a stage resident on this PE. In static mode, at most one
 // stage may be resident (the hardware has a single configuration and no
-// scheduler).
+// scheduler). It panics on a port type the stage package cannot read
+// through (stage.Bind): parking is correct only for state the exchange
+// hooks see change.
 func (p *PE) AddStage(s *stage.Stage) {
 	if p.cfg.Mode == ModeStatic && len(p.stages) >= 1 {
 		panic(fmt.Sprintf("pe%d: static pipeline allows one stage per PE; %q would be the second",
 			p.ID, s.Name()))
+	}
+	if err := s.Bind(); err != nil {
+		panic(fmt.Sprintf("pe%d: %v", p.ID, err))
+	}
+	if s.Gate != nil {
+		// A release, like a credit return, is an arrival only the gated
+		// PE's next tick can act on (horizon.go).
+		s.Gate.OnRelease(func() { p.dirty = true })
 	}
 	if s.Mapping != nil && s.Mapping.ConfigAddr == 0 {
 		// Configurations are stored in cacheable memory (Sec. 5.1); place
@@ -193,7 +197,6 @@ func (p *PE) Busy(now uint64) bool {
 // incremented per call. It also publishes the PE's wake cycle — the minimum
 // over the fabric's and every DRM's — for the run loop's parking.
 func (p *PE) Tick(now uint64) {
-	p.firedNow = false
 	wake := horizonNever
 	for _, d := range p.DRMs {
 		d.Tick(now)
@@ -264,7 +267,6 @@ func (p *PE) tickFabric(now uint64) (uint64, inertBucket, bool) {
 	}
 	if fired > 0 {
 		p.firedSinceAct = true
-		p.firedNow = true
 		p.Stack.Issued++
 		if p.ctx.ExtraStall > 0 {
 			p.stallUntil = now + 1 + p.ctx.ExtraStall
@@ -347,13 +349,11 @@ func (p *PE) beginReconfig(now uint64, next int) {
 		load := p.configLoadCycles(now, p.stages[next])
 		act := p.cfg.Fabric.ActivationCycles
 		if p.cfg.DoubleBuffered {
-			period = max64(drain, load) + act
+			period = max(drain, load) + act
 		} else {
 			period = drain + load + act
 		}
 	}
-	outgoing := p.stages[p.active]
-	_ = outgoing // residence recorded at activation of `next`
 	p.reconfigUntil = now + period
 	p.pending = next
 	p.SumReconfig += period
@@ -463,11 +463,4 @@ func (p *PE) MeanReconfigPeriod() float64 {
 		return 0
 	}
 	return float64(p.SumReconfig) / float64(p.Reconfigs)
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -215,4 +216,134 @@ func TestNewSystemCheckedValidation(t *testing.T) {
 		}()
 		NewSystem(Config{})
 	}()
+}
+
+// gatedPair builds the 2-PE gate shape: pe0's "gated" stage acquires one
+// slot of a limit-2 gate per key it sends to pe1, where the "release"
+// stage runs release once per key it receives.
+func gatedPair(sys *System, release func(g *stage.Gate) stage.Status) {
+	gate := &stage.Gate{Limit: 2}
+	keys := sys.PE(0).AllocQueue("keys", 16)
+	for i := 0; i < 8; i++ {
+		keys.Enq(queue.Data(uint64(i)))
+	}
+	toPE1 := sys.InterPEQueue(1, "sent", 8, 1)
+	sys.PE(0).AddStage(&stage.Stage{
+		Kernel: stage.KernelFunc{KernelName: "gated", Fn: func(c *stage.Ctx) stage.Status {
+			if gate.Full() {
+				return stage.Sleep
+			}
+			t, ok := c.In[0].Peek()
+			if !ok {
+				return stage.NoInput
+			}
+			if !c.Out[0].Push(t) {
+				return stage.NoOutput
+			}
+			c.In[0].Pop()
+			gate.Acquire()
+			return stage.Fired
+		}},
+		Mapping: passDFG("gated"),
+		In:      []stage.InPort{stage.LocalPort{Q: keys}},
+		Out:     []stage.OutPort{stage.CreditOut{P: toPE1.Port(0)}},
+		Gate:    gate,
+	})
+	sys.PE(1).AddStage(&stage.Stage{
+		Kernel: stage.KernelFunc{KernelName: "release", Fn: func(c *stage.Ctx) stage.Status {
+			if _, ok := c.In[0].Peek(); !ok {
+				return stage.NoInput
+			}
+			st := release(gate)
+			if st == stage.Fired {
+				c.In[0].Pop()
+			}
+			return st
+		}},
+		Mapping: passDFG("release"),
+		In:      []stage.InPort{stage.ArbiterPort{A: toPE1}},
+	})
+}
+
+// TestWatchdogNamesFullGate wedges the releasing stage: the gated stage
+// fills its gate and then holds six queued keys it may not admit. The
+// watchdog must name the gate as what it waits on — a gated stage reports
+// no input work, so without the edge it would look merely starved — and
+// the dump must show the gate's count.
+func TestWatchdogNamesFullGate(t *testing.T) {
+	cfg := testConfig(2)
+	cfg.WatchdogCycles = 2000
+	sys := NewSystem(cfg)
+	gatedPair(sys, func(*stage.Gate) stage.Status { return stage.NoOutput })
+	_, err := sys.Run(ProgramFunc(func(*System) bool { return false }))
+	var de *DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("err = %v, want a *DeadlockError", err)
+	}
+	want := WaitEdge{Waiter: "pe0/gated", WaitsOn: "gate", Reason: "2/2"}
+	found := false
+	for _, e := range de.Report.WaitFor {
+		found = found || e == want
+	}
+	if !found {
+		t.Errorf("wait-for %v lacks %v", de.Report.WaitFor, want)
+	}
+	if !strings.Contains(err.Error(), "pe0/gated -> gate (2/2)") || !strings.Contains(sys.Dump(), "stage gated work=0 ready=false outBlocked=false gate=2/2") {
+		t.Errorf("report or dump lacks the gate:\n%v\n%s", err, sys.Dump())
+	}
+}
+
+// TestAuditCatchesDoubleRelease releases the gate twice per key, driving
+// its count negative; the live audit must flag it.
+func TestAuditCatchesDoubleRelease(t *testing.T) {
+	cfg := testConfig(2)
+	cfg.AuditCycles = 1
+	sys := NewSystem(cfg)
+	gatedPair(sys, func(g *stage.Gate) stage.Status {
+		g.Release()
+		g.Release()
+		return stage.Fired
+	})
+	_, err := sys.Run(ProgramFunc(func(*System) bool { return false }))
+	if !errors.Is(err, ErrInvariant) || !strings.Contains(err.Error(), "gate-count: pe0/gated: gate holds -") {
+		t.Fatalf("err = %v, want an ErrInvariant gate-count violation", err)
+	}
+}
+
+// TestAddStageRejectsUnknownPorts checks that a stage or DRM wired to a
+// port type the stage package cannot read through is refused at build
+// time, naming the stage (or DRM) and the port, rather than run.
+func TestAddStageRejectsUnknownPorts(t *testing.T) {
+	sys := NewSystem(testConfig(1))
+	pe := sys.PE(0)
+	q := pe.AllocQueue("q", 4)
+	type wrapped struct{ stage.LocalPort }
+	for _, tc := range []struct {
+		name, want string
+		wire       func()
+	}{
+		{"in-port", `pe0: stage "in": in-port 0 (pe0.q) has unsupported type core.wrapped`, func() {
+			got := 0
+			pe.AddStage(sinkStage("in", wrapped{stage.LocalPort{Q: q}}, &got))
+		}},
+		{"out-port", `pe0: stage "out": out-port 0 (pe0.q) has unsupported type core.wrapped`, func() {
+			pe.AddStage(passStage("out", stage.LocalPort{Q: q}, wrapped{stage.LocalPort{Q: q}}))
+		}},
+		{"drm", "pe0.drm0: output port pe0.q has unsupported type core.wrapped", func() {
+			pe.DRM(0).Configure(DRMDereference, wrapped{stage.LocalPort{Q: q}})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				if msg := fmt.Sprint(r); msg != tc.want {
+					t.Errorf("panic %q, want %q", msg, tc.want)
+				}
+			}()
+			tc.wire()
+		})
+	}
+	if len(pe.Stages()) != 0 {
+		t.Errorf("%d rejected stages were made resident", len(pe.Stages()))
+	}
 }

@@ -42,10 +42,9 @@ type System struct {
 
 	// Run-loop state (horizon.go): curPE is the PE currently ticking (-1
 	// between ticks), which the exchange hooks use to learn each credit
-	// port's producer; hasPoll caches whether any PE polls (stage.Exotic).
-	// ticks, jumped and catchUps are the KernelStats counters.
+	// port's producer. ticks, jumped and catchUps are the KernelStats
+	// counters.
 	curPE    int
-	hasPoll  bool
 	ticks    uint64
 	jumped   uint64
 	catchUps uint64
@@ -244,19 +243,6 @@ func (s *System) run(prog Program) (res Result, err error) {
 			s.lastStacks = make([]CPIStack, len(s.PEs))
 		}
 	}
-	// A stage with an exotic port may read program state the exchange hooks
-	// cannot see — e.g. an in-flight throttle decremented by a stage on
-	// another PE — so its PE polls instead of parking (horizon.go).
-	s.hasPoll = false
-	for _, pe := range s.PEs {
-		pe.poll = false
-		for _, st := range pe.stages {
-			if st.Exotic() {
-				pe.poll, s.hasPoll = true, true
-				break
-			}
-		}
-	}
 	lastSig := s.progressSig()
 	lastProgress := s.Cycle
 	// checks runs the per-cycle observation points at the current (already
@@ -314,21 +300,19 @@ func (s *System) run(prog Program) (res Result, err error) {
 			f(s, now)
 		}
 		// The sweep: tick the PEs that can act — woken, marked dirty by an
-		// exchange hook, forced, or polling after a firing — and leave the
-		// rest parked. sysWake needs no dirty term: a hook only fires inside
-		// an acting PE's tick, and that PE's wake is now+1.
+		// exchange hook or a gate release, or forced — and leave the rest
+		// parked. sysWake needs no dirty term: a hook only fires inside an
+		// acting PE's tick, and that PE's wake is now+1.
 		sysWake := horizonNever
-		fired := false
 		var ticked uint64
 		for _, pe := range s.PEs {
-			if force || pe.dirty || pe.wake <= now || (pe.poll && fired) {
+			if force || pe.dirty || pe.wake <= now {
 				s.peCatchUp(pe, now)
 				pe.dirty = false
 				s.curPE = pe.ID
 				pe.Tick(now)
 				pe.caughtUp = now + 1
 				ticked++
-				fired = fired || pe.firedNow
 			}
 			if pe.wake < sysWake {
 				sysWake = pe.wake
@@ -336,15 +320,6 @@ func (s *System) run(prog Program) (res Result, err error) {
 		}
 		s.curPE = -1
 		s.ticks += ticked
-		if fired && s.hasPoll {
-			// Poll PEs the sweep already passed see this cycle's firings
-			// next cycle, exactly when the naive loop's order lets them.
-			for _, pe := range s.PEs {
-				if pe.poll {
-					pe.dirty = true
-				}
-			}
-		}
 		if now%64 == 0 {
 			// The cycle's queue-occupancy samples, after every same-cycle send
 			// has landed; a parked PE's sample rides its catch-up against the

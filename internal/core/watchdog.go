@@ -126,16 +126,30 @@ func (s *System) WaitFor() []WaitEdge {
 			})
 		}
 		for _, st := range pe.stages {
+			waiter := peName + "/" + st.Name()
+			if g := st.Gate; g != nil && g.Full() {
+				// A full gate hides queued input from InputWork.
+				for _, in := range st.In {
+					if in.Len() > 0 {
+						edges = append(edges, WaitEdge{
+							Waiter:  waiter,
+							WaitsOn: "gate",
+							Reason:  fmt.Sprintf("%d/%d", g.Held(), g.Limit),
+						})
+						break
+					}
+				}
+				continue
+			}
 			if st.InputWork() == 0 {
 				continue // starved stages show up via their producers' edges
 			}
-			waiter := peName + "/" + st.Name()
 			if st.OutputsBlocked() {
 				for _, out := range st.Out {
 					if out.Space() == 0 {
 						edges = append(edges, WaitEdge{
 							Waiter:  waiter,
-							WaitsOn: portName(out),
+							WaitsOn: out.Name(),
 							Reason:  "output full (no space or credits)",
 						})
 					}
@@ -163,7 +177,7 @@ func (s *System) WaitFor() []WaitEdge {
 			}
 			edges = append(edges, WaitEdge{
 				Waiter:  waiter,
-				WaitsOn: portName(tight),
+				WaitsOn: tight.Name(),
 				Reason: fmt.Sprintf("not firing with %d tokens of input work; tightest output has %d slots/credits left",
 					st.InputWork(), tight.Space()),
 			})
@@ -176,7 +190,7 @@ func (s *System) WaitFor() []WaitEdge {
 			case d.out != nil && d.out.Space() == 0:
 				edges = append(edges, WaitEdge{
 					Waiter:  d.Name(),
-					WaitsOn: portName(d.out),
+					WaitsOn: d.out.Name(),
 					Reason:  "output full (no space or credits)",
 				})
 			case d.inflight.Len() > 0:

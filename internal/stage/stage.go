@@ -9,6 +9,8 @@
 package stage
 
 import (
+	"fmt"
+
 	"fifer/internal/cgra"
 	"fifer/internal/mem"
 	"fifer/internal/queue"
@@ -44,12 +46,14 @@ func (s Status) String() string {
 }
 
 // InPort is the consumer side of a channel: a local queue, or the arbiter of
-// a credited inter-PE queue.
+// a credited inter-PE queue. Name, here and on OutPort, names the queue the
+// port fronts, for deadlock diagnostics.
 type InPort interface {
 	Len() int
 	Peek() (queue.Token, bool)
 	PeekAt(i int) (queue.Token, bool)
 	Pop() (queue.Token, bool)
+	Name() string
 }
 
 // OutPort is the producer side of a channel: a local queue, a credit port
@@ -60,22 +64,7 @@ type OutPort interface {
 	// Push delivers a token; it returns false when no space (or credit) is
 	// available, without side effects.
 	Push(t queue.Token) bool
-}
-
-// Named is implemented by ports that can report which queue they front.
-// Deadlock diagnostics use it to name the queue a blocked stage waits on;
-// PortName degrades gracefully for ports that do not implement it.
-type Named interface {
 	Name() string
-}
-
-// PortName returns the diagnostic name of a port, or "?" for anonymous
-// (test-only) port implementations.
-func PortName(p any) string {
-	if n, ok := p.(Named); ok {
-		return n.Name()
-	}
-	return "?"
 }
 
 // LocalPort adapts a *queue.Queue to both port interfaces (intra-PE queues,
@@ -164,6 +153,34 @@ type KernelFunc struct {
 func (k KernelFunc) Name() string          { return k.KernelName }
 func (k KernelFunc) TryFire(c *Ctx) Status { return k.Fn(c) }
 
+// Gate is a counting throttle for a cyclic pipeline (Silo's traversal
+// loop): the gated stage Acquires a slot per unit of work it admits into
+// the loop, a later stage Releases it when the work leaves, and a full gate
+// hides the gated stage's input work, so the loop cannot fill its own
+// queues.
+type Gate struct {
+	Limit     int
+	held      int
+	onRelease []func()
+}
+
+// Full reports whether every slot is held; Held counts the held slots.
+func (g *Gate) Full() bool { return g.held >= g.Limit }
+func (g *Gate) Held() int  { return g.held }
+
+// Acquire takes a slot; Release returns one and runs the OnRelease hooks.
+func (g *Gate) Acquire() { g.held++ }
+func (g *Gate) Release() {
+	g.held--
+	for _, f := range g.onRelease {
+		f()
+	}
+}
+
+// OnRelease registers f to run after every Release; the PE hosting the
+// gated stage uses it to learn that the stage may have become ready.
+func (g *Gate) OnRelease(f func()) { g.onRelease = append(g.onRelease, f) }
+
 // Stage is a kernel bound to its CGRA mapping and channel endpoints,
 // ready to be scheduled onto a PE.
 type Stage struct {
@@ -178,26 +195,28 @@ type Stage struct {
 	// detector both rely on it: a stage with register-held work is not done.
 	StateWork func() int
 
+	// Gate, when non-nil, throttles the stage; its kernel Acquires a slot
+	// per admitted unit of work and sleeps while the gate is full.
+	Gate *Gate
+
 	// Firings counts successful firings (for utilization stats).
 	Firings uint64
 
-	// Devirtualized port caches, bound lazily on the first scheduler scan
-	// (ports are wired by struct literal and never reassigned afterwards).
-	// The per-cycle hot paths — InputWork and OutputsBlocked run for every
-	// resident stage on every blocked cycle — read occupancy through these
-	// concrete pointers instead of interface dispatch; a nil entry falls back
-	// to the interface for exotic (test-only, wrapper) port types.
-	bound   bool
+	// Devirtualized port caches, set by Bind (ports are wired by struct
+	// literal and never reassigned afterwards). The per-cycle hot paths —
+	// InputWork and OutputsBlocked run for every resident stage on every
+	// blocked cycle — read occupancy through these concrete pointers
+	// instead of interface dispatch.
 	inQs    []*queue.Queue      // LocalPort / ArbiterPort input backing queues
 	outQs   []*queue.Queue      // LocalPort output backing queues
 	outCred []*queue.CreditPort // CreditOut output ports
 }
 
-// bind resolves the In/Out interface slices to their concrete backing
-// queues and credit ports once, keeping the slow interface path only for
-// port types this package does not know about.
-func (s *Stage) bind() {
-	s.bound = true
+// Bind resolves the ports to their backing queues and credit ports, and
+// fails on any other port type: a kernel that parks idle PEs cannot see
+// readiness hidden behind one. PE.AddStage calls it; InputWork,
+// OutputsBlocked and Ready are valid only after it succeeds.
+func (s *Stage) Bind() error {
 	s.inQs = make([]*queue.Queue, len(s.In))
 	for i, in := range s.In {
 		switch p := in.(type) {
@@ -205,6 +224,8 @@ func (s *Stage) bind() {
 			s.inQs[i] = p.Q
 		case ArbiterPort:
 			s.inQs[i] = p.A.Queue()
+		default:
+			return fmt.Errorf("stage %q: in-port %d (%s) has unsupported type %T", s.Name(), i, in.Name(), in)
 		}
 	}
 	s.outQs = make([]*queue.Queue, len(s.Out))
@@ -215,34 +236,15 @@ func (s *Stage) bind() {
 			s.outQs[i] = p.Q
 		case CreditOut:
 			s.outCred[i] = p.P
+		default:
+			return fmt.Errorf("stage %q: out-port %d (%s) has unsupported type %T", s.Name(), i, out.Name(), out)
 		}
 	}
+	return nil
 }
 
 // Name returns the kernel name.
 func (s *Stage) Name() string { return s.Kernel.Name() }
-
-// Exotic reports whether any port is of a type this package cannot see
-// through (a test double, or an application wrapper like a throttling
-// in-port). An exotic port's readiness may depend on state outside the
-// queue/credit fabric, so execution kernels that skip provably-idle PEs
-// must instead poll a stage with one (see core's horizon.go).
-func (s *Stage) Exotic() bool {
-	if !s.bound {
-		s.bind()
-	}
-	for i := range s.In {
-		if s.inQs[i] == nil {
-			return true
-		}
-	}
-	for i := range s.Out {
-		if s.outQs[i] == nil && s.outCred[i] == nil {
-			return true
-		}
-	}
-	return false
-}
 
 // Width returns the SIMD firing width (replicated datapaths).
 func (s *Stage) Width() int {
@@ -260,20 +262,16 @@ func (s *Stage) Depth() int {
 	return s.Mapping.Depth
 }
 
-// InputWork returns the total tokens waiting on the stage's inputs plus any
-// register-held work — the scheduler's "amount of work available" metric
-// (Sec. 5.2).
+// InputWork returns the tokens waiting on the stage's inputs plus any
+// register-held work — the scheduler's "amount of work available" (Sec.
+// 5.2) — or zero while the stage's gate is full.
 func (s *Stage) InputWork() int {
-	if !s.bound {
-		s.bind()
+	if s.Gate != nil && s.Gate.Full() {
+		return 0
 	}
 	n := 0
-	for i, q := range s.inQs {
-		if q != nil {
-			n += q.Len()
-		} else {
-			n += s.In[i].Len()
-		}
+	for _, q := range s.inQs {
+		n += q.Len()
 	}
 	if s.StateWork != nil {
 		n += s.StateWork()
@@ -283,19 +281,8 @@ func (s *Stage) InputWork() int {
 
 // OutputsBlocked reports whether any output port currently has no space.
 func (s *Stage) OutputsBlocked() bool {
-	if !s.bound {
-		s.bind()
-	}
-	for i := range s.Out {
-		if q := s.outQs[i]; q != nil {
-			if q.Space() == 0 {
-				return true
-			}
-		} else if c := s.outCred[i]; c != nil {
-			if c.Credits() == 0 {
-				return true
-			}
-		} else if s.Out[i].Space() == 0 {
+	for i, q := range s.outQs {
+		if q != nil && q.Space() == 0 || q == nil && s.outCred[i].Credits() == 0 {
 			return true
 		}
 	}

@@ -56,6 +56,9 @@ func TestStageWorkAndReadiness(t *testing.T) {
 		Out:       []OutPort{LocalPort{Q: qout}},
 		StateWork: func() int { return extra },
 	}
+	if err := s.Bind(); err != nil {
+		t.Fatal(err)
+	}
 	if s.InputWork() != 0 || s.Ready() {
 		t.Fatal("empty stage should not be ready")
 	}
@@ -70,6 +73,43 @@ func TestStageWorkAndReadiness(t *testing.T) {
 	qout.Enq(queue.Data(0)) // fill the 1-slot output
 	if !s.OutputsBlocked() || s.Ready() {
 		t.Fatal("full output should block readiness")
+	}
+}
+
+func TestGateThrottlesInputWork(t *testing.T) {
+	qin := queue.NewQueue("in", 8)
+	qin.Enq(queue.Data(1))
+	g := &Gate{Limit: 2}
+	released := 0
+	g.OnRelease(func() { released++ })
+	s := &Stage{
+		Kernel: KernelFunc{KernelName: "k"},
+		In:     []InPort{LocalPort{Q: qin}},
+		Gate:   g,
+	}
+	if err := s.Bind(); err != nil {
+		t.Fatal(err)
+	}
+	g.Acquire()
+	if g.Full() || s.InputWork() != 1 {
+		t.Fatal("gate with a free slot hid the input")
+	}
+	g.Acquire()
+	if !g.Full() || g.Held() != 2 || s.InputWork() != 0 || s.Ready() {
+		t.Fatal("full gate did not hide the input")
+	}
+	g.Release()
+	if g.Full() || s.InputWork() != 1 || released != 1 {
+		t.Fatalf("release: held %d, work %d, hooks run %d", g.Held(), s.InputWork(), released)
+	}
+}
+
+func TestBindRejectsUnknownPorts(t *testing.T) {
+	type wrapped struct{ LocalPort }
+	q := queue.NewQueue("q", 4)
+	s := &Stage{Kernel: KernelFunc{KernelName: "k"}, In: []InPort{wrapped{LocalPort{Q: q}}}}
+	if err := s.Bind(); err == nil {
+		t.Fatal("Bind accepted a wrapped in-port")
 	}
 }
 
