@@ -68,10 +68,10 @@ func build(sys *core.System, a *sparse.CSR, b *sparse.CSC, rows, cols []int, mer
 
 	p.aOffA = bs.AllocSlice(a.RowOffsets)
 	p.aColA = bs.AllocSlice(a.ColIdx)
-	p.aValA = bs.AllocSlice(bitsOf(a.Values))
+	p.aValA = allocFloats(bs, a.Values)
 	p.bOffA = bs.AllocSlice(b.ColOffsets)
 	p.bRowA = bs.AllocSlice(b.RowIdx)
-	p.bValA = bs.AllocSlice(bitsOf(b.Values))
+	p.bValA = allocFloats(bs, b.Values)
 
 	R := p.place.Replicas
 	qp := apps.NewQueuePlan(sys)
@@ -129,12 +129,14 @@ func build(sys *core.System, a *sparse.CSR, b *sparse.CSC, rows, cols []int, mer
 	return p
 }
 
-func bitsOf(vals []float64) []uint64 {
-	out := make([]uint64, len(vals))
+// allocFloats lays vals out in bs as their IEEE-754 bits, storing each word
+// in place rather than staging a []uint64 copy, and returns the base address.
+func allocFloats(bs *mem.Backing, vals []float64) mem.Addr {
+	base := bs.AllocWords(len(vals))
 	for i, v := range vals {
-		out[i] = math.Float64bits(v)
+		bs.Store(base+mem.Addr(i*mem.WordBytes), math.Float64bits(v))
 	}
-	return out
+	return base
 }
 
 func prod(prodPE, consPE int) []int {

@@ -96,10 +96,10 @@ func runOOO(m *ooo.Machine, a *sparse.CSR, b *sparse.CSC, rows, cols []int) [][]
 	bs := m.Backing
 	aOffA := bs.AllocSlice(a.RowOffsets)
 	aColA := bs.AllocSlice(a.ColIdx)
-	aValA := bs.AllocSlice(bitsOf(a.Values))
+	aValA := allocFloats(bs, a.Values)
 	bOffA := bs.AllocSlice(b.ColOffsets)
 	bRowA := bs.AllocSlice(b.RowIdx)
-	bValA := bs.AllocSlice(bitsOf(b.Values))
+	bValA := allocFloats(bs, b.Values)
 	outA := bs.AllocWords(len(rows) * len(cols))
 
 	out := make([][]float64, len(rows))

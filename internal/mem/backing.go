@@ -26,14 +26,17 @@ func (a Addr) Line() Addr { return a &^ (LineBytes - 1) }
 // values always come from (and go to) the backing store, which keeps the
 // functional and timing models trivially coherent.
 //
-// Host memory follows the bump allocator rather than the configured size:
-// words covers the allocated prefix and grows geometrically, and a word
-// beyond it reads as zero, as untouched simulated memory always has.
+// Host memory follows what the simulated program touches, not the configured
+// size: words live in fixed pages allocated on their first store, and a word
+// on an untouched page reads as zero, as untouched simulated memory always has.
 type Backing struct {
-	words []uint64
-	size  int  // capacity in words
-	brk   Addr // bump-allocation watermark
+	pages []*[pageWords]uint64 // page table; nil = untouched page
+	size  int                  // capacity in words
+	brk   Addr                 // bump-allocation watermark
 }
+
+// pageWords is the host page size in words (64 KiB).
+const pageWords = 1 << 13
 
 // NewBacking creates a backing store of the given size in bytes (rounded up
 // to a whole word).
@@ -45,34 +48,38 @@ func NewBacking(sizeBytes int) *Backing {
 // Size returns the store capacity in bytes.
 func (b *Backing) Size() int { return b.size * WordBytes }
 
-// cover extends words to the first n words (n <= size), doubling the host
-// allocation so a run of bump allocations copies O(footprint) in total.
-func (b *Backing) cover(n int) {
-	if n > cap(b.words) {
-		w := make([]uint64, len(b.words), min(max(n, 2*cap(b.words), 1<<13), b.size))
-		copy(w, b.words)
-		b.words = w
+// page returns host page p, allocating it (and growing the table) on first use.
+func (b *Backing) page(p int) *[pageWords]uint64 {
+	if p >= len(b.pages) {
+		b.pages = append(b.pages, make([]*[pageWords]uint64, p+1-len(b.pages))...)
 	}
-	if n > len(b.words) {
-		b.words = b.words[:n] // the spare capacity is still zero from make
+	if b.pages[p] == nil {
+		b.pages[p] = new([pageWords]uint64)
 	}
+	return b.pages[p]
 }
 
-func (b *Backing) wordIndex(a Addr) int {
+// wordIndex returns a's word index. It stays small enough to inline into
+// Load and Store; badAccess builds the panic for a bad address.
+func (b *Backing) wordIndex(a Addr) uint {
+	if a%WordBytes != 0 || a >= Addr(b.size)*WordBytes {
+		b.badAccess(a)
+	}
+	return uint(a / WordBytes)
+}
+
+func (b *Backing) badAccess(a Addr) {
 	if a%WordBytes != 0 {
 		panic(fmt.Sprintf("mem: unaligned word access at %#x", uint64(a)))
 	}
-	i := int(a / WordBytes)
-	if i < 0 || i >= b.size {
-		panic(fmt.Sprintf("mem: access at %#x outside %d-byte backing store", uint64(a), b.Size()))
-	}
-	return i
+	panic(fmt.Sprintf("mem: access at %#x outside %d-byte backing store", uint64(a), b.Size()))
 }
 
 // Load returns the word at address a.
 func (b *Backing) Load(a Addr) uint64 {
-	if i := b.wordIndex(a); i < len(b.words) {
-		return b.words[i]
+	i := b.wordIndex(a)
+	if p := i / pageWords; p < uint(len(b.pages)) && b.pages[p] != nil {
+		return b.pages[p][i%pageWords]
 	}
 	return 0
 }
@@ -80,10 +87,7 @@ func (b *Backing) Load(a Addr) uint64 {
 // Store writes v to the word at address a.
 func (b *Backing) Store(a Addr, v uint64) {
 	i := b.wordIndex(a)
-	if i >= len(b.words) {
-		b.cover(i + 1)
-	}
-	b.words[i] = v
+	b.page(int(i / pageWords))[i%pageWords] = v
 }
 
 // Alloc reserves n bytes and returns the base address, aligned to a cache
@@ -95,7 +99,6 @@ func (b *Backing) Alloc(n int) Addr {
 		panic(fmt.Sprintf("mem: out of simulated memory (brk %#x > size %#x); enlarge the backing store",
 			uint64(b.brk), b.Size()))
 	}
-	b.cover(int(b.brk / WordBytes))
 	return base
 }
 
@@ -105,8 +108,11 @@ func (b *Backing) AllocWords(n int) Addr { return b.Alloc(n * WordBytes) }
 // AllocSlice reserves storage for vals and copies them in, returning the
 // base address. It is the workhorse for laying out CSR arrays and the like.
 func (b *Backing) AllocSlice(vals []uint64) Addr {
-	base := b.AllocWords(len(vals)) // range-checks and covers the whole slice
-	copy(b.words[base/WordBytes:], vals)
+	base := b.AllocWords(len(vals)) // range-checks the whole slice
+	for i := int(base / WordBytes); len(vals) > 0; {
+		n := copy(b.page(i / pageWords)[i%pageWords:], vals)
+		vals, i = vals[n:], i+n
+	}
 	return base
 }
 

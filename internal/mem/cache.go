@@ -13,8 +13,10 @@ type Level struct {
 	latency uint64 // access (hit) latency in cycles
 	parent  lower  // where misses go
 
-	tags  [][]uint64 // per-set tag stacks, index 0 = MRU; tag is the line address
-	dirty [][]bool
+	// One row of ways per set, index 0 = MRU; a tag is the line address, and
+	// empty ways (noLine, never dirty) trail the valid ones.
+	tags  []uint64
+	dirty []bool
 
 	// Statistics.
 	Accesses   uint64
@@ -40,14 +42,17 @@ func NewLevel(name string, sizeBytes, ways int, latency uint64, parent lower) *L
 	}
 	sets := lines / ways
 	l := &Level{name: name, sets: sets, ways: ways, latency: latency, parent: parent}
-	l.tags = make([][]uint64, sets)
-	l.dirty = make([][]bool, sets)
+	l.tags = make([]uint64, lines)
+	l.dirty = make([]bool, lines)
 	for i := range l.tags {
-		l.tags[i] = make([]uint64, 0, ways)
-		l.dirty[i] = make([]bool, 0, ways)
+		l.tags[i] = noLine
 	}
 	return l
 }
+
+// noLine marks an empty way; line addresses are LineBytes-aligned, so it
+// never equals one.
+const noLine = ^uint64(0)
 
 // Name returns the level's diagnostic name.
 func (l *Level) Name() string { return l.name }
@@ -58,14 +63,15 @@ func (l *Level) Latency() uint64 { return l.latency }
 // SizeBytes returns the cache capacity.
 func (l *Level) SizeBytes() int { return l.sets * l.ways * LineBytes }
 
-func (l *Level) setOf(line Addr) int {
-	return int(uint64(line) / LineBytes % uint64(l.sets))
+// set returns the tag and dirty rows of the set holding line.
+func (l *Level) set(line Addr) ([]uint64, []bool) {
+	s := int(uint64(line)/LineBytes%uint64(l.sets)) * l.ways
+	return l.tags[s : s+l.ways], l.dirty[s : s+l.ways]
 }
 
 // lookup probes the set for the line; on hit it promotes the line to MRU.
 func (l *Level) lookup(line Addr, write bool) bool {
-	s := l.setOf(line)
-	tags, dirty := l.tags[s], l.dirty[s]
+	tags, dirty := l.set(line)
 	for i, t := range tags {
 		if t == uint64(line) {
 			d := dirty[i] || write
@@ -80,24 +86,16 @@ func (l *Level) lookup(line Addr, write bool) bool {
 
 // fill inserts the line at MRU, evicting LRU if the set is full.
 func (l *Level) fill(line Addr, write bool) {
-	s := l.setOf(line)
-	tags, dirty := l.tags[s], l.dirty[s]
-	if len(tags) == l.ways {
-		if dirty[len(dirty)-1] {
-			l.Writebacks++
-			// Writeback traffic occupies memory bandwidth lazily: we charge
-			// it on the parent as a non-blocking write at the current time.
-			// (The requester does not wait for it.)
-		}
-		tags = tags[:len(tags)-1]
-		dirty = dirty[:len(dirty)-1]
+	tags, dirty := l.set(line)
+	if dirty[l.ways-1] {
+		// The evicted LRU line was dirty. Only the count is kept: the
+		// writeback is not sent to the parent and uses no modelled memory
+		// bandwidth (EXPERIMENTS.md, "Known gaps").
+		l.Writebacks++
 	}
-	tags = append(tags, 0)
-	dirty = append(dirty, false)
 	copy(tags[1:], tags)
 	copy(dirty[1:], dirty)
 	tags[0], dirty[0] = uint64(line), write
-	l.tags[s], l.dirty[s] = tags, dirty
 }
 
 // access implements the lower interface so levels can stack.
@@ -122,7 +120,8 @@ func (l *Level) Access(now uint64, addr Addr, write bool) uint64 {
 // Contains reports whether the line holding addr is present (no LRU update).
 func (l *Level) Contains(addr Addr) bool {
 	line := addr.Line()
-	for _, t := range l.tags[l.setOf(line)] {
+	tags, _ := l.set(line)
+	for _, t := range tags {
 		if t == uint64(line) {
 			return true
 		}
@@ -132,12 +131,12 @@ func (l *Level) Contains(addr Addr) bool {
 
 // invalidate removes the line from this level and every level below it.
 func (l *Level) invalidate(line Addr) {
-	s := l.setOf(line)
-	tags, dirty := l.tags[s], l.dirty[s]
+	tags, dirty := l.set(line)
 	for i, t := range tags {
 		if t == uint64(line) {
-			l.tags[s] = append(tags[:i], tags[i+1:]...)
-			l.dirty[s] = append(dirty[:i], dirty[i+1:]...)
+			copy(tags[i:], tags[i+1:])
+			copy(dirty[i:], dirty[i+1:])
+			tags[l.ways-1], dirty[l.ways-1] = noLine, false
 			break
 		}
 	}

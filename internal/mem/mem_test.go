@@ -1,6 +1,9 @@
 package mem
 
 import (
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -38,9 +41,21 @@ func TestBackingAllocSlice(t *testing.T) {
 	}
 }
 
+// hostPages counts the host pages the store has allocated.
+func (b *Backing) hostPages() int {
+	n := 0
+	for _, p := range b.pages {
+		if p != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // TestBackingGrowsWithAllocations pins the lazy host allocation: the
-// configured size stays the capacity, words past the allocated prefix read
-// as zero and accept stores, and data survives every growth step.
+// configured size stays the capacity, words on untouched pages read as zero
+// and accept stores, data survives every growth step, and host pages never
+// outnumber the pages touched.
 func TestBackingGrowsWithAllocations(t *testing.T) {
 	b := NewBacking(64 << 20)
 	if b.Size() != 64<<20 {
@@ -51,12 +66,15 @@ func TestBackingGrowsWithAllocations(t *testing.T) {
 		t.Fatal("untouched word not zero")
 	}
 	var addrs []Addr
+	touched := map[int]bool{}
 	for i := 0; i < 200; i++ {
 		a := b.AllocWords(1 + i*37)
 		b.Store(a, uint64(i))
 		addrs = append(addrs, a)
+		touched[int(a/WordBytes)/pageWords] = true
 	}
 	b.Store(far, 7)
+	touched[int(far/WordBytes)/pageWords] = true
 	for i, a := range addrs {
 		if got := b.Load(a); got != uint64(i) {
 			t.Fatalf("word %d at %#x = %d after growth", i, uint64(a), got)
@@ -65,8 +83,44 @@ func TestBackingGrowsWithAllocations(t *testing.T) {
 	if b.Load(far) != 7 || b.Load(far-8) != 0 || b.Load(far+8) != 0 {
 		t.Fatal("store beyond the allocated prefix lost or leaked")
 	}
-	if got := cap(b.words) * WordBytes; got > 2*int(far)+LineBytes {
-		t.Fatalf("host allocation %d B for a %d B touched prefix", got, far)
+	if got := b.hostPages(); got > len(touched) {
+		t.Fatalf("%d host pages for %d touched pages", got, len(touched))
+	}
+}
+
+// TestBackingFarStoreAllocatesOnePage pins that a store far past brk costs
+// one host page, not the prefix up to it.
+func TestBackingFarStoreAllocatesOnePage(t *testing.T) {
+	b := NewBacking(64 << 20)
+	b.Store(Addr(48<<20), 1)
+	if got := b.hostPages(); got != 1 {
+		t.Fatalf("far store allocated %d host pages, want 1", got)
+	}
+	if b.Load(Addr(48<<20)) != 1 || b.Load(LineBytes) != 0 {
+		t.Fatal("far store lost or leaked")
+	}
+}
+
+// TestBackingHostFollowsFootprint pins host memory to the simulated
+// footprint: after a series of AllocSlice layouts, the host pages hold at
+// most the footprint plus one page.
+func TestBackingHostFollowsFootprint(t *testing.T) {
+	b := NewBacking(256 << 20)
+	for i := 0; i < 40; i++ {
+		vals := make([]uint64, 1+i*i*97)
+		for j := range vals {
+			vals[j] = uint64(i*j + 1)
+		}
+		a := b.AllocSlice(vals)
+		for j, v := range vals {
+			if got := b.Load(a + Addr(j*WordBytes)); got != v {
+				t.Fatalf("slice %d word %d = %d, want %d", i, j, got, v)
+			}
+		}
+	}
+	host := b.hostPages() * pageWords * WordBytes
+	if limit := b.Footprint() + pageWords*WordBytes; host > limit {
+		t.Fatalf("host %d B for a %d B footprint (limit %d)", host, b.Footprint(), limit)
 	}
 }
 
@@ -86,6 +140,111 @@ func TestBackingPanics(t *testing.T) {
 			f()
 		}()
 	}
+}
+
+// FuzzBacking runs Alloc, AllocSlice, Store and Load sequences against a
+// map model on stores of a few pages. Addresses cluster around page
+// boundaries and run past brk and past the end of the store; every panic
+// (unaligned, out of range, out of simulated memory) must fire exactly when
+// the model says it should.
+func FuzzBacking(f *testing.F) {
+	f.Add(uint8(0), []byte{0, 10, 2, 1, 3, 0, 1, 2, 0, 4, 3, 0, 2, 9})
+	// A slice laid across the first page boundary, read on both sides.
+	f.Add(uint8(5), []byte{0, 0, 0, 255, 8, 1, 0, 0, 255, 3, 1, 0, 3, 0, 0x3f, 3, 1, 0xff})
+	f.Fuzz(func(t *testing.T, sz uint8, ops []byte) {
+		size := (1+int(sz%4))*pageWords*WordBytes + int(sz/4%4)*WordBytes
+		b := NewBacking(size)
+		model := map[Addr]uint64{}
+		brk := Addr(LineBytes)
+		next := func() int {
+			if len(ops) == 0 {
+				return 0
+			}
+			v := int(ops[0])
+			ops = ops[1:]
+			return v
+		}
+		// panics runs f and returns its panic message, "" if it returned.
+		panics := func(f func()) (msg string) {
+			defer func() {
+				if r := recover(); r != nil {
+					msg = fmt.Sprint(r)
+				}
+			}()
+			f()
+			return ""
+		}
+		// wrong reports whether msg is not the panic want names ("" = none).
+		wrong := func(msg, want string) bool {
+			return (msg == "") != (want == "") || !strings.Contains(msg, want)
+		}
+		alloc := func(nbytes int) (base Addr, oom string) {
+			base = brk
+			brk += Addr((nbytes + LineBytes - 1) &^ (LineBytes - 1))
+			if int(brk) > size {
+				oom = "out of simulated memory"
+			}
+			return base, oom
+		}
+		for step := 0; len(ops) > 0; step++ {
+			op := next()
+			// An address near a page boundary: page, signed word offset,
+			// and a misalignment in the top bits of the offset byte.
+			page, off := next()%6, next()
+			a := Addr(page*pageWords*WordBytes) + Addr(int(int8(off<<2)>>2)*WordBytes) + Addr(off>>6)
+			bad := ""
+			if a%WordBytes != 0 {
+				bad = "unaligned"
+			} else if a >= Addr(size) {
+				bad = "outside"
+			}
+			switch op % 4 {
+			case 0: // Alloc of up to two pages, mostly small
+				n := next() << (next() % 10)
+				want, oom := alloc(n)
+				var got Addr
+				if p := panics(func() { got = b.Alloc(n) }); wrong(p, oom) || (p == "" && got != want) {
+					t.Fatalf("step %d: Alloc(%d) = %#x panic %q, want %#x panic %q", step, n, got, p, want, oom)
+				}
+			case 1: // AllocSlice of up to 1020 words
+				vals := make([]uint64, 4*next())
+				for i := range vals {
+					vals[i] = uint64(step)<<32 | uint64(i) + 1
+				}
+				want, oom := alloc(len(vals) * WordBytes)
+				var got Addr
+				if p := panics(func() { got = b.AllocSlice(vals) }); wrong(p, oom) || (p == "" && got != want) {
+					t.Fatalf("step %d: AllocSlice(%d) = %#x panic %q, want %#x panic %q", step, len(vals), got, p, want, oom)
+				}
+				if oom == "" {
+					for i, v := range vals {
+						model[want+Addr(i*WordBytes)] = v
+					}
+				}
+			case 2:
+				v := uint64(next()) + 1
+				if p := panics(func() { b.Store(a, v) }); wrong(p, bad) {
+					t.Fatalf("step %d: Store(%#x) panic %q in a %d B store, want %q", step, uint64(a), p, size, bad)
+				}
+				if bad == "" {
+					model[a] = v
+				}
+			case 3:
+				var got uint64
+				if p := panics(func() { got = b.Load(a) }); wrong(p, bad) || (p == "" && got != model[a]) {
+					t.Fatalf("step %d: Load(%#x) = %d panic %q, model %d panic %q", step, uint64(a), got, p, model[a], bad)
+				}
+			}
+		}
+		for a, v := range model {
+			if got := b.Load(a); got != v {
+				t.Fatalf("final Load(%#x) = %d, model %d", uint64(a), got, v)
+			}
+		}
+		if b.Footprint() != int(brk) {
+			t.Fatalf("Footprint %d, model %d", b.Footprint(), brk)
+		}
+	})
 }
 
 func TestCacheHitMiss(t *testing.T) {
@@ -238,5 +397,24 @@ func BenchmarkAllocSlice(b *testing.B) {
 			b.StartTimer()
 		}
 		sinkAddr = back.AllocSlice(vals)
+	}
+}
+
+var sinkWord uint64
+
+// BenchmarkBackingLoad reads random words over a 32 MB footprint, the
+// host-cache-missing case that pays for the page-table indirection.
+func BenchmarkBackingLoad(b *testing.B) {
+	const words = 32 << 20 / WordBytes
+	back := NewBacking(64 << 20)
+	base := back.AllocSlice(make([]uint64, words))
+	addrs := make([]Addr, 1<<16)
+	r := rand.New(rand.NewSource(1))
+	for i := range addrs {
+		addrs[i] = base + Addr(r.Intn(words)*WordBytes)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkWord += back.Load(addrs[i&(len(addrs)-1)])
 	}
 }

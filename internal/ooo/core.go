@@ -97,7 +97,7 @@ func (c *Core) dispatch(complete uint64) {
 	// ROB full: dispatch stalls until the oldest instruction retires.
 	if c.robSz == c.cfg.ROB {
 		oldest := c.rob[c.robHd]
-		c.robHd = (c.robHd + 1) % c.cfg.ROB
+		c.robHd = wrap(c.robHd+1, c.cfg.ROB)
 		c.robSz--
 		if oldest > c.cycle {
 			c.cycle = oldest
@@ -107,13 +107,22 @@ func (c *Core) dispatch(complete uint64) {
 	// In-order retirement: completion times must be monotone at the tail to
 	// model the retire pointer; we clamp to the previous tail.
 	if c.robSz > 0 {
-		prev := c.rob[(c.robHd+c.robSz-1)%c.cfg.ROB]
+		prev := c.rob[wrap(c.robHd+c.robSz-1, c.cfg.ROB)]
 		if complete < prev {
 			complete = prev
 		}
 	}
-	c.rob[(c.robHd+c.robSz)%c.cfg.ROB] = complete
+	c.rob[wrap(c.robHd+c.robSz, c.cfg.ROB)] = complete
 	c.robSz++
+}
+
+// wrap reduces a ring index i < 2n modulo n with a compare instead of a
+// divide (ROB and MSHR sizes are not powers of two).
+func wrap(i, n int) int {
+	if i >= n {
+		i -= n
+	}
+	return i
 }
 
 // Op reports n independent single-cycle ALU instructions.
@@ -139,14 +148,14 @@ func (c *Core) Load(addr mem.Addr, dep Dep) Dep {
 		c.L1MissLoads++
 		if c.mshrSz == c.cfg.MSHRs {
 			oldest := c.mshr[c.mshrHd]
-			c.mshrHd = (c.mshrHd + 1) % c.cfg.MSHRs
+			c.mshrHd = wrap(c.mshrHd+1, c.cfg.MSHRs)
 			c.mshrSz--
 			if oldest > issue {
 				delay := oldest - issue
 				ready += delay
 			}
 		}
-		c.mshr[(c.mshrHd+c.mshrSz)%c.cfg.MSHRs] = ready
+		c.mshr[wrap(c.mshrHd+c.mshrSz, c.cfg.MSHRs)] = ready
 		c.mshrSz++
 	}
 	c.dispatch(ready)

@@ -126,3 +126,18 @@ func TestLLCDivMachine(t *testing.T) {
 		t.Fatalf("LLC = %d", m.Hier.Config.LLCBytes)
 	}
 }
+
+// BenchmarkCoreDispatch times the dispatch loop: 64 ALU ops and one load
+// per iteration, the load walking a 4 MB array so ROB and MSHR rings both
+// turn over.
+func BenchmarkCoreDispatch(b *testing.B) {
+	m := NewMachine(1, 64<<20)
+	c := m.Cores[0]
+	const lines = 4 << 20 / 64
+	base := m.Backing.Alloc(lines * 64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Op(64)
+		c.Load(base+mem.Addr(i%lines*64), 0)
+	}
+}

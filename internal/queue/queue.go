@@ -97,7 +97,7 @@ func (q *Queue) Enq(t Token) bool {
 		q.FullEvts++
 		return false
 	}
-	q.buf[(q.head+q.size)%len(q.buf)] = t
+	q.buf[q.slot(q.size)] = t
 	q.size++
 	q.Enqueued++
 	if q.occ != nil {
@@ -117,7 +117,9 @@ func (q *Queue) Deq() (t Token, ok bool) {
 	}
 	wasFull := q.size == len(q.buf)
 	t = q.buf[q.head]
-	q.head = (q.head + 1) % len(q.buf)
+	if q.head++; q.head == len(q.buf) {
+		q.head = 0
+	}
 	q.size--
 	q.Dequeued++
 	if q.occ != nil {
@@ -142,7 +144,16 @@ func (q *Queue) PeekAt(i int) (t Token, ok bool) {
 	if i < 0 || i >= q.size {
 		return Token{}, false
 	}
-	return q.buf[(q.head+i)%len(q.buf)], true
+	return q.buf[q.slot(i)], true
+}
+
+// slot returns the ring index of the i-th oldest token (0 <= i < len(buf)),
+// wrapping with a compare instead of a divide.
+func (q *Queue) slot(i int) int {
+	if i += q.head; i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	return i
 }
 
 // Sample records the current occupancy for mean-occupancy statistics.
