@@ -198,11 +198,10 @@ func BenchmarkAblationDRM(b *testing.B) {
 // --- Per-application simulation benchmarks -----------------------------------
 //
 // One whole-simulation benchmark per app (first input, Fifer pipeline) with
-// simulated cycles/s as the reported metric. These are the perf trajectory
-// the BENCH_*.json baselines track; `fiferbench -perfjson` records the same
-// runs with an explicit fast-forward-vs-oracle comparison. The FastForward/
-// Oracle sub-benchmarks time the same simulation under both execution modes,
-// so `-bench BenchmarkRun` shows the parking kernel's win directly.
+// simulated cycles/s as the reported metric. The FastForward/Oracle
+// sub-benchmarks time the same simulation under both execution modes, so
+// `-bench BenchmarkRun` shows the parking kernel's win directly; repeated
+// end-to-end timing with spread lives in perfbench/.
 
 func benchRunApp(b *testing.B, app string) {
 	input := bench.InputsOf(app)[0]

@@ -30,20 +30,21 @@
 // Performance: the simulator parks provably-inert PEs and skips cycles in
 // which the whole machine is inert by default (DESIGN.md §10);
 // -no-fast-forward runs the naive per-cycle loop instead — results are
-// byte-identical, only wall time changes. -perfjson FILE skips the
-// experiments and instead times every app both ways, writing the baseline
-// (cycles/s, wall time, speedup, the share of PE-cycles the kernel ticked)
-// as JSON; scripts/bench.sh wraps this to refresh BENCH_<n>.json. -cpuprofile/-memprofile write pprof
-// profiles of whatever the invocation ran (see EXPERIMENTS.md §profiling).
+// byte-identical, only wall time changes. With -trace or -metrics, every
+// traced job also gets one stderr line saying what the kernel did: the
+// share of PE-cycles it ticked, the cycles it jumped and its catch-ups.
+// That line stays out of the trace and metrics files, which must not differ
+// from the naive loop's. -cpuprofile/-memprofile write pprof profiles of
+// whatever the invocation ran (see EXPERIMENTS.md §profiling).
 //
 // Crash-safe sweeps: -journal FILE appends every finished job to a
 // checksummed JSONL journal; -resume (with the same -journal and workload
 // flags) replays the completed jobs and runs only the remainder, producing
-// byte-identical tables. -job-timeout bounds each job's wall-clock time and
-// -retries re-runs transient failures. SIGINT/SIGTERM stops admitting jobs,
-// cancels in-flight simulations cooperatively, flushes the journal, renders
-// whatever completed in degraded mode, and exits nonzero with a summary; a
-// second signal kills immediately. See EXPERIMENTS.md.
+// byte-identical tables. -job-timeout bounds each job's wall-clock time.
+// SIGINT/SIGTERM stops admitting jobs, cancels in-flight simulations
+// cooperatively, flushes the journal, renders whatever completed in
+// degraded mode, and exits nonzero with a summary; a second signal kills
+// immediately. See EXPERIMENTS.md.
 package main
 
 import (
@@ -75,11 +76,9 @@ func fiferbench() int {
 	journalPath := flag.String("journal", "", "append every finished job to this crash-safe JSONL journal")
 	resume := flag.Bool("resume", false, "resume from the -journal file: replay completed jobs, run only the remainder")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job wall-clock deadline, e.g. 90s (0 = none)")
-	retries := flag.Int("retries", 0, "times a transiently-failed job (panic, cycle budget) is retried")
 	tracePath := flag.String("trace", "", "write per-simulation event traces to this Chrome/Perfetto JSON file")
 	metricsPath := flag.String("metrics", "", "write periodic per-PE metrics samples to this file (.csv extension = CSV, else JSONL)")
 	sample := flag.Uint64("sample", 0, "metrics sample period in cycles (0 = default 4096)")
-	perfJSON := flag.String("perfjson", "", "instead of experiments, time each app fast-forward vs oracle and write the perf baseline to this JSON file")
 	noFF := flag.Bool("no-fast-forward", false, "run the naive per-cycle loop instead of the parking kernel (identical results, slower)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
@@ -87,8 +86,7 @@ func fiferbench() int {
 
 	opt := bench.Options{Scale: *scale, Seed: *seed, Jobs: *jobs,
 		WatchdogCycles: *watchdog, AuditCycles: *audit,
-		JobTimeout: *jobTimeout, Retries: *retries,
-		NoFastForward: *noFF}
+		JobTimeout: *jobTimeout, NoFastForward: *noFF}
 	if *appsFlag != "" {
 		opt.Apps = strings.Split(*appsFlag, ",")
 	}
@@ -119,13 +117,6 @@ func fiferbench() int {
 		}()
 	}
 
-	if *perfJSON != "" {
-		if err := runPerfJSON(*perfJSON, opt); err != nil {
-			fmt.Fprintf(os.Stderr, "fiferbench: perfjson: %v\n", err)
-			return 1
-		}
-		return 0
-	}
 	var sink *bench.TraceSink
 	if *tracePath != "" || *metricsPath != "" {
 		sink = bench.NewTraceSink(*sample)
@@ -172,7 +163,7 @@ func fiferbench() int {
 
 	// The summary counts every job the drivers report, whether or not
 	// -progress echoes them.
-	var okCnt, failedCnt, canceledCnt, replayedCnt, retriedCnt int
+	var okCnt, failedCnt, canceledCnt, replayedCnt int
 	opt.Progress = func(done, total int, res bench.JobResult) {
 		class := bench.ErrorClass(res.Err)
 		switch class {
@@ -186,15 +177,10 @@ func fiferbench() int {
 		if res.Replayed {
 			replayedCnt++
 		}
-		if res.Attempts > 1 {
-			retriedCnt++
-		}
 		if *progress {
 			status := class
 			if res.Replayed {
 				status += " (replayed)"
-			} else if res.Attempts > 1 {
-				status += fmt.Sprintf(" (attempt %d)", res.Attempts)
 			}
 			fmt.Fprintf(os.Stderr, "[%d/%d] %s/%s %v %s\n",
 				done, total, res.Job.App, res.Job.Input, res.Job.Kind, status)
@@ -309,6 +295,11 @@ func fiferbench() int {
 				}
 			}
 		}
+		for _, j := range sink.Jobs() {
+			k := j.Collector.Kernel()
+			fmt.Fprintf(os.Stderr, "fiferbench: kernel %s: ticked %.1f%% of PE-cycles, jumped %d cycles, %d catch-ups\n",
+				j.Key, 100*k.ExecutedShare(), k.Jumped, k.CatchUps)
+		}
 		if n := sink.Dropped(); n > 0 {
 			fmt.Fprintf(os.Stderr, "fiferbench: trace ring overflowed: %d oldest event(s) dropped — the trace holds each run's suffix\n", n)
 		}
@@ -327,8 +318,8 @@ func fiferbench() int {
 	default:
 	}
 	if failedCnt > 0 || canceledCnt > 0 || interrupted {
-		fmt.Fprintf(os.Stderr, "fiferbench: %d ok, %d failed, %d canceled/timed out (%d replayed, %d retried)\n",
-			okCnt, failedCnt, canceledCnt, replayedCnt, retriedCnt)
+		fmt.Fprintf(os.Stderr, "fiferbench: %d ok, %d failed, %d canceled/timed out (%d replayed)\n",
+			okCnt, failedCnt, canceledCnt, replayedCnt)
 		if *journalPath != "" {
 			fmt.Fprintf(os.Stderr, "fiferbench: journal flushed to %s — rerun with -resume to pick up where this run stopped\n", *journalPath)
 		}

@@ -126,7 +126,6 @@ func run(mode core.Mode, pes int, data []uint64) (uint64, []uint64) {
 	cfg := core.DefaultConfig()
 	cfg.Mode = mode
 	cfg.PEs = pes
-	cfg.Hier.Clients = pes
 	cfg.BackingBytes = 16 << 20
 	sys := core.NewSystem(cfg)
 	var bins mem.Addr

@@ -75,7 +75,6 @@ func TestPlaceFor(t *testing.T) {
 func TestQueuePlanBudgetsPerPE(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.PEs = 2
-	cfg.Hier.Clients = 2
 	cfg.BackingBytes = 1 << 20
 	sys := core.NewSystem(cfg)
 	qp := NewQueuePlan(sys)

@@ -12,7 +12,6 @@ func smallConfig(mode core.Mode, pes int) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Mode = mode
 	cfg.PEs = pes
-	cfg.Hier.Clients = pes
 	cfg.BackingBytes = 64 << 20
 	cfg.MaxCycles = 50_000_000
 	return cfg

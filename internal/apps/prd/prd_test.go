@@ -15,13 +15,11 @@ func testGraph() *graph.Graph {
 
 func small(cfg *core.Config) {
 	cfg.PEs = 5
-	cfg.Hier.Clients = 5
 	cfg.MaxCycles = 100_000_000
 }
 
 func smallMerged(cfg *core.Config) {
 	cfg.PEs = 6
-	cfg.Hier.Clients = 6
 	cfg.MaxCycles = 100_000_000
 }
 

@@ -9,7 +9,6 @@ import (
 
 func small(cfg *core.Config) {
 	cfg.PEs = 8
-	cfg.Hier.Clients = 8
 	cfg.MaxCycles = 100_000_000
 }
 

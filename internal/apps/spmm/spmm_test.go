@@ -10,7 +10,6 @@ import (
 
 func small(cfg *core.Config) {
 	cfg.PEs = 6
-	cfg.Hier.Clients = 6
 	cfg.MaxCycles = 100_000_000
 }
 

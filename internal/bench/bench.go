@@ -62,12 +62,6 @@ type Options struct {
 	// for the jobs that time out.
 	JobTimeout time.Duration
 
-	// Retries is how many times a transiently-failed job (recovered panic,
-	// exhausted cycle budget) is re-run before its error is final. Each
-	// retry waits a capped exponential backoff with deterministic jitter,
-	// and a cycle-budget retry doubles the job's budget.
-	Retries int
-
 	// MaxCycles overrides the harness cycle budget HarnessMaxCycles for
 	// every job (0 keeps the default). The per-job Override still wins, as
 	// it does for the other knobs.

@@ -85,75 +85,6 @@ func TestPanicErrorRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRetryTransient checks a panicking job is re-run up to Options.Retries
-// times and a late success clears the error.
-func TestRetryTransient(t *testing.T) {
-	attempts := 0
-	r := Runner{Workers: 1, RetryBase: time.Millisecond, RetryCap: 2 * time.Millisecond,
-		run: func(Job, Options) (apps.Outcome, error) {
-			attempts++
-			if attempts < 3 {
-				panic("flaky")
-			}
-			return apps.Outcome{Cycles: 9}, nil
-		}}
-	res := r.Run(Options{Retries: 3}, []Job{{App: "BFS", Input: "Rn"}})[0]
-	if res.Err != nil {
-		t.Fatalf("retried job failed: %v", res.Err)
-	}
-	if res.Attempts != 3 || attempts != 3 {
-		t.Fatalf("attempts = %d (runner) / %d (observed), want 3", res.Attempts, attempts)
-	}
-	if res.Outcome.Cycles != 9 {
-		t.Fatal("late success lost its outcome")
-	}
-}
-
-// TestRetryOnlyTransient checks deterministic failures are not retried:
-// re-running a deadlock or a bad config reproduces it exactly.
-func TestRetryOnlyTransient(t *testing.T) {
-	for name, err := range map[string]error{
-		"deadlock":  fmt.Errorf("sim: %w", core.ErrDeadlock),
-		"invariant": fmt.Errorf("sim: %w", core.ErrInvariant),
-		"plain":     errors.New("unknown app"),
-	} {
-		attempts := 0
-		r := Runner{Workers: 1, RetryBase: time.Millisecond,
-			run: func(Job, Options) (apps.Outcome, error) { attempts++; return apps.Outcome{}, err }}
-		res := r.Run(Options{Retries: 5}, []Job{{App: "BFS"}})[0]
-		if attempts != 1 || res.Attempts != 1 {
-			t.Errorf("%s: ran %d times, want 1", name, attempts)
-		}
-		if !errors.Is(res.Err, err) {
-			t.Errorf("%s: error replaced: %v", name, res.Err)
-		}
-	}
-}
-
-// TestRetryBudgetDoubling checks a cycle-budget failure retries with a
-// doubled budget instead of burning the same cycles to the same wall.
-func TestRetryBudgetDoubling(t *testing.T) {
-	var budgets []uint64
-	r := Runner{Workers: 1, RetryBase: time.Millisecond, RetryCap: 2 * time.Millisecond,
-		run: func(_ Job, o Options) (apps.Outcome, error) {
-			budgets = append(budgets, o.MaxCycles)
-			return apps.Outcome{}, fmt.Errorf("sim: %w", ErrCycleBudget)
-		}}
-	res := r.Run(Options{Retries: 2}, []Job{{App: "BFS"}})[0]
-	want := []uint64{0, 2 * HarnessMaxCycles, 4 * HarnessMaxCycles}
-	if len(budgets) != len(want) {
-		t.Fatalf("budgets = %v, want %v", budgets, want)
-	}
-	for i := range want {
-		if budgets[i] != want[i] {
-			t.Fatalf("budgets = %v, want %v", budgets, want)
-		}
-	}
-	if res.Attempts != 3 || ErrorClass(res.Err) != ClassCycleBudget {
-		t.Fatalf("final result = attempts %d class %q, want 3 %q", res.Attempts, ErrorClass(res.Err), ClassCycleBudget)
-	}
-}
-
 // TestJobTimeout checks the per-job deadline stops a job through the
 // cooperative hook and classifies it as timeout, not canceled.
 func TestJobTimeout(t *testing.T) {
@@ -178,7 +109,7 @@ func TestJobTimeout(t *testing.T) {
 		t.Fatalf("class = %q, want %q", got, ClassTimeout)
 	}
 	if res.Attempts != 1 {
-		t.Fatalf("timed-out job reports %d attempts, want 1 (timeouts are not retried)", res.Attempts)
+		t.Fatalf("timed-out job reports %d attempts, want 1", res.Attempts)
 	}
 }
 

@@ -55,16 +55,6 @@ func ErrorClass(err error) string {
 	}
 }
 
-// transientError reports whether err is worth retrying: recovered panics
-// (often allocation pressure or a corrupted one-off state) and exhausted
-// cycle budgets (retried with a doubled budget). Timeouts and cancellation
-// are deliberate stops, and deadlock/invariant failures are deterministic
-// simulator verdicts — retrying those would reproduce them exactly.
-func transientError(err error) bool {
-	var pe *PanicError
-	return errors.As(err, &pe) || errors.Is(err, ErrCycleBudget)
-}
-
 // abortError returns the first unclassified error among results, or nil.
 // Classified failures — simulation verdicts (panic, deadlock, invariant,
 // cycle budget) and deliberate stops (canceled, timeout) — degrade tables

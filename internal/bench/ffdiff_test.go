@@ -238,6 +238,9 @@ const siloShareCap = 0.15
 // exceed PEs×Cycles (so the parked count, PEs×Cycles − ticks, is well
 // defined), the default kernel parks a share of the PE-cycles (below
 // siloShareCap executed on Silo), and the oracle parks and jumps nothing.
+// Each default-kernel job also runs through a TraceSink, whose collector
+// must report the same counters: fiferbench's stderr kernel line reads them
+// from there.
 func TestKernelStatsApps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every app twice")
@@ -271,9 +274,21 @@ func TestKernelStatsApps(t *testing.T) {
 				t.Errorf("%s: executed %.1f%% of PE-cycles, want below %.0f%%",
 					j.key(), 100*k.ExecutedShare(), 100*siloShareCap)
 			}
-			if !oracle {
-				t.Logf("%s: ticked %.1f%% of %d PE-cycles, jumped %d cycles, %d catch-ups",
-					j.key(), 100*k.ExecutedShare(), total, k.Jumped, k.CatchUps)
+			if oracle {
+				continue
+			}
+			t.Logf("%s: ticked %.1f%% of %d PE-cycles, jumped %d cycles, %d catch-ups",
+				j.key(), 100*k.ExecutedShare(), total, k.Jumped, k.CatchUps)
+			sink := NewTraceSink(0)
+			opt.Trace = sink
+			if _, err := RunOne(j.App, j.Input, j.Kind, false, opt, nil); err != nil {
+				t.Fatalf("%s traced: %v", j.key(), err)
+			}
+			traced := sink.Jobs()
+			if len(traced) != 1 || traced[0].Key != j.key() {
+				t.Errorf("%s: trace sink holds %d job(s), want this one alone", j.key(), len(traced))
+			} else if got := traced[0].Collector.Kernel(); got != k {
+				t.Errorf("%s: trace sink reports kernel counters %+v, direct collector %+v", j.key(), got, k)
 			}
 		}
 	}

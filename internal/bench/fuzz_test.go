@@ -10,9 +10,9 @@ import (
 )
 
 // fuzzJournalBytes builds a realistic journal — header plus a few sealed
-// records, including an error record and a superseding retry — to seed the
-// corpus with inputs that exercise the verified-replay path, not just the
-// reject-everything path.
+// records, including an error record and a later record superseding it — to
+// seed the corpus with inputs that exercise the verified-replay path, not
+// just the reject-everything path.
 func fuzzJournalBytes(tb testing.TB, opt Options) []byte {
 	tb.Helper()
 	dir := tb.TempDir()
@@ -32,7 +32,7 @@ func fuzzJournalBytes(tb testing.TB, opt Options) []byte {
 		Err:      ErrCycleBudget,
 		Attempts: 2,
 	})
-	j.record("fig13", 1, ok) // retry superseding the failure
+	j.record("fig13", 1, ok) // re-run superseding the failure
 	if err := j.Close(); err != nil {
 		tb.Fatal(err)
 	}

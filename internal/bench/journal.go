@@ -143,7 +143,7 @@ func ResumeJournal(path string, opt Options) (*Journal, error) {
 		if err := verifyLine(line, &rec); err != nil {
 			return nil, fmt.Errorf("bench: journal %s record %d: %w", path, i+1, err)
 		}
-		// Last record wins: a retried or re-run job appends a newer record
+		// Last record wins: a job re-run on resume appends a newer record
 		// for the same key, superseding the older one.
 		j.replay[journalKey{rec.Sweep, rec.Index}] = rec
 	}
@@ -303,7 +303,7 @@ func durableClass(class string) bool {
 
 // headerFor builds the header binding a journal to opt. Only fields that
 // change what the jobs compute belong here: scheduling knobs (Jobs,
-// timeouts, retries) may differ between the interrupted and resumed run.
+// timeouts) may differ between the interrupted and resumed run.
 func headerFor(opt Options) *journalHeader {
 	return &journalHeader{Journal: "fifer-bench", Version: journalVersion, Scale: opt.Scale, Seed: opt.Seed, Apps: opt.Apps}
 }

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"fifer/internal/apps"
 	"fifer/internal/core"
@@ -222,7 +223,7 @@ func TestJournalHeaderMismatch(t *testing.T) {
 		}
 	}
 	// Identical options (including scheduling knobs that may differ) resume.
-	if r, err := ResumeJournal(path, Options{Scale: 0, Seed: 1, Apps: []string{"BFS"}, Jobs: 99, Retries: 3}); err != nil {
+	if r, err := ResumeJournal(path, Options{Scale: 0, Seed: 1, Apps: []string{"BFS"}, Jobs: 99, JobTimeout: time.Minute}); err != nil {
 		t.Errorf("matching options refused: %v", err)
 	} else {
 		r.Close()
@@ -323,8 +324,8 @@ func journalFig13(t *testing.T, path string, opt Options) []byte {
 // canonicalJournal splits a journal file into its header line and its
 // record lines ordered by (sweep, index). The Runner appends records in
 // completion order, which a crash-safe journal needs but which depends on
-// scheduling whenever Jobs > 1; the stable sort keeps the retries of one
-// job, which run in sequence, in their written order.
+// scheduling whenever Jobs > 1; the stable sort keeps several records of
+// one job (a failure and the re-run superseding it) in their written order.
 func canonicalJournal(t *testing.T, data []byte) (header string, records []string) {
 	t.Helper()
 	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")

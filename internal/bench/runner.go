@@ -3,7 +3,6 @@ package bench
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -24,7 +23,7 @@ type Job struct {
 	Override   func(*core.Config)
 }
 
-// key renders the job's identity for error messages and retry jitter.
+// key renders the job's identity for error messages.
 func (j Job) key() string {
 	s := fmt.Sprintf("%s/%s %v", j.App, j.Input, j.Kind)
 	if j.Merged {
@@ -42,8 +41,8 @@ type JobResult struct {
 	Outcome apps.Outcome
 	Err     error
 
-	// Attempts is how many times the job ran (1 + retries taken). It is 0
-	// only for jobs the sweep never started (canceled before dispatch).
+	// Attempts is 1 for a job that ran and 0 for one the sweep never
+	// started (canceled before dispatch).
 	Attempts int
 	// Replayed marks a result served from a resumed journal rather than a
 	// fresh simulation.
@@ -53,18 +52,9 @@ type JobResult struct {
 // ProgressFunc observes job completions. done counts completed jobs
 // (1..total); calls are serialized, but arrive in completion order, not
 // submission order. Every job is reported exactly once — including jobs
-// replayed from a journal, retried (one call, after the final attempt),
-// canceled mid-run, or skipped because the sweep was canceled before they
-// started — so done always reaches total.
+// replayed from a journal, canceled mid-run, or skipped because the sweep
+// was canceled before they started — so done always reaches total.
 type ProgressFunc func(done, total int, res JobResult)
-
-// Retry backoff defaults: attempt n waits base<<(n-1), capped, plus a
-// deterministic jitter derived from the job key so simultaneous retries of
-// a batch spread out identically on every run.
-const (
-	defaultRetryBase = 250 * time.Millisecond
-	defaultRetryCap  = 5 * time.Second
-)
 
 // Runner executes batches of simulation jobs on a bounded worker pool.
 //
@@ -75,8 +65,9 @@ const (
 //
 // The Options carried into Run add the crash-safety layer: Cancel stops
 // the sweep cooperatively, JobTimeout bounds each job's wall-clock time,
-// Retries re-runs transient failures, and Journal makes finished work
-// durable and resumable. None of them changes any result when unused.
+// and Journal makes finished work durable and resumable. None of them
+// changes any result when unused. A job runs once: every simulation is
+// deterministic, so a retry would fail the same way again.
 type Runner struct {
 	// Workers bounds the number of concurrently running simulations.
 	// <= 0 means runtime.GOMAXPROCS(0); 1 reproduces fully serial
@@ -87,8 +78,6 @@ type Runner struct {
 	// Sweep labels this batch's records in the journal (e.g. "fig13") so
 	// the same journal can serve several drivers without index collisions.
 	Sweep string
-	// RetryBase and RetryCap override the retry backoff (0 = defaults).
-	RetryBase, RetryCap time.Duration
 
 	// run stubs out RunOne in unit tests.
 	run func(Job, Options) (apps.Outcome, error)
@@ -147,8 +136,8 @@ func (r Runner) Run(opt Options, jobs []Job) []JobResult {
 				"bench: %s skipped: sweep canceled before it started: %w", jobs[i].key(), core.ErrCanceled)})
 			return
 		}
-		out, attempts, err := r.runWithRetry(jobs[i], opt)
-		finish(i, JobResult{Job: jobs[i], Outcome: out, Err: err, Attempts: attempts})
+		out, err := r.attempt(jobs[i], opt)
+		finish(i, JobResult{Job: jobs[i], Outcome: out, Err: err, Attempts: 1})
 	}
 
 	if workers <= 1 {
@@ -177,32 +166,9 @@ func (r Runner) Run(opt Options, jobs []Job) []JobResult {
 	return results
 }
 
-// runWithRetry runs one job through the retry policy, returning the final
-// attempt's outcome and how many attempts ran.
-func (r Runner) runWithRetry(j Job, opt Options) (apps.Outcome, int, error) {
-	budget := opt.MaxCycles
-	for attempt := 1; ; attempt++ {
-		out, err := r.attempt(j, opt, budget)
-		if err == nil || attempt > opt.Retries || !transientError(err) || canceled(opt.Cancel) {
-			return out, attempt, err
-		}
-		if errors.Is(err, ErrCycleBudget) {
-			// Retrying with the same budget would burn the same cycles to
-			// the same wall; double it instead.
-			if budget == 0 {
-				budget = HarnessMaxCycles
-			}
-			budget *= 2
-		}
-		if !sleepBackoff(j, attempt, r.RetryBase, r.RetryCap, opt.Cancel) {
-			return out, attempt, err // canceled mid-backoff; keep the real error
-		}
-	}
-}
-
 // attempt runs the job once, with the per-job wall-clock deadline merged
 // into the cooperative cancellation channel.
-func (r Runner) attempt(j Job, opt Options, budget uint64) (apps.Outcome, error) {
+func (r Runner) attempt(j Job, opt Options) (apps.Outcome, error) {
 	runOne := r.run
 	if runOne == nil {
 		runOne = func(j Job, opt Options) (apps.Outcome, error) {
@@ -213,10 +179,8 @@ func (r Runner) attempt(j Job, opt Options, budget uint64) (apps.Outcome, error)
 	// into a per-job *PanicError and keep going.
 	runOne = protect(runOne)
 
-	jobOpt := opt
-	jobOpt.MaxCycles = budget
 	if opt.JobTimeout <= 0 {
-		return runOne(j, jobOpt)
+		return runOne(j, opt)
 	}
 
 	// Merge the sweep-wide Cancel and this job's deadline into one done
@@ -241,45 +205,13 @@ func (r Runner) attempt(j Job, opt Options, budget uint64) (apps.Outcome, error)
 			}
 		}()
 	}
+	jobOpt := opt
 	jobOpt.Cancel = jobDone
-
 	out, err := runOne(j, jobOpt)
 	if err != nil && timedOut.Load() && errors.Is(err, core.ErrCanceled) {
 		err = fmt.Errorf("bench: %s: %w (%v): %w", j.key(), ErrJobTimeout, opt.JobTimeout, err)
 	}
 	return out, err
-}
-
-// sleepBackoff waits out the capped exponential backoff before retry
-// `attempt`, with deterministic jitter from the job key. It returns false
-// if the sweep was canceled during the wait.
-func sleepBackoff(j Job, attempt int, base, cap time.Duration, cancel <-chan struct{}) bool {
-	if base <= 0 {
-		base = defaultRetryBase
-	}
-	if cap <= 0 {
-		cap = defaultRetryCap
-	}
-	delay := base
-	for i := 1; i < attempt && delay < cap; i++ {
-		delay *= 2
-	}
-	if delay > cap {
-		delay = cap
-	}
-	// Deterministic jitter in [0, delay/2): the same job retries after the
-	// same wait on every run, but different jobs in a batch spread out.
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s#%d", j.key(), attempt)
-	if half := uint64(delay / 2); half > 0 {
-		delay += time.Duration(h.Sum64() % half)
-	}
-	select {
-	case <-time.After(delay):
-		return true
-	case <-cancel:
-		return false
-	}
 }
 
 // canceled reports whether the sweep's cancel channel is closed.

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"sort"
@@ -15,9 +16,8 @@ import (
 // event collector and metrics sampler wired into the core (the OOO
 // baselines never enter the core loop, produce nothing, and are skipped).
 // Collection is safe under any Options.Jobs because each job owns its
-// collector; only registration takes the sink's lock. Retried jobs replace
-// their earlier attempt's data, so the sink holds exactly one trace per
-// job — the one whose outcome the sweep reported.
+// collector; only registration takes the sink's lock. The sink holds one
+// trace per job key.
 //
 // Tracing is observation only: outcomes, goldens, and journals are
 // byte-identical with a sink attached or not, at any worker count (pinned
@@ -50,8 +50,8 @@ func jobKey(app, input string, kind apps.SystemKind, merged bool) string {
 	return s
 }
 
-// add registers a finished job's collector, replacing any earlier attempt.
-// Empty collectors (OOO baselines) are dropped.
+// add registers a finished job's collector, replacing any earlier one
+// under the same key. Empty collectors (OOO baselines) are dropped.
 func (t *TraceSink) add(key string, col *trace.Collector) {
 	if t == nil || col == nil || col.Empty() {
 		return
@@ -124,13 +124,14 @@ func (t *TraceSink) WriteMetricsJSONL(w io.Writer) error {
 // WriteMetricsCSV writes every traced job's metrics samples as one CSV
 // table (single header row).
 func (t *TraceSink) WriteMetricsCSV(w io.Writer) error {
-	fmt.Fprintln(w, "job,cycle,pe,issued,stall,queue,reconfig,idle,qtokens,drm_inflight")
+	bw := bufio.NewWriter(w)
+	fmt.Fprintln(bw, "job,cycle,pe,issued,stall,queue,reconfig,idle,qtokens,drm_inflight")
 	for _, j := range t.Jobs() {
 		for _, r := range j.Collector.Rows() {
-			fmt.Fprintf(w, "%s,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
+			fmt.Fprintf(bw, "%s,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
 				j.Key, r.Cycle, r.PE, r.Issued, r.Stall, r.Queue, r.Reconfig, r.Idle,
 				r.QueueTokens, r.DRMInflight)
 		}
 	}
-	return nil
+	return bw.Flush()
 }

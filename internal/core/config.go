@@ -55,7 +55,7 @@ type Config struct {
 	DRMsPerPE      int                 // decoupled reference machines per PE (4)
 	DRMOutstanding int                 // max in-flight accesses per DRM
 	DRMIssueWidth  int                 // accesses launched per DRM per cycle
-	Hier           mem.HierarchyConfig // cache hierarchy (Table 2)
+	Hier           mem.HierarchyConfig // cache hierarchy (Table 2); Clients is set to PEs
 	BackingBytes   int                 // simulated DRAM capacity
 
 	Mode             Mode
@@ -160,9 +160,8 @@ func (c Config) WithQueueScale(factor float64) Config {
 }
 
 // Validate reports the first structural problem that would make a system
-// built from c misbehave in a hard-to-diagnose way. A zero Hier.Clients is
-// not an error — NewSystemChecked fixes it up to PEs — but any other
-// mismatch is rejected rather than silently overridden.
+// built from c misbehave in a hard-to-diagnose way. Hier.Clients is not
+// checked: NewSystemChecked derives it from PEs.
 func (c *Config) Validate() error {
 	switch {
 	case c.PEs <= 0:
@@ -178,9 +177,6 @@ func (c *Config) Validate() error {
 			c.DRMOutstanding, c.DRMsPerPE)
 	case c.BackingBytes <= 0:
 		return fmt.Errorf("core: config needs a positive BackingBytes store (got %d)", c.BackingBytes)
-	case c.Hier.Clients != 0 && c.Hier.Clients != c.PEs:
-		return fmt.Errorf("core: Hier.Clients=%d does not match PEs=%d (leave it 0 to size automatically)",
-			c.Hier.Clients, c.PEs)
 	}
 	return nil
 }

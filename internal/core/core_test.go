@@ -12,7 +12,6 @@ import (
 func testConfig(pes int) Config {
 	cfg := DefaultConfig()
 	cfg.PEs = pes
-	cfg.Hier.Clients = pes
 	cfg.BackingBytes = 16 << 20
 	cfg.MaxCycles = 5_000_000
 	return cfg

@@ -203,7 +203,7 @@ func gateCase(name string, gated, releaser int) horizonCase {
 	fwd := 3 - gated - releaser
 	return horizonCase{
 		name: name,
-		mut:  func(cfg *Config) { cfg.PEs, cfg.Hier.Clients = 3, 3 },
+		mut:  func(cfg *Config) { cfg.PEs = 3 },
 		build: func(t *testing.T, sys *System) Program {
 			arr := sys.Backing.AllocWords(1 << 17)
 			gate := &stage.Gate{Limit: 2}
@@ -357,7 +357,7 @@ func stuckLastPE(t *testing.T, sys *System) Program {
 }
 
 // fourPEs widens a horizon case's machine to four PEs.
-func fourPEs(cfg *Config) { cfg.PEs, cfg.Hier.Clients = 4, 4 }
+func fourPEs(cfg *Config) { cfg.PEs = 4 }
 
 // checkDeadlockParity pins failure-path identity on the stuck-last-PE
 // machine widened by width: a deadlocked machine must trip the watchdog at

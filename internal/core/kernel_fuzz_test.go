@@ -238,7 +238,7 @@ func checkKernelEquivalence(t *testing.T, seed int64, pes uint8, metrics, audit 
 	run := func(oracle bool) kernelRun {
 		n := 1 + (int(pes)+15)%16
 		cfg := core.DefaultConfig()
-		cfg.PEs, cfg.Hier.Clients = n, n
+		cfg.PEs = n
 		cfg.BackingBytes = 16 << 20
 		cfg.MaxCycles = 5_000_000
 		cfg.WatchdogCycles = 1 << 16

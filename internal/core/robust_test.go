@@ -187,7 +187,6 @@ func TestNewSystemCheckedValidation(t *testing.T) {
 		"negative DRMs":    func(c *Config) { c.DRMsPerPE = -1 },
 		"no DRM capacity":  func(c *Config) { c.DRMOutstanding = 0 },
 		"no backing":       func(c *Config) { c.BackingBytes = 0 },
-		"clients mismatch": func(c *Config) { c.Hier.Clients = c.PEs + 3 },
 		"negative backing": func(c *Config) { c.BackingBytes = -5 },
 	}
 	for name, mutate := range bad {
@@ -198,14 +197,16 @@ func TestNewSystemCheckedValidation(t *testing.T) {
 		}
 	}
 
-	cfg := testConfig(2)
-	cfg.Hier.Clients = 0 // sized automatically, not an error
+	// Hier.Clients follows PEs: shrinking the default 16-PE machine needs
+	// no second edit.
+	cfg := DefaultConfig()
+	cfg.PEs = 4
 	sys, err := NewSystemChecked(cfg)
 	if err != nil {
-		t.Fatalf("zero Clients rejected: %v", err)
+		t.Fatalf("DefaultConfig with PEs=4 rejected: %v", err)
 	}
-	if got := len(sys.Hier.L1s); got != 2 {
-		t.Fatalf("zero Clients sized to %d L1s, want 2", got)
+	if got := len(sys.Hier.L1s); got != 4 {
+		t.Fatalf("DefaultConfig with PEs=4 built %d L1s, want 4", got)
 	}
 
 	func() {

@@ -63,13 +63,9 @@ type System struct {
 	lastSample uint64
 }
 
-// NewSystem builds a system from cfg, panicking on an invalid config. It
-// keeps the historical convenience of silently sizing Hier.Clients to PEs;
-// use NewSystemChecked to get validation errors instead of panics.
+// NewSystem builds a system from cfg, panicking on an invalid config; use
+// NewSystemChecked to get validation errors instead of panics.
 func NewSystem(cfg Config) *System {
-	if cfg.Hier.Clients != cfg.PEs {
-		cfg.Hier.Clients = cfg.PEs
-	}
 	s, err := NewSystemChecked(cfg)
 	if err != nil {
 		panic(err)
@@ -78,16 +74,14 @@ func NewSystem(cfg Config) *System {
 }
 
 // NewSystemChecked builds a system from cfg after validating it, returning
-// an error (rather than a panic or a silently mis-sized machine) for
-// non-positive cycle budgets, queue or backing sizes, and Clients/PEs
-// mismatches. A zero Hier.Clients is sized to PEs.
+// an error (rather than a panic) for non-positive cycle budgets, queue or
+// backing sizes. Every PE gets its own private caches, so Hier.Clients is
+// always set to PEs: changing PEs alone resizes the machine.
 func NewSystemChecked(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Hier.Clients == 0 {
-		cfg.Hier.Clients = cfg.PEs
-	}
+	cfg.Hier.Clients = cfg.PEs
 	s := &System{
 		Cfg:     cfg,
 		Backing: mem.NewBacking(cfg.BackingBytes),

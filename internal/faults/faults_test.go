@@ -17,7 +17,6 @@ import (
 func testConfig(pes int) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.PEs = pes
-	cfg.Hier.Clients = pes
 	cfg.BackingBytes = 16 << 20
 	cfg.MaxCycles = 5_000_000
 	cfg.WatchdogCycles = 2000

@@ -9,10 +9,10 @@ import (
 )
 
 // Metrics export. The JSONL form is one self-describing object per sample —
-// the format fifertrace and ad-hoc tooling (jq, pandas) consume; the CSV
-// form is the same rows for spreadsheet import. Both are deterministic:
-// rows are written in emission order, which the core fixes (per-PE, in
-// cycle order).
+// the format fifertrace and ad-hoc tooling (jq, pandas) consume;
+// bench.TraceSink.WriteMetricsCSV writes the same rows as CSV for
+// spreadsheet import. Both are deterministic: rows are written in emission
+// order, which the core fixes (per-PE, in cycle order).
 
 // JobMetrics is one simulation's metrics samples within a JSONL file.
 type JobMetrics struct {
@@ -93,16 +93,4 @@ func ReadMetricsJSONL(r io.Reader) ([]JobMetrics, error) {
 		out = append(out, JobMetrics{Name: job, Rows: rows[job]})
 	}
 	return out, nil
-}
-
-// WriteMetricsCSV writes job's samples as CSV with a header row.
-func WriteMetricsCSV(w io.Writer, job string, rows []MetricsRow) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "job,cycle,pe,issued,stall,queue,reconfig,idle,qtokens,drm_inflight")
-	for _, r := range rows {
-		fmt.Fprintf(bw, "%s,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
-			job, r.Cycle, r.PE, r.Issued, r.Stall, r.Queue, r.Reconfig, r.Idle,
-			r.QueueTokens, r.DRMInflight)
-	}
-	return bw.Flush()
 }
