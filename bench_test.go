@@ -165,15 +165,6 @@ func BenchmarkZeroCostReconfig(b *testing.B) {
 
 // --- Ablations (DESIGN.md §6) ------------------------------------------------
 
-func BenchmarkAblationSchedulerPolicy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		mustRun(b, "BFS", "In", fifer.FiferPipe, false, nil) // most-work (paper)
-		mustRun(b, "BFS", "In", fifer.FiferPipe, false, func(cfg *core.Config) {
-			cfg.SchedPolicy = core.PolicyRoundRobin
-		})
-	}
-}
-
 func BenchmarkAblationSIMD(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mustRun(b, "BFS", "In", fifer.FiferPipe, false, nil)

@@ -182,8 +182,7 @@ func fiferbench() int {
 			if res.Replayed {
 				status += " (replayed)"
 			}
-			fmt.Fprintf(os.Stderr, "[%d/%d] %s/%s %v %s\n",
-				done, total, res.Job.App, res.Job.Input, res.Job.Kind, status)
+			fmt.Fprintf(os.Stderr, "[%d/%d] %s %s\n", done, total, res.Job.Key(), status)
 		}
 	}
 	w := os.Stdout

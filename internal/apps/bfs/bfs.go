@@ -13,8 +13,8 @@ import (
 const Name = "BFS"
 
 // Run executes BFS on the chosen system and input.
-func Run(kind apps.SystemKind, input graph.Input, scale graph.Scale, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
-	g := graph.Generate(input, scale, seed)
+func Run(kind apps.SystemKind, input string, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
+	g := graph.Generate(graph.Input(input), graph.Scale(scale), seed)
 	src := graphpipe.DefaultSource(g)
-	return graphpipe.RunApp(kind, graphpipe.ModeBFS, g, []int{src}, int(scale), merged, override)
+	return apps.Run(kind, scale, merged, override, graphpipe.App(graphpipe.ModeBFS, g, []int{src}))
 }

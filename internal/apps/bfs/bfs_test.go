@@ -5,13 +5,12 @@ import (
 
 	"fifer/internal/apps"
 	"fifer/internal/core"
-	"fifer/internal/graph"
 )
 
 func TestBFSAllSystemsVerified(t *testing.T) {
 	cycles := map[apps.SystemKind]uint64{}
 	for _, kind := range apps.Kinds {
-		out, err := Run(kind, graph.Hu, graph.ScaleTiny, 1, false, nil)
+		out, err := Run(kind, "Hu", 0, 1, false, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -30,11 +29,11 @@ func TestBFSAllSystemsVerified(t *testing.T) {
 }
 
 func TestBFSDeterministic(t *testing.T) {
-	a, err := Run(apps.FiferPipe, graph.In, graph.ScaleTiny, 5, false, nil)
+	a, err := Run(apps.FiferPipe, "In", 0, 5, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(apps.FiferPipe, graph.In, graph.ScaleTiny, 5, false, nil)
+	b, err := Run(apps.FiferPipe, "In", 0, 5, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +47,11 @@ func TestBFSQueueScalingMonotoneEnough(t *testing.T) {
 	// Metamorphic check behind Fig. 16: shrinking queue memory to a quarter
 	// must not make BFS faster by more than noise, and should usually slow
 	// it down.
-	base, err := Run(apps.FiferPipe, graph.Hu, graph.ScaleTiny, 1, false, nil)
+	base, err := Run(apps.FiferPipe, "Hu", 0, 1, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	quarter, err := Run(apps.FiferPipe, graph.Hu, graph.ScaleTiny, 1, false, func(cfg *core.Config) {
+	quarter, err := Run(apps.FiferPipe, "Hu", 0, 1, false, func(cfg *core.Config) {
 		*cfg = cfg.WithQueueScale(0.25)
 	})
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 const Name = "CC"
 
 // Run executes CC on the chosen system and input.
-func Run(kind apps.SystemKind, input graph.Input, scale graph.Scale, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
-	g := graph.Generate(input, scale, seed)
-	return graphpipe.RunApp(kind, graphpipe.ModeCC, g, nil, int(scale), merged, override)
+func Run(kind apps.SystemKind, input string, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
+	g := graph.Generate(graph.Input(input), graph.Scale(scale), seed)
+	return apps.Run(kind, scale, merged, override, graphpipe.App(graphpipe.ModeCC, g, nil))
 }

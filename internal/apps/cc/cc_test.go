@@ -4,12 +4,11 @@ import (
 	"testing"
 
 	"fifer/internal/apps"
-	"fifer/internal/graph"
 )
 
 func TestCCAllSystemsVerified(t *testing.T) {
 	for _, kind := range apps.Kinds {
-		out, err := Run(kind, graph.Hu, graph.ScaleTiny, 1, false, nil)
+		out, err := Run(kind, "Hu", 0, 1, false, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -20,7 +19,7 @@ func TestCCAllSystemsVerified(t *testing.T) {
 }
 
 func TestCCMergedVerified(t *testing.T) {
-	out, err := Run(apps.FiferPipe, graph.Ci, graph.ScaleTiny, 2, true, nil)
+	out, err := Run(apps.FiferPipe, "Ci", 0, 2, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +31,7 @@ func TestCCMergedVerified(t *testing.T) {
 func TestCCManyComponentsStillTerminates(t *testing.T) {
 	// The internet-topology generator leaves many isolated vertices, so CC
 	// exercises the seed-scan path heavily.
-	out, err := Run(apps.FiferPipe, graph.In, graph.ScaleTiny, 3, false, nil)
+	out, err := Run(apps.FiferPipe, "In", 0, 3, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,9 @@ import (
 	"fifer/internal/ooo"
 )
 
-// CollectPipeCounts gathers the energy-model event counts from a completed
+// collectPipeCounts gathers the energy-model event counts from a completed
 // CGRA-system run.
-func CollectPipeCounts(sys *core.System, res core.Result) energy.Counts {
+func collectPipeCounts(sys *core.System, res core.Result) energy.Counts {
 	c := energy.Counts{
 		Cycles:   res.Cycles,
 		PEs:      sys.Cfg.PEs,
@@ -58,29 +58,8 @@ func LLCDivisor(scale int) int {
 	}
 }
 
-// ScaleLLC applies LLCDivisor to a CGRA system configuration.
-func ScaleLLC(cfg *core.Config, scale int) {
-	cfg.Hier.LLCBytes /= LLCDivisor(scale)
-}
-
-// NewOOOMachine builds an OOO machine whose LLC is scaled consistently with
-// the CGRA systems at this workload scale.
-func NewOOOMachine(cores, backingBytes, scale int) *ooo.Machine {
-	m := ooo.NewMachineLLCDiv(cores, backingBytes, LLCDivisor(scale))
-	return m
-}
-
-// FillOOO populates an outcome's OOO-specific fields from a finished run.
-func FillOOO(out *Outcome, m *ooo.Machine) {
-	total := m.Cycles()
-	for _, c := range m.Cores {
-		out.OOOIssued += c.IssuedCycles()
-		out.OOOIdle += total - c.Cycle()
-	}
-}
-
-// CollectOOOCounts gathers energy-model event counts from an OOO machine.
-func CollectOOOCounts(m *ooo.Machine) energy.Counts {
+// collectOOOCounts gathers energy-model event counts from an OOO machine.
+func collectOOOCounts(m *ooo.Machine) energy.Counts {
 	c := energy.Counts{
 		Cycles:   m.Cycles(),
 		Cores:    len(m.Cores),

@@ -32,7 +32,7 @@ func (p *Pipeline) pushScan(rep *replica, base mem.Addr, count int) {
 	}
 }
 
-// startFirstSearch seeds the initial work before Run.
+// startFirstSearch seeds the initial work before the system runs.
 func (p *Pipeline) startFirstSearch() {
 	p.started = true
 	switch p.Opts.Mode {
@@ -119,12 +119,6 @@ func (p *Pipeline) nextComponent() bool {
 		return true
 	}
 	return false
-}
-
-// Run seeds the first search and drives the system to completion.
-func (p *Pipeline) Run() (core.Result, error) {
-	p.startFirstSearch()
-	return p.Sys.Run(p)
 }
 
 // Labels copies the label array (distances or component ids) out of

@@ -7,6 +7,7 @@ import (
 	"fifer/internal/core"
 	"fifer/internal/graph"
 	"fifer/internal/mem"
+	"fifer/internal/ooo"
 )
 
 // backingFor sizes the simulated DRAM for a graph workload: CSR arrays,
@@ -17,92 +18,56 @@ func backingFor(g *graph.Graph) int {
 	return words*mem.WordBytes*2 + (1 << 20)
 }
 
-// RunApp executes one graph benchmark on one system and verifies the result
-// against the pure-Go reference.
-func RunApp(kind apps.SystemKind, mode Mode, g *graph.Graph, sources []int, scale int, merged bool, override func(*core.Config)) (apps.Outcome, error) {
-	out := apps.Outcome{Kind: kind}
-	switch kind {
-	case apps.SerialOOO, apps.MulticoreOOO:
-		cores := 1
-		if kind == apps.MulticoreOOO {
-			cores = 4
-		}
-		m := apps.NewOOOMachine(cores, backingFor(g), scale)
-		labels, radii := RunOOO(m, mode, g, sources)
-		out.Cycles = m.Cycles()
-		out.Counts = apps.CollectOOOCounts(m)
-		apps.FillOOO(&out, m)
-		ok, err := verify(mode, g, sources, labels, radii)
-		if err != nil {
-			return out, fmt.Errorf("%v %v: %w", kind, mode, err)
-		}
-		out.Verified = ok
-		return out, nil
-	case apps.StaticPipe, apps.FiferPipe:
-		cfg := core.DefaultConfig()
-		if kind == apps.StaticPipe {
-			cfg = core.StaticConfig()
-		}
-		cfg.BackingBytes = backingFor(g)
-		apps.ScaleLLC(&cfg, scale)
-		if override != nil {
-			override(&cfg)
-		}
-		sys, err := core.NewSystemChecked(cfg)
-		if err != nil {
-			return out, fmt.Errorf("%v %v: %w", kind, mode, err)
-		}
-		p := Build(sys, g, Options{Mode: mode, Merged: merged, Sources: sources})
-		res, err := p.Run()
-		if err != nil {
-			return out, fmt.Errorf("%v %v: %w", kind, mode, err)
-		}
-		if err := sys.CheckInvariants(); err != nil {
-			return out, fmt.Errorf("%v %v invariants: %w", kind, mode, err)
-		}
-		out.Cycles = res.Cycles
-		out.Pipe = res
-		out.Counts = apps.CollectPipeCounts(sys, res)
-		var radii []uint64
-		if mode == ModeRadii {
-			radii = p.Radii()
-		}
-		ok, err := verify(mode, g, sources, p.Labels(), radii)
-		if err != nil {
-			return out, fmt.Errorf("%v %v: %w", kind, mode, err)
-		}
-		out.Verified = ok
-		return out, nil
+// App is the graph benchmark mode on g, ready for apps.Run. sources holds
+// BFS's one source or Radii's sampled sources; CC ignores it. The output
+// is the label array, or the radii for Radii.
+func App(mode Mode, g *graph.Graph, sources []int) apps.App[[]uint64] {
+	return apps.App[[]uint64]{
+		Name:         mode.String(),
+		BackingBytes: backingFor(g),
+		OOO: func(m *ooo.Machine) []uint64 {
+			labels, radii := RunOOO(m, mode, g, sources)
+			if mode == ModeRadii {
+				return radii
+			}
+			return labels
+		},
+		Build: func(sys *core.System, merged bool) (core.Program, func() []uint64) {
+			p := Build(sys, g, Options{Mode: mode, Merged: merged, Sources: sources})
+			p.startFirstSearch()
+			if mode == ModeRadii {
+				return p, p.Radii
+			}
+			return p, p.Labels
+		},
+		Check: func(got []uint64) error { return verify(mode, g, sources, got) },
 	}
-	return out, fmt.Errorf("unknown system kind %v", kind)
 }
 
-// verify checks computed labels/radii against the reference algorithms.
-func verify(mode Mode, g *graph.Graph, sources []int, labels, radii []uint64) (bool, error) {
+// verify checks an output (labels, or radii for ModeRadii) against the
+// reference algorithms.
+func verify(mode Mode, g *graph.Graph, sources []int, got []uint64) error {
 	switch mode {
 	case ModeBFS:
-		want := graph.BFS(g, sources[0])
-		return compare("distance", labels, want)
+		return compare("distance", got, graph.BFS(g, sources[0]))
 	case ModeCC:
-		want := graph.CC(g)
-		return compare("component", labels, want)
+		return compare("component", got, graph.CC(g))
 	case ModeRadii:
-		want := graph.Radii(g, sources)
-		return compare("radius", radii, want)
+		return compare("radius", got, graph.Radii(g, sources))
 	}
-	return false, fmt.Errorf("unknown mode %v", mode)
+	return fmt.Errorf("unknown mode %v", mode)
 }
 
-func compare(what string, got, want []uint64) (bool, error) {
+func compare(what string, got, want []uint64) error {
 	if len(got) != len(want) {
-		return false, fmt.Errorf("%s array length %d, want %d", what, len(got), len(want))
+		return fmt.Errorf("%s array length %d, want %d", what, len(got), len(want))
 	}
 	for v := range want {
 		if got[v] != want[v] {
-			return false, fmt.Errorf("vertex %d: %s %d, want %d", v, what, got[v], want[v])
+			return fmt.Errorf("vertex %d: %s %d, want %d", v, what, got[v], want[v])
 		}
 	}
-	return true, nil
+	return nil
 }
 
 // DefaultSource returns the deterministic BFS source: the highest-degree

@@ -17,8 +17,7 @@ import (
 const Name = "PRD"
 
 // Run executes PageRank-Delta on the chosen system and input.
-func Run(kind apps.SystemKind, input graph.Input, scale graph.Scale, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
-	g := graph.Generate(input, scale, seed)
-	cfg := graph.DefaultPRD()
-	return runApp(kind, g, cfg, int(scale), merged, override)
+func Run(kind apps.SystemKind, input string, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
+	g := graph.Generate(graph.Input(input), graph.Scale(scale), seed)
+	return apps.Run(kind, scale, merged, override, app(g, graph.DefaultPRD(), scale))
 }

@@ -28,7 +28,7 @@ func TestPRDAllSystemsMatchReference(t *testing.T) {
 	cfg := graph.DefaultPRD()
 	for _, kind := range apps.Kinds {
 		ov := small
-		out, err := runApp(kind, g, cfg, 2, false, ov)
+		out, err := apps.Run(kind, 2, false, ov, app(g, cfg, 2))
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -42,7 +42,7 @@ func TestPRDMergedMatchesReference(t *testing.T) {
 	g := testGraph()
 	cfg := graph.DefaultPRD()
 	for _, kind := range []apps.SystemKind{apps.StaticPipe, apps.FiferPipe} {
-		out, err := runApp(kind, g, cfg, 2, true, smallMerged)
+		out, err := apps.Run(kind, 2, true, smallMerged, app(g, cfg, 2))
 		if err != nil {
 			t.Fatalf("%v merged: %v", kind, err)
 		}

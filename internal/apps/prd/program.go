@@ -71,11 +71,6 @@ func (p *pipeline) Quiesced(sys *core.System) bool {
 	return true
 }
 
-func (p *pipeline) run() (core.Result, error) {
-	p.start()
-	return p.sys.Run(p)
-}
-
 // ranks copies the Q32.32 rank array out of simulated memory.
 func (p *pipeline) ranks() []uint64 {
 	out := make([]uint64, p.g.NumVertices())

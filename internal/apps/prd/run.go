@@ -7,6 +7,7 @@ import (
 	"fifer/internal/core"
 	"fifer/internal/graph"
 	"fifer/internal/mem"
+	"fifer/internal/ooo"
 )
 
 func backingFor(g *graph.Graph) int {
@@ -15,54 +16,33 @@ func backingFor(g *graph.Graph) int {
 	return words*mem.WordBytes*2 + (1 << 20)
 }
 
-func runApp(kind apps.SystemKind, g *graph.Graph, cfg graph.PRDConfig, scale int, merged bool, override func(*core.Config)) (apps.Outcome, error) {
-	out := apps.Outcome{Kind: kind}
-	want := graph.PRD(g, cfg)
-	var got []uint64
-	switch kind {
-	case apps.SerialOOO, apps.MulticoreOOO:
-		cores := 1
-		if kind == apps.MulticoreOOO {
-			cores = 4
-		}
-		m := apps.NewOOOMachine(cores, backingFor(g), scale)
-		got = runOOO(m, g, cfg)
-		out.Cycles = m.Cycles()
-		out.Counts = apps.CollectOOOCounts(m)
-		apps.FillOOO(&out, m)
-	case apps.StaticPipe, apps.FiferPipe:
-		ccfg := core.DefaultConfig()
-		if kind == apps.StaticPipe {
-			ccfg = core.StaticConfig()
-		}
-		ccfg.BackingBytes = backingFor(g)
-		if override != nil {
-			override(&ccfg)
-		}
-		sys, err := core.NewSystemChecked(ccfg)
-		if err != nil {
-			return out, fmt.Errorf("%v prd: %w", kind, err)
-		}
-		p := build(sys, g, cfg, merged)
-		res, err := p.run()
-		if err != nil {
-			return out, fmt.Errorf("%v prd: %w", kind, err)
-		}
-		if err := sys.CheckInvariants(); err != nil {
-			return out, fmt.Errorf("%v prd invariants: %w", kind, err)
-		}
-		out.Cycles = res.Cycles
-		out.Pipe = res
-		out.Counts = apps.CollectPipeCounts(sys, res)
-		got = p.ranks()
-	default:
-		return out, fmt.Errorf("unknown system kind %v", kind)
+// app is PageRank-Delta on g at the given workload scale, ready for
+// apps.Run. Its output is the Q32.32 rank array.
+func app(g *graph.Graph, cfg graph.PRDConfig, scale int) apps.App[[]uint64] {
+	return apps.App[[]uint64]{
+		Name:         "prd",
+		BackingBytes: backingFor(g),
+		// Known gap 5 (EXPERIMENTS.md): PRD's static and Fifer systems
+		// have always run with the full-size LLC, while its OOO baselines
+		// and every other app get the scaled one. This undoes apps.Run's
+		// scaling so the committed results stay put. Deleting it is the fix;
+		// that moves PRD's cycles at scale 1 and above and every PRD CGRA
+		// digest, which records the LLC size.
+		Tweak: func(c *core.Config) { c.Hier.LLCBytes *= apps.LLCDivisor(scale) },
+		OOO:   func(m *ooo.Machine) []uint64 { return runOOO(m, g, cfg) },
+		Build: func(sys *core.System, merged bool) (core.Program, func() []uint64) {
+			p := build(sys, g, cfg, merged)
+			p.start()
+			return p, p.ranks
+		},
+		Check: func(got []uint64) error {
+			want := graph.PRD(g, cfg)
+			for v := range want {
+				if got[v] != want[v] {
+					return fmt.Errorf("vertex %d rank %d, want %d", v, got[v], want[v])
+				}
+			}
+			return nil
+		},
 	}
-	for v := range want {
-		if got[v] != want[v] {
-			return out, fmt.Errorf("%v prd: vertex %d rank %d, want %d", kind, v, got[v], want[v])
-		}
-	}
-	out.Verified = true
-	return out, nil
 }

@@ -19,8 +19,8 @@ const Name = "Radii"
 const Samples = 4
 
 // Run executes Radii on the chosen system and input.
-func Run(kind apps.SystemKind, input graph.Input, scale graph.Scale, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
-	g := graph.Generate(input, scale, seed)
+func Run(kind apps.SystemKind, input string, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
+	g := graph.Generate(graph.Input(input), graph.Scale(scale), seed)
 	sources := graph.SampleSources(g, Samples, sim.NewRand(seed^0x4add1))
-	return graphpipe.RunApp(kind, graphpipe.ModeRadii, g, sources, int(scale), merged, override)
+	return apps.Run(kind, scale, merged, override, graphpipe.App(graphpipe.ModeRadii, g, sources))
 }

@@ -4,12 +4,11 @@ import (
 	"testing"
 
 	"fifer/internal/apps"
-	"fifer/internal/graph"
 )
 
 func TestRadiiAllSystemsVerified(t *testing.T) {
 	for _, kind := range apps.Kinds {
-		out, err := Run(kind, graph.Hu, graph.ScaleTiny, 1, false, nil)
+		out, err := Run(kind, "Hu", 0, 1, false, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -22,11 +21,11 @@ func TestRadiiAllSystemsVerified(t *testing.T) {
 func TestRadiiSameSourcesAcrossSystems(t *testing.T) {
 	// All systems must sample identical sources for the comparison to be
 	// apples-to-apples: same seed ⇒ deterministic outcome per system.
-	a, err := Run(apps.SerialOOO, graph.Dy, graph.ScaleTiny, 9, false, nil)
+	a, err := Run(apps.SerialOOO, "Dy", 0, 9, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(apps.SerialOOO, graph.Dy, graph.ScaleTiny, 9, false, nil)
+	b, err := Run(apps.SerialOOO, "Dy", 0, 9, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +35,7 @@ func TestRadiiSameSourcesAcrossSystems(t *testing.T) {
 }
 
 func TestRadiiMergedVerified(t *testing.T) {
-	out, err := Run(apps.StaticPipe, graph.Hu, graph.ScaleTiny, 4, true, nil)
+	out, err := Run(apps.StaticPipe, "Hu", 0, 4, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,66 +17,29 @@ func backingFor(ds Dataset) int {
 	return nodes*btree.NodeBytes + len(ds.Lookups)*2*mem.WordBytes + (8 << 20)
 }
 
-func runApp(kind apps.SystemKind, ds Dataset, scale int, merged bool, override func(*core.Config)) (apps.Outcome, error) {
-	out := apps.Outcome{Kind: kind}
-	var got []uint64 // results in global lookup order
-	switch kind {
-	case apps.SerialOOO, apps.MulticoreOOO:
-		cores := 1
-		if kind == apps.MulticoreOOO {
-			cores = 4
-		}
-		m := apps.NewOOOMachine(cores, backingFor(ds), scale)
-		got = runOOO(m, ds)
-		out.Cycles = m.Cycles()
-		out.Counts = apps.CollectOOOCounts(m)
-		apps.FillOOO(&out, m)
-		tree, err := btree.Build(mem.NewBacking(backingFor(ds)), ds.Keys, ds.Values)
-		if err != nil {
-			return out, err
-		}
-		want := refLookups(tree, ds.Lookups)
-		if err := compare(got, want); err != nil {
-			return out, fmt.Errorf("%v silo: %w", kind, err)
-		}
-	case apps.StaticPipe, apps.FiferPipe:
-		cfg := core.DefaultConfig()
-		if kind == apps.StaticPipe {
-			cfg = core.StaticConfig()
-		}
+// lookups is Silo's output: the value found for each lookup, in global
+// lookup order, and the tree the run searched, whose Go-side Lookup is
+// the reference.
+type lookups struct {
+	tree   *btree.Tree
+	values []uint64
+}
+
+// app is Silo over ds, ready for apps.Run.
+func app(ds Dataset) apps.App[lookups] {
+	return apps.App[lookups]{
+		Name:         "silo",
+		BackingBytes: backingFor(ds),
 		// Sec. 7.2: Silo's queue memory is scaled down 4× to fit the LLC.
-		cfg.QueueMemBytes /= 4
-		cfg.BackingBytes = backingFor(ds)
-		apps.ScaleLLC(&cfg, scale)
-		if override != nil {
-			override(&cfg)
-		}
-		sys, err := core.NewSystemChecked(cfg)
-		if err != nil {
-			return out, fmt.Errorf("%v silo: %w", kind, err)
-		}
-		p := build(sys, ds, merged)
-		p.startScans()
-		res, err := sys.Run(core.ProgramFunc(func(*core.System) bool { return false }))
-		if err != nil {
-			return out, fmt.Errorf("%v silo: %w", kind, err)
-		}
-		if err := sys.CheckInvariants(); err != nil {
-			return out, fmt.Errorf("%v silo invariants: %w", kind, err)
-		}
-		out.Cycles = res.Cycles
-		out.Pipe = res
-		out.Counts = apps.CollectPipeCounts(sys, res)
-		got = p.extract(len(ds.Lookups))
-		want := refLookups(p.tree, ds.Lookups)
-		if err := compare(got, want); err != nil {
-			return out, fmt.Errorf("%v silo: %w", kind, err)
-		}
-	default:
-		return out, fmt.Errorf("unknown system kind %v", kind)
+		Tweak: func(cfg *core.Config) { cfg.QueueMemBytes /= 4 },
+		OOO:   func(m *ooo.Machine) lookups { return runOOO(m, ds) },
+		Build: func(sys *core.System, merged bool) (core.Program, func() lookups) {
+			p := build(sys, ds, merged)
+			p.startScans()
+			return apps.Halt, func() lookups { return lookups{p.tree, p.extract(len(ds.Lookups))} }
+		},
+		Check: func(r lookups) error { return compare(r.values, refLookups(r.tree, ds.Lookups)) },
 	}
-	out.Verified = true
-	return out, nil
 }
 
 func compare(got, want []uint64) error {
@@ -116,7 +79,7 @@ func (p *pipeline) extract(total int) []uint64 {
 }
 
 // runOOO executes the lookups through the OOO model, striping across cores.
-func runOOO(m *ooo.Machine, ds Dataset) []uint64 {
+func runOOO(m *ooo.Machine, ds Dataset) lookups {
 	tree, err := btree.Build(m.Backing, ds.Keys, ds.Values)
 	if err != nil {
 		panic(err)
@@ -160,7 +123,7 @@ func runOOO(m *ooo.Machine, ds Dataset) []uint64 {
 		}
 	}
 	m.Barrier()
-	return out
+	return lookups{tree, out}
 }
 
 // --- Stage dataflow graphs -------------------------------------------------

@@ -61,10 +61,10 @@ func GenerateDataset(scale int, seed uint64) Dataset {
 	return d
 }
 
-// Run executes Silo on the chosen system at the given scale.
-func Run(kind apps.SystemKind, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
-	ds := GenerateDataset(scale, seed)
-	return runApp(kind, ds, scale, merged, override)
+// Run executes Silo on the chosen system at the given scale. Its one input
+// is YCSB-C, so input is ignored.
+func Run(kind apps.SystemKind, _ string, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
+	return apps.Run(kind, scale, merged, override, app(GenerateDataset(scale, seed)))
 }
 
 // refLookups computes the expected lookup results (value, found-flag packed

@@ -21,7 +21,7 @@ func tinyDataset() Dataset {
 func TestSiloAllSystemsMatchReference(t *testing.T) {
 	ds := tinyDataset()
 	for _, kind := range apps.Kinds {
-		out, err := runApp(kind, ds, 2, false, small)
+		out, err := apps.Run(kind, 2, false, small, app(ds))
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -34,7 +34,7 @@ func TestSiloAllSystemsMatchReference(t *testing.T) {
 func TestSiloMergedMatchesReference(t *testing.T) {
 	ds := tinyDataset()
 	for _, kind := range []apps.SystemKind{apps.StaticPipe, apps.FiferPipe} {
-		out, err := runApp(kind, ds, 2, true, small)
+		out, err := apps.Run(kind, 2, true, small, app(ds))
 		if err != nil {
 			t.Fatalf("%v merged: %v", kind, err)
 		}
@@ -50,7 +50,7 @@ func TestSiloMissingKeysReported(t *testing.T) {
 	for i := 0; i < len(ds.Lookups); i += 7 {
 		ds.Lookups[i] = ds.Lookups[i] ^ 0x1
 	}
-	out, err := runApp(apps.FiferPipe, ds, 2, false, small)
+	out, err := apps.Run(apps.FiferPipe, 2, false, small, app(ds))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,59 +16,28 @@ func backingFor(a *sparse.CSR, rows, cols []int) int {
 	return words*mem.WordBytes*2 + (1 << 20)
 }
 
-func runApp(kind apps.SystemKind, a *sparse.CSR, b *sparse.CSC, rows, cols []int, scale int, merged bool, override func(*core.Config)) (apps.Outcome, error) {
-	out := apps.Outcome{Kind: kind}
-	want := sparse.SpMM(a, b, rows, cols)
-	var got [][]float64
-	switch kind {
-	case apps.SerialOOO, apps.MulticoreOOO:
-		cores := 1
-		if kind == apps.MulticoreOOO {
-			cores = 4
-		}
-		m := apps.NewOOOMachine(cores, backingFor(a, rows, cols), scale)
-		got = runOOO(m, a, b, rows, cols)
-		out.Cycles = m.Cycles()
-		out.Counts = apps.CollectOOOCounts(m)
-		apps.FillOOO(&out, m)
-	case apps.StaticPipe, apps.FiferPipe:
-		cfg := core.DefaultConfig()
-		if kind == apps.StaticPipe {
-			cfg = core.StaticConfig()
-		}
-		cfg.BackingBytes = backingFor(a, rows, cols)
-		apps.ScaleLLC(&cfg, scale)
-		if override != nil {
-			override(&cfg)
-		}
-		sys, err := core.NewSystemChecked(cfg)
-		if err != nil {
-			return out, fmt.Errorf("%v spmm: %w", kind, err)
-		}
-		p := build(sys, a, b, rows, cols, merged)
-		res, err := sys.Run(core.ProgramFunc(func(*core.System) bool { return false }))
-		if err != nil {
-			return out, fmt.Errorf("%v spmm: %w", kind, err)
-		}
-		if err := sys.CheckInvariants(); err != nil {
-			return out, fmt.Errorf("%v spmm invariants: %w", kind, err)
-		}
-		out.Cycles = res.Cycles
-		out.Pipe = res
-		out.Counts = apps.CollectPipeCounts(sys, res)
-		got = p.extract()
-	default:
-		return out, fmt.Errorf("unknown system kind %v", kind)
-	}
-	for i := range want {
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				return out, fmt.Errorf("%v spmm: C[%d][%d] = %g, want %g", kind, i, j, got[i][j], want[i][j])
+// app is SpMM over the sampled rows of a and columns of b, ready for
+// apps.Run. Its output is the sampled block of C.
+func app(a *sparse.CSR, b *sparse.CSC, rows, cols []int) apps.App[[][]float64] {
+	return apps.App[[][]float64]{
+		Name:         "spmm",
+		BackingBytes: backingFor(a, rows, cols),
+		OOO:          func(m *ooo.Machine) [][]float64 { return runOOO(m, a, b, rows, cols) },
+		Build: func(sys *core.System, merged bool) (core.Program, func() [][]float64) {
+			return apps.Halt, build(sys, a, b, rows, cols, merged).extract
+		},
+		Check: func(got [][]float64) error {
+			want := sparse.SpMM(a, b, rows, cols)
+			for i := range want {
+				for j := range want[i] {
+					if got[i][j] != want[i][j] {
+						return fmt.Errorf("C[%d][%d] = %g, want %g", i, j, got[i][j], want[i][j])
+					}
+				}
 			}
-		}
+			return nil
+		},
 	}
-	out.Verified = true
-	return out, nil
 }
 
 // extract reads the computed output blocks back out of simulated memory,

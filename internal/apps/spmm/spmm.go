@@ -46,9 +46,9 @@ func sampleFor(m *sparse.CSR, scale int) (rows, cols []int) {
 
 // Run executes SpMM (C = A·A with A in CSR and CSC forms) on the chosen
 // system and input.
-func Run(kind apps.SystemKind, input sparse.Input, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
-	a := sparse.Generate(input, scale, seed)
+func Run(kind apps.SystemKind, input string, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
+	a := sparse.Generate(sparse.Input(input), scale, seed)
 	b := sparse.Transpose(a)
 	rows, cols := sampleFor(a, scale)
-	return runApp(kind, a, b, rows, cols, scale, merged, override)
+	return apps.Run(kind, scale, merged, override, app(a, b, rows, cols))
 }

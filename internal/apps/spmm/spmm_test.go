@@ -18,7 +18,7 @@ func TestSpMMAllSystemsMatchReference(t *testing.T) {
 	b := sparse.Transpose(a)
 	rows, cols := sampleFor(a, 0)
 	for _, kind := range apps.Kinds {
-		out, err := runApp(kind, a, b, rows[:16], cols[:16], 2, false, small)
+		out, err := apps.Run(kind, 2, false, small, app(a, b, rows[:16], cols[:16]))
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -33,7 +33,7 @@ func TestSpMMMergedMatchesReference(t *testing.T) {
 	b := sparse.Transpose(a)
 	rows, cols := sampleFor(a, 0)
 	for _, kind := range []apps.SystemKind{apps.StaticPipe, apps.FiferPipe} {
-		out, err := runApp(kind, a, b, rows[:16], cols[:16], 2, true, small)
+		out, err := apps.Run(kind, 2, true, small, app(a, b, rows[:16], cols[:16]))
 		if err != nil {
 			t.Fatalf("%v merged: %v", kind, err)
 		}

@@ -8,6 +8,7 @@ package bench
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"fifer/internal/apps"
@@ -88,27 +89,63 @@ type Options struct {
 // DefaultOptions returns the standard harness configuration.
 func DefaultOptions() Options { return Options{Scale: 1, Seed: 1} }
 
+// appEntry is one row of the app table: an application's name, its input
+// labels (Table 3/4 names) and its Run.
+type appEntry struct {
+	name   string
+	inputs []string
+	run    func(kind apps.SystemKind, input string, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error)
+}
+
+// appTable lists the six benchmarks in the paper's order. It is the only
+// place the harness knows which apps exist.
+var appTable = []appEntry{
+	{bfs.Name, graphInputs, bfs.Run},
+	{cc.Name, graphInputs, cc.Run},
+	{prd.Name, graphInputs, prd.Run},
+	{radii.Name, graphInputs, radii.Run},
+	{spmm.Name, labels(sparse.Inputs), spmm.Run},
+	{silo.Name, []string{"YCSB-C"}, silo.Run},
+}
+
+var graphInputs = labels(graph.Inputs)
+
+func labels[S ~string](inputs []S) []string {
+	out := make([]string, len(inputs))
+	for i, in := range inputs {
+		out[i] = string(in)
+	}
+	return out
+}
+
 // AppNames lists the six benchmarks in the paper's order.
-var AppNames = []string{bfs.Name, cc.Name, prd.Name, radii.Name, spmm.Name, silo.Name}
+var AppNames = func() []string {
+	names := make([]string, len(appTable))
+	for i, a := range appTable {
+		names[i] = a.name
+	}
+	return names
+}()
+
+// lookupApp returns app's table entry.
+func lookupApp(app string) (appEntry, bool) {
+	for _, a := range appTable {
+		if a.name == app {
+			return a, true
+		}
+	}
+	return appEntry{}, false
+}
 
 // InputsOf returns the input labels of an application (Table 3/4 names).
+// An unknown app gets the graph inputs, so a sweep over it still schedules
+// jobs, and each of them fails as an unknown app.
 func InputsOf(app string) []string {
-	switch app {
-	case spmm.Name:
-		out := make([]string, len(sparse.Inputs))
-		for i, in := range sparse.Inputs {
-			out[i] = string(in)
-		}
-		return out
-	case silo.Name:
-		return []string{"YCSB-C"}
-	default:
-		out := make([]string, len(graph.Inputs))
-		for i, in := range graph.Inputs {
-			out[i] = string(in)
-		}
-		return out
+	a, ok := lookupApp(app)
+	if !ok {
+		return slices.Clone(graphInputs)
 	}
+	return slices.Clone(a.inputs)
 }
 
 // selected returns the apps chosen by opt.
@@ -136,6 +173,12 @@ var ErrCycleBudget = errors.New("bench: simulation cycle budget exhausted (raise
 // callers can intentionally raise (or lower) the budget. If the budget is
 // exhausted the returned error wraps ErrCycleBudget.
 func RunOne(app, input string, kind apps.SystemKind, merged bool, opt Options, override func(*core.Config)) (apps.Outcome, error) {
+	return Job{App: app, Input: input, Kind: kind, Merged: merged, Override: override}.run(opt, "")
+}
+
+// run executes the job as RunOne describes. A traced run files its
+// collector in opt.Trace under the job's traceKey in sweep.
+func (j Job) run(opt Options, sweep string) (apps.Outcome, error) {
 	var col *trace.Collector
 	if opt.Trace != nil {
 		n := opt.Trace.BufEvents
@@ -144,8 +187,7 @@ func RunOne(app, input string, kind apps.SystemKind, merged bool, opt Options, o
 		}
 		col = trace.NewCollector(n)
 	}
-	user := override
-	override = func(cfg *core.Config) {
+	override := func(cfg *core.Config) {
 		cfg.MaxCycles = HarnessMaxCycles
 		if opt.MaxCycles > 0 {
 			cfg.MaxCycles = opt.MaxCycles
@@ -167,16 +209,20 @@ func RunOne(app, input string, kind apps.SystemKind, merged bool, opt Options, o
 		if opt.NoFastForward {
 			cfg.NoFastForward = true
 		}
-		if user != nil {
-			user(cfg)
+		if j.Override != nil {
+			j.Override(cfg)
 		}
 	}
-	out, err := runApp(app, input, kind, merged, opt, override)
+	a, ok := lookupApp(j.App)
+	if !ok {
+		return apps.Outcome{}, fmt.Errorf("bench: unknown app %q", j.App)
+	}
+	out, err := a.run(j.Kind, j.Input, opt.Scale, opt.Seed, j.Merged, override)
 	if col != nil {
-		opt.Trace.add(jobKey(app, input, kind, merged), col)
+		opt.Trace.add(j.traceKey(sweep), col)
 	}
 	if err != nil && errors.Is(err, core.ErrMaxCycles) {
-		err = fmt.Errorf("%w: %s/%s on %v: %w", ErrCycleBudget, app, input, kind, err)
+		err = fmt.Errorf("%w: %s: %w", ErrCycleBudget, j.Key(), err)
 	}
 	return out, err
 }
@@ -188,23 +234,4 @@ func cyclesKnob(v int64) uint64 {
 		return 0
 	}
 	return uint64(v)
-}
-
-// runApp dispatches to the application packages.
-func runApp(app, input string, kind apps.SystemKind, merged bool, opt Options, override func(*core.Config)) (apps.Outcome, error) {
-	switch app {
-	case bfs.Name:
-		return bfs.Run(kind, graph.Input(input), graph.Scale(opt.Scale), opt.Seed, merged, override)
-	case cc.Name:
-		return cc.Run(kind, graph.Input(input), graph.Scale(opt.Scale), opt.Seed, merged, override)
-	case prd.Name:
-		return prd.Run(kind, graph.Input(input), graph.Scale(opt.Scale), opt.Seed, merged, override)
-	case radii.Name:
-		return radii.Run(kind, graph.Input(input), graph.Scale(opt.Scale), opt.Seed, merged, override)
-	case spmm.Name:
-		return spmm.Run(kind, sparse.Input(input), opt.Scale, opt.Seed, merged, override)
-	case silo.Name:
-		return silo.Run(kind, opt.Scale, opt.Seed, merged, override)
-	}
-	return apps.Outcome{}, fmt.Errorf("bench: unknown app %q", app)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fifer/internal/apps"
+	"fifer/internal/trace"
 )
 
 // TestParallelMatchesSerial is the determinism guarantee's pin: for every
@@ -78,14 +79,14 @@ func TestTracingDoesNotPerturb(t *testing.T) {
 	for i, j := range jobs {
 		for _, r := range []JobResult{plain[i], serialTraced[i], parallelTraced[i]} {
 			if r.Err != nil {
-				t.Fatalf("%s: %v", j.key(), r.Err)
+				t.Fatalf("%s: %v", j.Key(), r.Err)
 			}
 		}
 		if !reflect.DeepEqual(plain[i].Outcome, serialTraced[i].Outcome) {
-			t.Errorf("%s: traced serial outcome differs from untraced", j.key())
+			t.Errorf("%s: traced serial outcome differs from untraced", j.Key())
 		}
 		if !reflect.DeepEqual(plain[i].Outcome, parallelTraced[i].Outcome) {
-			t.Errorf("%s: traced parallel outcome differs from untraced", j.key())
+			t.Errorf("%s: traced parallel outcome differs from untraced", j.Key())
 		}
 	}
 	for _, sink := range []*TraceSink{sinkSerial, sinkParallel} {
@@ -99,6 +100,70 @@ func TestTracingDoesNotPerturb(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTracingKeepsEveryJob covers the sweeps whose jobs differ only in
+// their override: Fig. 16's queue sizes and double buffering, and
+// zero-cost reconfiguration. Traced into one sink, they must leave one
+// traced job per CGRA job, and the trace and metrics exports must be
+// byte-identical at -j 1 and -j 2.
+func TestTracingKeepsEveryJob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two Fig. 16 sweeps")
+	}
+	export := func(workers int) (traceJSON, metrics string, jobs int) {
+		opt := Options{Scale: 0, Seed: 1, Apps: []string{"BFS"}, Jobs: workers,
+			Trace: &TraceSink{SampleCycles: 1024, BufEvents: 1 << 10}}
+		if _, err := Fig16(opt); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ZeroCost(opt); err != nil {
+			t.Fatal(err)
+		}
+		var tb, mb strings.Builder
+		if err := opt.Trace.WriteTrace(&tb); err != nil {
+			t.Fatal(err)
+		}
+		if err := opt.Trace.WriteMetricsJSONL(&mb); err != nil {
+			t.Fatal(err)
+		}
+		return tb.String(), mb.String(), len(opt.Trace.Jobs())
+	}
+	inputs := len(InputsOf("BFS"))
+	want := inputs*(1+2*len(Fig16Factors)) + inputs*2 // every job is a CGRA job
+	serialTrace, serialMetrics, serialJobs := export(1)
+	parallelTrace, parallelMetrics, parallelJobs := export(2)
+	if serialJobs != want || parallelJobs != want {
+		t.Fatalf("traced %d job(s) at -j 1 and %d at -j 2, want %d", serialJobs, parallelJobs, want)
+	}
+	if serialTrace != parallelTrace {
+		t.Error("trace export differs between -j 1 and -j 2")
+	}
+	if serialMetrics != parallelMetrics {
+		t.Error("metrics export differs between -j 1 and -j 2")
+	}
+}
+
+// TestTraceSinkRejectsDuplicateKey pins that a second job under a key the
+// sink already holds panics instead of replacing the first job's trace.
+func TestTraceSinkRejectsDuplicateKey(t *testing.T) {
+	sink := NewTraceSink(0)
+	traced := func() *trace.Collector {
+		col := trace.NewCollector(4)
+		col.Emit(trace.Event{Name: "s"})
+		return col
+	}
+	sink.add("fig16 BFS/Hu fifer-16pe", traced())
+	sink.add("fig16 BFS/Hu fifer-16pe qmem=1x", traced())
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a repeated trace key was accepted")
+		}
+		if n := len(sink.Jobs()); n != 2 {
+			t.Fatalf("sink holds %d job(s) after the rejected add, want 2", n)
+		}
+	}()
+	sink.add("fig16 BFS/Hu fifer-16pe", traced())
 }
 
 // TestGoldenFig13WithTracing re-renders the Fig. 13 golden with a TraceSink

@@ -72,14 +72,14 @@ func TestFastForwardMatchesOracleApps(t *testing.T) {
 			oracle, oracleSink := run(true, tc.traced, tc.workers)
 			for i, j := range jobs {
 				if fast[i].Err != nil {
-					t.Fatalf("%s fast-forward: %v", j.key(), fast[i].Err)
+					t.Fatalf("%s fast-forward: %v", j.Key(), fast[i].Err)
 				}
 				if oracle[i].Err != nil {
-					t.Fatalf("%s oracle: %v", j.key(), oracle[i].Err)
+					t.Fatalf("%s oracle: %v", j.Key(), oracle[i].Err)
 				}
 				if !reflect.DeepEqual(fast[i].Outcome, oracle[i].Outcome) {
 					t.Errorf("%s: fast-forward outcome differs from naive loop\nfast:   %+v\noracle: %+v",
-						j.key(), fast[i].Outcome, oracle[i].Outcome)
+						j.Key(), fast[i].Outcome, oracle[i].Outcome)
 				}
 			}
 			if !tc.traced {
@@ -253,42 +253,42 @@ func TestKernelStatsApps(t *testing.T) {
 				cfg.Metrics = col
 			})
 			if err != nil {
-				t.Fatalf("%s oracle=%v: %v", j.key(), oracle, err)
+				t.Fatalf("%s oracle=%v: %v", j.Key(), oracle, err)
 			}
 			k := col.Kernel()
 			total := uint64(k.PEs) * k.Cycles
 			switch {
 			case k.Cycles != out.Cycles || k.PEs != len(out.Pipe.Stacks):
 				t.Errorf("%s oracle=%v: counters cover %d PEs × %d cycles, run had %d × %d",
-					j.key(), oracle, k.PEs, k.Cycles, len(out.Pipe.Stacks), out.Cycles)
+					j.Key(), oracle, k.PEs, k.Cycles, len(out.Pipe.Stacks), out.Cycles)
 			case k.Ticks > total || k.Jumped > k.Cycles:
 				t.Errorf("%s oracle=%v: %d ticks and %d jumped cycles in %d PE-cycles",
-					j.key(), oracle, k.Ticks, k.Jumped, total)
+					j.Key(), oracle, k.Ticks, k.Jumped, total)
 			case oracle && (k.Parked() != 0 || k.Jumped != 0 || k.CatchUps != 0):
 				t.Errorf("%s oracle: parked %d, jumped %d, caught up %d; want all zero",
-					j.key(), k.Parked(), k.Jumped, k.CatchUps)
+					j.Key(), k.Parked(), k.Jumped, k.CatchUps)
 			case !oracle && (k.Parked() == 0 || k.CatchUps == 0):
 				t.Errorf("%s: parked %d PE-cycles with %d catch-ups; want both positive",
-					j.key(), k.Parked(), k.CatchUps)
+					j.Key(), k.Parked(), k.CatchUps)
 			case !oracle && j.App == silo.Name && k.ExecutedShare() >= siloShareCap:
 				t.Errorf("%s: executed %.1f%% of PE-cycles, want below %.0f%%",
-					j.key(), 100*k.ExecutedShare(), 100*siloShareCap)
+					j.Key(), 100*k.ExecutedShare(), 100*siloShareCap)
 			}
 			if oracle {
 				continue
 			}
 			t.Logf("%s: ticked %.1f%% of %d PE-cycles, jumped %d cycles, %d catch-ups",
-				j.key(), 100*k.ExecutedShare(), total, k.Jumped, k.CatchUps)
+				j.Key(), 100*k.ExecutedShare(), total, k.Jumped, k.CatchUps)
 			sink := NewTraceSink(0)
 			opt.Trace = sink
 			if _, err := RunOne(j.App, j.Input, j.Kind, false, opt, nil); err != nil {
-				t.Fatalf("%s traced: %v", j.key(), err)
+				t.Fatalf("%s traced: %v", j.Key(), err)
 			}
 			traced := sink.Jobs()
-			if len(traced) != 1 || traced[0].Key != j.key() {
-				t.Errorf("%s: trace sink holds %d job(s), want this one alone", j.key(), len(traced))
+			if len(traced) != 1 || traced[0].Key != j.Key() {
+				t.Errorf("%s: trace sink holds %d job(s), want this one alone", j.Key(), len(traced))
 			} else if got := traced[0].Collector.Kernel(); got != k {
-				t.Errorf("%s: trace sink reports kernel counters %+v, direct collector %+v", j.key(), got, k)
+				t.Errorf("%s: trace sink reports kernel counters %+v, direct collector %+v", j.Key(), got, k)
 			}
 		}
 	}

@@ -48,7 +48,11 @@ func Fig16(opt Options) ([]Fig16Point, error) {
 			for _, double := range []bool{true, false} {
 				for _, input := range InputsOf(app) {
 					f, d := factor, double
-					jobs = append(jobs, Job{App: app, Input: input, Kind: apps.FiferPipe,
+					variant := fmt.Sprintf("qmem=%gx", f)
+					if !d {
+						variant += " no-dbuf"
+					}
+					jobs = append(jobs, Job{App: app, Input: input, Kind: apps.FiferPipe, Variant: variant,
 						Override: func(cfg *core.Config) {
 							*cfg = cfg.WithQueueScale(f)
 							cfg.DoubleBuffered = d
@@ -173,7 +177,7 @@ func ZeroCost(opt Options) (ZeroCostResult, error) {
 	for _, app := range opt.selected() {
 		for _, input := range InputsOf(app) {
 			jobs = append(jobs, Job{App: app, Input: input, Kind: apps.FiferPipe})
-			jobs = append(jobs, Job{App: app, Input: input, Kind: apps.FiferPipe,
+			jobs = append(jobs, Job{App: app, Input: input, Kind: apps.FiferPipe, Variant: "zero-cost",
 				Override: func(cfg *core.Config) { cfg.ZeroCostReconfig = true }})
 		}
 	}

@@ -12,24 +12,43 @@ import (
 	"fifer/internal/core"
 )
 
-// Job describes one simulation: the same tuple RunOne accepts. Experiment
-// drivers enumerate their full job list up front and hand it to a Runner,
-// so the (app × input × system) sweeps that dominate regeneration time can
-// fan out across cores.
+// Job describes one simulation: the same tuple RunOne accepts, plus the
+// label of the configuration variant its Override sets. Experiment drivers
+// enumerate their full job list up front and hand it to a Runner, so the
+// (app × input × system) sweeps that dominate regeneration time can fan
+// out across cores.
 type Job struct {
 	App, Input string
 	Kind       apps.SystemKind
 	Merged     bool
-	Override   func(*core.Config)
+	// Variant names what Override changes ("qmem=0.25x", "zero-cost"), so
+	// jobs that differ only in their override stay apart in error and
+	// progress text and in a TraceSink. Empty for the default config.
+	Variant  string
+	Override func(*core.Config)
 }
 
-// key renders the job's identity for error messages.
-func (j Job) key() string {
-	s := fmt.Sprintf("%s/%s %v", j.App, j.Input, j.Kind)
+// Key renders the job's identity, as errors, progress lines and trace keys
+// show it: "BFS/Hu fifer-16pe", then "merged" and the variant if set.
+func (j Job) Key() string {
+	s := j.App + "/" + j.Input + " " + j.Kind.String()
 	if j.Merged {
 		s += " merged"
 	}
+	if j.Variant != "" {
+		s += " " + j.Variant
+	}
 	return s
+}
+
+// traceKey names the job in a TraceSink: its Key, after the label of the
+// sweep that ran it, since one sink can see the same job in several sweeps
+// (Fig. 13 and Fig. 16's baseline under fiferbench -exp all).
+func (j Job) traceKey(sweep string) string {
+	if sweep == "" {
+		return j.Key()
+	}
+	return sweep + " " + j.Key()
 }
 
 // JobResult pairs a job with its outcome. Exactly one of Outcome/Err is
@@ -133,7 +152,7 @@ func (r Runner) Run(opt Options, jobs []Job) []JobResult {
 			// Stopped admitting work: the job is reported (and journaled)
 			// as canceled-before-start so a resume reschedules it.
 			finish(i, JobResult{Job: jobs[i], Err: fmt.Errorf(
-				"bench: %s skipped: sweep canceled before it started: %w", jobs[i].key(), core.ErrCanceled)})
+				"bench: %s skipped: sweep canceled before it started: %w", jobs[i].Key(), core.ErrCanceled)})
 			return
 		}
 		out, err := r.attempt(jobs[i], opt)
@@ -171,9 +190,7 @@ func (r Runner) Run(opt Options, jobs []Job) []JobResult {
 func (r Runner) attempt(j Job, opt Options) (apps.Outcome, error) {
 	runOne := r.run
 	if runOne == nil {
-		runOne = func(j Job, opt Options) (apps.Outcome, error) {
-			return RunOne(j.App, j.Input, j.Kind, j.Merged, opt, j.Override)
-		}
+		runOne = func(j Job, opt Options) (apps.Outcome, error) { return j.run(opt, r.Sweep) }
 	}
 	// A panicking job must not take down (or reorder) the batch: recover it
 	// into a per-job *PanicError and keep going.
@@ -209,7 +226,7 @@ func (r Runner) attempt(j Job, opt Options) (apps.Outcome, error) {
 	jobOpt.Cancel = jobDone
 	out, err := runOne(j, jobOpt)
 	if err != nil && timedOut.Load() && errors.Is(err, core.ErrCanceled) {
-		err = fmt.Errorf("bench: %s: %w (%v): %w", j.key(), ErrJobTimeout, opt.JobTimeout, err)
+		err = fmt.Errorf("bench: %s: %w (%v): %w", j.Key(), ErrJobTimeout, opt.JobTimeout, err)
 	}
 	return out, err
 }

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 
-	"fifer/internal/apps"
 	"fifer/internal/trace"
 )
 
@@ -17,7 +16,7 @@ import (
 // baselines never enter the core loop, produce nothing, and are skipped).
 // Collection is safe under any Options.Jobs because each job owns its
 // collector; only registration takes the sink's lock. The sink holds one
-// trace per job key.
+// trace per job, keyed by Job.Key after the sweep's label.
 //
 // Tracing is observation only: outcomes, goldens, and journals are
 // byte-identical with a sink attached or not, at any worker count (pinned
@@ -40,18 +39,9 @@ func NewTraceSink(sampleCycles uint64) *TraceSink {
 	return &TraceSink{SampleCycles: sampleCycles}
 }
 
-// jobKey renders the sink's per-job identity — the same string Job.key
-// produces, so sweep traces line up with progress and journal reporting.
-func jobKey(app, input string, kind apps.SystemKind, merged bool) string {
-	s := fmt.Sprintf("%s/%s %v", app, input, kind)
-	if merged {
-		s += " merged"
-	}
-	return s
-}
-
-// add registers a finished job's collector, replacing any earlier one
-// under the same key. Empty collectors (OOO baselines) are dropped.
+// add registers a finished job's collector. Empty collectors (OOO
+// baselines) are dropped. Two jobs under one key would leave one of them
+// untraced, so a repeated key panics.
 func (t *TraceSink) add(key string, col *trace.Collector) {
 	if t == nil || col == nil || col.Empty() {
 		return
@@ -60,6 +50,9 @@ func (t *TraceSink) add(key string, col *trace.Collector) {
 	defer t.mu.Unlock()
 	if t.jobs == nil {
 		t.jobs = map[string]*trace.Collector{}
+	}
+	if _, dup := t.jobs[key]; dup {
+		panic(fmt.Sprintf("bench: trace sink already holds job %q", key))
 	}
 	t.jobs[key] = col
 }

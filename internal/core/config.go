@@ -27,25 +27,6 @@ func (m Mode) String() string {
 	return "fifer"
 }
 
-// Policy selects the reconfiguration scheduling policy (Sec. 5.2).
-type Policy int
-
-const (
-	// PolicyMostWork: on block, switch to the unblocked stage with the most
-	// input work — the paper's policy.
-	PolicyMostWork Policy = iota
-	// PolicyRoundRobin: on block, switch to the next unblocked stage in
-	// order — an ablation the paper reports works worse.
-	PolicyRoundRobin
-)
-
-func (p Policy) String() string {
-	if p == PolicyRoundRobin {
-		return "round-robin"
-	}
-	return "most-work"
-}
-
 // Config holds all architectural parameters of a CGRA-based system
 // (Table 2 plus the Fifer-specific mechanisms of Sec. 5).
 type Config struct {
@@ -59,7 +40,6 @@ type Config struct {
 	BackingBytes   int                 // simulated DRAM capacity
 
 	Mode             Mode
-	SchedPolicy      Policy
 	DoubleBuffered   bool // double-buffered configuration cells (Sec. 5.1)
 	ZeroCostReconfig bool // idealized free reconfiguration (Sec. 8.3 ablation)
 	SIMDReplication  bool // replicate small datapaths to fill the fabric (Sec. 5.6)
@@ -135,7 +115,6 @@ func DefaultConfig() Config {
 		Hier:            mem.DefaultPEHierarchy(pes),
 		BackingBytes:    1 << 30,
 		Mode:            ModeFifer,
-		SchedPolicy:     PolicyMostWork,
 		DoubleBuffered:  true,
 		SIMDReplication: true,
 		MaxCycles:       2_000_000_000,

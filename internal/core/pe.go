@@ -311,28 +311,17 @@ func (p *PE) cooldownWake(now uint64, except int) uint64 {
 	return w
 }
 
-// pick implements the scheduling policy over stages other than `except`,
-// returning -1 when no stage is ready.
+// pick implements the paper's most-work policy (Sec. 5.2) over stages other
+// than `except`: the ready stage with the most input work, or -1 when no
+// stage is ready.
 func (p *PE) pick(now uint64, except int) int {
 	best, bestWork := -1, 0
 	for i := range p.stages {
 		if i == except || now < p.cooldownUntil[i] || !p.scanReady[i] {
 			continue
 		}
-		w := p.scanWork[i]
-		switch p.cfg.SchedPolicy {
-		case PolicyMostWork:
-			if w > bestWork {
-				best, bestWork = i, w
-			}
-		case PolicyRoundRobin:
-			// First ready stage after `except`, cyclically.
-			if best == -1 {
-				best, bestWork = i, w
-			}
-			if except >= 0 && i > except {
-				return i
-			}
+		if w := p.scanWork[i]; w > bestWork {
+			best, bestWork = i, w
 		}
 	}
 	return best

@@ -133,25 +133,3 @@ func TestDumpRendersState(t *testing.T) {
 		t.Fatalf("dump missing content:\n%s", out)
 	}
 }
-
-func TestRoundRobinPolicyStillCompletes(t *testing.T) {
-	cfg := testConfig(1)
-	cfg.SchedPolicy = PolicyRoundRobin
-	sys := NewSystem(cfg)
-	pe := sys.PE(0)
-	qa := pe.AllocQueue("qa", 64)
-	qb := pe.AllocQueue("qb", 64)
-	gotA, gotB := 0, 0
-	pe.AddStage(sinkStage("a", stage.LocalPort{Q: qa}, &gotA))
-	pe.AddStage(sinkStage("b", stage.LocalPort{Q: qb}, &gotB))
-	for i := 0; i < 50; i++ {
-		qa.Enq(queue.Data(0))
-		qb.Enq(queue.Data(0))
-	}
-	if _, err := sys.Run(ProgramFunc(func(*System) bool { return false })); err != nil {
-		t.Fatal(err)
-	}
-	if gotA != 50 || gotB != 50 {
-		t.Fatalf("round-robin lost tokens: %d/%d", gotA, gotB)
-	}
-}
