@@ -14,7 +14,12 @@ const Name = "BFS"
 
 // Run executes BFS on the chosen system and input.
 func Run(kind apps.SystemKind, input string, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
-	g := graph.Generate(graph.Input(input), graph.Scale(scale), seed)
+	return RunOn(kind, graph.Generate(graph.Input(input), graph.Scale(scale), seed), scale, seed, merged, override)
+}
+
+// RunOn executes BFS on g, the input Run generates. It only reads g, so
+// runs may share it. seed is unused.
+func RunOn(kind apps.SystemKind, g *graph.Graph, scale int, _ uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
 	src := graphpipe.DefaultSource(g)
 	return apps.Run(kind, scale, merged, override, graphpipe.App(graphpipe.ModeBFS, g, []int{src}))
 }

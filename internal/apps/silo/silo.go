@@ -64,7 +64,13 @@ func GenerateDataset(scale int, seed uint64) Dataset {
 // Run executes Silo on the chosen system at the given scale. Its one input
 // is YCSB-C, so input is ignored.
 func Run(kind apps.SystemKind, _ string, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
-	return apps.Run(kind, scale, merged, override, app(GenerateDataset(scale, seed)))
+	return RunOn(kind, GenerateDataset(scale, seed), scale, seed, merged, override)
+}
+
+// RunOn executes Silo on ds, the dataset Run generates. It only reads ds,
+// so runs may share it. seed is unused.
+func RunOn(kind apps.SystemKind, ds Dataset, scale int, _ uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
+	return apps.Run(kind, scale, merged, override, app(ds))
 }
 
 // refLookups computes the expected lookup results (value, found-flag packed

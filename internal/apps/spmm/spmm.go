@@ -44,11 +44,29 @@ func sampleFor(m *sparse.CSR, scale int) (rows, cols []int) {
 	return rows, cols
 }
 
+// Operands is SpMM's input: the generated matrix A in CSR form, and the
+// same matrix in CSC form (B), so that C = A·A streams rows of A against
+// columns of B.
+type Operands struct {
+	A *sparse.CSR
+	B *sparse.CSC
+}
+
+// Generate builds the operands for one Table 4 input.
+func Generate(input string, scale int, seed uint64) Operands {
+	a := sparse.Generate(sparse.Input(input), scale, seed)
+	return Operands{A: a, B: sparse.Transpose(a)}
+}
+
 // Run executes SpMM (C = A·A with A in CSR and CSC forms) on the chosen
 // system and input.
 func Run(kind apps.SystemKind, input string, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
-	a := sparse.Generate(sparse.Input(input), scale, seed)
-	b := sparse.Transpose(a)
-	rows, cols := sampleFor(a, scale)
-	return apps.Run(kind, scale, merged, override, app(a, b, rows, cols))
+	return RunOn(kind, Generate(input, scale, seed), scale, seed, merged, override)
+}
+
+// RunOn executes SpMM on ops, the input Run generates. It only reads ops,
+// so runs may share it. seed is unused.
+func RunOn(kind apps.SystemKind, ops Operands, scale int, _ uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
+	rows, cols := sampleFor(ops.A, scale)
+	return apps.Run(kind, scale, merged, override, app(ops.A, ops.B, rows, cols))
 }

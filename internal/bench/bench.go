@@ -90,22 +90,56 @@ type Options struct {
 func DefaultOptions() Options { return Options{Scale: 1, Seed: 1} }
 
 // appEntry is one row of the app table: an application's name, its input
-// labels (Table 3/4 names) and its Run.
+// labels (Table 3/4 names), how its inputs are built and how it runs on one.
 type appEntry struct {
 	name   string
 	inputs []string
-	run    func(kind apps.SystemKind, input string, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error)
+	// family names build's generator. Apps of one family read the same
+	// inputs, so a sweep builds each of them once (see inputStore).
+	family string
+	build  func(input string, scale int, seed uint64) any
+	runOn  func(in any, kind apps.SystemKind, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error)
+}
+
+// inputFamily is one generator of app inputs.
+type inputFamily[T any] struct {
+	name  string
+	build func(input string, scale int, seed uint64) T
+}
+
+var (
+	graphs = inputFamily[*graph.Graph]{"graph", func(in string, scale int, seed uint64) *graph.Graph {
+		return graph.Generate(graph.Input(in), graph.Scale(scale), seed)
+	}}
+	matrices = inputFamily[spmm.Operands]{"sparse", spmm.Generate}
+	datasets = inputFamily[silo.Dataset]{"silo", func(_ string, scale int, seed uint64) silo.Dataset {
+		return silo.GenerateDataset(scale, seed)
+	}}
+)
+
+// entry makes an app table row from the app's input family and its RunOn.
+func entry[T any](name string, inputs []string, fam inputFamily[T],
+	runOn func(apps.SystemKind, T, int, uint64, bool, func(*core.Config)) (apps.Outcome, error)) appEntry {
+	return appEntry{
+		name:   name,
+		inputs: inputs,
+		family: fam.name,
+		build:  func(in string, scale int, seed uint64) any { return fam.build(in, scale, seed) },
+		runOn: func(in any, kind apps.SystemKind, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
+			return runOn(kind, in.(T), scale, seed, merged, override)
+		},
+	}
 }
 
 // appTable lists the six benchmarks in the paper's order. It is the only
 // place the harness knows which apps exist.
 var appTable = []appEntry{
-	{bfs.Name, graphInputs, bfs.Run},
-	{cc.Name, graphInputs, cc.Run},
-	{prd.Name, graphInputs, prd.Run},
-	{radii.Name, graphInputs, radii.Run},
-	{spmm.Name, labels(sparse.Inputs), spmm.Run},
-	{silo.Name, []string{"YCSB-C"}, silo.Run},
+	entry(bfs.Name, graphInputs, graphs, bfs.RunOn),
+	entry(cc.Name, graphInputs, graphs, cc.RunOn),
+	entry(prd.Name, graphInputs, graphs, prd.RunOn),
+	entry(radii.Name, graphInputs, graphs, radii.RunOn),
+	entry(spmm.Name, labels(sparse.Inputs), matrices, spmm.RunOn),
+	entry(silo.Name, []string{"YCSB-C"}, datasets, silo.RunOn),
 }
 
 var graphInputs = labels(graph.Inputs)
@@ -173,12 +207,20 @@ var ErrCycleBudget = errors.New("bench: simulation cycle budget exhausted (raise
 // callers can intentionally raise (or lower) the budget. If the budget is
 // exhausted the returned error wraps ErrCycleBudget.
 func RunOne(app, input string, kind apps.SystemKind, merged bool, opt Options, override func(*core.Config)) (apps.Outcome, error) {
-	return Job{App: app, Input: input, Kind: kind, Merged: merged, Override: override}.run(opt, "")
+	return Job{App: app, Input: input, Kind: kind, Merged: merged, Override: override}.run(opt, "", nil)
 }
 
-// run executes the job as RunOne describes. A traced run files its
-// collector in opt.Trace under the job's traceKey in sweep.
-func (j Job) run(opt Options, sweep string) (apps.Outcome, error) {
+// inputKey names the input j reads when run with opt. An unknown app gets
+// an empty family.
+func (j Job) inputKey(opt Options) inputKey {
+	a, _ := lookupApp(j.App)
+	return inputKey{family: a.family, input: j.Input, scale: opt.Scale, seed: opt.Seed}
+}
+
+// run executes the job as RunOne describes, reading its input from inputs
+// (nil builds a private one). A traced run files its collector in
+// opt.Trace under the job's traceKey in sweep.
+func (j Job) run(opt Options, sweep string, inputs *inputStore) (apps.Outcome, error) {
 	var col *trace.Collector
 	if opt.Trace != nil {
 		n := opt.Trace.BufEvents
@@ -217,7 +259,8 @@ func (j Job) run(opt Options, sweep string) (apps.Outcome, error) {
 	if !ok {
 		return apps.Outcome{}, fmt.Errorf("bench: unknown app %q", j.App)
 	}
-	out, err := a.run(j.Kind, j.Input, opt.Scale, opt.Seed, j.Merged, override)
+	in := inputs.get(j.inputKey(opt), func() any { return a.build(j.Input, opt.Scale, opt.Seed) })
+	out, err := a.runOn(in, j.Kind, opt.Scale, opt.Seed, j.Merged, override)
 	if col != nil {
 		opt.Trace.add(j.traceKey(sweep), col)
 	}

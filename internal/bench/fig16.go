@@ -39,14 +39,19 @@ func Fig16(opt Options) ([]Fig16Point, error) {
 	var jobs []Job
 	var metas []meta
 	for _, app := range opt.selected() {
+		// Input-major, so the sweep holds each input only while its jobs
+		// run.
 		for _, input := range InputsOf(app) {
-			// Baseline cycles per input (factor 1, double-buffered).
+			// Baseline cycles (factor 1, double-buffered). The default
+			// config is that point of the sweep, so this job is also its
+			// 1x double-buffered run.
 			jobs = append(jobs, Job{App: app, Input: input, Kind: apps.FiferPipe})
-			metas = append(metas, meta{app: app, input: input, isBase: true})
-		}
-		for _, factor := range Fig16Factors {
-			for _, double := range []bool{true, false} {
-				for _, input := range InputsOf(app) {
+			metas = append(metas, meta{app: app, input: input, factor: 1, double: true, isBase: true})
+			for _, factor := range Fig16Factors {
+				for _, double := range []bool{true, false} {
+					if factor == 1 && double {
+						continue
+					}
 					f, d := factor, double
 					variant := fmt.Sprintf("qmem=%gx", f)
 					if !d {
@@ -90,9 +95,6 @@ func Fig16(opt Options) ([]Fig16Point, error) {
 	speedups := map[ptKey][]float64{}
 	errCls := map[ptKey]string{}
 	for i, m := range metas {
-		if m.isBase {
-			continue
-		}
 		k := ptKey{m.app, m.factor, m.double}
 		in := [2]string{m.app, m.input}
 		switch {

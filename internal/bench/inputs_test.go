@@ -1,0 +1,261 @@
+package bench
+
+import (
+	"encoding/binary"
+	"errors"
+	"hash/fnv"
+	"math"
+	"sync"
+	"testing"
+
+	"fifer/internal/apps"
+	"fifer/internal/apps/silo"
+	"fifer/internal/apps/spmm"
+	"fifer/internal/core"
+	"fifer/internal/graph"
+)
+
+// len returns the number of keys some job still holds.
+func (s *inputStore) len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.entries)
+}
+
+// fingerprint hashes every array of an app input (FNV-1a).
+func fingerprint(t *testing.T, in any) uint64 {
+	t.Helper()
+	h := fnv.New64a()
+	var b [8]byte
+	words := func(xs []uint64) {
+		for _, x := range xs {
+			binary.LittleEndian.PutUint64(b[:], x)
+			h.Write(b[:])
+		}
+	}
+	floats := func(xs []float64) {
+		for _, x := range xs {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+			h.Write(b[:])
+		}
+	}
+	switch v := in.(type) {
+	case *graph.Graph:
+		words(v.Offsets)
+		words(v.Neighbors)
+	case spmm.Operands:
+		words(v.A.RowOffsets)
+		words(v.A.ColIdx)
+		floats(v.A.Values)
+		words(v.B.ColOffsets)
+		words(v.B.RowIdx)
+		floats(v.B.Values)
+	case silo.Dataset:
+		words(v.Keys)
+		words(v.Values)
+		words(v.Lookups)
+	default:
+		t.Fatalf("no fingerprint for input type %T", in)
+	}
+	return h.Sum64()
+}
+
+// TestSharedInputsUnchanged runs each app on all four systems, two at a
+// time, through one store and requires the shared input to be bit-for-bit
+// what it was before: a job that wrote to its input would change every
+// later job's result.
+func TestSharedInputsUnchanged(t *testing.T) {
+	opt := Options{Scale: 0, Seed: 1}
+	for _, a := range appTable {
+		t.Run(a.name, func(t *testing.T) {
+			input := a.inputs[0]
+			store := &inputStore{}
+			k := Job{App: a.name, Input: input}.inputKey(opt)
+			store.acquire(k) // the test's own reference keeps the input alive
+			in := store.get(k, func() any { return a.build(input, opt.Scale, opt.Seed) })
+			before := fingerprint(t, in)
+
+			var jobs []Job
+			for _, kind := range apps.Kinds {
+				jobs = append(jobs, Job{App: a.name, Input: input, Kind: kind})
+			}
+			for _, res := range (Runner{Workers: 2}).runWith(opt, jobs, store) {
+				if res.Err != nil || !res.Outcome.Verified {
+					t.Fatalf("%s: err %v, verified %v", res.Job.Key(), res.Err, res.Outcome.Verified)
+				}
+			}
+			again := store.get(k, func() any {
+				t.Fatal("the store rebuilt an input a job still holds")
+				return nil
+			})
+			if got := fingerprint(t, again); got != before {
+				t.Fatalf("input fingerprint %#x after the runs, %#x before", got, before)
+			}
+			store.release(k)
+			if n := store.len(); n != 0 {
+				t.Fatalf("store holds %d input(s) after the last release", n)
+			}
+		})
+	}
+}
+
+// TestInputStoreBuildsOnce reads one key from several goroutines: the input
+// is built once, every reader gets it, and a panicking build reaches every
+// reader with the same value.
+func TestInputStoreBuildsOnce(t *testing.T) {
+	const readers = 8
+	store := &inputStore{}
+	k := inputKey{family: "graph", input: "Hu"}
+	boom := inputKey{family: "graph", input: "bogus"}
+	for i := 0; i < readers; i++ {
+		store.acquire(k)
+		store.acquire(boom)
+	}
+	var builds sync.Map
+	var wg sync.WaitGroup
+	got := make([]any, readers)
+	panics := make([]any, readers)
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			defer store.release(k)
+			defer store.release(boom)
+			got[i] = store.get(k, func() any {
+				v := new(int)
+				builds.Store(v, true)
+				return v
+			})
+			defer func() { panics[i] = recover() }()
+			store.get(boom, func() any { panic(errors.New("unknown input")) })
+		}(i)
+	}
+	wg.Wait()
+	n := 0
+	builds.Range(func(any, any) bool { n++; return true })
+	if n != 1 {
+		t.Fatalf("%d builds for one key, want 1", n)
+	}
+	for i := range got {
+		if got[i] != got[0] {
+			t.Fatalf("reader %d got a different input", i)
+		}
+		if err, ok := panics[i].(error); !ok || err.Error() != "unknown input" {
+			t.Fatalf("reader %d: panic %v, want the build's panic", i, panics[i])
+		}
+	}
+	if n := store.len(); n != 0 {
+		t.Fatalf("store holds %d input(s) after every reader released", n)
+	}
+	// A key no job holds is built privately and not kept.
+	store.get(k, func() any { return 1 })
+	if n := store.len(); n != 0 {
+		t.Fatalf("a private build left %d input(s) in the store", n)
+	}
+}
+
+// TestInputStoreEmptiedBySweep checks that every way a job can finish
+// releases its input: when runWith returns, the store is empty.
+func TestInputStoreEmptiedBySweep(t *testing.T) {
+	opt := Options{Scale: 0, Seed: 1}
+	sweep := func(t *testing.T, r Runner, opt Options, jobs []Job) []JobResult {
+		t.Helper()
+		store := &inputStore{}
+		results := r.runWith(opt, jobs, store)
+		if n := store.len(); n != 0 {
+			t.Fatalf("store holds %d input(s) after the sweep", n)
+		}
+		return results
+	}
+
+	t.Run("normal", func(t *testing.T) {
+		var jobs []Job
+		for _, kind := range apps.Kinds {
+			jobs = append(jobs, Job{App: "BFS", Input: "Hu", Kind: kind}, Job{App: "CC", Input: "Hu", Kind: kind})
+		}
+		jobs = append(jobs, Job{App: "SpMM", Input: InputsOf("SpMM")[0], Kind: apps.FiferPipe},
+			Job{App: "Silo", Input: "YCSB-C", Kind: apps.SerialOOO})
+		for _, res := range sweep(t, Runner{Workers: 2}, opt, jobs) {
+			if res.Err != nil || !res.Outcome.Verified {
+				t.Fatalf("%s: err %v, verified %v", res.Job.Key(), res.Err, res.Outcome.Verified)
+			}
+		}
+	})
+
+	t.Run("canceled", func(t *testing.T) {
+		cancel := make(chan struct{})
+		o := opt
+		o.Cancel = cancel
+		r := Runner{Workers: 1, Progress: func(done, _ int, _ JobResult) {
+			if done == 1 {
+				close(cancel)
+			}
+		}}
+		var jobs []Job
+		for _, in := range InputsOf("BFS") {
+			jobs = append(jobs, Job{App: "BFS", Input: in, Kind: apps.FiferPipe})
+		}
+		results := sweep(t, r, o, jobs)
+		if last := results[len(results)-1]; !errors.Is(last.Err, core.ErrCanceled) {
+			t.Fatalf("last job: err %v, want a canceled skip", last.Err)
+		}
+	})
+
+	t.Run("panicking", func(t *testing.T) {
+		store := &inputStore{}
+		r := Runner{Workers: 2, run: func(j Job, o Options) (apps.Outcome, error) {
+			store.get(j.inputKey(o), func() any { return j.Input })
+			panic("boom")
+		}}
+		for _, res := range r.runWith(opt, stubJobs(6), store) {
+			var pe *PanicError
+			if !errors.As(res.Err, &pe) {
+				t.Fatalf("%s: err %v, want a recovered panic", res.Job.Key(), res.Err)
+			}
+		}
+		if n := store.len(); n != 0 {
+			t.Fatalf("store holds %d input(s) after the sweep", n)
+		}
+	})
+
+	t.Run("resumed", func(t *testing.T) {
+		path := journalPath(t)
+		var jobs []Job
+		for _, in := range InputsOf("BFS")[:4] {
+			jobs = append(jobs, Job{App: "BFS", Input: in, Kind: apps.SerialOOO})
+		}
+		j, err := CreateJournal(path, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := opt
+		o.Journal = j
+		sweep(t, Runner{Workers: 1}, o, jobs[:2])
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if o.Journal, err = ResumeJournal(path, opt); err != nil {
+			t.Fatal(err)
+		}
+		defer o.Journal.Close()
+		// Jobs replayed from the journal hold no input: when the first job
+		// that runs finishes, only the two jobs left to run hold one.
+		store := &inputStore{}
+		held := -1
+		r := Runner{Workers: 1, Progress: func(done, _ int, res JobResult) {
+			if !res.Replayed && held < 0 {
+				held = store.len()
+			}
+		}}
+		results := r.runWith(o, jobs, store)
+		if held != 2 {
+			t.Fatalf("first fresh job saw %d held input(s), want 2", held)
+		}
+		if !results[0].Replayed || !results[1].Replayed || results[2].Replayed {
+			t.Fatal("the resumed sweep did not replay exactly the journaled jobs")
+		}
+		if n := store.len(); n != 0 {
+			t.Fatalf("store holds %d input(s) after the sweep", n)
+		}
+	})
+}

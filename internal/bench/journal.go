@@ -52,6 +52,7 @@ type Record struct {
 	Input   string        `json:"input"`
 	Kind    int           `json:"kind"`
 	Merged  bool          `json:"merged,omitempty"`
+	Variant string        `json:"variant,omitempty"`
 	Attempt int           `json:"attempt"`
 	Class   string        `json:"class"`
 	Err     string        `json:"err,omitempty"`
@@ -232,6 +233,7 @@ func (j *Journal) record(sweep string, index int, res JobResult) {
 		Input:   res.Job.Input,
 		Kind:    int(res.Job.Kind),
 		Merged:  res.Job.Merged,
+		Variant: res.Job.Variant,
 		Attempt: res.Attempts,
 		Class:   ErrorClass(res.Err),
 	}
@@ -271,11 +273,11 @@ func (j *Journal) replayResult(sweep string, index int, job Job) (JobResult, boo
 		return JobResult{}, false
 	}
 	res := JobResult{Job: job, Replayed: true, Attempts: rec.Attempt}
-	if rec.App != job.App || rec.Input != job.Input || rec.Kind != int(job.Kind) || rec.Merged != job.Merged {
+	if rec.App != job.App || rec.Input != job.Input || rec.Kind != int(job.Kind) || rec.Merged != job.Merged || rec.Variant != job.Variant {
 		res.Err = &ReplayedError{Class: ClassMismatch, Msg: fmt.Sprintf(
-			"%s record %d is for %s/%s kind=%d merged=%v, but the sweep scheduled %s/%s kind=%d merged=%v here — was the journal written with different options?",
-			sweep, index, rec.App, rec.Input, rec.Kind, rec.Merged,
-			job.App, job.Input, int(job.Kind), job.Merged)}
+			"%s record %d is for %s/%s kind=%d merged=%v variant=%q, but the sweep scheduled %s/%s kind=%d merged=%v variant=%q here — was the journal written with different options?",
+			sweep, index, rec.App, rec.Input, rec.Kind, rec.Merged, rec.Variant,
+			job.App, job.Input, int(job.Kind), job.Merged, job.Variant)}
 		return res, true
 	}
 	if rec.Class == ClassOK {

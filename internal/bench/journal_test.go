@@ -241,6 +241,9 @@ func TestJournalFingerprintMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.record("fig13", 0, okResult(Job{App: "BFS", Input: "Rn", Kind: apps.FiferPipe}, 42, 1))
+	// Jobs that differ only in their variant (Fig. 16's queue sizes) are
+	// different jobs too.
+	j.record("fig16", 0, okResult(Job{App: "BFS", Input: "Rn", Kind: apps.FiferPipe, Variant: "qmem=1x no-dbuf"}, 42, 1))
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -249,15 +252,23 @@ func TestJournalFingerprintMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	res, ok := r.replayResult("fig13", 0, Job{App: "BFS", Input: "Rd", Kind: apps.FiferPipe})
-	if !ok || res.Err == nil {
-		t.Fatalf("mismatched record silently ignored: %+v %v", res, ok)
-	}
-	if got := ErrorClass(res.Err); got != ClassMismatch {
-		t.Fatalf("class = %q, want %q", got, ClassMismatch)
-	}
-	if res.Outcome.Cycles != 0 {
-		t.Fatal("mismatched replay leaked the journaled outcome")
+	for _, c := range []struct {
+		sweep string
+		job   Job
+	}{
+		{"fig13", Job{App: "BFS", Input: "Rd", Kind: apps.FiferPipe}},
+		{"fig16", Job{App: "BFS", Input: "Rn", Kind: apps.FiferPipe, Variant: "qmem=2x"}},
+	} {
+		res, ok := r.replayResult(c.sweep, 0, c.job)
+		if !ok || res.Err == nil {
+			t.Fatalf("%s: mismatched record silently ignored: %+v %v", c.sweep, res, ok)
+		}
+		if got := ErrorClass(res.Err); got != ClassMismatch {
+			t.Fatalf("%s: class = %q, want %q", c.sweep, got, ClassMismatch)
+		}
+		if res.Outcome.Cycles != 0 {
+			t.Fatalf("%s: mismatched replay leaked the journaled outcome", c.sweep)
+		}
 	}
 }
 

@@ -78,9 +78,11 @@ type ProgressFunc func(done, total int, res JobResult)
 // Runner executes batches of simulation jobs on a bounded worker pool.
 //
 // Results are returned in submission order regardless of completion order,
-// and every simulation is self-contained (fresh RNG, freshly generated
-// inputs), so a parallel run's outcomes are bit-identical to a serial
-// run's. The determinism test in determinism_test.go pins this down.
+// and a parallel run's outcomes are bit-identical to a serial run's: every
+// simulation owns its state (RNG, caches, queues, backing store), and the
+// only thing jobs share is their inputs, which each Run call builds once,
+// on first use, and only reads (see inputStore). The determinism test in
+// determinism_test.go pins this down.
 //
 // The Options carried into Run add the crash-safety layer: Cancel stops
 // the sweep cooperatively, JobTimeout bounds each job's wall-clock time,
@@ -107,6 +109,13 @@ type Runner struct {
 // job, never short-circuited, and when the sweep is canceled the jobs that
 // never started still come back, carrying a canceled error.
 func (r Runner) Run(opt Options, jobs []Job) []JobResult {
+	return r.runWith(opt, jobs, &inputStore{})
+}
+
+// runWith is Run with the sweep's input store. Every job that will run
+// holds a reference to its input from the start of the sweep until it
+// finishes, however it finishes, so the store is empty when runWith returns.
+func (r Runner) runWith(opt Options, jobs []Job, inputs *inputStore) []JobResult {
 	if len(jobs) == 0 {
 		// Explicit empty-batch path: nothing to clamp workers against,
 		// nothing to journal, no Progress calls.
@@ -147,7 +156,14 @@ func (r Runner) Run(opt Options, jobs []Job) []JobResult {
 		}
 	}
 
+	keys := make([]inputKey, len(jobs))
+	for _, i := range pending {
+		keys[i] = jobs[i].inputKey(opt)
+		inputs.acquire(keys[i])
+	}
+
 	runJob := func(i int) {
+		defer inputs.release(keys[i])
 		if canceled(opt.Cancel) {
 			// Stopped admitting work: the job is reported (and journaled)
 			// as canceled-before-start so a resume reschedules it.
@@ -155,7 +171,7 @@ func (r Runner) Run(opt Options, jobs []Job) []JobResult {
 				"bench: %s skipped: sweep canceled before it started: %w", jobs[i].Key(), core.ErrCanceled)})
 			return
 		}
-		out, err := r.attempt(jobs[i], opt)
+		out, err := r.attempt(jobs[i], opt, inputs)
 		finish(i, JobResult{Job: jobs[i], Outcome: out, Err: err, Attempts: 1})
 	}
 
@@ -185,12 +201,12 @@ func (r Runner) Run(opt Options, jobs []Job) []JobResult {
 	return results
 }
 
-// attempt runs the job once, with the per-job wall-clock deadline merged
-// into the cooperative cancellation channel.
-func (r Runner) attempt(j Job, opt Options) (apps.Outcome, error) {
+// attempt runs the job once on the sweep's inputs, with the per-job
+// wall-clock deadline merged into the cooperative cancellation channel.
+func (r Runner) attempt(j Job, opt Options, inputs *inputStore) (apps.Outcome, error) {
 	runOne := r.run
 	if runOne == nil {
-		runOne = func(j Job, opt Options) (apps.Outcome, error) { return j.run(opt, r.Sweep) }
+		runOne = func(j Job, opt Options) (apps.Outcome, error) { return j.run(opt, r.Sweep, inputs) }
 	}
 	// A panicking job must not take down (or reorder) the batch: recover it
 	// into a per-job *PanicError and keep going.

@@ -63,20 +63,31 @@ func (l *Level) Latency() uint64 { return l.latency }
 // SizeBytes returns the cache capacity.
 func (l *Level) SizeBytes() int { return l.sets * l.ways * LineBytes }
 
-// set returns the tag and dirty rows of the set holding line.
+// set returns the tag and dirty rows of the set holding line. Every
+// configured set count is a power of two, which takes a mask instead of a
+// 64-bit division; other counts (tests use them) keep the modulo.
 func (l *Level) set(line Addr) ([]uint64, []bool) {
-	s := int(uint64(line)/LineBytes%uint64(l.sets)) * l.ways
+	n := uint64(line) / LineBytes
+	if l.sets&(l.sets-1) == 0 {
+		n &= uint64(l.sets - 1)
+	} else {
+		n %= uint64(l.sets)
+	}
+	s := int(n) * l.ways
 	return l.tags[s : s+l.ways], l.dirty[s : s+l.ways]
 }
 
 // lookup probes the set for the line; on hit it promotes the line to MRU.
+// A hit is usually near MRU, so the shift is a short loop rather than two
+// copy calls.
 func (l *Level) lookup(line Addr, write bool) bool {
 	tags, dirty := l.set(line)
 	for i, t := range tags {
 		if t == uint64(line) {
 			d := dirty[i] || write
-			copy(tags[1:i+1], tags[:i])
-			copy(dirty[1:i+1], dirty[:i])
+			for ; i > 0; i-- {
+				tags[i], dirty[i] = tags[i-1], dirty[i-1]
+			}
 			tags[0], dirty[0] = uint64(line), d
 			return true
 		}

@@ -50,7 +50,7 @@ func (p *CreditPort) Send(t Token) bool {
 			p.index, p.credits)
 	}
 	p.credits--
-	p.arb.senders = append(p.arb.senders, p.index)
+	p.arb.senders.push(p.index)
 	if p.arb.credit != nil {
 		p.arb.credit(p.index, true)
 	}
@@ -63,7 +63,7 @@ func (p *CreditPort) Send(t Token) bool {
 type Arbiter struct {
 	dst     *Queue
 	ports   []*CreditPort
-	senders []int // port index of each buffered credited token, FIFO
+	senders senderRing // port index of each buffered credited token, FIFO
 
 	// credit, when non-nil, observes credit movements: f(port, true) when a
 	// send consumes one of port's credits, f(port, false) when a consumer
@@ -129,14 +129,12 @@ func (a *Arbiter) Deq() (Token, bool) {
 }
 
 func (a *Arbiter) returnCredit() {
-	if len(a.senders) == 0 {
+	if a.senders.n == 0 {
 		// The token predates credit accounting (e.g. seeded directly); no
 		// producer is owed a credit.
 		return
 	}
-	idx := a.senders[0]
-	copy(a.senders, a.senders[1:])
-	a.senders = a.senders[:len(a.senders)-1]
+	idx := a.senders.pop()
 	a.ports[idx].credits++
 	if a.credit != nil {
 		a.credit(idx, false)
@@ -147,15 +145,48 @@ func (a *Arbiter) returnCredit() {
 // through a credit port and still pin a sender's credit. It can be less
 // than the queue length (tokens seeded directly pin no credit) but never
 // more; the live audit checks that inequality every period.
-func (a *Arbiter) CreditedBuffered() int { return len(a.senders) }
+func (a *Arbiter) CreditedBuffered() int { return a.senders.n }
 
 // TotalCredits returns credits held across all ports plus credits pinned by
 // buffered tokens. The invariant TotalCredits == dst.Cap() holds at all
 // times for queues whose every enqueue went through a port.
 func (a *Arbiter) TotalCredits() int {
-	total := len(a.senders)
+	total := a.senders.n
 	for _, p := range a.ports {
 		total += p.credits
 	}
 	return total
+}
+
+// senderRing is the arbiter's FIFO of sender port indices as a power-of-two
+// ring, so a credited dequeue pops the oldest sender in O(1) however deep
+// the queue is. It grows on demand, as the slice it replaces did.
+type senderRing struct {
+	buf  []int // len(buf) is zero or a power of two
+	head int
+	n    int
+}
+
+func (r *senderRing) push(port int) {
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = port
+	r.n++
+}
+
+// pop removes and returns the oldest sender; the ring must not be empty.
+func (r *senderRing) pop() int {
+	port := r.buf[r.head]
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return port
+}
+
+func (r *senderRing) grow() {
+	nb := make([]int, max(4, 2*len(r.buf)))
+	for i := 0; i < r.n; i++ {
+		nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+	}
+	r.buf, r.head = nb, 0
 }

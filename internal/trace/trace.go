@@ -5,7 +5,7 @@
 // queue occupancy, DRM inflight). The contract with the core is strict:
 // with no tracer attached the simulation hot path pays a single predictable
 // nil-check branch per potential event and performs no allocations; with a
-// tracer attached, events are written into a preallocated ring, so tracing
+// tracer attached, events are written into a bounded ring, so tracing
 // observes the simulation without ever perturbing it — results are
 // bit-identical with tracing on or off. DESIGN.md §9 documents the event
 // taxonomy and file formats.
@@ -176,27 +176,31 @@ const DefaultBufEvents = 1 << 20
 // metrics log, and the run's kernel counters.
 // A Collector belongs to one simulation and is not safe for concurrent use.
 type Collector struct {
-	buf     []Event
-	start   int // index of the oldest event once the ring has wrapped
-	dropped uint64
-	rows    []MetricsRow
-	kernel  KernelStats
+	buf       []Event
+	capEvents int // ring capacity; buf grows up to it on demand
+	start     int // index of the oldest event once the ring has wrapped
+	dropped   uint64
+	rows      []MetricsRow
+	kernel    KernelStats
 }
 
 // NewCollector returns a collector with the given ring capacity in events
-// (<= 0 selects DefaultBufEvents). The ring is allocated lazily on the
-// first event, so an unused collector costs almost nothing.
+// (<= 0 selects DefaultBufEvents). The ring grows with the events it holds,
+// up to that capacity, so a collector that sees no events holds no ring.
 func NewCollector(capEvents int) *Collector {
 	if capEvents <= 0 {
 		capEvents = DefaultBufEvents
 	}
-	return &Collector{buf: make([]Event, 0, capEvents)}
+	return &Collector{capEvents: capEvents}
 }
 
 // Emit implements Tracer: append to the ring, overwriting the oldest event
 // when full. Never allocates once the ring has reached capacity.
 func (c *Collector) Emit(e Event) {
-	if len(c.buf) < cap(c.buf) {
+	if len(c.buf) < c.capEvents {
+		if len(c.buf) == cap(c.buf) {
+			c.grow()
+		}
 		c.buf = append(c.buf, e)
 		return
 	}
@@ -206,6 +210,13 @@ func (c *Collector) Emit(e Event) {
 		c.start = 0
 	}
 	c.dropped++
+}
+
+// grow doubles the ring's storage, capped at its capacity.
+func (c *Collector) grow() {
+	nb := make([]Event, len(c.buf), min(max(2*cap(c.buf), 1024), c.capEvents))
+	copy(nb, c.buf)
+	c.buf = nb
 }
 
 // SampleRow implements MetricsSink.
