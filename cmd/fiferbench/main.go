@@ -23,9 +23,10 @@
 // Observability: -trace FILE writes every CGRA simulation's event stream as
 // one Chrome/Perfetto trace-event JSON document (load it in a trace viewer
 // or summarize it with fifertrace); -metrics FILE writes periodic per-PE
-// CPI-stack/occupancy samples (JSONL, or CSV when FILE ends in .csv);
-// -sample N sets the sample period in cycles. Tracing only observes the
-// simulation — every table stays byte-identical with or without it.
+// CPI-stack/occupancy samples (JSONL, or CSV when FILE ends in .csv),
+// and without -trace the jobs keep no events; -sample N sets the sample
+// period in cycles. Tracing only observes the simulation — every table
+// stays byte-identical with or without it.
 //
 // Performance: the simulator parks provably-inert PEs and skips cycles in
 // which the whole machine is inert by default (DESIGN.md §10);
@@ -120,6 +121,7 @@ func fiferbench() int {
 	var sink *bench.TraceSink
 	if *tracePath != "" || *metricsPath != "" {
 		sink = bench.NewTraceSink(*sample)
+		sink.MetricsOnly = *tracePath == "" // no trace file needs the events
 		opt.Trace = sink
 	}
 

@@ -127,7 +127,7 @@ func Build(sys *core.System, g *graph.Graph, opts Options) *Pipeline {
 	}
 	p.labelA = b.AllocSlice(labels)
 	if opts.Mode == ModeRadii {
-		p.radiiA = b.AllocSlice(make([]uint64, n))
+		p.radiiA = b.AllocWords(n)
 	}
 
 	qp := apps.NewQueuePlan(sys)

@@ -35,7 +35,7 @@ func layoutOOO(m *ooo.Machine, g *graph.Graph, radii bool) *oooGraph {
 	}
 	og.labelA = b.AllocSlice(labels)
 	if radii {
-		og.radiiA = b.AllocSlice(make([]uint64, n))
+		og.radiiA = b.AllocWords(n)
 	}
 	for range m.Cores {
 		og.fringeA = append(og.fringeA, b.AllocWords(n))

@@ -105,7 +105,7 @@ func build(sys *core.System, g *graph.Graph, cfg graph.PRDConfig, merged bool) *
 	}
 	p.rankA = b.AllocSlice(init)
 	p.deltaA = b.AllocSlice(init)
-	p.nextDeltaA = b.AllocSlice(make([]uint64, n))
+	p.nextDeltaA = b.AllocWords(n)
 
 	R := p.place.Replicas
 	routeIdx := 1 // P2 routes

@@ -68,10 +68,10 @@ func build(sys *core.System, a *sparse.CSR, b *sparse.CSC, rows, cols []int, mer
 
 	p.aOffA = bs.AllocSlice(a.RowOffsets)
 	p.aColA = bs.AllocSlice(a.ColIdx)
-	p.aValA = allocFloats(bs, a.Values)
+	p.aValA = bs.AllocFloats(a.Values)
 	p.bOffA = bs.AllocSlice(b.ColOffsets)
 	p.bRowA = bs.AllocSlice(b.RowIdx)
-	p.bValA = allocFloats(bs, b.Values)
+	p.bValA = bs.AllocFloats(b.Values)
 
 	R := p.place.Replicas
 	qp := apps.NewQueuePlan(sys)
@@ -127,16 +127,6 @@ func build(sys *core.System, a *sparse.CSR, b *sparse.CSC, rows, cols []int, mer
 		p.addFull(rep)
 	}
 	return p
-}
-
-// allocFloats lays vals out in bs as their IEEE-754 bits, storing each word
-// in place rather than staging a []uint64 copy, and returns the base address.
-func allocFloats(bs *mem.Backing, vals []float64) mem.Addr {
-	base := bs.AllocWords(len(vals))
-	for i, v := range vals {
-		bs.Store(base+mem.Addr(i*mem.WordBytes), math.Float64bits(v))
-	}
-	return base
 }
 
 func prod(prodPE, consPE int) []int {

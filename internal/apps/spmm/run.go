@@ -65,10 +65,10 @@ func runOOO(m *ooo.Machine, a *sparse.CSR, b *sparse.CSC, rows, cols []int) [][]
 	bs := m.Backing
 	aOffA := bs.AllocSlice(a.RowOffsets)
 	aColA := bs.AllocSlice(a.ColIdx)
-	aValA := allocFloats(bs, a.Values)
+	aValA := bs.AllocFloats(a.Values)
 	bOffA := bs.AllocSlice(b.ColOffsets)
 	bRowA := bs.AllocSlice(b.RowIdx)
-	bValA := allocFloats(bs, b.Values)
+	bValA := bs.AllocFloats(b.Values)
 	outA := bs.AllocWords(len(rows) * len(cols))
 
 	out := make([][]float64, len(rows))

@@ -244,7 +244,9 @@ func (j Job) run(opt Options, sweep string, inputs *inputStore) (apps.Outcome, e
 			cfg.AuditCycles = cyclesKnob(opt.AuditCycles)
 		}
 		if col != nil {
-			cfg.Tracer = col
+			if !opt.Trace.MetricsOnly {
+				cfg.Tracer = col
+			}
 			cfg.Metrics = col
 			cfg.MetricsCycles = opt.Trace.SampleCycles
 		}

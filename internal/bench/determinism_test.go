@@ -147,6 +147,49 @@ func TestTracingKeepsEveryJob(t *testing.T) {
 	}
 }
 
+// TestMetricsOnlySink pins the sink fiferbench attaches for -metrics
+// without -trace: every CGRA job is kept although it holds no events, the
+// OOO job is still dropped, and each job's metrics rows and kernel counters
+// equal those of a fully traced run.
+func TestMetricsOnlySink(t *testing.T) {
+	jobs := []Job{
+		{App: "BFS", Input: "Hu", Kind: apps.FiferPipe},
+		{App: "BFS", Input: "Hu", Kind: apps.StaticPipe},
+		{App: "BFS", Input: "Hu", Kind: apps.MulticoreOOO},
+	}
+	run := func(metricsOnly bool) []TracedJob {
+		opt := Options{Scale: 0, Seed: 1,
+			Trace: &TraceSink{SampleCycles: 1024, MetricsOnly: metricsOnly}}
+		for _, r := range (Runner{Workers: 1}).Run(opt, jobs) {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
+		return opt.Trace.Jobs()
+	}
+	traced, metricsOnly := run(false), run(true)
+	if len(metricsOnly) != 2 || len(traced) != 2 {
+		t.Fatalf("kept %d metrics-only and %d traced job(s), want 2 each", len(metricsOnly), len(traced))
+	}
+	for i, m := range metricsOnly {
+		tj := traced[i]
+		switch {
+		case m.Key != tj.Key:
+			t.Fatalf("job %d: key %q, traced %q", i, m.Key, tj.Key)
+		case m.Collector.Len() != 0:
+			t.Errorf("%s: metrics-only job holds %d event(s)", m.Key, m.Collector.Len())
+		case tj.Collector.Len() == 0:
+			t.Errorf("%s: traced job holds no events", tj.Key)
+		case len(m.Collector.Rows()) == 0:
+			t.Errorf("%s: metrics-only job sampled no rows", m.Key)
+		case !reflect.DeepEqual(m.Collector.Rows(), tj.Collector.Rows()):
+			t.Errorf("%s: metrics rows differ from the traced run's", m.Key)
+		case m.Collector.Kernel() != tj.Collector.Kernel():
+			t.Errorf("%s: kernel counters %+v, traced %+v", m.Key, m.Collector.Kernel(), tj.Collector.Kernel())
+		}
+	}
+}
+
 // TestTraceSinkRejectsDuplicateKey pins that a second job under a key the
 // sink already holds panics instead of replacing the first job's trace.
 func TestTraceSinkRejectsDuplicateKey(t *testing.T) {

@@ -29,6 +29,12 @@ type TraceSink struct {
 	// (0 = trace.DefaultBufEvents). When a run overflows the ring, the
 	// oldest events are dropped flight-recorder style; Jobs reports drops.
 	BufEvents int
+	// MetricsOnly attaches each job's collector as a metrics and kernel
+	// sampler only, not as an event tracer, for callers that export metrics
+	// but no trace: the jobs then hold no event ring, and WriteTrace writes
+	// them without events. Metrics rows and kernel counters are the same
+	// either way.
+	MetricsOnly bool
 
 	mu   sync.Mutex
 	jobs map[string]*trace.Collector
@@ -40,8 +46,9 @@ func NewTraceSink(sampleCycles uint64) *TraceSink {
 }
 
 // add registers a finished job's collector. Empty collectors (OOO
-// baselines) are dropped. Two jobs under one key would leave one of them
-// untraced, so a repeated key panics.
+// baselines) are dropped; a metrics-only CGRA job has rows, so it is kept.
+// Two jobs under one key would leave one of them untraced, so a repeated
+// key panics.
 func (t *TraceSink) add(key string, col *trace.Collector) {
 	if t == nil || col == nil || col.Empty() {
 		return

@@ -7,7 +7,10 @@
 // 256 GB/s main memory.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // WordBytes is the machine word size; the fabric operates at 64-bit width.
 const WordBytes = 8
@@ -27,10 +30,17 @@ func (a Addr) Line() Addr { return a &^ (LineBytes - 1) }
 // functional and timing models trivially coherent.
 //
 // Host memory follows what the simulated program touches, not the configured
-// size: words live in fixed pages allocated on their first store, and a word
-// on an untouched page reads as zero, as untouched simulated memory always has.
+// size: words live in fixed pages, and a word on an untouched page reads as
+// zero, as untouched simulated memory always has. Two page tables share the
+// page index. Load reads the read table. Store writes the write table, which
+// holds only the pages the store owns: an owned page is allocated on its
+// first store. A page AllocSlice maps from its caller is in the read table
+// only, and the first Store to it copies it into an owned page
+// (copy-on-write), so stores never reach the caller's slice. An owned page
+// is in both tables.
 type Backing struct {
-	pages []*[pageWords]uint64 // page table; nil = untouched page
+	read  []*[pageWords]uint64 // Load's page table; nil = untouched page
+	write []*[pageWords]uint64 // owned pages; nil = untouched or mapped page
 	size  int                  // capacity in words
 	brk   Addr                 // bump-allocation watermark
 }
@@ -48,15 +58,35 @@ func NewBacking(sizeBytes int) *Backing {
 // Size returns the store capacity in bytes.
 func (b *Backing) Size() int { return b.size * WordBytes }
 
-// page returns host page p, allocating it (and growing the table) on first use.
+// page returns owned page p, allocating it on first use.
 func (b *Backing) page(p int) *[pageWords]uint64 {
-	if p >= len(b.pages) {
-		b.pages = append(b.pages, make([]*[pageWords]uint64, p+1-len(b.pages))...)
+	if p < len(b.write) && b.write[p] != nil {
+		return b.write[p]
 	}
-	if b.pages[p] == nil {
-		b.pages[p] = new([pageWords]uint64)
+	return b.own(p)
+}
+
+// own allocates owned page p, growing the tables as needed. A mapped page's
+// words are copied in, so the page reads as before. It stays out of line so
+// that page, Store's fast path, inlines.
+//
+//go:noinline
+func (b *Backing) own(p int) *[pageWords]uint64 {
+	b.grow(p)
+	pg := new([pageWords]uint64)
+	if m := b.read[p]; m != nil {
+		*pg = *m
 	}
-	return b.pages[p]
+	b.read[p], b.write[p] = pg, pg
+	return pg
+}
+
+// grow extends both page tables to hold page p.
+func (b *Backing) grow(p int) {
+	if n := p + 1 - len(b.read); n > 0 {
+		b.read = append(b.read, make([]*[pageWords]uint64, n)...)
+		b.write = append(b.write, make([]*[pageWords]uint64, n)...)
+	}
 }
 
 // wordIndex returns a's word index. It stays small enough to inline into
@@ -78,8 +108,8 @@ func (b *Backing) badAccess(a Addr) {
 // Load returns the word at address a.
 func (b *Backing) Load(a Addr) uint64 {
 	i := b.wordIndex(a)
-	if p := i / pageWords; p < uint(len(b.pages)) && b.pages[p] != nil {
-		return b.pages[p][i%pageWords]
+	if p := i / pageWords; p < uint(len(b.read)) && b.read[p] != nil {
+		return b.read[p][i%pageWords]
 	}
 	return 0
 }
@@ -105,15 +135,36 @@ func (b *Backing) Alloc(n int) Addr {
 // AllocWords reserves n 64-bit words and returns the base address.
 func (b *Backing) AllocWords(n int) Addr { return b.Alloc(n * WordBytes) }
 
-// AllocSlice reserves storage for vals and copies them in, returning the
-// base address. It is the workhorse for laying out CSR arrays and the like.
+// AllocSlice reserves storage for vals, lays them out there, and returns
+// the base address. It is the workhorse for laying out CSR arrays and the
+// like. Each whole host page vals covers is mapped, not copied: the store
+// reads it from vals until the first Store to it copies it into an owned
+// page. Only the partial pages at either end are copied in, so laying out a
+// large input costs at most two host pages. Stores never reach vals, and vals
+// must not change while the store is live, as the read-only inputs a sweep
+// shares between jobs already promise.
 func (b *Backing) AllocSlice(vals []uint64) Addr {
 	base := b.AllocWords(len(vals)) // range-checks the whole slice
 	for i := int(base / WordBytes); len(vals) > 0; {
-		n := copy(b.page(i / pageWords)[i%pageWords:], vals)
+		p, off, n := i/pageWords, i%pageWords, pageWords
+		if off == 0 && len(vals) >= pageWords {
+			b.grow(p)
+			b.read[p], b.write[p] = (*[pageWords]uint64)(vals), nil
+		} else {
+			n = copy(b.page(p)[off:], vals)
+		}
 		vals, i = vals[n:], i+n
 	}
 	return base
+}
+
+// AllocFloats lays vals out as their IEEE-754 bits, the words
+// math.Float64bits returns, under AllocSlice's contract, and returns the
+// base address.
+func (b *Backing) AllocFloats(vals []float64) Addr {
+	// float64 and uint64 share size and alignment, so this view of vals
+	// reads each value's bits unchanged, NaN payloads and -0 included.
+	return b.AllocSlice(unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(vals))), len(vals)))
 }
 
 // Footprint returns the number of bytes allocated so far.

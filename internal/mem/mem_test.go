@@ -2,10 +2,14 @@ package mem
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestBackingLoadStore(t *testing.T) {
@@ -41,10 +45,11 @@ func TestBackingAllocSlice(t *testing.T) {
 	}
 }
 
-// hostPages counts the host pages the store has allocated.
+// hostPages counts the host pages the store owns: the write table. Mapped
+// pages belong to the caller and are not counted.
 func (b *Backing) hostPages() int {
 	n := 0
-	for _, p := range b.pages {
+	for _, p := range b.write {
 		if p != nil {
 			n++
 		}
@@ -142,20 +147,35 @@ func TestBackingPanics(t *testing.T) {
 	}
 }
 
-// FuzzBacking runs Alloc, AllocSlice, Store and Load sequences against a
-// map model on stores of a few pages. Addresses cluster around page
-// boundaries and run past brk and past the end of the store; every panic
-// (unaligned, out of range, out of simulated memory) must fire exactly when
-// the model says it should.
+// FuzzBacking runs Alloc, AllocSlice, AllocFloats, Store and Load sequences
+// against a flat model on stores of a few pages. Addresses cluster around
+// page boundaries and run past brk and past the end of the store; every
+// panic (unaligned, out of range, out of simulated memory) must fire exactly
+// when the model says it should. Slices of up to three pages land at
+// line-aligned bases, so whole pages are mapped and partial ones copied;
+// stores aim into them too. After every operation each page reads as the
+// model says and every slice passed in still equals its pre-call copy; at
+// the end every word loads as the model says.
 func FuzzBacking(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 10, 2, 1, 3, 0, 1, 2, 0, 4, 3, 0, 2, 9})
 	// A slice laid across the first page boundary, read on both sides.
 	f.Add(uint8(5), []byte{0, 0, 0, 255, 8, 1, 0, 0, 255, 3, 1, 0, 3, 0, 0x3f, 3, 1, 0xff})
+	// A store far past brk, then a mapped three-page slice over it, a store
+	// into the mapped page and loads of it.
+	f.Add(uint8(4), []byte{2, 2, 3, 7, 4, 0, 0, 3, 5, 3, 2, 3, 5, 0, 0, 64, 0, 9, 3, 2, 3, 3, 2, 0, 2, 3, 3, 3, 3, 3, 3})
+	// Float slices: one mapped page written through, and a partial one.
+	f.Add(uint8(3), []byte{4, 0, 0, 6, 0, 5, 0, 0, 40, 0, 7, 3, 1, 5, 4, 0, 0, 4, 100, 3, 2, 1})
 	f.Fuzz(func(t *testing.T, sz uint8, ops []byte) {
-		size := (1+int(sz%4))*pageWords*WordBytes + int(sz/4%4)*WordBytes
+		size := (1+int(sz%8))*pageWords*WordBytes + int(sz/8%4)*WordBytes
 		b := NewBacking(size)
-		model := map[Addr]uint64{}
+		model := make([]uint64, size/WordBytes)
+		hi := 0 // model words below hi may be nonzero
 		brk := Addr(LineBytes)
+		type input struct {
+			base       Addr
+			words, was []uint64
+		}
+		var inputs []input
 		next := func() int {
 			if len(ops) == 0 {
 				return 0
@@ -186,19 +206,83 @@ func FuzzBacking(f *testing.F) {
 			}
 			return base, oom
 		}
+		// badAddr names the panic an access at a must raise ("" = none).
+		badAddr := func(a Addr) string {
+			if a%WordBytes != 0 {
+				return "unaligned"
+			} else if a >= Addr(size) {
+				return "outside"
+			}
+			return ""
+		}
+		store := func(step int, a Addr, v uint64) {
+			bad := badAddr(a)
+			if p := panics(func() { b.Store(a, v) }); wrong(p, bad) {
+				t.Fatalf("step %d: Store(%#x) panic %q in a %d B store, want %q", step, uint64(a), p, size, bad)
+			}
+			if bad == "" {
+				model[a/WordBytes] = v
+				hi = max(hi, int(a/WordBytes)+1)
+			}
+		}
+		// allocSlice lays out words through AllocSlice, or through
+		// AllocFloats as the floats with those bits.
+		allocSlice := func(step int, words []uint64, floats bool) {
+			want, oom := alloc(len(words) * WordBytes)
+			was := slices.Clone(words)
+			var got Addr
+			var p string
+			if floats {
+				fs := make([]float64, len(words))
+				for i, w := range words {
+					fs[i] = math.Float64frombits(w)
+				}
+				p = panics(func() { got = b.AllocFloats(fs) })
+				words = unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(fs))), len(fs))
+			} else {
+				p = panics(func() { got = b.AllocSlice(words) })
+			}
+			if wrong(p, oom) || (p == "" && got != want) {
+				t.Fatalf("step %d: AllocSlice(%d, floats %v) = %#x panic %q, want %#x panic %q",
+					step, len(words), floats, got, p, want, oom)
+			}
+			if oom == "" {
+				inputs = append(inputs, input{want, words, was})
+				copy(model[want/WordBytes:], words)
+				hi = max(hi, int(want/WordBytes)+len(words))
+			}
+		}
+		// check compares every page Load reads from with the model, a page
+		// at a time, and every slice laid out with its pre-call copy.
+		check := func(step int) {
+			var zero [pageWords]uint64
+			for lo := 0; lo < hi; lo += pageWords {
+				want := model[lo:min(lo+pageWords, len(model))]
+				got := zero[:len(want)]
+				if p := lo / pageWords; p < len(b.read) && b.read[p] != nil {
+					got = b.read[p][:len(want)]
+				}
+				if !slices.Equal(got, want) {
+					for w := range want {
+						if got[w] != want[w] {
+							t.Fatalf("step %d: word %#x reads %d, model %d", step, (lo+w)*WordBytes, got[w], want[w])
+						}
+					}
+				}
+			}
+			for _, in := range inputs {
+				if !slices.Equal(in.words, in.was) {
+					t.Fatalf("step %d: the slice laid out at %#x changed", step, uint64(in.base))
+				}
+			}
+		}
 		for step := 0; len(ops) > 0; step++ {
 			op := next()
 			// An address near a page boundary: page, signed word offset,
 			// and a misalignment in the top bits of the offset byte.
-			page, off := next()%6, next()
+			page, off := next()%10, next()
 			a := Addr(page*pageWords*WordBytes) + Addr(int(int8(off<<2)>>2)*WordBytes) + Addr(off>>6)
-			bad := ""
-			if a%WordBytes != 0 {
-				bad = "unaligned"
-			} else if a >= Addr(size) {
-				bad = "outside"
-			}
-			switch op % 4 {
+			switch op % 6 {
 			case 0: // Alloc of up to two pages, mostly small
 				n := next() << (next() % 10)
 				want, oom := alloc(n)
@@ -211,40 +295,143 @@ func FuzzBacking(f *testing.F) {
 				for i := range vals {
 					vals[i] = uint64(step)<<32 | uint64(i) + 1
 				}
-				want, oom := alloc(len(vals) * WordBytes)
-				var got Addr
-				if p := panics(func() { got = b.AllocSlice(vals) }); wrong(p, oom) || (p == "" && got != want) {
-					t.Fatalf("step %d: AllocSlice(%d) = %#x panic %q, want %#x panic %q", step, len(vals), got, p, want, oom)
-				}
-				if oom == "" {
-					for i, v := range vals {
-						model[want+Addr(i*WordBytes)] = v
-					}
-				}
+				allocSlice(step, vals, false)
 			case 2:
-				v := uint64(next()) + 1
-				if p := panics(func() { b.Store(a, v) }); wrong(p, bad) {
-					t.Fatalf("step %d: Store(%#x) panic %q in a %d B store, want %q", step, uint64(a), p, size, bad)
-				}
-				if bad == "" {
-					model[a] = v
-				}
+				store(step, a, uint64(next())+1)
 			case 3:
 				var got uint64
-				if p := panics(func() { got = b.Load(a) }); wrong(p, bad) || (p == "" && got != model[a]) {
-					t.Fatalf("step %d: Load(%#x) = %d panic %q, model %d panic %q", step, uint64(a), got, p, model[a], bad)
+				bad := badAddr(a)
+				if p := panics(func() { got = b.Load(a) }); wrong(p, bad) || (p == "" && got != model[a/WordBytes]) {
+					t.Fatalf("step %d: Load(%#x) = %d panic %q, model %d panic %q", step, uint64(a), got, p, model[a/WordBytes], bad)
 				}
+			case 4: // AllocSlice or AllocFloats of 0-3 pages, give or take 1 Ki words
+				mode := next()
+				n := max(0, mode%4*pageWords+int(int8(next()))*8)
+				vals := make([]uint64, n)
+				for i := range vals {
+					vals[i] = (uint64(step)<<32 | uint64(i) + 1) * 0x9e3779b97f4a7c15
+				}
+				allocSlice(step, vals, mode&4 != 0)
+			case 5: // Store into the last slice laid out, mapped pages included
+				if len(inputs) == 0 || len(inputs[len(inputs)-1].words) == 0 {
+					break
+				}
+				in := inputs[len(inputs)-1]
+				w := (next()<<8 | next()) % len(in.words)
+				store(step, in.base+Addr(w*WordBytes), uint64(next())+1)
 			}
+			check(step)
 		}
-		for a, v := range model {
-			if got := b.Load(a); got != v {
-				t.Fatalf("final Load(%#x) = %d, model %d", uint64(a), got, v)
+		for w := 0; w < hi; w++ {
+			if got := b.Load(Addr(w * WordBytes)); got != model[w] {
+				t.Fatalf("final Load(%#x) = %d, model %d", w*WordBytes, got, model[w])
 			}
 		}
 		if b.Footprint() != int(brk) {
 			t.Fatalf("Footprint %d, model %d", b.Footprint(), brk)
 		}
 	})
+}
+
+// TestAllocSliceMapsWholePages pins the no-copy layout: a 10-page slice at
+// a base that is not page-aligned owns at most two host pages (the partial
+// ends), a store to a mapped page copies just that page, and the slice
+// itself never changes.
+func TestAllocSliceMapsWholePages(t *testing.T) {
+	b := NewBacking(64 << 20)
+	b.Alloc(3 * LineBytes)
+	vals := make([]uint64, 10*pageWords)
+	for i := range vals {
+		vals[i] = uint64(i)*3 + 1
+	}
+	was := slices.Clone(vals)
+	a := b.AllocSlice(vals)
+	if a%(pageWords*WordBytes) == 0 {
+		t.Fatalf("base %#x is page-aligned", uint64(a))
+	}
+	if got := b.hostPages(); got > 2 {
+		t.Fatalf("a 10-page slice owns %d host pages, want at most 2", got)
+	}
+	mid := a + 5*pageWords*WordBytes
+	b.Store(mid, 99)
+	if got := b.hostPages(); got > 3 {
+		t.Fatalf("one store to a mapped page left %d owned pages, want at most 3", got)
+	}
+	for i, v := range vals {
+		w := a + Addr(i*WordBytes)
+		if w == mid {
+			v = 99
+		}
+		if got := b.Load(w); got != v {
+			t.Fatalf("word %d = %d, want %d", i, got, v)
+		}
+	}
+	if !slices.Equal(vals, was) {
+		t.Fatal("a store reached the caller's slice")
+	}
+}
+
+// TestAllocFloatsBits pins AllocFloats to math.Float64bits, word for word,
+// for special values (-0, infinities, NaN payloads, subnormals) and for a
+// slice long enough to map whole pages.
+func TestAllocFloatsBits(t *testing.T) {
+	special := []float64{0, math.Copysign(0, -1), 1.5, -2.25, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff8deadbeef0001),
+		math.MaxFloat64, math.SmallestNonzeroFloat64}
+	long := make([]float64, 3*pageWords+17)
+	for i := range long {
+		long[i] = math.Float64frombits(uint64(i) * 0x9e3779b97f4a7c15)
+	}
+	b := NewBacking(1 << 20)
+	for _, vals := range [][]float64{special, long, nil} {
+		a := b.AllocFloats(vals)
+		for i, v := range vals {
+			if got, want := b.Load(a+Addr(i*WordBytes)), math.Float64bits(v); got != want {
+				t.Fatalf("word %d of %d = %#x, want %#x", i, len(vals), got, want)
+			}
+		}
+	}
+}
+
+// TestConcurrentMappedInputs maps one slice into two stores that two
+// goroutines write and read at once, as the jobs of a sweep share an input.
+// Each store sees its own writes over the input, and the input never
+// changes; run it under -race.
+func TestConcurrentMappedInputs(t *testing.T) {
+	vals := make([]uint64, 4*pageWords+100)
+	for i := range vals {
+		vals[i] = uint64(i) + 1
+	}
+	was := slices.Clone(vals)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b := NewBacking(1 << 20)
+			b.Alloc(LineBytes * (1 + g))
+			a := b.AllocSlice(vals)
+			want := func(i int) uint64 {
+				if i%7 == g {
+					return uint64(g+1)<<40 | uint64(i)
+				}
+				return uint64(i) + 1
+			}
+			for i := g; i < len(vals); i += 7 {
+				b.Store(a+Addr(i*WordBytes), want(i))
+			}
+			for i := range vals {
+				if got := b.Load(a + Addr(i*WordBytes)); got != want(i) {
+					t.Errorf("goroutine %d: word %d = %#x, want %#x", g, i, got, want(i))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if !slices.Equal(vals, was) {
+		t.Fatal("a store reached the shared slice")
+	}
 }
 
 func TestCacheHitMiss(t *testing.T) {
@@ -401,6 +588,27 @@ func BenchmarkAllocSlice(b *testing.B) {
 }
 
 var sinkWord uint64
+
+// BenchmarkBackingStore writes random words over a 32 MB footprint, the
+// counterpart of BenchmarkBackingLoad. Every page is owned before the
+// timer starts, so it times Store's fast path.
+func BenchmarkBackingStore(b *testing.B) {
+	const words = 32 << 20 / WordBytes
+	back := NewBacking(64 << 20)
+	base := back.AllocWords(words)
+	for i := 0; i < words; i += pageWords {
+		back.Store(base+Addr(i*WordBytes), 1)
+	}
+	addrs := make([]Addr, 1<<16)
+	r := rand.New(rand.NewSource(1))
+	for i := range addrs {
+		addrs[i] = base + Addr(r.Intn(words)*WordBytes)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		back.Store(addrs[i&(len(addrs)-1)], uint64(i))
+	}
+}
 
 // BenchmarkBackingLoad reads random words over a 32 MB footprint, the
 // host-cache-missing case that pays for the page-table indirection.
