@@ -58,3 +58,14 @@ func TestSiloMissingKeysReported(t *testing.T) {
 		t.Fatal("unverified")
 	}
 }
+
+var sinkDataset Dataset
+
+// BenchmarkGenerateDataset builds the scale-2 Silo dataset: a million
+// records and the YCSB-C lookup stream over them.
+func BenchmarkGenerateDataset(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkDataset = GenerateDataset(2, uint64(i)+1)
+	}
+}

@@ -83,9 +83,6 @@ const FixOne = uint64(1) << 32
 // ToFix converts a float to Q32.32.
 func ToFix(f float64) uint64 { return uint64(f * float64(FixOne)) }
 
-// FromFix converts Q32.32 to float64.
-func FromFix(x uint64) float64 { return float64(x) / float64(FixOne) }
-
 // FixMul multiplies two Q32.32 values.
 func FixMul(a, b uint64) uint64 {
 	hi := (a >> 32) * (b >> 32)

@@ -42,17 +42,6 @@ func (g *Graph) Neigh(v int) []uint64 {
 	return g.Neighbors[g.Offsets[v]:g.Offsets[v+1]]
 }
 
-// MaxDegree returns the largest out-degree.
-func (g *Graph) MaxDegree() int {
-	m := 0
-	for v := 0; v < g.NumVertices(); v++ {
-		if d := g.Degree(v); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // Validate checks CSR structural invariants.
 func (g *Graph) Validate() error {
 	if len(g.Offsets) == 0 {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 
 	"fifer/internal/sim"
 )
@@ -110,6 +111,11 @@ func RMAT(name string, n, m int, skew float64, r *sim.Rand) *Graph {
 }
 
 // rmatEdges draws RMAT's m edges, self-loops excluded and duplicates kept.
+// Each level picks a quadrant from one draw p = r.Float64(): "a" (top-left)
+// below a, "b" (v bit) below a+b, "c" (u bit) below a+b+c, else "d" (both
+// bits). The comparisons run on the draw's 53-bit integer k instead of p,
+// against thresholds that select exactly the same quadrant (rmatThreshold),
+// so the quadrant index q is a sum of three borrow bits with no branch.
 func rmatEdges(n, m int, skew float64, r *sim.Rand) [][2]int {
 	bits := 0
 	for 1<<bits < n {
@@ -118,28 +124,30 @@ func rmatEdges(n, m int, skew float64, r *sim.Rand) [][2]int {
 	a := skew
 	rest := (1 - a) / 3
 	b, c := rest, rest
+	t1, t2, t3 := rmatThreshold(a), rmatThreshold(a+b), rmatThreshold(a+b+c)
 	edges := make([][2]int, 0, m)
 	for len(edges) < m {
 		u, v := 0, 0
 		for i := 0; i < bits; i++ {
-			p := r.Float64()
-			switch {
-			case p < a:
-				// top-left: nothing to add
-			case p < a+b:
-				v |= 1 << i
-			case p < a+b+c:
-				u |= 1 << i
-			default:
-				u |= 1 << i
-				v |= 1 << i
-			}
+			k := r.Uint64() >> 11
+			// (k-t)>>63 is 1 exactly when k < t: k and t are below 2^54.
+			q := 3 - (k-t1)>>63 - (k-t2)>>63 - (k-t3)>>63
+			u |= int(q>>1) << i
+			v |= int(q&1) << i
 		}
 		if u < n && v < n && u != v {
 			edges = append(edges, [2]int{u, v})
 		}
 	}
 	return edges
+}
+
+// rmatThreshold returns the integer t with k < t exactly when
+// float64(k)/2^53 < x, for every 53-bit k (sim.Rand.Float64 returns
+// float64(Uint64()>>11)/2^53). Scaling by a power of two is exact, so the
+// comparison is k < x·2^53, which for an integer k is k < ceil(x·2^53).
+func rmatThreshold(x float64) uint64 {
+	return uint64(math.Ceil(x * (1 << 53)))
 }
 
 // meshEdges generates a triangulated 2D grid: the topology class of

@@ -1,9 +1,12 @@
 package graph
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"testing"
+
+	"fifer/internal/sim"
 )
 
 // legacyFromEdges is the original map-deduplicating CSR builder, kept as the
@@ -65,6 +68,97 @@ func TestGenerateMatchesLegacy(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// legacyRMATEdges is the original R-MAT edge loop, which picks each level's
+// quadrant by comparing r.Float64() against a, a+b and a+b+c. It is the
+// oracle that pins rmatEdges' edge list, draw for draw.
+func legacyRMATEdges(n, m int, skew float64, r *sim.Rand) [][2]int {
+	bits := 0
+	for 1<<bits < n {
+		bits++
+	}
+	a := skew
+	rest := (1 - a) / 3
+	b, c := rest, rest
+	edges := make([][2]int, 0, m)
+	for len(edges) < m {
+		u, v := 0, 0
+		for i := 0; i < bits; i++ {
+			p := r.Float64()
+			switch {
+			case p < a:
+				// top-left: nothing to add
+			case p < a+b:
+				v |= 1 << i
+			case p < a+b+c:
+				u |= 1 << i
+			default:
+				u |= 1 << i
+				v |= 1 << i
+			}
+		}
+		if u < n && v < n && u != v {
+			edges = append(edges, [2]int{u, v})
+		}
+	}
+	return edges
+}
+
+// TestRMATEdgesMatchLegacy pins the R-MAT inputs' edge lists, not just the
+// CSR built from them: every scale (scale 2 only without -short) and seeds
+// 1-20 draw the same edges in the same order as the float-comparing loop.
+func TestRMATEdgesMatchLegacy(t *testing.T) {
+	scales := []Scale{ScaleTiny, ScaleSmall, ScaleMedium}
+	if testing.Short() {
+		scales = scales[:2]
+	}
+	for _, in := range []Input{Hu, Ci, In} {
+		in := in
+		t.Run(string(in), func(t *testing.T) {
+			t.Parallel()
+			s := specs[in]
+			for _, scale := range scales {
+				for seed := uint64(1); seed <= 20; seed++ {
+					n := s.vertices[scale]
+					r := sim.NewRand(seed ^ uint64(len(in)) ^ uint64(n))
+					want := legacyRMATEdges(n, int(float64(n)*s.deg/2), s.skew, r)
+					if gotN, got := generateEdges(in, scale, seed); gotN != n || !reflect.DeepEqual(got, want) {
+						t.Fatalf("scale %d seed %d: edge list differs from the legacy R-MAT loop", scale, seed)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestRMATThreshold checks the lemma rmatEdges rests on at the boundary of
+// each quadrant threshold of every R-MAT input: the draw k = t-1 compares
+// below the float threshold and k = t does not.
+func TestRMATThreshold(t *testing.T) {
+	for _, in := range []Input{Hu, Ci, In} {
+		a := specs[in].skew
+		rest := (1 - a) / 3
+		b, c := rest, rest
+		for _, x := range []float64{a, a + b, a + b + c} {
+			th := rmatThreshold(x)
+			below := float64(th-1) / (1 << 53)
+			at := float64(th) / (1 << 53)
+			if !(below < x) || at < x {
+				t.Errorf("%s: threshold %d for %v: k=t-1 gives %v, k=t gives %v", in, th, x, below, at)
+			}
+		}
+	}
+	// Thresholds on exact and inexact multiples of 2^-53, and the ends.
+	for _, x := range []float64{0, 0.5, 1, 0x1p-53, 3 * 0x1p-53, math.Nextafter(0.5, 1), math.Nextafter(0.5, 0), 1.0 / 3} {
+		th := rmatThreshold(x)
+		if th > 0 && !(float64(th-1)/(1<<53) < x) {
+			t.Errorf("threshold %d for %v: k=t-1 does not compare below", th, x)
+		}
+		if float64(th)/(1<<53) < x {
+			t.Errorf("threshold %d for %v: k=t compares below", th, x)
+		}
 	}
 }
 

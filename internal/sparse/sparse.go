@@ -7,6 +7,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"fifer/internal/sim"
@@ -234,6 +235,7 @@ func Generate(in Input, scale int, seed uint64) *CSR {
 	m.ColIdx = make([]uint64, 0, expected)
 	m.Values = make([]float64, 0, expected)
 	seen := make([]int32, n) // seen[c] == row+1 once this row holds column c
+	var sorter rowSorter
 	for row := 0; row < n; row++ {
 		// Per-row non-zero count: mean nnzRow with geometric-ish spread.
 		target := int(s.nnzRow)
@@ -270,11 +272,73 @@ func Generate(in Input, scale int, seed uint64) *CSR {
 				m.ColIdx = append(m.ColIdx, uint64(c))
 			}
 		}
-		slices.Sort(m.ColIdx[start:])
+		sorter.sort(m.ColIdx[start:])
 		for range m.ColIdx[start:] {
 			m.Values = append(m.Values, 1+r.Float64())
 		}
 		m.RowOffsets[row+1] = uint64(len(m.ColIdx))
 	}
 	return m
+}
+
+// Row-sort strategy thresholds. Rows of up to insertionMax columns are
+// insertion-sorted; longer rows whose [min, max] span needs at most
+// bitmapWordsPerKey bitmap words per column go through the bitmap; the rest
+// (dense rows of uniform matrices, and banded rows near the matrix edge,
+// whose out-of-band draws are uniform over all n columns) fall back to
+// slices.Sort.
+const (
+	insertionMax      = 16
+	bitmapWordsPerKey = 4
+)
+
+// rowSorter sorts one row's column indices at a time. The indices of a row
+// are distinct, and a banded row spans about n/8 columns, so a bitmap over
+// [min, max] sorts it in one pass; the bitmap is reused across rows and is
+// all zero between calls.
+type rowSorter struct {
+	bitmap []uint64
+}
+
+// sort sorts cols, which must hold distinct values, into increasing order.
+func (s *rowSorter) sort(cols []uint64) {
+	if len(cols) <= insertionMax {
+		for i := 1; i < len(cols); i++ {
+			c, j := cols[i], i
+			for ; j > 0 && cols[j-1] > c; j-- {
+				cols[j] = cols[j-1]
+			}
+			cols[j] = c
+		}
+		return
+	}
+	lo, hi := cols[0], cols[0]
+	for _, c := range cols[1:] {
+		lo, hi = min(lo, c), max(hi, c)
+	}
+	words := (hi-lo)/64 + 1
+	if words > uint64(bitmapWordsPerKey*len(cols)) {
+		slices.Sort(cols)
+		return
+	}
+	if uint64(len(s.bitmap)) < words {
+		// Room for any span this row length accepts, so the bitmap
+		// regrows only for a longer row.
+		s.bitmap = make([]uint64, bitmapWordsPerKey*len(cols))
+	}
+	bm := s.bitmap[:words]
+	for _, c := range cols {
+		d := c - lo
+		bm[d/64] |= 1 << (d % 64)
+	}
+	k := 0
+	for w, word := range bm {
+		base := lo + uint64(w)*64
+		for word != 0 {
+			cols[k] = base + uint64(bits.TrailingZeros64(word))
+			k++
+			word &= word - 1
+		}
+		bm[w] = 0
+	}
 }

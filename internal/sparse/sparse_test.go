@@ -1,7 +1,9 @@
 package sparse
 
 import (
+	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -190,4 +192,94 @@ func TestBandedGeneratorClustersDiagonal(t *testing.T) {
 	if near < far*3 {
 		t.Fatalf("banded matrix not diagonal-clustered: near=%d far=%d", near, far)
 	}
+}
+
+// checkRowSort sorts each row with one shared rowSorter and compares it with
+// slices.Sort. The rows must hold distinct keys; the sorter's bitmap must be
+// all zero again after every call, since the next row relies on it.
+func checkRowSort(t *testing.T, rows ...[]uint64) {
+	t.Helper()
+	var s rowSorter
+	for _, row := range rows {
+		want := slices.Clone(row)
+		slices.Sort(want)
+		got := slices.Clone(row)
+		s.sort(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("sort(%v) = %v, want %v", row, got, want)
+		}
+		for w, word := range s.bitmap {
+			if word != 0 {
+				t.Fatalf("sort(%v) left bitmap word %d = %#x", row, w, word)
+			}
+		}
+	}
+}
+
+// distinctKeys turns data into distinct keys base + v*stride, one per
+// little-endian uint16 v, in data's order.
+func distinctKeys(data []byte, base uint64, stride uint16) []uint64 {
+	seen := map[uint64]bool{}
+	var keys []uint64
+	for i := 0; i+1 < len(data); i += 2 {
+		k := base + uint64(binary.LittleEndian.Uint16(data[i:]))*uint64(stride)
+		if !seen[k] {
+			seen[k] = true
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// TestRowSortBranches runs each of the row sort's three strategies:
+// insertion sort, the bitmap over [min, max], and the slices.Sort fallback.
+func TestRowSortBranches(t *testing.T) {
+	r := sim.NewRand(3)
+	// span draws n distinct keys from [base, base+span) in random order.
+	span := func(n, span int, base uint64) []uint64 {
+		seen := map[uint64]bool{}
+		keys := make([]uint64, 0, n)
+		for len(keys) < n {
+			if k := base + uint64(r.Intn(span)); !seen[k] {
+				seen[k] = true
+				keys = append(keys, k)
+			}
+		}
+		return keys
+	}
+	short := span(insertionMax, 1<<20, 5)
+	dense := span(64, 64*bitmapWordsPerKey*64, 1<<40) // up to the widest bitmap span
+	dense = append(dense, 1<<40+64*bitmapWordsPerKey*65-1)
+	wide := span(insertionMax+1, 1<<30, math.MaxUint64/2)
+	banded := span(150, 3500, 12_000)
+	if len(short) > insertionMax || len(dense) <= insertionMax || len(wide) <= insertionMax {
+		t.Fatal("cases no longer reach their branches")
+	}
+	checkRowSort(t, nil, []uint64{7}, short, dense, wide, banded, short, dense)
+}
+
+// FuzzRowSort checks the row sort against slices.Sort on distinct keys of
+// any count and span. The seeds reach every branch: a few shuffled keys
+// (insertion), many keys over a narrow span (bitmap), many keys over a wide
+// one and keys that wrap past 2^64 (fallback), each row cut in two and
+// sorted in turn with one sorter.
+func FuzzRowSort(f *testing.F) {
+	// enc encodes n uint16 keys, byte(i*mulLo) | byte(i*mulHi)<<8; odd
+	// multipliers keep up to 256 of them distinct and out of order.
+	enc := func(n int, mulLo, mulHi byte) []byte {
+		b := make([]byte, 0, 2*n)
+		for i := 0; i < n; i++ {
+			b = append(b, byte(i)*mulLo, byte(i)*mulHi)
+		}
+		return b
+	}
+	f.Add(enc(12, 37, 0), uint64(0), uint16(1), uint8(3))
+	f.Add(enc(100, 37, 0), uint64(1<<33), uint16(1), uint8(50))
+	f.Add(enc(100, 37, 53), uint64(9), uint16(4000), uint8(20))
+	f.Add(enc(200, 11, 0), uint64(math.MaxUint64-100), uint16(1), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, base uint64, stride uint16, cut uint8) {
+		keys := distinctKeys(data, base, stride)
+		c := min(int(cut), len(keys))
+		checkRowSort(t, keys, keys[:c], keys[c:], keys)
+	})
 }

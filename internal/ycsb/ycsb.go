@@ -31,9 +31,32 @@ func NewZipfian(n uint64, theta float64, r *sim.Rand) *Zipfian {
 	return z
 }
 
+// zetaTable holds zeta(n, 0.99) for Silo's record counts as exact float64
+// bits, the values the plain sum in zeta returns, so a sampler over a
+// million records skips a million math.Pow calls. YCSB's ScrambledZipfian
+// precomputes its ZETAN the same way.
+var zetaTable = [...]struct{ n, bits uint64 }{
+	{20_000, 0x4025f9576d34c484},
+	{200_000, 0x402b1e15e640d974},
+	{1_000_000, 0x402ec8a087a85a53},
+}
+
+// zeta returns the generalized harmonic number sum_{i=1..n} 1/i^theta,
+// summed in increasing i. Each NewZipfian computes it once, unless
+// zetaTable holds it; n in this repo stays ≤ a few million.
 func zeta(n uint64, theta float64) float64 {
-	// For large n this sum is expensive; YCSB caches it — we do the same by
-	// computing it once per sampler. n in this repo stays ≤ a few million.
+	if theta == 0.99 {
+		for _, e := range zetaTable {
+			if e.n == n {
+				return math.Float64frombits(e.bits)
+			}
+		}
+	}
+	return zetaSum(n, theta)
+}
+
+// zetaSum is zeta's plain sum, the definition zetaTable's entries must equal.
+func zetaSum(n uint64, theta float64) float64 {
 	sum := 0.0
 	for i := uint64(1); i <= n; i++ {
 		sum += 1 / math.Pow(float64(i), theta)

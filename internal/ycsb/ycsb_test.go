@@ -1,6 +1,7 @@
 package ycsb
 
 import (
+	"math"
 	"testing"
 
 	"fifer/internal/sim"
@@ -68,5 +69,16 @@ func TestDefaultKeyOfBijective(t *testing.T) {
 			t.Fatalf("collision at %d", i)
 		}
 		seen[k] = true
+	}
+}
+
+// TestZetaTableExact recomputes every zetaTable entry with the plain sum:
+// the table must return the same float64 bits, or Zipfian samples (and so
+// every Silo lookup stream) would move.
+func TestZetaTableExact(t *testing.T) {
+	for _, e := range zetaTable {
+		if got, want := math.Float64bits(zeta(e.n, 0.99)), math.Float64bits(zetaSum(e.n, 0.99)); got != want || got != e.bits {
+			t.Errorf("zeta(%d, 0.99) = %#x, plain sum %#x", e.n, got, want)
+		}
 	}
 }
