@@ -21,6 +21,10 @@ type oooGraph struct {
 	labelA     mem.Addr
 	radiiA     mem.Addr
 	fringeA    []mem.Addr // per-core next-fringe buffers
+
+	// The host's current and next frontiers, reused by every level of
+	// every search.
+	cur, next []uint64
 }
 
 func layoutOOO(m *ooo.Machine, g *graph.Graph, radii bool) *oooGraph {
@@ -45,11 +49,11 @@ func layoutOOO(m *ooo.Machine, g *graph.Graph, radii bool) *oooGraph {
 
 func (og *oooGraph) labelAddr(v uint64) mem.Addr { return og.labelA + mem.Addr(v*mem.WordBytes) }
 
-// bfsLevel processes one fringe level on the given core, appending
-// discovered vertices to the core's fringe buffer. Returns the new fringe.
-func (og *oooGraph) bfsLevel(c *ooo.Core, coreIdx int, fringe []uint64, d uint64, radii bool) []uint64 {
-	var next []uint64
-	fa := og.fringeA[coreIdx]
+// bfsLevel processes one fringe level on the given core, labeling each
+// vertex it discovers and storing it into the core's fringe buffer. It
+// returns next with the discovered vertices appended.
+func (og *oooGraph) bfsLevel(c *ooo.Core, coreIdx int, fringe []uint64, label uint64, radii bool, next []uint64) []uint64 {
+	fa, base := og.fringeA[coreIdx], len(next)
 	for _, v := range fringe {
 		// Offsets loads: addresses known, independent of each other.
 		depS := c.Load(og.offsetsA+mem.Addr(v*mem.WordBytes), 0)
@@ -64,17 +68,17 @@ func (og *oooGraph) bfsLevel(c *ooo.Core, coreIdx int, fringe []uint64, d uint64
 			c.Branch(1, unset, depD)
 			c.Op(5) // induction, compare, frontier bookkeeping (Ligra edgeMap)
 			if unset {
-				c.StoreValue(og.labelAddr(ngh), d)
-				c.StoreValue(fa+mem.Addr(len(next)*mem.WordBytes), ngh)
+				c.StoreValue(og.labelAddr(ngh), label)
+				c.StoreValue(fa+mem.Addr((len(next)-base)*mem.WordBytes), ngh)
 				c.Op(3) // CAS retry check + frontier-count update
 				next = append(next, ngh)
 				if radii {
 					ra := og.radiiA + mem.Addr(ngh*mem.WordBytes)
 					depR := c.Load(ra, depN)
 					old := c.Backing().Load(ra)
-					c.Branch(2, d > old, depR)
-					if d > old {
-						c.StoreValue(ra, d)
+					c.Branch(2, label > old, depR)
+					if label > old {
+						c.StoreValue(ra, label)
 					}
 				}
 			}
@@ -83,13 +87,24 @@ func (og *oooGraph) bfsLevel(c *ooo.Core, coreIdx int, fringe []uint64, d uint64
 	return next
 }
 
-// bfsRun performs one complete BFS from src across the machine's cores,
-// labeling vertices with their distance.
-func (og *oooGraph) bfsRun(m *ooo.Machine, src int, radii bool) {
-	m.Cores[0].StoreValue(og.labelAddr(uint64(src)), 0)
-	cur := []uint64{uint64(src)}
+// search performs one complete level-synchronous BFS from src across the
+// machine's cores. It labels each vertex it reaches with its distance from
+// src, or with src itself when component is set (connected components).
+func (og *oooGraph) search(m *ooo.Machine, src int, component, radii bool) {
+	root := uint64(0)
+	if component {
+		root = uint64(src)
+	}
+	m.Cores[0].StoreValue(og.labelAddr(uint64(src)), root)
+	cur, next := append(og.cur[:0], uint64(src)), og.next
 	for d := uint64(1); len(cur) > 0; d++ {
-		var next []uint64
+		label := d
+		if component {
+			label = root
+		}
+		// Cores run in core order, so appending each core's discoveries to
+		// one buffer concatenates the per-core lists.
+		next = next[:0]
 		k := len(m.Cores)
 		per := (len(cur) + k - 1) / k
 		for i, core := range m.Cores {
@@ -100,11 +115,12 @@ func (og *oooGraph) bfsRun(m *ooo.Machine, src int, radii bool) {
 			if hi > len(cur) {
 				hi = len(cur)
 			}
-			next = append(next, og.bfsLevel(core, i, cur[lo:hi], d, radii)...)
+			next = og.bfsLevel(core, i, cur[lo:hi], label, radii, next)
 		}
 		m.Barrier()
-		cur = next
+		cur, next = next, cur
 	}
+	og.cur, og.next = cur, next
 }
 
 // RunOOO executes the mode's reference algorithm on an OOO machine with the
@@ -115,7 +131,7 @@ func RunOOO(m *ooo.Machine, mode Mode, g *graph.Graph, sources []int) (labels, r
 	c0 := m.Cores[0]
 	switch mode {
 	case ModeBFS:
-		og.bfsRun(m, sources[0], false)
+		og.search(m, sources[0], false, false)
 	case ModeRadii:
 		for i, src := range sources {
 			if i > 0 {
@@ -125,7 +141,7 @@ func RunOOO(m *ooo.Machine, mode Mode, g *graph.Graph, sources []int) (labels, r
 				}
 				c0.Op(g.NumVertices() / 8) // vectorized memset cost
 			}
-			og.bfsRun(m, src, true)
+			og.search(m, src, false, true)
 			m.Barrier()
 		}
 	case ModeCC:
@@ -140,7 +156,7 @@ func RunOOO(m *ooo.Machine, mode Mode, g *graph.Graph, sources []int) (labels, r
 				c0.StoreValue(og.labelAddr(uint64(s)), uint64(s))
 				continue
 			}
-			og.ccRun(m, s)
+			og.search(m, s, true, false)
 		}
 	}
 	labels = make([]uint64, g.NumVertices())
@@ -154,28 +170,4 @@ func RunOOO(m *ooo.Machine, mode Mode, g *graph.Graph, sources []int) (labels, r
 		}
 	}
 	return labels, radii
-}
-
-// ccRun is a BFS that writes the seed id instead of distances.
-func (og *oooGraph) ccRun(m *ooo.Machine, seed int) {
-	c0 := m.Cores[0]
-	c0.StoreValue(og.labelAddr(uint64(seed)), uint64(seed))
-	cur := []uint64{uint64(seed)}
-	for len(cur) > 0 {
-		var next []uint64
-		k := len(m.Cores)
-		per := (len(cur) + k - 1) / k
-		for i, core := range m.Cores {
-			lo, hi := i*per, (i+1)*per
-			if lo > len(cur) {
-				lo = len(cur)
-			}
-			if hi > len(cur) {
-				hi = len(cur)
-			}
-			next = append(next, og.bfsLevel(core, i, cur[lo:hi], uint64(seed), false)...)
-		}
-		m.Barrier()
-		cur = next
-	}
 }

@@ -249,7 +249,7 @@ func (p *Pipeline) ownerOf(v uint64) int {
 //
 // These DFGs drive the timing model: pipeline depth sets drain time, op
 // count sets SIMD replication and fabric energy, and they are what the
-// bitstream generator places on the 16×5 grid.
+// placer maps onto the 16×5 grid.
 
 func procFringeDFG() *cgra.DFG {
 	g := cgra.NewDFG("proc-fringe")

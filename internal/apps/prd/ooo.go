@@ -23,7 +23,7 @@ func runOOO(m *ooo.Machine, g *graph.Graph, cfg graph.PRDConfig) []uint64 {
 	delta := make([]uint64, n)
 	nextDelta := make([]uint64, n)
 	base := (graph.FixOne - cfg.Damping) / uint64(n)
-	active := make([]uint64, 0, n)
+	active, next := make([]uint64, 0, n), make([]uint64, 0, n)
 	for v := 0; v < n; v++ {
 		rank[v] = base
 		delta[v] = base
@@ -69,9 +69,9 @@ func runOOO(m *ooo.Machine, g *graph.Graph, cfg graph.PRDConfig) []uint64 {
 		}
 		m.Barrier()
 		// Apply phase: each core handles an ascending, disjoint vertex
-		// chunk and builds its own active sublist; concatenating them in
-		// core order keeps the global list ascending, like the reference.
-		perCore := make([][]uint64, len(m.Cores))
+		// chunk. Cores run in core order, so appending their active
+		// vertices to one list keeps it ascending, like the reference.
+		next = next[:0]
 		for i, c := range m.Cores {
 			lo, hi := chunk(len(m.Cores), i, n)
 			for v := lo; v < hi; v++ {
@@ -93,15 +93,12 @@ func runOOO(m *ooo.Machine, g *graph.Graph, cfg graph.PRDConfig) []uint64 {
 				c.Branch(11, isActive, depD)
 				if isActive {
 					c.Store(activeA + mem.Addr(uint64(v)*mem.WordBytes))
-					perCore[i] = append(perCore[i], uint64(v))
+					next = append(next, uint64(v))
 				}
 			}
 		}
 		m.Barrier()
-		active = active[:0]
-		for _, sub := range perCore {
-			active = append(active, sub...)
-		}
+		active, next = next, active
 	}
 	// Write final ranks into simulated memory for uniform extraction.
 	for v := 0; v < n; v++ {

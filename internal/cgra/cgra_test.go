@@ -233,51 +233,6 @@ func TestOpKindString(t *testing.T) {
 	}
 }
 
-func TestBitstreamRoundTrip(t *testing.T) {
-	fabric := DefaultFabric()
-	g := NewDFG("bs")
-	v := g.Deq(0)
-	b := g.Const(3)
-	s := g.Add(OpAdd, 0, v, b)
-	g.Enq(0, s)
-	m, err := Place(g, fabric, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs := m.Encode()
-	if len(bs) != m.ConfigBytes {
-		t.Fatalf("bitstream %d bytes, want %d", len(bs), m.ConfigBytes)
-	}
-	if err := VerifyBitstream(m, bs); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeUnits(fabric, bs[:10]); err == nil {
-		t.Fatal("truncated bitstream accepted")
-	}
-}
-
-func TestBitstreamsDifferAcrossStages(t *testing.T) {
-	fabric := DefaultFabric()
-	g1 := NewDFG("a")
-	g1.Enq(0, g1.Deq(0))
-	g2 := NewDFG("b")
-	x := g2.Deq(0)
-	g2.Enq(0, g2.Add(OpXor, 0, x, x))
-	m1, _ := Place(g1, fabric, false)
-	m2, _ := Place(g2, fabric, false)
-	b1, b2 := m1.Encode(), m2.Encode()
-	same := true
-	for i := range b1 {
-		if b1[i] != b2[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("distinct stages produced identical bitstreams")
-	}
-}
-
 func TestMappingUtilization(t *testing.T) {
 	g := NewDFG("u")
 	g.Enq(0, g.Deq(0))

@@ -2,8 +2,9 @@
 // Sec. 3 and Fig. 3 of the paper: a grid of word-width functional units
 // connected by switches, configured by per-unit configuration cells. The
 // package provides the dataflow-graph (DFG) representation that stages are
-// lowered to, a placer that maps DFGs onto the grid (the paper's "bitstream
-// generation" step, Fig. 5), SIMD-style replication of small datapaths
+// lowered to, a placer that maps DFGs onto the grid and sizes their
+// configurations (what the paper's bitstream generation step, Fig. 5, feeds
+// the timing model), SIMD-style replication of small datapaths
 // (Sec. 5.6), and an interpreter used to validate mappings.
 package cgra
 

@@ -48,9 +48,10 @@ func (f FabricConfig) LoadCycles(nbytes int) uint64 {
 	return uint64((nbytes + bw - 1) / bw)
 }
 
-// Mapping is the result of placing a DFG onto a fabric: the paper's
-// "bitstream". The simulator uses its aggregate properties (configuration
-// size, pipeline depth, replication) rather than per-switch routing bits.
+// Mapping is the result of placing a DFG onto a fabric. It stands in for the
+// paper's configuration bitstream: the simulator uses its aggregate
+// properties (configuration size, pipeline depth, replication) and never
+// encodes per-switch routing bits.
 type Mapping struct {
 	DFG         *DFG
 	Fabric      FabricConfig
@@ -59,7 +60,7 @@ type Mapping struct {
 	FMAsUsed    int
 	Depth       int    // pipeline depth in cycles
 	ConfigBytes int    // bytes of configuration data to load
-	ConfigAddr  uint64 // set by the system when the bitstream is placed in memory
+	ConfigAddr  uint64 // set by the system when it reserves the configuration in memory
 }
 
 // Place maps g onto fabric, replicating the datapath to fill unused units

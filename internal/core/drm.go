@@ -194,12 +194,6 @@ func (d *DRM) InPort() stage.OutPort { return stage.LocalPort{Q: d.in} }
 // Out returns the configured output port (nil before Configure).
 func (d *DRM) Out() stage.OutPort { return d.out }
 
-// Inflight returns the number of accesses currently in flight.
-func (d *DRM) Inflight() int { return d.inflight.Len() }
-
-// MaxOutstanding returns the in-flight access bound.
-func (d *DRM) MaxOutstanding() int { return d.max }
-
 // Busy reports whether the DRM has pending work: buffered addresses,
 // in-flight accesses, or an active scan range.
 func (d *DRM) Busy() bool {

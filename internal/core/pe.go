@@ -132,19 +132,11 @@ func (p *PE) AddStage(s *stage.Stage) {
 		s.Gate.OnRelease(func() { p.dirty = true })
 	}
 	if s.Mapping != nil && s.Mapping.ConfigAddr == 0 {
-		// Configurations are stored in cacheable memory (Sec. 5.1); place
-		// the encoded bitstream now so reconfiguration fetches have real
-		// addresses and real contents.
-		bs := s.Mapping.Encode()
-		base := p.sys.Backing.Alloc(len(bs))
-		s.Mapping.ConfigAddr = uint64(base)
-		for i := 0; i+mem.WordBytes <= len(bs); i += mem.WordBytes {
-			var w uint64
-			for b := 0; b < mem.WordBytes; b++ {
-				w |= uint64(bs[i+b]) << (8 * b)
-			}
-			p.sys.Backing.Store(base+mem.Addr(i), w)
-		}
+		// Configurations are stored in cacheable memory (Sec. 5.1); reserve
+		// the configuration's bytes now so reconfiguration fetches have real
+		// addresses. Fetches are timed through the caches only, so the
+		// contents are never stored.
+		s.Mapping.ConfigAddr = uint64(p.sys.Backing.Alloc(s.Mapping.ConfigBytes))
 	}
 	p.stages = append(p.stages, s)
 	p.cooldownUntil = append(p.cooldownUntil, 0)

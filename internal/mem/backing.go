@@ -45,8 +45,11 @@ type Backing struct {
 	brk   Addr                 // bump-allocation watermark
 }
 
-// pageWords is the host page size in words (64 KiB).
-const pageWords = 1 << 13
+// pageWords is the host page size in words (16 KiB): the granule in which
+// host memory follows what a program touches. 4 KiB pages would follow it
+// more closely, but the page table of a large store then outgrows the host's
+// L1 data cache, which slows random stores (BenchmarkBackingStore).
+const pageWords = 1 << 11
 
 // NewBacking creates a backing store of the given size in bytes (rounded up
 // to a whole word).
@@ -166,6 +169,3 @@ func (b *Backing) AllocFloats(vals []float64) Addr {
 	// reads each value's bits unchanged, NaN payloads and -0 included.
 	return b.AllocSlice(unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(vals))), len(vals)))
 }
-
-// Footprint returns the number of bytes allocated so far.
-func (b *Backing) Footprint() int { return int(b.brk) }

@@ -13,10 +13,10 @@ type Level struct {
 	latency uint64 // access (hit) latency in cycles
 	parent  lower  // where misses go
 
-	// One row of ways per set, index 0 = MRU; a tag is the line address, and
-	// empty ways (noLine, never dirty) trail the valid ones.
-	tags  []uint64
-	dirty []bool
+	// One row of ways per set, index 0 = MRU. A tag is the line address
+	// with the line's dirty bit in bit 0, which a LineBytes-aligned address
+	// leaves free; empty ways (noLine) trail the valid ones.
+	tags []uint64
 
 	// Statistics.
 	Accesses   uint64
@@ -43,16 +43,19 @@ func NewLevel(name string, sizeBytes, ways int, latency uint64, parent lower) *L
 	sets := lines / ways
 	l := &Level{name: name, sets: sets, ways: ways, latency: latency, parent: parent}
 	l.tags = make([]uint64, lines)
-	l.dirty = make([]bool, lines)
 	for i := range l.tags {
 		l.tags[i] = noLine
 	}
 	return l
 }
 
-// noLine marks an empty way; line addresses are LineBytes-aligned, so it
-// never equals one.
-const noLine = ^uint64(0)
+// dirtyBit marks a tag's line as dirty.
+const dirtyBit = 1
+
+// noLine marks an empty way. Its dirty bit is clear, so evicting it is no
+// writeback, and the rest is not LineBytes-aligned, so it never matches a
+// line.
+const noLine = ^uint64(dirtyBit)
 
 // Name returns the level's diagnostic name.
 func (l *Level) Name() string { return l.name }
@@ -60,13 +63,10 @@ func (l *Level) Name() string { return l.name }
 // Latency returns the hit latency in cycles.
 func (l *Level) Latency() uint64 { return l.latency }
 
-// SizeBytes returns the cache capacity.
-func (l *Level) SizeBytes() int { return l.sets * l.ways * LineBytes }
-
-// set returns the tag and dirty rows of the set holding line. Every
-// configured set count is a power of two, which takes a mask instead of a
-// 64-bit division; other counts (tests use them) keep the modulo.
-func (l *Level) set(line Addr) ([]uint64, []bool) {
+// set returns the tag row of the set holding line. Every configured set
+// count is a power of two, which takes a mask instead of a 64-bit division;
+// other counts (tests use them) keep the modulo.
+func (l *Level) set(line Addr) []uint64 {
 	n := uint64(line) / LineBytes
 	if l.sets&(l.sets-1) == 0 {
 		n &= uint64(l.sets - 1)
@@ -74,21 +74,23 @@ func (l *Level) set(line Addr) ([]uint64, []bool) {
 		n %= uint64(l.sets)
 	}
 	s := int(n) * l.ways
-	return l.tags[s : s+l.ways], l.dirty[s : s+l.ways]
+	return l.tags[s : s+l.ways]
 }
 
-// lookup probes the set for the line; on hit it promotes the line to MRU.
-// A hit is usually near MRU, so the shift is a short loop rather than two
-// copy calls.
+// lookup probes the set for the line; on hit it promotes the line to MRU,
+// dirtying it on a write. A hit is usually near MRU, so the shift is a
+// short loop rather than a copy call.
 func (l *Level) lookup(line Addr, write bool) bool {
-	tags, dirty := l.set(line)
+	tags := l.set(line)
 	for i, t := range tags {
-		if t == uint64(line) {
-			d := dirty[i] || write
-			for ; i > 0; i-- {
-				tags[i], dirty[i] = tags[i-1], dirty[i-1]
+		if t&^dirtyBit == uint64(line) {
+			if write {
+				t |= dirtyBit
 			}
-			tags[0], dirty[0] = uint64(line), d
+			for ; i > 0; i-- {
+				tags[i] = tags[i-1]
+			}
+			tags[0] = t
 			return true
 		}
 	}
@@ -97,16 +99,18 @@ func (l *Level) lookup(line Addr, write bool) bool {
 
 // fill inserts the line at MRU, evicting LRU if the set is full.
 func (l *Level) fill(line Addr, write bool) {
-	tags, dirty := l.set(line)
-	if dirty[l.ways-1] {
+	tags := l.set(line)
+	if tags[l.ways-1]&dirtyBit != 0 {
 		// The evicted LRU line was dirty. Only the count is kept: the
 		// writeback is not sent to the parent and uses no modelled memory
 		// bandwidth (EXPERIMENTS.md, "Known gaps").
 		l.Writebacks++
 	}
 	copy(tags[1:], tags)
-	copy(dirty[1:], dirty)
-	tags[0], dirty[0] = uint64(line), write
+	tags[0] = uint64(line)
+	if write {
+		tags[0] |= dirtyBit
+	}
 }
 
 // access implements the lower interface so levels can stack.
@@ -131,9 +135,8 @@ func (l *Level) Access(now uint64, addr Addr, write bool) uint64 {
 // Contains reports whether the line holding addr is present (no LRU update).
 func (l *Level) Contains(addr Addr) bool {
 	line := addr.Line()
-	tags, _ := l.set(line)
-	for _, t := range tags {
-		if t == uint64(line) {
+	for _, t := range l.set(line) {
+		if t&^dirtyBit == uint64(line) {
 			return true
 		}
 	}
@@ -142,12 +145,11 @@ func (l *Level) Contains(addr Addr) bool {
 
 // invalidate removes the line from this level and every level below it.
 func (l *Level) invalidate(line Addr) {
-	tags, dirty := l.set(line)
+	tags := l.set(line)
 	for i, t := range tags {
-		if t == uint64(line) {
+		if t&^dirtyBit == uint64(line) {
 			copy(tags[i:], tags[i+1:])
-			copy(dirty[i:], dirty[i+1:])
-			tags[l.ways-1], dirty[l.ways-1] = noLine, false
+			tags[l.ways-1] = noLine
 			break
 		}
 	}
@@ -158,11 +160,3 @@ func (l *Level) invalidate(line Addr) {
 
 // Invalidate removes the line containing addr from this level and below.
 func (l *Level) Invalidate(addr Addr) { l.invalidate(addr.Line()) }
-
-// HitRate returns the fraction of accesses that hit at this level.
-func (l *Level) HitRate() float64 {
-	if l.Accesses == 0 {
-		return 0
-	}
-	return 1 - float64(l.Misses)/float64(l.Accesses)
-}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -44,6 +45,9 @@ func TestBackingAllocSlice(t *testing.T) {
 		}
 	}
 }
+
+// Footprint returns the number of simulated bytes allocated so far.
+func (b *Backing) Footprint() int { return int(b.brk) }
 
 // hostPages counts the host pages the store owns: the write table. Mapped
 // pages belong to the caller and are not counted.
@@ -470,15 +474,66 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestCacheWriteback pins the dirty bit kept in each tag word: evicting a
+// dirty line counts one writeback, evicting a clean line or an empty way
+// counts none, and invalidating a dirty line leaves no dirty bit behind.
 func TestCacheWriteback(t *testing.T) {
-	hbm := NewHBM(100, 128)
-	l1 := NewLevel("l1", 128, 2, 1, hbm) // one set, two ways
-	l1.Access(0, 0, true)                // dirty
-	l1.Access(10, 64, false)
-	l1.Access(20, 128, false) // evicts dirty line 0
-	if l1.Writebacks != 1 {
-		t.Fatalf("writebacks = %d, want 1", l1.Writebacks)
+	l1 := NewLevel("l1", 128, 2, 1, NewHBM(100, 128)) // one set, two ways
+	step := func(addr Addr, write bool, want uint64) {
+		t.Helper()
+		l1.Access(0, addr, write)
+		if l1.Writebacks != want {
+			t.Fatalf("after access %#x (write %v): writebacks = %d, want %d",
+				uint64(addr), write, l1.Writebacks, want)
+		}
 	}
+	step(0, true, 0)    // fills an empty way: [0*, -]
+	step(64, false, 0)  // fills the other: [64, 0*]
+	step(0, false, 0)   // a read hit keeps 0 dirty: [0*, 64]
+	step(128, false, 0) // evicts clean 64: [128, 0*]
+	step(192, false, 1) // evicts dirty 0: [192, 128]
+	step(256, true, 1)  // evicts clean 128: [256*, 192]
+	step(64, false, 1)  // evicts clean 192: [64, 256*]
+	step(320, false, 2) // evicts dirty 256: [320, 64]
+
+	// A dirty line invalidated at MRU leaves an empty, clean way, and the
+	// line refilled by a read is clean.
+	step(384, true, 2) // evicts clean 64: [384*, 320]
+	l1.Invalidate(384) // [320, -]
+	for i, tag := range l1.tags {
+		if tag&dirtyBit != 0 {
+			t.Fatalf("way %d holds dirty tag %#x after invalidate", i, tag)
+		}
+	}
+	step(384, false, 2) // fills the empty way: [384, 320]
+	step(448, false, 2) // evicts clean 320: [448, 384]
+	step(512, false, 2) // evicts 384, clean since its refill
+}
+
+// TestLevelHostBytes pins a cache level's host storage to one 8-byte tag
+// word per line plus the fixed header.
+func TestLevelHostBytes(t *testing.T) {
+	const sizeBytes, ways, header = 512 << 10, 16, 512
+	const lines = sizeBytes / LineBytes
+	var sink *Level
+	got := allocBytes(func() { sink = NewLevel("llc", sizeBytes, ways, 40, nil) })
+	if limit := uint64(8*lines + header); got > limit {
+		t.Fatalf("a %d-line level allocates %d host bytes, want at most %d", lines, got, limit)
+	}
+	_ = sink
+}
+
+// allocBytes returns the mean host bytes one call of build allocates.
+func allocBytes(build func()) uint64 {
+	const runs = 64
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
 }
 
 func TestCacheInvalidate(t *testing.T) {

@@ -29,9 +29,6 @@ func (p *CreditPort) Credits() int { return p.credits }
 // diagnostics (deadlock wait-for edges name the queue a producer starves on).
 func (p *CreditPort) DestName() string { return p.arb.dst.Name() }
 
-// CanSend reports whether the port holds at least one credit.
-func (p *CreditPort) CanSend() bool { return p.credits > 0 }
-
 // Send enqueues t into the destination queue, consuming one credit.
 // It returns false without side effects when no credits are available.
 func (p *CreditPort) Send(t Token) bool {

@@ -6,10 +6,11 @@ package queue
 
 import "fmt"
 
-// TokenBytes is the storage footprint of one queue entry: a 64-bit value
-// plus its control bit (the control bit rides in otherwise-unused SRAM ECC
-// style bits, so we charge 8 bytes per token, matching the paper's
-// machine-word-width channels).
+// TokenBytes is the modelled queue-SRAM footprint of one queue entry: a
+// 64-bit value plus its control bit (the control bit rides in
+// otherwise-unused SRAM ECC style bits, so we charge 8 bytes per token,
+// matching the paper's machine-word-width channels). The host stores each
+// slot in 9 bytes: the value word and a separate control flag.
 const TokenBytes = 8
 
 // Token is one value traveling through a queue. Ctrl marks control values,
@@ -31,7 +32,10 @@ func Ctrl(v uint64) Token { return Token{Value: v, Ctrl: true} }
 // Mem so capacity is accounted against the queue SRAM budget.
 type Queue struct {
 	name string
-	buf  []Token
+	// The ring keeps each slot's value and control flag in parallel arrays:
+	// 9 host bytes per slot, where a []Token would pad each slot to 16.
+	vals []uint64
+	ctrl []bool
 	head int // index of oldest token
 	size int // tokens currently buffered
 
@@ -50,7 +54,7 @@ type Queue struct {
 
 	// occ, when non-nil, points at the owning Mem's aggregate occupancy
 	// counter so Mem.Buffered() is O(1) instead of a per-cycle rescan of
-	// every queue. Maintained on every enqueue, dequeue, and reset.
+	// every queue. Maintained on every enqueue and dequeue.
 	occ *int
 }
 
@@ -62,48 +66,49 @@ func NewQueue(name string, capTokens int) *Queue {
 	if capTokens <= 0 {
 		panic(fmt.Sprintf("queue %q: non-positive capacity %d", name, capTokens))
 	}
-	return &Queue{name: name, buf: make([]Token, capTokens)}
+	return &Queue{name: name, vals: make([]uint64, capTokens), ctrl: make([]bool, capTokens)}
 }
 
 // Name returns the queue's diagnostic name.
 func (q *Queue) Name() string { return q.name }
 
 // Cap returns the queue capacity in tokens.
-func (q *Queue) Cap() int { return len(q.buf) }
+func (q *Queue) Cap() int { return len(q.vals) }
 
 // Len returns the number of tokens currently buffered.
 func (q *Queue) Len() int { return q.size }
 
 // Space returns the number of free slots.
-func (q *Queue) Space() int { return len(q.buf) - q.size }
+func (q *Queue) Space() int { return len(q.vals) - q.size }
 
 // Empty reports whether the queue holds no tokens.
 func (q *Queue) Empty() bool { return q.size == 0 }
 
 // Full reports whether the queue has no free slots.
-func (q *Queue) Full() bool { return q.size == len(q.buf) }
+func (q *Queue) Full() bool { return q.size == len(q.vals) }
 
 // SetEdgeHook registers f to observe full-state transitions: f(true) when
-// an enqueue fills the last slot, f(false) when a dequeue (or Reset) first
-// makes space again. Invocations strictly alternate true/false per queue,
-// starting with true; the hook runs after the state change, so occupancy
-// reads from inside it see the post-transition queue.
+// an enqueue fills the last slot, f(false) when a dequeue first makes space
+// again. Invocations strictly alternate true/false per queue, starting with
+// true; the hook runs after the state change, so occupancy reads from inside
+// it see the post-transition queue.
 func (q *Queue) SetEdgeHook(f func(full bool)) { q.edge = f }
 
 // Enq appends a token. It returns false (and counts a full event) when the
 // queue is full.
 func (q *Queue) Enq(t Token) bool {
-	if q.size == len(q.buf) {
+	if q.size == len(q.vals) {
 		q.FullEvts++
 		return false
 	}
-	q.buf[q.slot(q.size)] = t
+	i := q.slot(q.size)
+	q.vals[i], q.ctrl[i] = t.Value, t.Ctrl
 	q.size++
 	q.Enqueued++
 	if q.occ != nil {
 		*q.occ++
 	}
-	if q.edge != nil && q.size == len(q.buf) {
+	if q.edge != nil && q.size == len(q.vals) {
 		q.edge(true)
 	}
 	return true
@@ -115,9 +120,9 @@ func (q *Queue) Deq() (t Token, ok bool) {
 	if q.size == 0 {
 		return Token{}, false
 	}
-	wasFull := q.size == len(q.buf)
-	t = q.buf[q.head]
-	if q.head++; q.head == len(q.buf) {
+	wasFull := q.size == len(q.vals)
+	t = Token{q.vals[q.head], q.ctrl[q.head]}
+	if q.head++; q.head == len(q.vals) {
 		q.head = 0
 	}
 	q.size--
@@ -136,7 +141,7 @@ func (q *Queue) Peek() (t Token, ok bool) {
 	if q.size == 0 {
 		return Token{}, false
 	}
-	return q.buf[q.head], true
+	return Token{q.vals[q.head], q.ctrl[q.head]}, true
 }
 
 // PeekAt returns the i-th oldest token (0 = head) without removing it.
@@ -144,14 +149,15 @@ func (q *Queue) PeekAt(i int) (t Token, ok bool) {
 	if i < 0 || i >= q.size {
 		return Token{}, false
 	}
-	return q.buf[q.slot(i)], true
+	i = q.slot(i)
+	return Token{q.vals[i], q.ctrl[i]}, true
 }
 
-// slot returns the ring index of the i-th oldest token (0 <= i < len(buf)),
+// slot returns the ring index of the i-th oldest token (0 <= i < Cap()),
 // wrapping with a compare instead of a divide.
 func (q *Queue) slot(i int) int {
-	if i += q.head; i >= len(q.buf) {
-		i -= len(q.buf)
+	if i += q.head; i >= len(q.vals) {
+		i -= len(q.vals)
 	}
 	return i
 }
@@ -177,18 +183,4 @@ func (q *Queue) MeanOccupancy() float64 {
 		return 0
 	}
 	return float64(q.occupSum) / float64(q.occupN)
-}
-
-// Reset discards buffered tokens but keeps capacity and statistics. A full
-// queue reports the trailing (ready) stall edge so edge alternation
-// survives a reset.
-func (q *Queue) Reset() {
-	wasFull := q.size == len(q.buf)
-	if q.occ != nil {
-		*q.occ -= q.size
-	}
-	q.head, q.size = 0, 0
-	if wasFull && q.edge != nil {
-		q.edge(false)
-	}
 }

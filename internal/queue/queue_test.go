@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -157,7 +158,7 @@ func TestCreditFlowControl(t *testing.T) {
 	if p0.Credits()+p1.Credits() != 8 {
 		t.Fatal("credits don't cover capacity")
 	}
-	for p0.CanSend() {
+	for p0.Credits() > 0 {
 		p0.Send(Data(0))
 	}
 	if p0.Credits() != 0 || p0.Send(Data(9)) {
@@ -228,19 +229,6 @@ func TestArbiterSeededTokens(t *testing.T) {
 	}
 }
 
-func TestQueueReset(t *testing.T) {
-	q := NewQueue("r", 4)
-	q.Enq(Data(1))
-	q.Enq(Data(2))
-	q.Reset()
-	if q.Len() != 0 || q.Enqueued != 2 {
-		t.Fatal("reset semantics wrong")
-	}
-	if !q.Enq(Data(3)) {
-		t.Fatal("enq after reset failed")
-	}
-}
-
 // BenchmarkArbiterDeq times one credited dequeue, plus the send that refills
 // the slot, on a queue 4096 tokens deep fed by 16 producers: inter-PE
 // queues hold a few thousand tokens, and returning a credit must not cost
@@ -261,4 +249,101 @@ func BenchmarkArbiterDeq(b *testing.B) {
 			b.Fatalf("dequeue %d: credit did not return to port %d", i, p)
 		}
 	}
+}
+
+// FuzzQueueMatchesTokenRing drives random Enq/Deq/Peek/PeekAt streams
+// through a Queue and through a plain []Token ring of the same capacity,
+// and requires the same results, counters and full-state edges. Control
+// flags cross the wrap-around, and the edge hook sees every full/not-full
+// transition, which must alternate true/false starting with true.
+func FuzzQueueMatchesTokenRing(f *testing.F) {
+	f.Add(uint8(0), []byte{0, 1, 2, 3})
+	f.Add(uint8(3), []byte{1, 1, 1, 1, 1, 2, 0, 1, 2, 0, 1, 3, 17, 2, 2, 2})
+	f.Add(uint8(16), []byte{5, 9, 13, 17, 21, 25, 2, 6, 1, 3, 7, 11})
+	f.Fuzz(func(t *testing.T, capSeed uint8, ops []byte) {
+		capacity := int(capSeed%16) + 1
+		q := NewQueue("f", capacity)
+		var edges []bool
+		q.SetEdgeHook(func(full bool) {
+			if full != q.Full() {
+				t.Fatalf("edge(%v) on a queue with Full() = %v", full, q.Full())
+			}
+			edges = append(edges, full)
+		})
+		ring := make([]Token, capacity) // the model
+		head, size, wantEdges := 0, 0, 0
+		for i, op := range ops {
+			tok := Token{Value: uint64(i)<<8 | uint64(op), Ctrl: op&4 != 0}
+			switch op % 4 {
+			case 0, 1: // enqueue twice as often as dequeue, so the ring fills
+				ok := q.Enq(tok)
+				if ok != (size < capacity) {
+					t.Fatalf("op %d: Enq = %v with %d of %d buffered", i, ok, size, capacity)
+				}
+				if ok {
+					ring[(head+size)%capacity] = tok
+					if size++; size == capacity {
+						wantEdges++
+					}
+				}
+			case 2:
+				got, ok := q.Deq()
+				if ok != (size > 0) || ok && got != ring[head] {
+					t.Fatalf("op %d: Deq = %+v %v, model %+v (size %d)", i, got, ok, ring[head], size)
+				}
+				if ok {
+					if size == capacity {
+						wantEdges++
+					}
+					head, size = (head+1)%capacity, size-1
+				}
+			case 3:
+				k := int(op>>2) % (capacity + 2)
+				got, ok := q.PeekAt(k)
+				if ok != (k < size) || ok && got != ring[(head+k)%capacity] {
+					t.Fatalf("op %d: PeekAt(%d) = %+v %v with %d buffered", i, k, got, ok, size)
+				}
+				got, ok = q.Peek()
+				if ok != (size > 0) || ok && got != ring[head] {
+					t.Fatalf("op %d: Peek = %+v %v", i, got, ok)
+				}
+			}
+			if q.Len() != size || q.Space() != capacity-size || q.Full() != (size == capacity) || q.Empty() != (size == 0) {
+				t.Fatalf("op %d: Len %d Space %d, model size %d of %d", i, q.Len(), q.Space(), size, capacity)
+			}
+		}
+		if len(edges) != wantEdges {
+			t.Fatalf("%d edges, model %d", len(edges), wantEdges)
+		}
+		for i, full := range edges {
+			if full != (i%2 == 0) {
+				t.Fatalf("edge %d is %v: edges must alternate true/false from true", i, full)
+			}
+		}
+	})
+}
+
+// allocBytes returns the mean host bytes one call of build allocates.
+func allocBytes(build func()) uint64 {
+	const runs = 64
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// TestQueueHostBytes pins a queue's host storage to 9 bytes per token slot
+// (the value word and its control flag) plus the fixed header.
+func TestQueueHostBytes(t *testing.T) {
+	const n, header = 4096, 512
+	var sink *Queue
+	got := allocBytes(func() { sink = NewQueue("h", n) })
+	if limit := uint64(9*n + header); got > limit {
+		t.Fatalf("a %d-token queue allocates %d host bytes, want at most %d", n, got, limit)
+	}
+	_ = sink
 }
