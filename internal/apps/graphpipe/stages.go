@@ -45,7 +45,7 @@ func (p *Pipeline) addFullStages(rep *replica) {
 				return stage.Fired
 			},
 		},
-		Mapping: p.place2(procFringeDFG()),
+		Mapping: p.place2(procFringeDFG),
 		In:      []stage.InPort{rep.fringeQ.In()},
 		Out:     []stage.OutPort{rep.drmOff.InPort()},
 	}
@@ -81,7 +81,7 @@ func (p *Pipeline) addFullStages(rep *replica) {
 				return stage.Fired
 			},
 		},
-		Mapping: p.place2(enumNeighborsDFG()),
+		Mapping: p.place2(enumNeighborsDFG),
 		In:      []stage.InPort{rep.offQ.In()},
 		Out:     []stage.OutPort{rep.drmNgh.InPort()},
 		StateWork: func() int {
@@ -135,7 +135,7 @@ func (p *Pipeline) addFullStages(rep *replica) {
 				return stage.NoInput
 			},
 		},
-		Mapping: p.place2(fetchDistDFG()),
+		Mapping: p.place2(fetchDistDFG),
 		In:      []stage.InPort{rep.nghQ.In(), rep.pairQ.In(), rep.distQ.In()},
 		Out:     []stage.OutPort{rep.drmDist.InPort()},
 	}
@@ -177,7 +177,7 @@ func (p *Pipeline) addUpdateStage(rep *replica, stageIdx int) {
 				return stage.Fired
 			},
 		},
-		Mapping: p.place2(updateDFG(p.Opts.Mode)),
+		Mapping: p.place2(updateDFGs[p.Opts.Mode]),
 		In:      []stage.InPort{rep.updQ.In()},
 		Out:     nil,
 	}
@@ -222,7 +222,7 @@ func (p *Pipeline) addMergedStages(rep *replica) {
 				return stage.Fired
 			},
 		},
-		Mapping: p.place2(mergedSrcDFG()),
+		Mapping: p.place2(mergedSrcDFG),
 		In:      []stage.InPort{rep.fringeQ.In()},
 		Out:     rep.updOut,
 		StateWork: func() int {
@@ -249,9 +249,10 @@ func (p *Pipeline) ownerOf(v uint64) int {
 //
 // These DFGs drive the timing model: pipeline depth sets drain time, op
 // count sets SIMD replication and fabric energy, and they are what the
-// placer maps onto the 16×5 grid.
+// placer maps onto the 16×5 grid. Each is built once per process; every
+// system places the same read-only DFG (see cgra.DFG).
 
-func procFringeDFG() *cgra.DFG {
+var procFringeDFG = func() *cgra.DFG {
 	g := cgra.NewDFG("proc-fringe")
 	v := g.Deq(0)
 	base := g.Const(0) // offsets base (runtime constant register)
@@ -262,9 +263,9 @@ func procFringeDFG() *cgra.DFG {
 	g.Enq(0, a0)
 	g.Enq(0, a1)
 	return g
-}
+}()
 
-func enumNeighborsDFG() *cgra.DFG {
+var enumNeighborsDFG = func() *cgra.DFG {
 	g := cgra.NewDFG("enum-neighbors")
 	s := g.Deq(0) // start (register-held when scanning)
 	e := g.Deq(0) // end
@@ -275,9 +276,9 @@ func enumNeighborsDFG() *cgra.DFG {
 	g.Add(cgra.OpCmpLT, 0, next, e) // loop-continue predicate
 	g.Enq(0, addr)
 	return g
-}
+}()
 
-func fetchDistDFG() *cgra.DFG {
+var fetchDistDFG = func() *cgra.DFG {
 	g := cgra.NewDFG("fetch-dist")
 	ngh := g.Deq(0)
 	base := g.Const(0)
@@ -291,6 +292,13 @@ func fetchDistDFG() *cgra.DFG {
 	routed := g.Add(cgra.OpSelect, 0, isUnset, pend, unset)
 	g.Enq(2, routed) // to owner's update queue
 	return g
+}()
+
+// updateDFGs holds each Mode's update-stage DFG.
+var updateDFGs = [...]*cgra.DFG{
+	ModeBFS:   updateDFG(ModeBFS),
+	ModeCC:    updateDFG(ModeCC),
+	ModeRadii: updateDFG(ModeRadii),
 }
 
 func updateDFG(m Mode) *cgra.DFG {
@@ -320,7 +328,7 @@ func updateDFG(m Mode) *cgra.DFG {
 	return g
 }
 
-func mergedSrcDFG() *cgra.DFG {
+var mergedSrcDFG = func() *cgra.DFG {
 	g := cgra.NewDFG("merged-src")
 	v := g.Deq(0)
 	ob := g.Const(0)
@@ -336,4 +344,4 @@ func mergedSrcDFG() *cgra.DFG {
 	g.Add(cgra.OpCmpLT, 0, start, end)
 	g.Enq(0, ngh)
 	return g
-}
+}()

@@ -235,7 +235,7 @@ func (p *pipeline) addFull(rep *replica) {
 				return stage.NoInput
 			},
 		},
-		Mapping: mustPlace(p.sys, procActiveDFG()),
+		Mapping: mustPlace(p.sys, procActiveDFG),
 		In:      []stage.InPort{rep.activeQ.In(), rep.offQ.In(), rep.pendQ.In()},
 		Out:     []stage.OutPort{rep.drmOff.InPort(), rep.shareQ.Out(0)},
 	})
@@ -275,7 +275,7 @@ func (p *pipeline) addFull(rep *replica) {
 				return stage.Fired
 			},
 		},
-		Mapping: mustPlace(p.sys, scatterDFG()),
+		Mapping: mustPlace(p.sys, scatterDFG),
 		In:      []stage.InPort{rep.nghQ.In(), rep.shareQ.In()},
 		Out:     rep.accOut,
 		StateWork: func() int {
@@ -308,7 +308,7 @@ func (p *pipeline) accumulateStage(rep *replica) *stage.Stage {
 				return stage.Fired
 			},
 		},
-		Mapping: mustPlace(p.sys, accumulateDFG()),
+		Mapping: mustPlace(p.sys, accumulateDFG),
 		In:      []stage.InPort{rep.accQ.In()},
 	}
 }
@@ -341,7 +341,7 @@ func (p *pipeline) applyStage(rep *replica) *stage.Stage {
 				return stage.Fired
 			},
 		},
-		Mapping: mustPlace(p.sys, applyDFG()),
+		Mapping: mustPlace(p.sys, applyDFG),
 		In:      []stage.InPort{rep.applyQ.In()},
 	}
 }
@@ -384,7 +384,7 @@ func (p *pipeline) addMerged(rep *replica) {
 				return stage.Fired
 			},
 		},
-		Mapping: mustPlace(p.sys, mergedScatterDFG()),
+		Mapping: mustPlace(p.sys, mergedScatterDFG),
 		In:      []stage.InPort{rep.activeQ.In()},
 		Out:     rep.accOut,
 		StateWork: func() int {

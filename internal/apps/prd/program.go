@@ -81,8 +81,11 @@ func (p *pipeline) ranks() []uint64 {
 }
 
 // --- Stage dataflow graphs -------------------------------------------------
+//
+// Each is built once per process; every system places the same read-only
+// DFG (see cgra.DFG).
 
-func procActiveDFG() *cgra.DFG {
+var procActiveDFG = func() *cgra.DFG {
 	g := cgra.NewDFG("prd-proc-active")
 	v := g.Deq(0)
 	base := g.Const(0)
@@ -94,39 +97,18 @@ func procActiveDFG() *cgra.DFG {
 	g.Enq(0, a1)
 	g.Enq(1, v)
 	return g
-}
+}()
 
-func computeShareDFG() *cgra.DFG {
-	g := cgra.NewDFG("prd-compute-share")
-	s := g.Deq(0)
-	e := g.Deq(0)
-	v := g.Deq(1)
-	deg := g.Add(cgra.OpSub, 0, e, s)
-	db := g.Const(0)
-	da := g.Add(cgra.OpLEA, 3, db, v)
-	delta := g.Add(cgra.OpLoad, 0, da) // coupled delta load
-	damp := g.Const(0)
-	num := g.Add(cgra.OpMul, 0, damp, delta)
-	share := g.Add(cgra.OpDiv, 0, num, deg)
-	nb := g.Const(0)
-	r0 := g.Add(cgra.OpLEA, 3, nb, s)
-	r1 := g.Add(cgra.OpLEA, 3, nb, e)
-	g.Enq(0, r0)
-	g.Enq(0, r1)
-	g.Enq(1, share)
-	return g
-}
-
-func scatterDFG() *cgra.DFG {
+var scatterDFG = func() *cgra.DFG {
 	g := cgra.NewDFG("prd-scatter")
 	u := g.Deq(0)
 	share := g.Deq(1) // register-held between boundaries
 	g.Enq(0, u)
 	g.Enq(0, share)
 	return g
-}
+}()
 
-func accumulateDFG() *cgra.DFG {
+var accumulateDFG = func() *cgra.DFG {
 	g := cgra.NewDFG("prd-accumulate")
 	u := g.Deq(0)
 	share := g.Deq(0)
@@ -136,9 +118,9 @@ func accumulateDFG() *cgra.DFG {
 	sum := g.Add(cgra.OpAdd, 0, old, share)
 	g.Add(cgra.OpStore, 0, a, sum)
 	return g
-}
+}()
 
-func applyDFG() *cgra.DFG {
+var applyDFG = func() *cgra.DFG {
 	g := cgra.NewDFG("prd-apply")
 	d := g.Deq(0)
 	vc := g.Const(0) // vertex counter register
@@ -161,9 +143,9 @@ func applyDFG() *cgra.DFG {
 	aa := g.Add(cgra.OpLEA, 3, ab, act)
 	g.Add(cgra.OpStore, 0, aa, vc)
 	return g
-}
+}()
 
-func mergedScatterDFG() *cgra.DFG {
+var mergedScatterDFG = func() *cgra.DFG {
 	g := cgra.NewDFG("prd-merged-scatter")
 	v := g.Deq(0)
 	ob := g.Const(0)
@@ -186,4 +168,4 @@ func mergedScatterDFG() *cgra.DFG {
 	g.Enq(0, u)
 	g.Enq(0, share)
 	return g
-}
+}()

@@ -169,7 +169,7 @@ func (p *pipeline) addFull(rep *replica) {
 				return stage.Fired
 			},
 		},
-		Mapping: mustPlace(p.sys, queryDFG()),
+		Mapping: mustPlace(p.sys, queryDFG),
 		In:      []stage.InPort{rep.keyQ.In()},
 		Out:     []stage.OutPort{rep.nodeFromQ0},
 		Gate:    &rep.inFlight,
@@ -194,7 +194,7 @@ func (p *pipeline) addFull(rep *replica) {
 				return stage.Fired
 			},
 		},
-		Mapping: mustPlace(p.sys, lookupDFG()),
+		Mapping: mustPlace(p.sys, lookupDFG),
 		In:      []stage.InPort{rep.nodeQ.In()},
 		Out:     []stage.OutPort{rep.drmNode.InPort(), rep.pendQ.Out(0)},
 	})
@@ -239,7 +239,7 @@ func (p *pipeline) addFull(rep *replica) {
 				return stage.Fired
 			},
 		},
-		Mapping: mustPlace(p.sys, traverseDFG()),
+		Mapping: mustPlace(p.sys, traverseDFG),
 		In:      []stage.InPort{rep.hdrQ.In(), rep.pendQ.In()},
 		Out:     []stage.OutPort{rep.nodeFromS2, rep.leafQ.Out(0)},
 	})
@@ -269,7 +269,7 @@ func (p *pipeline) addFull(rep *replica) {
 				return stage.Fired
 			},
 		},
-		Mapping: mustPlace(p.sys, leafDFG()),
+		Mapping: mustPlace(p.sys, leafDFG),
 		In:      []stage.InPort{rep.leafQ.In()},
 	})
 }
@@ -313,7 +313,7 @@ func (p *pipeline) addMerged(rep *replica) {
 				return stage.Fired
 			},
 		},
-		Mapping: mustPlace(p.sys, mergedDFG()),
+		Mapping: mustPlace(p.sys, mergedDFG),
 		In:      []stage.InPort{rep.keyQ.In()},
 		StateWork: func() int {
 			if rep.mActive {

@@ -127,17 +127,20 @@ func runOOO(m *ooo.Machine, ds Dataset) lookups {
 }
 
 // --- Stage dataflow graphs -------------------------------------------------
+//
+// Each is built once per process; every system places the same read-only
+// DFG (see cgra.DFG).
 
-func queryDFG() *cgra.DFG {
+var queryDFG = func() *cgra.DFG {
 	g := cgra.NewDFG("silo-query")
 	key := g.Deq(0)
 	root := g.Const(0)
 	g.Enq(0, key)
 	g.Enq(0, root)
 	return g
-}
+}()
 
-func lookupDFG() *cgra.DFG {
+var lookupDFG = func() *cgra.DFG {
 	g := cgra.NewDFG("silo-lookup")
 	key := g.Deq(0)
 	addr := g.Deq(0)
@@ -145,9 +148,9 @@ func lookupDFG() *cgra.DFG {
 	g.Enq(1, key)
 	g.Enq(1, addr)
 	return g
-}
+}()
 
-func traverseDFG() *cgra.DFG {
+var traverseDFG = func() *cgra.DFG {
 	g := cgra.NewDFG("silo-traverse")
 	hdr := g.Deq(0)
 	key := g.Deq(1)
@@ -169,9 +172,9 @@ func traverseDFG() *cgra.DFG {
 	g.Enq(0, key)
 	g.Enq(0, routed)
 	return g
-}
+}()
 
-func leafDFG() *cgra.DFG {
+var leafDFG = func() *cgra.DFG {
 	g := cgra.NewDFG("silo-leaf")
 	key := g.Deq(0)
 	addr := g.Deq(0)
@@ -189,9 +192,9 @@ func leafDFG() *cgra.DFG {
 	ra := g.Add(cgra.OpLEA, 3, rb, ri)
 	g.Add(cgra.OpStore, 0, ra, val)
 	return g
-}
+}()
 
-func mergedDFG() *cgra.DFG {
+var mergedDFG = func() *cgra.DFG {
 	g := cgra.NewDFG("silo-merged")
 	key := g.Deq(0)
 	addr := g.Const(0) // node-address register
@@ -210,4 +213,4 @@ func mergedDFG() *cgra.DFG {
 	ra := g.Add(cgra.OpLEA, 3, rb, next)
 	g.Add(cgra.OpStore, 0, ra, child)
 	return g
-}
+}()

@@ -2,11 +2,12 @@ package spmm
 
 import "fifer/internal/cgra"
 
-// Stage dataflow graphs for the timing model.
+// Stage dataflow graphs for the timing model. Each is built once per
+// process; every system places the same read-only DFG (see cgra.DFG).
 
 // schedDFG: compute the four scan ranges for an output pair (coupled loads
 // of the two offsets arrays, which stay cache-resident).
-func schedDFG() *cgra.DFG {
+var schedDFG = func() *cgra.DFG {
 	g := cgra.NewDFG("spmm-sched")
 	i := g.Const(0) // row cursor register
 	j := g.Const(0) // col cursor register
@@ -36,12 +37,12 @@ func schedDFG() *cgra.DFG {
 	g.Enq(3, g.Add(cgra.OpLEA, 3, bvb, bLo))
 	g.Enq(3, g.Add(cgra.OpLEA, 3, bvb, bHi))
 	return g
-}
+}()
 
 // mergeDFG: one merge-intersection step — compare heads, advance the
 // smaller side, forward matched value pairs (the paper's most control-
 // intensive datapath).
-func mergeDFG() *cgra.DFG {
+var mergeDFG = func() *cgra.DFG {
 	g := cgra.NewDFG("spmm-merge")
 	ac := g.Deq(0)
 	bc := g.Deq(1)
@@ -55,11 +56,11 @@ func mergeDFG() *cgra.DFG {
 	g.Enq(0, fa)
 	g.Enq(0, fb)
 	return g
-}
+}()
 
 // accumulateDFG: FMA the pair into the output-stationary accumulator; on a
 // boundary control token, store the finished element.
-func accumulateDFG() *cgra.DFG {
+var accumulateDFG = func() *cgra.DFG {
 	g := cgra.NewDFG("spmm-accumulate")
 	av := g.Deq(0)
 	bv := g.Deq(0)
@@ -72,11 +73,11 @@ func accumulateDFG() *cgra.DFG {
 	one := g.Const(1)
 	g.Add(cgra.OpAdd, 0, idx, one)
 	return g
-}
+}()
 
 // mergedDFG: the entire inner product in one configuration — coupled loads
 // for offsets, coordinates, and values.
-func mergedDFG() *cgra.DFG {
+var mergedDFG = func() *cgra.DFG {
 	g := cgra.NewDFG("spmm-merged")
 	ai := g.Const(0)
 	bi := g.Const(0)
@@ -103,4 +104,4 @@ func mergedDFG() *cgra.DFG {
 	oa := g.Add(cgra.OpLEA, 3, outb, eq)
 	g.Add(cgra.OpStore, 0, oa, sel)
 	return g
-}
+}()

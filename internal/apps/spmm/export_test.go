@@ -1,0 +1,7 @@
+package spmm
+
+import "fifer/internal/cgra"
+
+// SharedDFGs lists every stage DFG the package builds once and shares
+// between systems.
+var SharedDFGs = []*cgra.DFG{schedDFG, mergeDFG, accumulateDFG, mergedDFG}

@@ -189,7 +189,7 @@ func (p *pipeline) addFull(rep *replica) {
 				return stage.Fired
 			},
 		},
-		Mapping:   mustPlace(p.sys, schedDFG()),
+		Mapping:   mustPlace(p.sys, schedDFG),
 		In:        nil,
 		Out:       []stage.OutPort{rep.drmACoord.InPort(), rep.drmAVal.InPort(), rep.drmBCoord.InPort(), rep.drmBVal.InPort()},
 		StateWork: func() int { return rep.pairsLeft(p) },
@@ -202,7 +202,7 @@ func (p *pipeline) addFull(rep *replica) {
 			KernelName: fmt.Sprintf("spmm.r%d.merge", r),
 			Fn:         func(c *stage.Ctx) stage.Status { return p.mergeFire(rep, c) },
 		},
-		Mapping: mustPlace(p.sys, mergeDFG()),
+		Mapping: mustPlace(p.sys, mergeDFG),
 		In:      []stage.InPort{rep.acQ.In(), rep.bcQ.In(), rep.avQ.In(), rep.bvQ.In()},
 		Out:     []stage.OutPort{rep.mulQ.Out(0)},
 	}
@@ -312,7 +312,7 @@ func (p *pipeline) accumulateStage(rep *replica, stageIdx int) *stage.Stage {
 				return stage.Fired
 			},
 		},
-		Mapping: mustPlace(p.sys, accumulateDFG()),
+		Mapping: mustPlace(p.sys, accumulateDFG),
 		In:      []stage.InPort{rep.mulQ.In()},
 	}
 }
@@ -367,7 +367,7 @@ func (p *pipeline) addMerged(rep *replica) {
 				return stage.Fired
 			},
 		},
-		Mapping: mustPlace(p.sys, mergedDFG()),
+		Mapping: mustPlace(p.sys, mergedDFG),
 		StateWork: func() int {
 			n := rep.pairsLeft(p)
 			if rep.mPairActive {

@@ -74,6 +74,10 @@ type Node struct {
 // operations with queue endpoints. The graph must be acyclic except that
 // loop-carried state is expressed through registers, which the timing model
 // folds into pipeline depth.
+//
+// A placed DFG is shared: apps build each stage's DFG once per process, and
+// every system's Mapping points at the same graph, so nothing may mutate a
+// DFG after it is built. Per-system state (ConfigAddr) lives on the Mapping.
 type DFG struct {
 	Name  string
 	Nodes []Node

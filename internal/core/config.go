@@ -156,6 +156,9 @@ func (c *Config) Validate() error {
 			c.DRMOutstanding, c.DRMsPerPE)
 	case c.BackingBytes <= 0:
 		return fmt.Errorf("core: config needs a positive BackingBytes store (got %d)", c.BackingBytes)
+	case uint64(c.BackingBytes) > mem.MaxBackingBytes:
+		return fmt.Errorf("core: BackingBytes %d exceeds the caches' %d-byte limit",
+			c.BackingBytes, uint64(mem.MaxBackingBytes))
 	}
 	return nil
 }

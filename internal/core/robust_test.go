@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"fifer/internal/mem"
 	"fifer/internal/queue"
 	"fifer/internal/stage"
 )
@@ -175,6 +176,22 @@ func TestAuditLiveCleanOnHealthySystem(t *testing.T) {
 	resOn, cycOn := run(1)
 	if cycOff != cycOn || !reflect.DeepEqual(resOff, resOn) {
 		t.Fatalf("per-cycle audit perturbed the run: %d vs %d cycles", cycOff, cycOn)
+	}
+}
+
+// TestOversizeBackingRejected pins the cache tags' reach: a backing store
+// of mem.MaxBackingBytes builds, and one byte more is a config error, not a
+// system whose caches alias lines.
+func TestOversizeBackingRejected(t *testing.T) {
+	cfg := testConfig(1)
+	cfg.BackingBytes = mem.MaxBackingBytes
+	if _, err := NewSystemChecked(cfg); err != nil {
+		t.Fatalf("BackingBytes at the limit rejected: %v", err)
+	}
+	cfg.BackingBytes = mem.MaxBackingBytes + 1
+	_, err := NewSystemChecked(cfg)
+	if err == nil || !strings.Contains(err.Error(), "exceeds the caches'") {
+		t.Fatalf("BackingBytes past the limit: got error %v", err)
 	}
 }
 

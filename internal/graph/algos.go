@@ -13,12 +13,19 @@ const Unset = ^uint64(0)
 // for unreachable vertices.
 func BFS(g *Graph, src int) []uint64 {
 	dist := make([]uint64, g.NumVertices())
+	bfs(g, src, dist, nil, nil)
+	return dist
+}
+
+// bfs fills dist with every vertex's distance from src, searching with cur
+// and next as the frontier buffers, and returns them grown so that repeated
+// searches reuse them.
+func bfs(g *Graph, src int, dist, cur, next []uint64) ([]uint64, []uint64) {
 	for i := range dist {
 		dist[i] = Unset
 	}
 	dist[src] = 0
-	cur := []uint64{uint64(src)}
-	var next []uint64
+	cur = append(cur[:0], uint64(src))
 	d := uint64(1)
 	for len(cur) > 0 {
 		next = next[:0]
@@ -33,7 +40,7 @@ func BFS(g *Graph, src int) []uint64 {
 		cur, next = next, cur
 		d++
 	}
-	return dist
+	return cur, next
 }
 
 // CC labels every vertex with the smallest vertex id in its connected
@@ -164,8 +171,10 @@ func SampleSources(g *Graph, k int, r *sim.Rand) []int {
 // the maximum entry. Returns the per-vertex estimates.
 func Radii(g *Graph, sources []int) []uint64 {
 	radii := make([]uint64, g.NumVertices())
+	dist := make([]uint64, g.NumVertices())
+	var cur, next []uint64
 	for _, src := range sources {
-		dist := BFS(g, src)
+		cur, next = bfs(g, src, dist, cur, next)
 		for v, d := range dist {
 			if d != Unset && d > radii[v] {
 				radii[v] = d

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -174,6 +175,48 @@ func TestRadiiMatchesBFSMax(t *testing.T) {
 		}
 		if radii[v] != want {
 			t.Fatalf("radii[%d] = %d, want %d", v, radii[v], want)
+		}
+	}
+}
+
+// perSourceRadii is the original Radii, one fresh BFS per source, kept as
+// the oracle for the buffer-reusing search.
+func perSourceRadii(g *Graph, sources []int) []uint64 {
+	radii := make([]uint64, g.NumVertices())
+	for _, src := range sources {
+		for v, d := range BFS(g, src) {
+			if d != Unset && d > radii[v] {
+				radii[v] = d
+			}
+		}
+	}
+	return radii
+}
+
+// TestRadiiMatchesPerSourceBFS checks Radii, which reuses one distance array
+// and one pair of frontiers across its searches, against perSourceRadii on
+// every input at scales 0-1 (0 only under -short), for several seeds and
+// source counts, a repeated source included.
+func TestRadiiMatchesPerSourceBFS(t *testing.T) {
+	scales := []Scale{ScaleTiny, ScaleSmall}
+	if testing.Short() {
+		scales = scales[:1]
+	}
+	for _, in := range Inputs {
+		for _, sc := range scales {
+			for seed := uint64(1); seed <= 3; seed++ {
+				g := Generate(in, sc, seed)
+				r := sim.NewRand(seed ^ 0x4add1)
+				for _, k := range []int{1, 4, 7} {
+					sources := SampleSources(g, k, r)
+					if k == 7 {
+						sources = append(sources, sources[0])
+					}
+					if got, want := Radii(g, sources), perSourceRadii(g, sources); !slices.Equal(got, want) {
+						t.Fatalf("%s scale %d seed %d, %d sources: Radii differs from per-source BFS", in, sc, seed, len(sources))
+					}
+				}
+			}
 		}
 	}
 }

@@ -13,10 +13,10 @@ type Level struct {
 	latency uint64 // access (hit) latency in cycles
 	parent  lower  // where misses go
 
-	// One row of ways per set, index 0 = MRU. A tag is the line address
-	// with the line's dirty bit in bit 0, which a LineBytes-aligned address
-	// leaves free; empty ways (noLine) trail the valid ones.
-	tags []uint64
+	// One row of ways per set, index 0 = MRU. A tag is the line's index
+	// (its address / LineBytes) shifted left one, with the line's dirty bit
+	// in bit 0; empty ways (noLine) trail the valid ones.
+	tags []uint32
 
 	// Statistics.
 	Accesses   uint64
@@ -29,8 +29,6 @@ type lower interface {
 	// access returns the cycle at which the requested line is available,
 	// given that the request departs this level at cycle `now`.
 	access(now uint64, line Addr, write bool) (ready uint64)
-	// invalidate removes the line if present (used when testing flush paths).
-	invalidate(line Addr)
 }
 
 // NewLevel creates a cache level. sizeBytes must be a multiple of
@@ -42,7 +40,7 @@ func NewLevel(name string, sizeBytes, ways int, latency uint64, parent lower) *L
 	}
 	sets := lines / ways
 	l := &Level{name: name, sets: sets, ways: ways, latency: latency, parent: parent}
-	l.tags = make([]uint64, lines)
+	l.tags = make([]uint32, lines)
 	for i := range l.tags {
 		l.tags[i] = noLine
 	}
@@ -53,9 +51,13 @@ func NewLevel(name string, sizeBytes, ways int, latency uint64, parent lower) *L
 const dirtyBit = 1
 
 // noLine marks an empty way. Its dirty bit is clear, so evicting it is no
-// writeback, and the rest is not LineBytes-aligned, so it never matches a
-// line.
-const noLine = ^uint64(dirtyBit)
+// writeback, and its line index, the largest a tag holds, is past the last
+// line of any accepted backing store, so it never matches a line.
+const noLine = ^uint32(dirtyBit)
+
+// MaxBackingBytes is the largest backing store a hierarchy accepts: every
+// one of its lines has a tag of its own, and none is noLine's index.
+const MaxBackingBytes = (1<<31 - 1) * LineBytes
 
 // Name returns the level's diagnostic name.
 func (l *Level) Name() string { return l.name }
@@ -63,65 +65,66 @@ func (l *Level) Name() string { return l.name }
 // Latency returns the hit latency in cycles.
 func (l *Level) Latency() uint64 { return l.latency }
 
-// set returns the tag row of the set holding line. Every configured set
-// count is a power of two, which takes a mask instead of a 64-bit division;
-// other counts (tests use them) keep the modulo.
-func (l *Level) set(line Addr) []uint64 {
+// set returns the tag row of the set holding line and line's clean tag.
+// Every configured set count is a power of two, which takes a mask instead
+// of a 64-bit division; other counts (tests use them) keep the modulo.
+func (l *Level) set(line Addr) (row []uint32, tag uint32) {
 	n := uint64(line) / LineBytes
+	tag = uint32(n) << 1
 	if l.sets&(l.sets-1) == 0 {
 		n &= uint64(l.sets - 1)
 	} else {
 		n %= uint64(l.sets)
 	}
 	s := int(n) * l.ways
-	return l.tags[s : s+l.ways]
+	return l.tags[s : s+l.ways], tag
 }
 
-// lookup probes the set for the line; on hit it promotes the line to MRU,
-// dirtying it on a write. A hit is usually near MRU, so the shift is a
+// lookup probes the set row for the tag; on hit it promotes the line to
+// MRU, dirtying it on a write. A hit is usually near MRU, so the shift is a
 // short loop rather than a copy call.
-func (l *Level) lookup(line Addr, write bool) bool {
-	tags := l.set(line)
-	for i, t := range tags {
-		if t&^dirtyBit == uint64(line) {
+func (l *Level) lookup(row []uint32, tag uint32, write bool) bool {
+	for i, t := range row {
+		if t&^dirtyBit == tag {
 			if write {
 				t |= dirtyBit
 			}
 			for ; i > 0; i-- {
-				tags[i] = tags[i-1]
+				row[i] = row[i-1]
 			}
-			tags[0] = t
+			row[0] = t
 			return true
 		}
 	}
 	return false
 }
 
-// fill inserts the line at MRU, evicting LRU if the set is full.
-func (l *Level) fill(line Addr, write bool) {
-	tags := l.set(line)
-	if tags[l.ways-1]&dirtyBit != 0 {
+// fill inserts the tag at MRU of its set row, evicting LRU if the set is
+// full.
+func (l *Level) fill(row []uint32, tag uint32, write bool) {
+	if row[len(row)-1]&dirtyBit != 0 {
 		// The evicted LRU line was dirty. Only the count is kept: the
 		// writeback is not sent to the parent and uses no modelled memory
 		// bandwidth (EXPERIMENTS.md, "Known gaps").
 		l.Writebacks++
 	}
-	copy(tags[1:], tags)
-	tags[0] = uint64(line)
+	copy(row[1:], row)
 	if write {
-		tags[0] |= dirtyBit
+		tag |= dirtyBit
 	}
+	row[0] = tag
 }
 
 // access implements the lower interface so levels can stack.
 func (l *Level) access(now uint64, line Addr, write bool) uint64 {
 	l.Accesses++
-	if l.lookup(line, write) {
+	row, tag := l.set(line)
+	if l.lookup(row, tag, write) {
 		return now + l.latency
 	}
 	l.Misses++
 	ready := l.parent.access(now+l.latency, line, write)
-	l.fill(line, write)
+	l.fill(row, tag, write)
 	return ready
 }
 
@@ -131,32 +134,3 @@ func (l *Level) access(now uint64, line Addr, write bool) uint64 {
 func (l *Level) Access(now uint64, addr Addr, write bool) uint64 {
 	return l.access(now, addr.Line(), write)
 }
-
-// Contains reports whether the line holding addr is present (no LRU update).
-func (l *Level) Contains(addr Addr) bool {
-	line := addr.Line()
-	for _, t := range l.set(line) {
-		if t&^dirtyBit == uint64(line) {
-			return true
-		}
-	}
-	return false
-}
-
-// invalidate removes the line from this level and every level below it.
-func (l *Level) invalidate(line Addr) {
-	tags := l.set(line)
-	for i, t := range tags {
-		if t&^dirtyBit == uint64(line) {
-			copy(tags[i:], tags[i+1:])
-			tags[l.ways-1] = noLine
-			break
-		}
-	}
-	if l.parent != nil {
-		l.parent.invalidate(line)
-	}
-}
-
-// Invalidate removes the line containing addr from this level and below.
-func (l *Level) Invalidate(addr Addr) { l.invalidate(addr.Line()) }

@@ -59,6 +59,3 @@ func (h *HBM) access(now uint64, _ Addr, write bool) uint64 {
 	h.nextFree = start + h.slotHalf
 	return (start+1)/2 + h.latency
 }
-
-// invalidate is a no-op: main memory always holds every line.
-func (h *HBM) invalidate(Addr) {}

@@ -1,5 +1,7 @@
 package mem
 
+import "fmt"
+
 // HierarchyConfig captures the Table 2 memory-system parameters.
 type HierarchyConfig struct {
 	L1Bytes    int    // per-PE (or per-core) L1 size
@@ -75,8 +77,14 @@ type Port struct {
 	backing *Backing
 }
 
-// Port returns client i's memory port over the given backing store.
+// Port returns client i's memory port over the given backing store. It
+// panics on a store larger than MaxBackingBytes, whose lines the caches'
+// tags could not tell apart.
 func (h *Hierarchy) Port(i int, backing *Backing) *Port {
+	if uint64(backing.Size()) > MaxBackingBytes {
+		panic(fmt.Sprintf("mem: %d-byte backing store exceeds the caches' %d-byte limit",
+			backing.Size(), uint64(MaxBackingBytes)))
+	}
 	return &Port{l1: h.L1s[i], backing: backing}
 }
 

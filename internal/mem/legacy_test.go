@@ -82,7 +82,7 @@ func (l *legacyLevel) access(now uint64, line Addr, write bool) uint64 {
 	return ready
 }
 
-func (l *legacyLevel) Contains(addr Addr) bool {
+func (l *legacyLevel) contains(addr Addr) bool {
 	line := addr.Line()
 	for _, t := range l.tags[l.setOf(line)] {
 		if t == uint64(line) {
@@ -92,38 +92,35 @@ func (l *legacyLevel) Contains(addr Addr) bool {
 	return false
 }
 
-func (l *legacyLevel) invalidate(line Addr) {
-	s := l.setOf(line)
-	tags, dirty := l.tags[s], l.dirty[s]
-	for i, t := range tags {
-		if t == uint64(line) {
-			l.tags[s] = append(tags[:i], tags[i+1:]...)
-			l.dirty[s] = append(dirty[:i], dirty[i+1:]...)
-			break
-		}
-	}
-	if l.parent != nil {
-		l.parent.invalidate(line)
-	}
-}
-
-// FuzzLevelMatchesLegacy drives random access, Contains and Invalidate
-// streams through a Level stack and a legacyLevel stack of the same
-// geometry (1-8 sets x 1-16 ways, optionally a second level) over their own
-// HBMs, and requires identical ready cycles, level counters and HBM counters.
+// FuzzLevelMatchesLegacy drives random access and contains streams through
+// a Level stack and a legacyLevel stack of the same geometry (1-8 sets x
+// 1-16 ways, optionally a second level) over their own HBMs, and requires
+// identical ready cycles, level counters and HBM counters. The streams touch
+// two windows of 64 lines: the first 64, and 64 from line index base (mod
+// the lines a backing store of MaxBackingBytes holds). The seeds near the
+// top of that store pin the 4-byte tags where their line indices are
+// widest, and those at a power of two would catch a tag that drops that
+// bit, as its lines would alias the first window's.
 func FuzzLevelMatchesLegacy(f *testing.F) {
-	f.Add(uint32(0), []byte{0, 0, 0, 1, 0, 2, 2, 0, 0})
+	f.Add(uint32(0), uint32(0), []byte{0, 0, 0, 1, 0, 2, 2, 0, 0})
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 24; i++ {
 		ops := make([]byte, 3*(1+r.Intn(200)))
 		r.Read(ops)
-		f.Add(r.Uint32(), ops)
+		f.Add(r.Uint32(), uint32(0), ops)
 	}
-	f.Fuzz(func(t *testing.T, geom uint32, ops []byte) {
+	const lines = MaxBackingBytes / LineBytes
+	for _, base := range []uint32{lines - 64, lines - 65, lines - 200, 1<<30 - 32, 1 << 26, 1 << 29, 1 << 30} {
+		ops := make([]byte, 3*(1+r.Intn(200)))
+		r.Read(ops)
+		f.Add(r.Uint32(), base, ops)
+	}
+	f.Fuzz(func(t *testing.T, geom, base uint32, ops []byte) {
 		dim := func(shift, n uint) int { return int(geom>>shift)%int(n) + 1 }
 		sets1, ways1 := dim(0, 8), dim(3, 16)
 		sets2, ways2 := dim(7, 8), dim(10, 16)
 		twoLevel := geom>>14&1 == 1
+		first := Addr(uint64(base)%(lines-63)) * LineBytes
 
 		newMem, oldMem := NewHBM(120, 128), NewHBM(120, 128)
 		var newLLC *Level
@@ -139,22 +136,22 @@ func FuzzLevelMatchesLegacy(f *testing.F) {
 
 		now := uint64(0)
 		for i := 0; i+2 < len(ops); i += 3 {
-			// 64 distinct lines keep every geometry under conflict pressure.
+			// 64 lines per window keep every geometry under conflict
+			// pressure. Ops 0 and 1 read and write; 2 and 3 only probe.
 			addr := Addr(ops[i+1]%64)*LineBytes + Addr(ops[i+2]%LineBytes)
+			if ops[i+1]&64 != 0 {
+				addr += first
+			}
 			now += uint64(ops[i+2] >> 4)
-			switch ops[i] % 4 {
-			case 0, 1:
-				write := ops[i]%4 == 1
+			if op := ops[i] % 4; op < 2 {
+				write := op == 1
 				if got, want := newL1.Access(now, addr, write), oldL1.access(now, addr.Line(), write); got != want {
 					t.Fatalf("op %d: access %#x ready %d, legacy %d", i/3, uint64(addr), got, want)
 				}
-			case 2:
-				newL1.Invalidate(addr)
-				oldL1.invalidate(addr.Line())
 			}
-			if newL1.Contains(addr) != oldL1.Contains(addr) ||
-				(twoLevel && newLLC.Contains(addr) != oldLLC.Contains(addr)) {
-				t.Fatalf("op %d: Contains(%#x) differs from legacy", i/3, uint64(addr))
+			if newL1.contains(addr) != oldL1.contains(addr) ||
+				(twoLevel && newLLC.contains(addr) != oldLLC.contains(addr)) {
+				t.Fatalf("op %d: contains(%#x) differs from legacy", i/3, uint64(addr))
 			}
 		}
 		same := func(name string, n *Level, o *legacyLevel) {

@@ -455,7 +455,7 @@ func TestCacheHitMiss(t *testing.T) {
 	if l1.Accesses != 2 || l1.Misses != 1 {
 		t.Fatalf("stats: %d accesses %d misses", l1.Accesses, l1.Misses)
 	}
-	if !l1.Contains(0x1000) || !llc.Contains(0x1000) {
+	if !l1.contains(0x1000) || !llc.contains(0x1000) {
 		t.Fatal("fill did not populate levels")
 	}
 }
@@ -469,14 +469,14 @@ func TestCacheLRUEviction(t *testing.T) {
 	l1.Access(10, 128, false)
 	l1.Access(20, 0, false)   // touch 0: now MRU
 	l1.Access(30, 256, false) // evicts 128 (LRU)
-	if !l1.Contains(0) || l1.Contains(128) || !l1.Contains(256) {
+	if !l1.contains(0) || l1.contains(128) || !l1.contains(256) {
 		t.Fatal("LRU order wrong")
 	}
 }
 
-// TestCacheWriteback pins the dirty bit kept in each tag word: evicting a
-// dirty line counts one writeback, evicting a clean line or an empty way
-// counts none, and invalidating a dirty line leaves no dirty bit behind.
+// TestCacheWriteback pins the dirty bit kept in each tag: evicting a dirty
+// line counts one writeback, evicting a clean line or an empty way counts
+// none, and a dirty line evicted and refilled by a read is clean.
 func TestCacheWriteback(t *testing.T) {
 	l1 := NewLevel("l1", 128, 2, 1, NewHBM(100, 128)) // one set, two ways
 	step := func(addr Addr, write bool, want uint64) {
@@ -496,28 +496,29 @@ func TestCacheWriteback(t *testing.T) {
 	step(64, false, 1)  // evicts clean 192: [64, 256*]
 	step(320, false, 2) // evicts dirty 256: [320, 64]
 
-	// A dirty line invalidated at MRU leaves an empty, clean way, and the
-	// line refilled by a read is clean.
-	step(384, true, 2) // evicts clean 64: [384*, 320]
-	l1.Invalidate(384) // [320, -]
+	// Conflict fills evict a dirty line; the line refilled by a read is
+	// clean, and no way keeps a dirty bit behind.
+	step(384, true, 2)  // evicts clean 64: [384*, 320]
+	step(448, false, 2) // evicts clean 320: [448, 384*]
+	step(512, false, 3) // evicts dirty 384: [512, 448]
+	step(384, false, 3) // evicts clean 448: [384, 512]
 	for i, tag := range l1.tags {
 		if tag&dirtyBit != 0 {
-			t.Fatalf("way %d holds dirty tag %#x after invalidate", i, tag)
+			t.Fatalf("way %d holds dirty tag %#x after read fills", i, tag)
 		}
 	}
-	step(384, false, 2) // fills the empty way: [384, 320]
-	step(448, false, 2) // evicts clean 320: [448, 384]
-	step(512, false, 2) // evicts 384, clean since its refill
+	step(576, false, 3) // evicts clean 512: [576, 384]
+	step(640, false, 3) // evicts 384, clean since its refill
 }
 
-// TestLevelHostBytes pins a cache level's host storage to one 8-byte tag
-// word per line plus the fixed header.
+// TestLevelHostBytes pins a cache level's host storage to one 4-byte tag
+// per line plus the fixed header.
 func TestLevelHostBytes(t *testing.T) {
 	const sizeBytes, ways, header = 512 << 10, 16, 512
 	const lines = sizeBytes / LineBytes
 	var sink *Level
 	got := allocBytes(func() { sink = NewLevel("llc", sizeBytes, ways, 40, nil) })
-	if limit := uint64(8*lines + header); got > limit {
+	if limit := uint64(4*lines + header); got > limit {
 		t.Fatalf("a %d-line level allocates %d host bytes, want at most %d", lines, got, limit)
 	}
 	_ = sink
@@ -536,13 +537,29 @@ func allocBytes(build func()) uint64 {
 	return (after.TotalAlloc - before.TotalAlloc) / runs
 }
 
-func TestCacheInvalidate(t *testing.T) {
-	h := NewHierarchy(DefaultPEHierarchy(2))
-	h.L1s[0].Access(0, 0x40, false)
-	h.L1s[0].Invalidate(0x40)
-	if h.L1s[0].Contains(0x40) || h.LLC.Contains(0x40) {
-		t.Fatal("invalidate left line resident")
+// TestPortRejectsOversizeBacking pins the tags' reach: a hierarchy binds a
+// backing store of MaxBackingBytes, and refuses a larger one whose lines
+// its tags would alias.
+func TestPortRejectsOversizeBacking(t *testing.T) {
+	h := NewHierarchy(DefaultPEHierarchy(1))
+	h.Port(0, NewBacking(MaxBackingBytes))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Port accepted a backing store past MaxBackingBytes")
+		}
+	}()
+	h.Port(0, NewBacking(MaxBackingBytes+WordBytes))
+}
+
+// contains reports whether the line holding addr is present (no LRU update).
+func (l *Level) contains(addr Addr) bool {
+	row, tag := l.set(addr.Line())
+	for _, t := range row {
+		if t&^dirtyBit == tag {
+			return true
+		}
 	}
+	return false
 }
 
 // Property: the cache hierarchy is timing-only — a port's loads always
