@@ -4,6 +4,7 @@
 package apps
 
 import (
+	"fifer/internal/cgra"
 	"fifer/internal/core"
 	"fifer/internal/energy"
 )
@@ -65,6 +66,17 @@ func PlaceFor(cfg core.Config, nstages int) Placement {
 		Replicas: reps,
 		PEOf:     func(replica, stageIdx int) int { return (replica*nstages + stageIdx) % cfg.PEs },
 	}
+}
+
+// PlaceDFG maps a stage's DFG onto sys's fabric, replicating it when the
+// system enables SIMD replication. A stage that does not fit is a bug in the
+// application's stage split, so it panics.
+func PlaceDFG(sys *core.System, g *cgra.DFG) *cgra.Mapping {
+	m, err := cgra.Place(g, sys.Cfg.Fabric, sys.Cfg.SIMDReplication)
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
 
 // Outcome is one (app, input, system) measurement.

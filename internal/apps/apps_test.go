@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"fifer/internal/core"
+	"fifer/internal/stage"
 )
 
 func TestOwnerPartition(t *testing.T) {
@@ -74,13 +75,16 @@ func TestPlaceFor(t *testing.T) {
 
 func TestQueuePlanBudgetsPerPE(t *testing.T) {
 	cfg := core.DefaultConfig()
-	cfg.PEs = 2
+	cfg.PEs = 3
 	cfg.BackingBytes = 1 << 20
 	sys := core.NewSystem(cfg)
 	qp := NewQueuePlan(sys)
 	a := qp.Request(0, "a", 1, nil)
 	bq := qp.Request(0, "b", 3, nil)
 	c := qp.Request(1, "c", 1, []int{0})
+	// The pipelines list a same-PE producer rather than omitting it.
+	self := qp.Request(2, "self", 1, []int{2})
+	mixed := qp.Request(2, "mixed", 1, []int{2, 0})
 	qp.Build()
 	// PE 0's 16 KB (2048 tokens) split 1:3.
 	if a.Queue().Cap() != 512 || bq.Queue().Cap() != 1536 {
@@ -92,6 +96,24 @@ func TestQueuePlanBudgetsPerPE(t *testing.T) {
 	}
 	if c.Out(0).Space() != 2048 {
 		t.Fatal("credited producer should start with full credits")
+	}
+	// A queue whose only producer is its consumer's PE is a plain local
+	// queue: its producer port and its local port are the same port.
+	if _, ok := self.In().(stage.LocalPort); !ok || self.Out(0) != self.Local() {
+		t.Fatalf("same-PE producer: in %T, out %v, local %v; want one local port", self.In(), self.Out(0), self.Local())
+	}
+	if self.Queue().Cap() != 1024 {
+		t.Fatalf("self cap = %d, want 1024", self.Queue().Cap())
+	}
+	// One remote producer among two makes the queue credited, one port
+	// per listed producer, the local one included.
+	if _, ok := mixed.In().(stage.ArbiterPort); !ok {
+		t.Fatalf("mixed producers: in %T, want a credited arbiter", mixed.In())
+	}
+	for i := 0; i < 2; i++ {
+		if o, ok := mixed.Out(i).(stage.CreditOut); !ok || o.Space() != 512 {
+			t.Fatalf("mixed port %d: %T with space %d, want a credit port with 512", i, mixed.Out(i), mixed.Out(i).Space())
+		}
 	}
 }
 

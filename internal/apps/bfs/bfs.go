@@ -12,13 +12,8 @@ import (
 // Name is the benchmark's reporting name.
 const Name = "BFS"
 
-// Run executes BFS on the chosen system and input.
-func Run(kind apps.SystemKind, input string, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
-	return RunOn(kind, graph.Generate(graph.Input(input), graph.Scale(scale), seed), scale, seed, merged, override)
-}
-
-// RunOn executes BFS on g, the input Run generates. It only reads g, so
-// runs may share it. seed is unused.
+// RunOn executes BFS on g on the chosen system. It only reads g, so runs
+// may share it. seed is unused.
 func RunOn(kind apps.SystemKind, g *graph.Graph, scale int, _ uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
 	src := graphpipe.DefaultSource(g)
 	return apps.Run(kind, scale, merged, override, graphpipe.App(graphpipe.ModeBFS, g, []int{src}))

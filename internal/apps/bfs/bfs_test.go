@@ -5,12 +5,13 @@ import (
 
 	"fifer/internal/apps"
 	"fifer/internal/core"
+	"fifer/internal/graph"
 )
 
 func TestBFSAllSystemsVerified(t *testing.T) {
 	cycles := map[apps.SystemKind]uint64{}
 	for _, kind := range apps.Kinds {
-		out, err := Run(kind, "Hu", 0, 1, false, nil)
+		out, err := run(kind, "Hu", 0, 1, false, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -29,11 +30,11 @@ func TestBFSAllSystemsVerified(t *testing.T) {
 }
 
 func TestBFSDeterministic(t *testing.T) {
-	a, err := Run(apps.FiferPipe, "In", 0, 5, false, nil)
+	a, err := run(apps.FiferPipe, "In", 0, 5, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(apps.FiferPipe, "In", 0, 5, false, nil)
+	b, err := run(apps.FiferPipe, "In", 0, 5, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +48,11 @@ func TestBFSQueueScalingMonotoneEnough(t *testing.T) {
 	// Metamorphic check behind Fig. 16: shrinking queue memory to a quarter
 	// must not make BFS faster by more than noise, and should usually slow
 	// it down.
-	base, err := Run(apps.FiferPipe, "Hu", 0, 1, false, nil)
+	base, err := run(apps.FiferPipe, "Hu", 0, 1, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	quarter, err := Run(apps.FiferPipe, "Hu", 0, 1, false, func(cfg *core.Config) {
+	quarter, err := run(apps.FiferPipe, "Hu", 0, 1, false, func(cfg *core.Config) {
 		*cfg = cfg.WithQueueScale(0.25)
 	})
 	if err != nil {
@@ -60,4 +61,9 @@ func TestBFSQueueScalingMonotoneEnough(t *testing.T) {
 	if float64(quarter.Cycles) < 0.95*float64(base.Cycles) {
 		t.Fatalf("quarter queues substantially faster (%d vs %d)", quarter.Cycles, base.Cycles)
 	}
+}
+
+// run generates the named input and runs BFS on it.
+func run(kind apps.SystemKind, input string, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
+	return RunOn(kind, graph.Generate(graph.Input(input), graph.Scale(scale), seed), scale, seed, merged, override)
 }

@@ -4,11 +4,13 @@ import (
 	"testing"
 
 	"fifer/internal/apps"
+	"fifer/internal/core"
+	"fifer/internal/graph"
 )
 
 func TestCCAllSystemsVerified(t *testing.T) {
 	for _, kind := range apps.Kinds {
-		out, err := Run(kind, "Hu", 0, 1, false, nil)
+		out, err := run(kind, "Hu", 0, 1, false, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -19,7 +21,7 @@ func TestCCAllSystemsVerified(t *testing.T) {
 }
 
 func TestCCMergedVerified(t *testing.T) {
-	out, err := Run(apps.FiferPipe, "Ci", 0, 2, true, nil)
+	out, err := run(apps.FiferPipe, "Ci", 0, 2, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,11 +33,16 @@ func TestCCMergedVerified(t *testing.T) {
 func TestCCManyComponentsStillTerminates(t *testing.T) {
 	// The internet-topology generator leaves many isolated vertices, so CC
 	// exercises the seed-scan path heavily.
-	out, err := Run(apps.FiferPipe, "In", 0, 3, false, nil)
+	out, err := run(apps.FiferPipe, "In", 0, 3, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Pipe.Rounds == 0 {
 		t.Fatal("expected multiple control-core rounds")
 	}
+}
+
+// run generates the named input and runs CC on it.
+func run(kind apps.SystemKind, input string, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
+	return RunOn(kind, graph.Generate(graph.Input(input), graph.Scale(scale), seed), scale, seed, merged, override)
 }

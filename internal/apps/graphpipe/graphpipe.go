@@ -167,8 +167,8 @@ func Build(sys *core.System, g *graph.Graph, opts Options) *Pipeline {
 			rep.drmNgh = sys.PE(pe1).DRM(2)
 			rep.drmDist = sys.PE(pe2).DRM(3)
 			rep.fringeQ = qp.Request(pe0, fmt.Sprintf("r%d.fringe", r), 1, nil)
-			rep.offQ = qp.Request(pe1, fmt.Sprintf("r%d.off", r), 1, offQProducers(pe0, pe1))
-			rep.nghQ = qp.Request(pe2, fmt.Sprintf("r%d.ngh", r), 2, offQProducers(pe1, pe2))
+			rep.offQ = qp.Request(pe1, fmt.Sprintf("r%d.off", r), 1, []int{pe0})
+			rep.nghQ = qp.Request(pe2, fmt.Sprintf("r%d.ngh", r), 2, []int{pe1})
 			rep.pairQ = qp.Request(pe2, fmt.Sprintf("r%d.pair", r), 1, nil)
 			rep.distQ = qp.Request(pe2, fmt.Sprintf("r%d.dist", r), 1, nil)
 			rep.updQ = qp.Request(pe3, fmt.Sprintf("r%d.upd", r), 2, producersS3)
@@ -185,32 +185,14 @@ func Build(sys *core.System, g *graph.Graph, opts Options) *Pipeline {
 			rep.updOut = updPorts(p, rep)
 			p.addMergedStages(rep)
 		} else {
-			rep.drmOff.Configure(core.DRMDereference, drmOut(rep.offQ, p.place.PEOf(r, 0)))
-			rep.drmNgh.Configure(core.DRMDereference, drmOut(rep.nghQ, p.place.PEOf(r, 1)))
+			rep.drmOff.Configure(core.DRMDereference, rep.offQ.Out(0))
+			rep.drmNgh.Configure(core.DRMDereference, rep.nghQ.Out(0))
 			rep.drmDist.Configure(core.DRMDereference, rep.distQ.Local())
 			rep.updOut = updPorts(p, rep)
 			p.addFullStages(rep)
 		}
 	}
 	return p
-}
-
-// offQProducers returns the producer list for a DRM-fed queue: the DRM's PE
-// if it differs from the consumer, else nil (local).
-func offQProducers(drmPE, consumerPE int) []int {
-	if drmPE == consumerPE {
-		return nil
-	}
-	return []int{drmPE}
-}
-
-// drmOut returns a DRM's output port into q: local when the DRM sits on the
-// consumer PE, credited otherwise (static pipelines cross PEs here).
-func drmOut(q *apps.QueueRef, drmPE int) stage.OutPort {
-	if q.Consumer == drmPE {
-		return q.Local()
-	}
-	return q.Out(0) // single producer: the DRM's PE
 }
 
 // updPorts returns the routing stage's ports into every replica's update

@@ -3,21 +3,13 @@ package graphpipe
 import (
 	"fmt"
 
+	"fifer/internal/apps"
 	"fifer/internal/cgra"
 	"fifer/internal/graph"
 	"fifer/internal/mem"
 	"fifer/internal/queue"
 	"fifer/internal/stage"
 )
-
-// place maps a DFG onto the system's fabric, with SIMD replication.
-func (p *Pipeline) place2(g *cgra.DFG) *cgra.Mapping {
-	m, err := cgra.Place(g, p.Sys.Cfg.Fabric, p.Sys.Cfg.SIMDReplication)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
 
 // addFullStages attaches the fully decoupled four-stage pipeline (Fig. 2a)
 // for replica rep.
@@ -45,7 +37,7 @@ func (p *Pipeline) addFullStages(rep *replica) {
 				return stage.Fired
 			},
 		},
-		Mapping: p.place2(procFringeDFG),
+		Mapping: apps.PlaceDFG(p.Sys, procFringeDFG),
 		In:      []stage.InPort{rep.fringeQ.In()},
 		Out:     []stage.OutPort{rep.drmOff.InPort()},
 	}
@@ -81,7 +73,7 @@ func (p *Pipeline) addFullStages(rep *replica) {
 				return stage.Fired
 			},
 		},
-		Mapping: p.place2(enumNeighborsDFG),
+		Mapping: apps.PlaceDFG(p.Sys, enumNeighborsDFG),
 		In:      []stage.InPort{rep.offQ.In()},
 		Out:     []stage.OutPort{rep.drmNgh.InPort()},
 		StateWork: func() int {
@@ -135,7 +127,7 @@ func (p *Pipeline) addFullStages(rep *replica) {
 				return stage.NoInput
 			},
 		},
-		Mapping: p.place2(fetchDistDFG),
+		Mapping: apps.PlaceDFG(p.Sys, fetchDistDFG),
 		In:      []stage.InPort{rep.nghQ.In(), rep.pairQ.In(), rep.distQ.In()},
 		Out:     []stage.OutPort{rep.drmDist.InPort()},
 	}
@@ -177,7 +169,7 @@ func (p *Pipeline) addUpdateStage(rep *replica, stageIdx int) {
 				return stage.Fired
 			},
 		},
-		Mapping: p.place2(updateDFGs[p.Opts.Mode]),
+		Mapping: apps.PlaceDFG(p.Sys, updateDFGs[p.Opts.Mode]),
 		In:      []stage.InPort{rep.updQ.In()},
 		Out:     nil,
 	}
@@ -222,7 +214,7 @@ func (p *Pipeline) addMergedStages(rep *replica) {
 				return stage.Fired
 			},
 		},
-		Mapping: p.place2(mergedSrcDFG),
+		Mapping: apps.PlaceDFG(p.Sys, mergedSrcDFG),
 		In:      []stage.InPort{rep.fringeQ.In()},
 		Out:     rep.updOut,
 		StateWork: func() int {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"fifer/internal/apps"
-	"fifer/internal/cgra"
 	"fifer/internal/core"
 	"fifer/internal/graph"
 	"fifer/internal/mem"
@@ -143,8 +142,8 @@ func build(sys *core.System, g *graph.Graph, cfg graph.PRDConfig, merged bool) *
 			rep.activeQ = qp.Request(pe(0), fmt.Sprintf("r%d.active", r), 1, nil)
 			rep.pendQ = qp.Request(pe(0), fmt.Sprintf("r%d.pend", r), 1, nil)
 			rep.offQ = qp.Request(pe(0), fmt.Sprintf("r%d.off", r), 1, nil)
-			rep.shareQ = qp.Request(pe(1), fmt.Sprintf("r%d.share", r), 1, crossProducers(pe(0), pe(1)))
-			rep.nghQ = qp.Request(pe(1), fmt.Sprintf("r%d.ngh", r), 2, crossProducers(pe(0), pe(1)))
+			rep.shareQ = qp.Request(pe(1), fmt.Sprintf("r%d.share", r), 1, []int{pe(0)})
+			rep.nghQ = qp.Request(pe(1), fmt.Sprintf("r%d.ngh", r), 2, []int{pe(0)})
 			rep.accQ = qp.Request(pe(2), fmt.Sprintf("r%d.acc", r), 2, producers)
 			rep.applyQ = qp.Request(pe(3), fmt.Sprintf("r%d.apply", r), 1, nil)
 		}
@@ -163,28 +162,13 @@ func build(sys *core.System, g *graph.Graph, cfg graph.PRDConfig, merged bool) *
 		if merged {
 			p.addMerged(rep)
 		} else {
-			pe0 := p.place.PEOf(r, 0)
 			rep.drmOff.Configure(core.DRMDereference, rep.offQ.Local())
-			rep.drmNgh.Configure(core.DRMScan, drmOut(rep.nghQ, pe0))
+			rep.drmNgh.Configure(core.DRMScan, rep.nghQ.Out(0))
 			rep.drmNgh.SetBoundary(true)
 			p.addFull(rep)
 		}
 	}
 	return p
-}
-
-func crossProducers(prodPE, consPE int) []int {
-	if prodPE == consPE {
-		return nil
-	}
-	return []int{prodPE}
-}
-
-func drmOut(q *apps.QueueRef, drmPE int) stage.OutPort {
-	if q.Consumer == drmPE {
-		return q.Local()
-	}
-	return q.Out(0)
 }
 
 func (p *pipeline) owner(v uint64) int {
@@ -235,7 +219,7 @@ func (p *pipeline) addFull(rep *replica) {
 				return stage.NoInput
 			},
 		},
-		Mapping: mustPlace(p.sys, procActiveDFG),
+		Mapping: apps.PlaceDFG(p.sys, procActiveDFG),
 		In:      []stage.InPort{rep.activeQ.In(), rep.offQ.In(), rep.pendQ.In()},
 		Out:     []stage.OutPort{rep.drmOff.InPort(), rep.shareQ.Out(0)},
 	})
@@ -275,7 +259,7 @@ func (p *pipeline) addFull(rep *replica) {
 				return stage.Fired
 			},
 		},
-		Mapping: mustPlace(p.sys, scatterDFG),
+		Mapping: apps.PlaceDFG(p.sys, scatterDFG),
 		In:      []stage.InPort{rep.nghQ.In(), rep.shareQ.In()},
 		Out:     rep.accOut,
 		StateWork: func() int {
@@ -308,7 +292,7 @@ func (p *pipeline) accumulateStage(rep *replica) *stage.Stage {
 				return stage.Fired
 			},
 		},
-		Mapping: mustPlace(p.sys, accumulateDFG),
+		Mapping: apps.PlaceDFG(p.sys, accumulateDFG),
 		In:      []stage.InPort{rep.accQ.In()},
 	}
 }
@@ -341,7 +325,7 @@ func (p *pipeline) applyStage(rep *replica) *stage.Stage {
 				return stage.Fired
 			},
 		},
-		Mapping: mustPlace(p.sys, applyDFG),
+		Mapping: apps.PlaceDFG(p.sys, applyDFG),
 		In:      []stage.InPort{rep.applyQ.In()},
 	}
 }
@@ -384,7 +368,7 @@ func (p *pipeline) addMerged(rep *replica) {
 				return stage.Fired
 			},
 		},
-		Mapping: mustPlace(p.sys, mergedScatterDFG),
+		Mapping: apps.PlaceDFG(p.sys, mergedScatterDFG),
 		In:      []stage.InPort{rep.activeQ.In()},
 		Out:     rep.accOut,
 		StateWork: func() int {
@@ -396,12 +380,4 @@ func (p *pipeline) addMerged(rep *replica) {
 	})
 	p.sys.PE(p.place.PEOf(r, 1)).AddStage(p.accumulateStage(rep))
 	p.sys.PE(p.place.PEOf(r, 2)).AddStage(p.applyStage(rep))
-}
-
-func mustPlace(sys *core.System, g *cgra.DFG) *cgra.Mapping {
-	m, err := cgra.Place(g, sys.Cfg.Fabric, sys.Cfg.SIMDReplication)
-	if err != nil {
-		panic(err)
-	}
-	return m
 }

@@ -16,13 +16,8 @@ import (
 // Name is the benchmark's reporting name.
 const Name = "PRD"
 
-// Run executes PageRank-Delta on the chosen system and input.
-func Run(kind apps.SystemKind, input string, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
-	return RunOn(kind, graph.Generate(graph.Input(input), graph.Scale(scale), seed), scale, seed, merged, override)
-}
-
-// RunOn executes PageRank-Delta on g, the input Run generates. It only
-// reads g, so runs may share it. seed is unused.
+// RunOn executes PageRank-Delta on g on the chosen system. It only reads
+// g, so runs may share it. seed is unused.
 func RunOn(kind apps.SystemKind, g *graph.Graph, scale int, _ uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
 	return apps.Run(kind, scale, merged, override, app(g, graph.DefaultPRD(), scale))
 }

@@ -24,7 +24,7 @@ type QueueRef struct {
 	Name      string
 	Consumer  int
 	Weight    int
-	Producers []int // producer PE ids; empty means purely local (consumer PE)
+	Producers []int // producer PE ids; empty or all Consumer means purely local
 
 	q   *queue.Queue
 	arb *queue.Arbiter
@@ -36,8 +36,9 @@ func NewQueuePlan(sys *core.System) *QueuePlan {
 }
 
 // Request registers a queue hosted on consumerPE. producers lists the PE of
-// each producer endpoint (one port per entry); an empty list means the queue
-// is written only by same-PE stages (or DRMs) without credit flow control.
+// each producer endpoint (one port per entry). The queue gets credit flow
+// control when any producer is on another PE; otherwise, empty list
+// included, it is a plain local queue and every Out(i) is its Local port.
 func (qp *QueuePlan) Request(consumerPE int, name string, weight int, producers []int) *QueueRef {
 	if weight <= 0 {
 		weight = 1

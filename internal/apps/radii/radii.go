@@ -18,13 +18,8 @@ const Name = "Radii"
 // bound simulation time; we do the same).
 const Samples = 4
 
-// Run executes Radii on the chosen system and input.
-func Run(kind apps.SystemKind, input string, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
-	return RunOn(kind, graph.Generate(graph.Input(input), graph.Scale(scale), seed), scale, seed, merged, override)
-}
-
-// RunOn executes Radii on g, the input Run generates; seed picks the
-// sources. It only reads g, so runs may share it.
+// RunOn executes Radii on g on the chosen system; seed picks the sources.
+// It only reads g, so runs may share it.
 func RunOn(kind apps.SystemKind, g *graph.Graph, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
 	sources := graph.SampleSources(g, Samples, sim.NewRand(seed^0x4add1))
 	return apps.Run(kind, scale, merged, override, graphpipe.App(graphpipe.ModeRadii, g, sources))

@@ -48,7 +48,7 @@ func Run[T any](kind SystemKind, scale int, merged bool, override func(*core.Con
 		if kind == MulticoreOOO {
 			cores = 4
 		}
-		m := ooo.NewMachineLLCDiv(cores, app.BackingBytes, LLCDivisor(scale))
+		m := ooo.NewMachine(cores, app.BackingBytes, LLCDivisor(scale))
 		got = app.OOO(m)
 		out.Cycles = m.Cycles()
 		out.Counts = collectOOOCounts(m)

@@ -60,7 +60,7 @@ func TestRunBuildsEachKind(t *testing.T) {
 			if overridden || tweaked.PEs != 0 {
 				t.Errorf("%v: an OOO run applied the CGRA tweak or override", kind)
 			}
-			if oooLLC := ooo.NewMachine(got, 1<<20).Hier.Config.LLCBytes / LLCDivisor(scale); out.Counts.LLCBytes != oooLLC {
+			if oooLLC := ooo.NewMachine(got, 1<<20, 1).Hier.Config.LLCBytes / LLCDivisor(scale); out.Counts.LLCBytes != oooLLC {
 				t.Errorf("%v: LLC %d bytes, want %d", kind, out.Counts.LLCBytes, oooLLC)
 			}
 			continue

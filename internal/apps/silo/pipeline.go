@@ -5,7 +5,6 @@ import (
 
 	"fifer/internal/apps"
 	"fifer/internal/btree"
-	"fifer/internal/cgra"
 	"fifer/internal/core"
 	"fifer/internal/mem"
 	"fifer/internal/queue"
@@ -92,10 +91,10 @@ func build(sys *core.System, ds Dataset, merged bool) *pipeline {
 		} else {
 			rep.drmNode = sys.PE(pe(1)).DRM(1)
 			rep.keyQ = qp.Request(pe(0), fmt.Sprintf("r%d.key", r), 1, nil)
-			rep.nodeQ = qp.Request(pe(1), fmt.Sprintf("r%d.node", r), 2, nodeProducers(pe(0), pe(2), pe(1)))
-			rep.pendQ = qp.Request(pe(2), fmt.Sprintf("r%d.pend", r), 1, prod(pe(1), pe(2)))
-			rep.hdrQ = qp.Request(pe(2), fmt.Sprintf("r%d.hdr", r), 1, prod(pe(1), pe(2)))
-			rep.leafQ = qp.Request(pe(3), fmt.Sprintf("r%d.leaf", r), 1, prod(pe(2), pe(3)))
+			rep.nodeQ = qp.Request(pe(1), fmt.Sprintf("r%d.node", r), 2, []int{pe(0), pe(2)})
+			rep.pendQ = qp.Request(pe(2), fmt.Sprintf("r%d.pend", r), 1, []int{pe(1)})
+			rep.hdrQ = qp.Request(pe(2), fmt.Sprintf("r%d.hdr", r), 1, []int{pe(1)})
+			rep.leafQ = qp.Request(pe(3), fmt.Sprintf("r%d.leaf", r), 1, []int{pe(2)})
 		}
 		p.reps = append(p.reps, rep)
 	}
@@ -108,8 +107,7 @@ func build(sys *core.System, ds Dataset, merged bool) *pipeline {
 			p.addMerged(rep)
 			continue
 		}
-		pe1 := p.place.PEOf(r, 1)
-		rep.drmNode.Configure(core.DRMDereference, drmOut(rep.hdrQ, pe1))
+		rep.drmNode.Configure(core.DRMDereference, rep.hdrQ.Out(0))
 		rep.nodeFromQ0 = rep.nodeQ.Out(0)
 		rep.nodeFromS2 = rep.nodeQ.Out(1)
 		m := min(rep.nodeQ.Queue().Cap(), rep.pendQ.Queue().Cap(), rep.leafQ.Queue().Cap())
@@ -117,29 +115,6 @@ func build(sys *core.System, ds Dataset, merged bool) *pipeline {
 		p.addFull(rep)
 	}
 	return p
-}
-
-// nodeProducers lists the cyclic queue's two producers: the query stage and
-// the traverse stage.
-func nodeProducers(q0PE, s2PE, consPE int) []int {
-	if q0PE == consPE && s2PE == consPE {
-		return nil
-	}
-	return []int{q0PE, s2PE}
-}
-
-func prod(prodPE, consPE int) []int {
-	if prodPE == consPE {
-		return nil
-	}
-	return []int{prodPE}
-}
-
-func drmOut(q *apps.QueueRef, drmPE int) stage.OutPort {
-	if q.Consumer == drmPE {
-		return q.Local()
-	}
-	return q.Out(0)
 }
 
 func (p *pipeline) addFull(rep *replica) {
@@ -169,7 +144,7 @@ func (p *pipeline) addFull(rep *replica) {
 				return stage.Fired
 			},
 		},
-		Mapping: mustPlace(p.sys, queryDFG),
+		Mapping: apps.PlaceDFG(p.sys, queryDFG),
 		In:      []stage.InPort{rep.keyQ.In()},
 		Out:     []stage.OutPort{rep.nodeFromQ0},
 		Gate:    &rep.inFlight,
@@ -194,7 +169,7 @@ func (p *pipeline) addFull(rep *replica) {
 				return stage.Fired
 			},
 		},
-		Mapping: mustPlace(p.sys, lookupDFG),
+		Mapping: apps.PlaceDFG(p.sys, lookupDFG),
 		In:      []stage.InPort{rep.nodeQ.In()},
 		Out:     []stage.OutPort{rep.drmNode.InPort(), rep.pendQ.Out(0)},
 	})
@@ -239,7 +214,7 @@ func (p *pipeline) addFull(rep *replica) {
 				return stage.Fired
 			},
 		},
-		Mapping: mustPlace(p.sys, traverseDFG),
+		Mapping: apps.PlaceDFG(p.sys, traverseDFG),
 		In:      []stage.InPort{rep.hdrQ.In(), rep.pendQ.In()},
 		Out:     []stage.OutPort{rep.nodeFromS2, rep.leafQ.Out(0)},
 	})
@@ -269,7 +244,7 @@ func (p *pipeline) addFull(rep *replica) {
 				return stage.Fired
 			},
 		},
-		Mapping: mustPlace(p.sys, leafDFG),
+		Mapping: apps.PlaceDFG(p.sys, leafDFG),
 		In:      []stage.InPort{rep.leafQ.In()},
 	})
 }
@@ -313,7 +288,7 @@ func (p *pipeline) addMerged(rep *replica) {
 				return stage.Fired
 			},
 		},
-		Mapping: mustPlace(p.sys, mergedDFG),
+		Mapping: apps.PlaceDFG(p.sys, mergedDFG),
 		In:      []stage.InPort{rep.keyQ.In()},
 		StateWork: func() int {
 			if rep.mActive {
@@ -322,12 +297,4 @@ func (p *pipeline) addMerged(rep *replica) {
 			return 0
 		},
 	})
-}
-
-func mustPlace(sys *core.System, g *cgra.DFG) *cgra.Mapping {
-	m, err := cgra.Place(g, sys.Cfg.Fabric, sys.Cfg.SIMDReplication)
-	if err != nil {
-		panic(err)
-	}
-	return m
 }

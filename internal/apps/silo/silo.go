@@ -61,14 +61,9 @@ func GenerateDataset(scale int, seed uint64) Dataset {
 	return d
 }
 
-// Run executes Silo on the chosen system at the given scale. Its one input
-// is YCSB-C, so input is ignored.
-func Run(kind apps.SystemKind, _ string, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
-	return RunOn(kind, GenerateDataset(scale, seed), scale, seed, merged, override)
-}
-
-// RunOn executes Silo on ds, the dataset Run generates. It only reads ds,
-// so runs may share it. seed is unused.
+// RunOn executes Silo on ds, the YCSB-C dataset GenerateDataset builds, on
+// the chosen system. It only reads ds, so runs may share it. seed is
+// unused.
 func RunOn(kind apps.SystemKind, ds Dataset, scale int, _ uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
 	return apps.Run(kind, scale, merged, override, app(ds))
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"fifer/internal/apps"
-	"fifer/internal/cgra"
 	"fifer/internal/core"
 	"fifer/internal/mem"
 	"fifer/internal/queue"
@@ -97,11 +96,11 @@ func build(sys *core.System, a *sparse.CSR, b *sparse.CSC, rows, cols []int, mer
 		rep.drmBCoord = sys.PE(pe0).DRM(2)
 		rep.drmBVal = sys.PE(pe0).DRM(3)
 		if !merged {
-			rep.acQ = qp.Request(peM, fmt.Sprintf("r%d.ac", r), 1, prod(pe0, peM))
-			rep.avQ = qp.Request(peM, fmt.Sprintf("r%d.av", r), 1, prod(pe0, peM))
-			rep.bcQ = qp.Request(peM, fmt.Sprintf("r%d.bc", r), 1, prod(pe0, peM))
-			rep.bvQ = qp.Request(peM, fmt.Sprintf("r%d.bv", r), 1, prod(pe0, peM))
-			rep.mulQ = qp.Request(peA, fmt.Sprintf("r%d.mul", r), 2, prod(peM, peA))
+			rep.acQ = qp.Request(peM, fmt.Sprintf("r%d.ac", r), 1, []int{pe0})
+			rep.avQ = qp.Request(peM, fmt.Sprintf("r%d.av", r), 1, []int{pe0})
+			rep.bcQ = qp.Request(peM, fmt.Sprintf("r%d.bc", r), 1, []int{pe0})
+			rep.bvQ = qp.Request(peM, fmt.Sprintf("r%d.bv", r), 1, []int{pe0})
+			rep.mulQ = qp.Request(peA, fmt.Sprintf("r%d.mul", r), 2, []int{peM})
 		}
 		p.reps = append(p.reps, rep)
 	}
@@ -113,7 +112,6 @@ func build(sys *core.System, a *sparse.CSR, b *sparse.CSC, rows, cols []int, mer
 			p.addMerged(rep)
 			continue
 		}
-		pe0 := p.place.PEOf(r, 0)
 		for _, d := range []struct {
 			drm *core.DRM
 			q   *apps.QueueRef
@@ -121,26 +119,12 @@ func build(sys *core.System, a *sparse.CSR, b *sparse.CSC, rows, cols []int, mer
 			{rep.drmACoord, rep.acQ}, {rep.drmAVal, rep.avQ},
 			{rep.drmBCoord, rep.bcQ}, {rep.drmBVal, rep.bvQ},
 		} {
-			d.drm.Configure(core.DRMScan, drmOut(d.q, pe0))
+			d.drm.Configure(core.DRMScan, d.q.Out(0))
 			d.drm.SetBoundary(true)
 		}
 		p.addFull(rep)
 	}
 	return p
-}
-
-func prod(prodPE, consPE int) []int {
-	if prodPE == consPE {
-		return nil
-	}
-	return []int{prodPE}
-}
-
-func drmOut(q *apps.QueueRef, drmPE int) stage.OutPort {
-	if q.Consumer == drmPE {
-		return q.Local()
-	}
-	return q.Out(0)
 }
 
 // pairsLeft reports S0's remaining (i, j) work for scheduling/quiescence.
@@ -189,7 +173,7 @@ func (p *pipeline) addFull(rep *replica) {
 				return stage.Fired
 			},
 		},
-		Mapping:   mustPlace(p.sys, schedDFG),
+		Mapping:   apps.PlaceDFG(p.sys, schedDFG),
 		In:        nil,
 		Out:       []stage.OutPort{rep.drmACoord.InPort(), rep.drmAVal.InPort(), rep.drmBCoord.InPort(), rep.drmBVal.InPort()},
 		StateWork: func() int { return rep.pairsLeft(p) },
@@ -202,7 +186,7 @@ func (p *pipeline) addFull(rep *replica) {
 			KernelName: fmt.Sprintf("spmm.r%d.merge", r),
 			Fn:         func(c *stage.Ctx) stage.Status { return p.mergeFire(rep, c) },
 		},
-		Mapping: mustPlace(p.sys, mergeDFG),
+		Mapping: apps.PlaceDFG(p.sys, mergeDFG),
 		In:      []stage.InPort{rep.acQ.In(), rep.bcQ.In(), rep.avQ.In(), rep.bvQ.In()},
 		Out:     []stage.OutPort{rep.mulQ.Out(0)},
 	}
@@ -312,7 +296,7 @@ func (p *pipeline) accumulateStage(rep *replica, stageIdx int) *stage.Stage {
 				return stage.Fired
 			},
 		},
-		Mapping: mustPlace(p.sys, accumulateDFG),
+		Mapping: apps.PlaceDFG(p.sys, accumulateDFG),
 		In:      []stage.InPort{rep.mulQ.In()},
 	}
 }
@@ -367,7 +351,7 @@ func (p *pipeline) addMerged(rep *replica) {
 				return stage.Fired
 			},
 		},
-		Mapping: mustPlace(p.sys, mergedDFG),
+		Mapping: apps.PlaceDFG(p.sys, mergedDFG),
 		StateWork: func() int {
 			n := rep.pairsLeft(p)
 			if rep.mPairActive {
@@ -377,12 +361,4 @@ func (p *pipeline) addMerged(rep *replica) {
 		},
 	}
 	p.sys.PE(p.place.PEOf(rep.id, 0)).AddStage(s)
-}
-
-func mustPlace(sys *core.System, g *cgra.DFG) *cgra.Mapping {
-	m, err := cgra.Place(g, sys.Cfg.Fabric, sys.Cfg.SIMDReplication)
-	if err != nil {
-		panic(err)
-	}
-	return m
 }

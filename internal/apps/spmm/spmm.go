@@ -58,14 +58,9 @@ func Generate(input string, scale int, seed uint64) Operands {
 	return Operands{A: a, B: sparse.Transpose(a)}
 }
 
-// Run executes SpMM (C = A·A with A in CSR and CSC forms) on the chosen
-// system and input.
-func Run(kind apps.SystemKind, input string, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
-	return RunOn(kind, Generate(input, scale, seed), scale, seed, merged, override)
-}
-
-// RunOn executes SpMM on ops, the input Run generates. It only reads ops,
-// so runs may share it. seed is unused.
+// RunOn executes SpMM (C = A·A with A in CSR and CSC forms) on ops, the
+// operands Generate builds, on the chosen system. It only reads ops, so
+// runs may share it. seed is unused.
 func RunOn(kind apps.SystemKind, ops Operands, scale int, _ uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
 	rows, cols := sampleFor(ops.A, scale)
 	return apps.Run(kind, scale, merged, override, app(ops.A, ops.B, rows, cols))

@@ -74,7 +74,6 @@ type journalKey struct {
 type Journal struct {
 	mu       sync.Mutex
 	f        *os.File
-	path     string
 	err      error
 	replay   map[journalKey]Record
 	replayed int // durable records loaded by ResumeJournal
@@ -87,7 +86,7 @@ func CreateJournal(path string, opt Options) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: creating journal: %w", err)
 	}
-	j := &Journal{f: f, path: path}
+	j := &Journal{f: f}
 	line, err := sealLine(headerFor(opt))
 	if err == nil {
 		_, err = f.Write(line)
@@ -138,7 +137,7 @@ func ResumeJournal(path string, opt Options) (*Journal, error) {
 		return nil, fmt.Errorf("bench: journal %s was written for scale=%d seed=%d apps=%v; current options are scale=%d seed=%d apps=%v",
 			path, hdr.Scale, hdr.Seed, hdr.Apps, want.Scale, want.Seed, want.Apps)
 	}
-	j := &Journal{path: path, replay: map[journalKey]Record{}}
+	j := &Journal{replay: map[journalKey]Record{}}
 	for i, line := range lines[1:] {
 		var rec Record
 		if err := verifyLine(line, &rec); err != nil {
@@ -171,14 +170,6 @@ func ResumeJournal(path string, opt Options) (*Journal, error) {
 	}
 	j.f = f
 	return j, nil
-}
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string {
-	if j == nil {
-		return ""
-	}
-	return j.path
 }
 
 // Replayed returns how many distinct jobs ResumeJournal loaded durable

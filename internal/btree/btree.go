@@ -201,12 +201,6 @@ func (t *Tree) layout(backing *mem.Backing, n *node) {
 	}
 }
 
-// Height returns the number of node levels.
-func (t *Tree) Height() int { return t.height }
-
-// NumKeys returns the number of stored keys.
-func (t *Tree) NumKeys() int { return t.numKeys }
-
 // Lookup is the Go-side reference: it returns the value for key and whether
 // it was found.
 func (t *Tree) Lookup(key uint64) (uint64, bool) {
@@ -225,8 +219,8 @@ func (t *Tree) Lookup(key uint64) (uint64, bool) {
 
 // --- Simulated-memory traversal helpers -----------------------------------
 //
-// These mirror exactly what the Silo pipeline stages do with loads, and are
-// used by tests to validate the layout and by the OOO trace generator.
+// These mirror exactly what the Silo pipeline stages do with loads; the OOO
+// trace generator and the tests use them to walk the layout.
 
 // DecodeHeader splits a node header word.
 func DecodeHeader(hdr uint64) (numKeys int, leaf bool) {
@@ -242,29 +236,4 @@ func KeyAddr(addr mem.Addr, i int) mem.Addr {
 // leaf).
 func ChildAddr(addr mem.Addr, i int) mem.Addr {
 	return addr + mem.Addr((childWord+i)*mem.WordBytes)
-}
-
-// SimLookup walks the simulated-memory image the way the hardware pipeline
-// does: linear key scans within a node, one child dereference per level.
-// It returns the value, whether the key was found, and the number of node
-// visits (pipeline cycles around the Silo loop, Fig. 12b).
-func SimLookup(backing *mem.Backing, root mem.Addr, key uint64) (val uint64, found bool, visits int) {
-	addr := root
-	for {
-		visits++
-		numKeys, leaf := DecodeHeader(backing.Load(addr + hdrWord*mem.WordBytes))
-		if leaf {
-			for i := 0; i < numKeys; i++ {
-				if backing.Load(KeyAddr(addr, i)) == key {
-					return backing.Load(ChildAddr(addr, i)), true, visits
-				}
-			}
-			return 0, false, visits
-		}
-		i := 0
-		for i < numKeys && key >= backing.Load(KeyAddr(addr, i)) {
-			i++
-		}
-		addr = mem.Addr(backing.Load(ChildAddr(addr, i)))
-	}
 }

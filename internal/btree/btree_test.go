@@ -9,6 +9,37 @@ import (
 	"fifer/internal/sim"
 )
 
+// Height returns the number of node levels.
+func (t *Tree) Height() int { return t.height }
+
+// NumKeys returns the number of stored keys.
+func (t *Tree) NumKeys() int { return t.numKeys }
+
+// SimLookup walks the simulated-memory image the way the hardware pipeline
+// does: linear key scans within a node, one child dereference per level.
+// It returns the value, whether the key was found, and the number of node
+// visits (pipeline cycles around the Silo loop, Fig. 12b).
+func SimLookup(backing *mem.Backing, root mem.Addr, key uint64) (val uint64, found bool, visits int) {
+	addr := root
+	for {
+		visits++
+		numKeys, leaf := DecodeHeader(backing.Load(addr + hdrWord*mem.WordBytes))
+		if leaf {
+			for i := 0; i < numKeys; i++ {
+				if backing.Load(KeyAddr(addr, i)) == key {
+					return backing.Load(ChildAddr(addr, i)), true, visits
+				}
+			}
+			return 0, false, visits
+		}
+		i := 0
+		for i < numKeys && key >= backing.Load(KeyAddr(addr, i)) {
+			i++
+		}
+		addr = mem.Addr(backing.Load(ChildAddr(addr, i)))
+	}
+}
+
 func build(t *testing.T, n int) (*Tree, *mem.Backing) {
 	t.Helper()
 	b := mem.NewBacking(64 << 20)

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"fifer/internal/mem"
 )
 
 func TestDFGBuilderAndValidate(t *testing.T) {
@@ -152,8 +154,9 @@ func TestFabricConfigSizes(t *testing.T) {
 	if got := f.FullConfigBytes(); got != 360 {
 		t.Fatalf("config bytes = %d, want 360 (paper Sec. 5.1)", got)
 	}
-	if got := f.LoadCycles(f.FullConfigBytes()); got != 6 {
-		t.Fatalf("load cycles = %d, want 6 (paper: 6 groups at 64 B/cycle)", got)
+	// The PE streams a configuration one cache line per cycle.
+	if got := (f.FullConfigBytes() + mem.LineBytes - 1) / mem.LineBytes; got != 6 {
+		t.Fatalf("config lines = %d, want 6 (paper: 6 loads at 64 B/cycle)", got)
 	}
 }
 
@@ -230,18 +233,5 @@ func TestOpKindString(t *testing.T) {
 	}
 	if !OpLoad.IsMemory() || !OpStore.IsMemory() || OpEnq.IsMemory() {
 		t.Fatal("IsMemory wrong")
-	}
-}
-
-func TestMappingUtilization(t *testing.T) {
-	g := NewDFG("u")
-	g.Enq(0, g.Deq(0))
-	m, err := Place(g, DefaultFabric(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := m.Utilization()
-	if u <= 0 || u > 1 {
-		t.Fatalf("utilization = %g", u)
 	}
 }

@@ -14,9 +14,6 @@ type FabricConfig struct {
 	// functional unit plus its share of switch configuration. The paper's
 	// 16×5 fabric needs "about 360 bytes"; 360/80 = 4.5 B/unit.
 	ConfigBytesPerUnit float64
-	// ConfigLoadBytesPerCycle is the L1-to-configuration-cell bandwidth
-	// (64 bytes per cycle in the paper).
-	ConfigLoadBytesPerCycle int
 	// ActivationCycles is the dead time to flip the double-buffered cells'
 	// multiplexer (2 cycles).
 	ActivationCycles uint64
@@ -26,9 +23,8 @@ type FabricConfig struct {
 func DefaultFabric() FabricConfig {
 	return FabricConfig{
 		Rows: 16, Cols: 5, FMAs: 4,
-		ConfigBytesPerUnit:      4.5,
-		ConfigLoadBytesPerCycle: 64,
-		ActivationCycles:        2,
+		ConfigBytesPerUnit: 4.5,
+		ActivationCycles:   2,
 	}
 }
 
@@ -40,24 +36,14 @@ func (f FabricConfig) FullConfigBytes() int {
 	return int(float64(f.Units())*f.ConfigBytesPerUnit + 0.5)
 }
 
-// LoadCycles returns the cycles needed to stream nbytes of configuration
-// data from the L1 into the chained configuration cells, excluding cache
-// latency (the paper: 360 B at 64 B/cycle = 6 cycles).
-func (f FabricConfig) LoadCycles(nbytes int) uint64 {
-	bw := f.ConfigLoadBytesPerCycle
-	return uint64((nbytes + bw - 1) / bw)
-}
-
 // Mapping is the result of placing a DFG onto a fabric. It stands in for the
 // paper's configuration bitstream: the simulator uses its aggregate
 // properties (configuration size, pipeline depth, replication) and never
 // encodes per-switch routing bits.
 type Mapping struct {
 	DFG         *DFG
-	Fabric      FabricConfig
-	Replicas    int // SIMD replication factor (Sec. 5.6)
-	UnitsUsed   int // integer units used by all replicas
-	FMAsUsed    int
+	Replicas    int    // SIMD replication factor (Sec. 5.6)
+	UnitsUsed   int    // integer units used by all replicas
 	Depth       int    // pipeline depth in cycles
 	ConfigBytes int    // bytes of configuration data to load
 	ConfigAddr  uint64 // set by the system when it reserves the configuration in memory
@@ -121,16 +107,9 @@ func Place(g *DFG, fabric FabricConfig, replicate bool) (*Mapping, error) {
 	cfgBytes := fabric.FullConfigBytes()
 	return &Mapping{
 		DFG:         g,
-		Fabric:      fabric,
 		Replicas:    replicas,
 		UnitsUsed:   unitsUsed,
-		FMAsUsed:    fmas * replicas,
 		Depth:       g.Depth(),
 		ConfigBytes: cfgBytes,
 	}, nil
-}
-
-// Utilization returns the fraction of integer units occupied by the mapping.
-func (m *Mapping) Utilization() float64 {
-	return float64(m.UnitsUsed) / float64(m.Fabric.Units())
 }

@@ -50,7 +50,7 @@ func (s *System) AuditLive() error {
 			if err := auditQueue(d.in); err != nil {
 				return err
 			}
-			// A scan or stride that completes its range pushes the data
+			// A scan that completes its range pushes the data
 			// token and its boundary control token in one issue, so the
 			// reorder buffer can briefly hold one entry beyond the
 			// outstanding-access bound; anything past that is corruption.

@@ -169,13 +169,14 @@ func TestReconfigurationTiming(t *testing.T) {
 		qa.Enq(queue.Data(0))
 		qb.Enq(queue.Data(0))
 	}
-	if _, err := sys.Run(ProgramFunc(func(*System) bool { return false })); err != nil {
+	res, err := sys.Run(ProgramFunc(func(*System) bool { return false }))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if pe.Reconfigs == 0 {
 		t.Fatal("no reconfigurations")
 	}
-	if mean := pe.MeanReconfigPeriod(); mean < 12 {
+	if mean := res.MeanReconfig; mean < 12 {
 		t.Fatalf("mean reconfig period %.1f < 12-cycle minimum", mean)
 	}
 }
@@ -245,7 +246,7 @@ func TestDoubleBufferingOverlapsDrainAndLoad(t *testing.T) {
 		pe.AddStage(sa)
 		pe.AddStage(sb)
 		prog := 0
-		if _, err := sys.Run(ProgramFunc(func(*System) bool {
+		res, err := sys.Run(ProgramFunc(func(*System) bool {
 			prog++
 			if prog > 16 {
 				return false
@@ -253,10 +254,11 @@ func TestDoubleBufferingOverlapsDrainAndLoad(t *testing.T) {
 			qa.Enq(queue.Data(0))
 			qb.Enq(queue.Data(0))
 			return true
-		})); err != nil {
+		}))
+		if err != nil {
 			t.Fatal(err)
 		}
-		return pe.MeanReconfigPeriod()
+		return res.MeanReconfig
 	}
 	with := run(true)
 	without := run(false)
@@ -409,32 +411,5 @@ func TestResidenceStats(t *testing.T) {
 	if res.MeanResidence <= res.MeanReconfig {
 		t.Fatalf("residence %.1f should exceed reconfig period %.1f (residence includes it)",
 			res.MeanResidence, res.MeanReconfig)
-	}
-}
-
-func TestDRMStride(t *testing.T) {
-	sys := NewSystem(testConfig(1))
-	pe := sys.PE(0)
-	// Array of 3-word "structs"; fetch the first field of each.
-	arr := sys.Backing.AllocSlice([]uint64{10, 0, 0, 20, 0, 0, 30, 0, 0})
-	out := pe.AllocQueue("out", 16)
-	d := pe.DRM(0)
-	d.Configure(DRMStride, stage.LocalPort{Q: out})
-	d.SetStride(3 * mem.WordBytes)
-	d.SetBoundary(true)
-	d.In().Enq(queue.Data(uint64(arr)))
-	d.In().Enq(queue.Data(3)) // count
-	for now := uint64(0); now < 2000 && out.Len() < 4; now++ {
-		d.Tick(now)
-	}
-	want := []queue.Token{queue.Data(10), queue.Data(20), queue.Data(30), queue.Ctrl(0)}
-	for i, w := range want {
-		tok, ok := out.Deq()
-		if !ok || tok != w {
-			t.Fatalf("stride token %d: got %v %v, want %v", i, tok, ok, w)
-		}
-	}
-	if d.Busy() {
-		t.Fatal("strided DRM still busy")
 	}
 }

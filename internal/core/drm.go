@@ -21,10 +21,6 @@ const (
 	// DRMScan: each input token *pair* is a [start, end) byte-address range
 	// whose words are sequentially fetched and enqueued.
 	DRMScan
-	// DRMStride: each input token pair is (base, count); the DRM fetches
-	// count words spaced by the configured stride — the arrays-of-structs
-	// traversal mode the paper notes "could be easily added" (Sec. 5.4).
-	DRMStride
 )
 
 func (m DRMMode) String() string {
@@ -33,8 +29,6 @@ func (m DRMMode) String() string {
 		return "dereference"
 	case DRMScan:
 		return "scan"
-	case DRMStride:
-		return "stride"
 	}
 	return "idle"
 }
@@ -78,10 +72,8 @@ type DRM struct {
 	tracer trace.Tracer
 	pe     int
 
-	scanCur    mem.Addr // active scan cursor; scanEnd==0 means no active range
-	scanEnd    mem.Addr
-	stride     mem.Addr // byte stride for DRMStride mode
-	strideLeft int      // remaining fetches in the active strided burst
+	scanCur mem.Addr // active scan cursor; scanEnd==0 means no active range
+	scanEnd mem.Addr
 
 	// Statistics.
 	Accesses uint64 // memory accesses issued
@@ -176,9 +168,6 @@ func (d *DRM) Configure(mode DRMMode, out stage.OutPort) {
 // SetBoundary makes a scanning DRM emit a control token after each range.
 func (d *DRM) SetBoundary(on bool) { d.boundary = on }
 
-// SetStride sets the byte step between fetches in DRMStride mode.
-func (d *DRM) SetStride(bytes int) { d.stride = mem.Addr(bytes) }
-
 // Name returns the DRM's diagnostic name.
 func (d *DRM) Name() string { return d.name }
 
@@ -197,7 +186,7 @@ func (d *DRM) Out() stage.OutPort { return d.out }
 // Busy reports whether the DRM has pending work: buffered addresses,
 // in-flight accesses, or an active scan range.
 func (d *DRM) Busy() bool {
-	return d.mode != DRMIdle && (!d.in.Empty() || d.inflight.Len() > 0 || d.scanEnd != 0 || d.strideLeft > 0)
+	return d.mode != DRMIdle && (!d.in.Empty() || d.inflight.Len() > 0 || d.scanEnd != 0)
 }
 
 // Tick advances the DRM by one cycle: complete up to issue-width ready
@@ -308,46 +297,6 @@ func (d *DRM) issue(now uint64) bool {
 		d.scanCur += mem.WordBytes
 		if d.scanCur >= d.scanEnd {
 			d.scanCur, d.scanEnd = 0, 0
-			if d.boundary {
-				d.push(queue.Ctrl(0), now)
-			}
-		}
-		return true
-	case DRMStride:
-		if d.strideLeft == 0 {
-			t, ok := d.in.Peek()
-			if !ok {
-				return false
-			}
-			if t.Ctrl {
-				d.in.Deq()
-				d.push(t, now)
-				return true
-			}
-			if d.in.Len() < 2 {
-				return false
-			}
-			base, _ := d.in.Deq()
-			count, _ := d.in.Deq()
-			if count.Value == 0 {
-				if d.boundary {
-					d.push(queue.Ctrl(0), now)
-				}
-				return true
-			}
-			d.scanCur = mem.Addr(base.Value)
-			d.strideLeft = int(count.Value)
-		}
-		v, ready := d.port.Load(now, d.scanCur)
-		d.Accesses++
-		if d.tracer != nil {
-			d.trace(now, trace.KindDRMIssue, uint64(d.scanCur))
-		}
-		d.push(queue.Data(v), ready)
-		d.scanCur += d.stride
-		d.strideLeft--
-		if d.strideLeft == 0 {
-			d.scanCur = 0
 			if d.boundary {
 				d.push(queue.Ctrl(0), now)
 			}

@@ -20,17 +20,16 @@ import (
 // A PE whose wake lies in the future is bit-exactly inert unless something
 // arrives from outside, so Run parks it: the sweep skips its tick and
 // peCatchUp later replays the fixed charges it owes — one CPI-bucket
-// increment per cycle, the 64-cycle occupancy samples, blocked-DRM OutFull
-// counts, the sliding scheduler cooldown. The arrival edges are the arbiter
-// hooks (exchangeHooks): a credited send settles the consumer against the
-// pre-send occupancy and marks it dirty, so it ticks this cycle if the
-// ascending sweep has not passed it and next cycle otherwise; a credit
-// return marks the producing port's PE dirty; a stage.Gate release marks
-// the gated stage's PE dirty (PE.AddStage); program injection at
-// quiescence marks every PE dirty. Neither a credit return nor a release
-// changes anything peCatchUp replays, so neither settles first. Port types
-// whose readiness these edges cannot see are rejected at AddStage and
-// DRM.Configure.
+// increment per cycle, blocked-DRM OutFull counts, the sliding scheduler
+// cooldown. The arrival edges are the arbiter hooks (exchangeHooks): a
+// credited send settles the consumer before the token lands and marks it
+// dirty, so it ticks this cycle if the ascending sweep has not passed it
+// and next cycle otherwise; a credit return marks the producing port's PE
+// dirty; a stage.Gate release marks the gated stage's PE dirty
+// (PE.AddStage); program injection at quiescence marks every PE dirty.
+// Neither a credit return nor a release changes anything peCatchUp
+// replays, so neither settles first. Port types whose readiness these
+// edges cannot see are rejected at AddStage and DRM.Configure.
 //
 // Observation boundaries settle every PE first; the watchdog signature
 // reads only monotonic counters and needs no settling. When every PE is
@@ -92,17 +91,13 @@ func (s *System) exchangeHooks(a *queue.Arbiter, consumer int) {
 }
 
 // peCatchUp replays one parked PE's deferred per-cycle accounting for cycles
-// [caughtUp, to): one CPI-bucket charge per cycle and one queue-memory
-// sample per multiple of 64, against the frozen occupancy.
+// [caughtUp, to) against its frozen state.
 func (s *System) peCatchUp(pe *PE, to uint64) {
 	from := pe.caughtUp
 	if to <= from {
 		return
 	}
 	pe.advanceInert(to, to-from)
-	if n64 := (to+63)/64 - (from+63)/64; n64 > 0 {
-		pe.QMem.SampleN(n64)
-	}
 	pe.caughtUp = to
 	s.catchUps++
 }

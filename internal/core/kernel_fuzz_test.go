@@ -281,9 +281,6 @@ func checkKernelEquivalence(t *testing.T, seed int64, pes uint8, metrics, audit 
 			t.Errorf("pe%d CPI stack %+v, oracle %+v", i, f, s)
 		}
 	}
-	if f, s := fast.sys.MeanQueueOccupancy(), slow.sys.MeanQueueOccupancy(); f != s {
-		t.Errorf("mean queue occupancy %v, oracle %v", f, s)
-	}
 	if fe, se := fast.col.Events(), slow.col.Events(); !reflect.DeepEqual(fe, se) {
 		i := 0
 		for i < min(len(fe), len(se)) && fe[i] == se[i] {

@@ -427,21 +427,3 @@ func (p *PE) FaultDelayReconfig(now uint64, extra uint64) bool {
 	p.reconfigUntil += extra
 	return true
 }
-
-// MeanResidence returns the average residence time of a configuration on
-// this PE, in cycles (Table 5).
-func (p *PE) MeanResidence() float64 {
-	n := p.Activations
-	if n <= 1 {
-		return 0
-	}
-	return float64(p.SumResidence) / float64(n-1)
-}
-
-// MeanReconfigPeriod returns the average reconfiguration period (Table 5).
-func (p *PE) MeanReconfigPeriod() float64 {
-	if p.Reconfigs == 0 {
-		return 0
-	}
-	return float64(p.SumReconfig) / float64(p.Reconfigs)
-}

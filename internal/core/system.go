@@ -184,9 +184,8 @@ func (s *System) Run(prog Program) (res Result, err error) {
 }
 
 // settlePanic settles the machine to the cycle a PE tick panicked in: PEs
-// the sweep had already passed owe this cycle's inert charge (its
-// occupancy sample never happens — the cycle never ends), the rest owe
-// charges up to it.
+// the sweep had already passed without ticking owe this cycle's inert
+// charge, the rest owe charges up to it.
 func (s *System) settlePanic() {
 	s.settle()
 	for _, pe := range s.PEs[:max(s.curPE, 0)] {
@@ -314,16 +313,6 @@ func (s *System) run(prog Program) (res Result, err error) {
 		}
 		s.curPE = -1
 		s.ticks += ticked
-		if now%64 == 0 {
-			// The cycle's queue-occupancy samples, after every same-cycle send
-			// has landed; a parked PE's sample rides its catch-up against the
-			// frozen occupancy.
-			for _, pe := range s.PEs {
-				if pe.caughtUp == now+1 {
-					pe.QMem.Sample()
-				}
-			}
-		}
 		// A parked PE's frozen state answers Busy exactly as a ticked one.
 		quiet := true
 		for _, pe := range s.PEs {
@@ -403,23 +392,6 @@ func (s *System) finishRun(res *Result) {
 		res.MeanReconfig = float64(sumRec) / float64(nRec)
 	}
 	res.Reconfigs = nRec
-}
-
-// MeanQueueOccupancy returns the average sampled occupancy (tokens) across
-// all queue-memory-resident queues — the decoupling actually in use, which
-// Sec. 8.3 relates to residence times.
-func (s *System) MeanQueueOccupancy() float64 {
-	sum, n := 0.0, 0
-	for _, pe := range s.PEs {
-		for _, q := range pe.QMem.Queues() {
-			sum += q.MeanOccupancy()
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }
 
 // CheckInvariants verifies conservation properties after a run; it is used

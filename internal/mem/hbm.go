@@ -31,9 +31,6 @@ func NewHBM(latency uint64, bytesPerCycle int) *HBM {
 	return &HBM{latency: latency, slotHalf: slot}
 }
 
-// Latency returns the fixed access latency in cycles.
-func (h *HBM) Latency() uint64 { return h.latency }
-
 // access implements the lower interface.
 func (h *HBM) access(now uint64, _ Addr, write bool) uint64 {
 	if write {

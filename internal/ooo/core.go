@@ -50,13 +50,7 @@ type Core struct {
 
 	pred []uint8 // 2-bit saturating counters
 
-	// Statistics.
-	Instrs      uint64
-	Loads       uint64
-	Stores      uint64
-	Branches    uint64
-	Mispredicts uint64
-	L1MissLoads uint64
+	Instrs uint64 // instructions dispatched
 }
 
 // NewCore creates a core using the given memory port for loads/stores.
@@ -135,7 +129,6 @@ func (c *Core) Op(n int) {
 // Load reports a load of addr whose address operand is ready at dep.
 // It returns the cycle the loaded value is available.
 func (c *Core) Load(addr mem.Addr, dep Dep) Dep {
-	c.Loads++
 	issue := c.cycle
 	if uint64(dep) > issue {
 		issue = uint64(dep)
@@ -145,7 +138,6 @@ func (c *Core) Load(addr mem.Addr, dep Dep) Dep {
 	if ready > issue+l1lat {
 		// Miss: occupy an MSHR; if all are busy, the miss waits for the
 		// oldest outstanding one.
-		c.L1MissLoads++
 		if c.mshrSz == c.cfg.MSHRs {
 			oldest := c.mshr[c.mshrHd]
 			c.mshrHd = wrap(c.mshrHd+1, c.cfg.MSHRs)
@@ -164,14 +156,12 @@ func (c *Core) Load(addr mem.Addr, dep Dep) Dep {
 
 // Store reports a store to addr (fire-and-forget through the write buffer).
 func (c *Core) Store(addr mem.Addr) {
-	c.Stores++
 	c.port.Store(c.cycle, addr, c.port.Backing().Load(addr)) // timing only; value already written functionally
 	c.dispatch(c.cycle + 1)
 }
 
 // StoreValue performs a functional store plus timing.
 func (c *Core) StoreValue(addr mem.Addr, v uint64) {
-	c.Stores++
 	c.port.Store(c.cycle, addr, v)
 	c.dispatch(c.cycle + 1)
 }
@@ -181,7 +171,6 @@ func (c *Core) StoreValue(addr mem.Addr, v uint64) {
 // mispredict, dispatch restarts after the branch resolves plus the flush
 // penalty.
 func (c *Core) Branch(site uint64, taken bool, dep Dep) {
-	c.Branches++
 	resolve := c.cycle + 1
 	if uint64(dep) > resolve {
 		resolve = uint64(dep)
@@ -191,7 +180,6 @@ func (c *Core) Branch(site uint64, taken bool, dep Dep) {
 	ctr := c.pred[idx]
 	predictTaken := ctr >= 2
 	if predictTaken != taken {
-		c.Mispredicts++
 		redirect := resolve + c.cfg.MispredictFlush
 		if redirect > c.cycle {
 			c.cycle = redirect

@@ -12,14 +12,10 @@ type Machine struct {
 }
 
 // NewMachine builds an OOO machine with n cores over the Table 2
-// core-memory hierarchy and a backing store of backingBytes.
-func NewMachine(n int, backingBytes int) *Machine {
-	return NewMachineLLCDiv(n, backingBytes, 1)
-}
-
-// NewMachineLLCDiv is NewMachine with the shared LLC shrunk by llcDiv, used
-// to keep working-set-to-cache ratios faithful on scaled-down inputs.
-func NewMachineLLCDiv(n, backingBytes, llcDiv int) *Machine {
+// core-memory hierarchy and a backing store of backingBytes, with the shared
+// LLC shrunk by llcDiv to keep working-set-to-cache ratios faithful on
+// scaled-down inputs (1 keeps the full LLC).
+func NewMachine(n, backingBytes, llcDiv int) *Machine {
 	if llcDiv < 1 {
 		llcDiv = 1
 	}
@@ -60,26 +56,4 @@ func (m *Machine) Cycles() uint64 {
 		}
 	}
 	return max
-}
-
-// Result summarizes an OOO run for the reporting layer.
-type Result struct {
-	Cycles      uint64
-	Instrs      uint64
-	Loads       uint64
-	Mispredicts uint64
-	Issued      uint64 // cycles attributable to issue bandwidth
-}
-
-// Summarize gathers statistics across cores.
-func (m *Machine) Summarize() Result {
-	var r Result
-	r.Cycles = m.Cycles()
-	for _, c := range m.Cores {
-		r.Instrs += c.Instrs
-		r.Loads += c.Loads
-		r.Mispredicts += c.Mispredicts
-		r.Issued += c.IssuedCycles()
-	}
-	return r
 }

@@ -16,12 +16,12 @@ func stream(c *Core, base mem.Addr, n int, stride int) {
 
 func TestMulticoreScalesOnIndependentWork(t *testing.T) {
 	work := 1 << 16
-	m1 := NewMachine(1, 64<<20)
+	m1 := NewMachine(1, 64<<20, 1)
 	base1 := m1.Backing.Alloc(work * 64)
 	stream(m1.Cores[0], base1, work, 64)
 	serial := m1.Cycles()
 
-	m4 := NewMachine(4, 64<<20)
+	m4 := NewMachine(4, 64<<20, 1)
 	for i, c := range m4.Cores {
 		base := m4.Backing.Alloc(work / 4 * 64)
 		_ = i
@@ -34,7 +34,7 @@ func TestMulticoreScalesOnIndependentWork(t *testing.T) {
 }
 
 func TestDependentLoadsSerialize(t *testing.T) {
-	m := NewMachine(1, 64<<20)
+	m := NewMachine(1, 64<<20, 1)
 	c := m.Cores[0]
 	base := m.Backing.Alloc(1 << 20)
 	// Independent misses overlap.
@@ -43,7 +43,7 @@ func TestDependentLoadsSerialize(t *testing.T) {
 	}
 	indep := m.Cycles()
 
-	m2 := NewMachine(1, 64<<20)
+	m2 := NewMachine(1, 64<<20, 1)
 	c2 := m2.Cores[0]
 	base2 := m2.Backing.Alloc(1 << 20)
 	dep := Dep(0)
@@ -79,7 +79,7 @@ func TestROBLimitsMLP(t *testing.T) {
 
 func TestBranchMispredictsCost(t *testing.T) {
 	run := func(pattern func(i int) bool) uint64 {
-		m := NewMachine(1, 1<<20)
+		m := NewMachine(1, 1<<20, 1)
 		c := m.Cores[0]
 		for i := 0; i < 4096; i++ {
 			c.Op(1)
@@ -95,7 +95,7 @@ func TestBranchMispredictsCost(t *testing.T) {
 }
 
 func TestBarrierAndSummarize(t *testing.T) {
-	m := NewMachine(2, 1<<20)
+	m := NewMachine(2, 1<<20, 1)
 	m.Cores[0].Op(600)
 	m.Cores[1].Op(60)
 	c0 := m.Cores[0].Cycle()
@@ -105,14 +105,13 @@ func TestBarrierAndSummarize(t *testing.T) {
 	if m.Cores[1].Cycle() != c0 {
 		t.Fatal("lagging core not advanced")
 	}
-	s := m.Summarize()
-	if s.Instrs != 660 || s.Cycles != c0 {
-		t.Fatalf("summary wrong: %+v", s)
+	if i0, i1 := m.Cores[0].Instrs, m.Cores[1].Instrs; i0+i1 != 660 || m.Cycles() != c0 {
+		t.Fatalf("instrs %d+%d, cycles %d; want 660 instrs, cycles %d", i0, i1, m.Cycles(), c0)
 	}
 }
 
 func TestStoreValueFunctional(t *testing.T) {
-	m := NewMachine(1, 1<<20)
+	m := NewMachine(1, 1<<20, 1)
 	a := m.Backing.AllocWords(1)
 	m.Cores[0].StoreValue(a, 99)
 	if m.Backing.Load(a) != 99 {
@@ -121,7 +120,7 @@ func TestStoreValueFunctional(t *testing.T) {
 }
 
 func TestLLCDivMachine(t *testing.T) {
-	m := NewMachineLLCDiv(1, 1<<20, 4)
+	m := NewMachine(1, 1<<20, 4)
 	if m.Hier.Config.LLCBytes != (2<<20)/4 {
 		t.Fatalf("LLC = %d", m.Hier.Config.LLCBytes)
 	}
@@ -131,7 +130,7 @@ func TestLLCDivMachine(t *testing.T) {
 // per iteration, the load walking a 4 MB array so ROB and MSHR rings both
 // turn over.
 func BenchmarkCoreDispatch(b *testing.B) {
-	m := NewMachine(1, 64<<20)
+	m := NewMachine(1, 64<<20, 1)
 	c := m.Cores[0]
 	const lines = 4 << 20 / 64
 	base := m.Backing.Alloc(lines * 64)

@@ -16,8 +16,6 @@ type CreditPort struct {
 	index   int
 	credits int
 
-	// Sent counts tokens successfully sent through this port.
-	Sent uint64
 	// Stalls counts send attempts rejected for lack of credits.
 	Stalls uint64
 }
@@ -70,8 +68,7 @@ type Arbiter struct {
 
 	// send, when non-nil, runs at the top of every successful Send, BEFORE
 	// the token lands in the destination queue. The simulation kernel uses
-	// it to settle a parked consumer's deferred per-cycle accounting while
-	// the destination queue's occupancy is still the pre-send value, and to
+	// it to settle a parked consumer's deferred per-cycle accounting and to
 	// mark the consumer for ticking; rejected sends (no credits) never
 	// invoke it. Nil costs one branch per send.
 	send func(port int)

@@ -43,8 +43,6 @@ type Queue struct {
 	Enqueued uint64 // total tokens ever enqueued
 	Dequeued uint64 // total tokens ever dequeued
 	FullEvts uint64 // enqueue attempts rejected because the queue was full
-	occupSum uint64 // sum of size over sampled cycles (for mean occupancy)
-	occupN   uint64
 
 	// edge, when non-nil, observes transitions into (true) and out of
 	// (false) the full state — the back-pressure stall edges the tracing
@@ -160,27 +158,4 @@ func (q *Queue) slot(i int) int {
 		i -= len(q.vals)
 	}
 	return i
-}
-
-// Sample records the current occupancy for mean-occupancy statistics.
-func (q *Queue) Sample() {
-	q.occupSum += uint64(q.size)
-	q.occupN++
-}
-
-// SampleN records the current occupancy k times in one step — exactly
-// equivalent to calling Sample k times while the queue is untouched. The
-// fast-forward kernel uses it to batch the 64-cycle sampling rhythm over a
-// window in which every queue's occupancy is provably frozen.
-func (q *Queue) SampleN(k uint64) {
-	q.occupSum += uint64(q.size) * k
-	q.occupN += k
-}
-
-// MeanOccupancy returns the average sampled occupancy in tokens.
-func (q *Queue) MeanOccupancy() float64 {
-	if q.occupN == 0 {
-		return 0
-	}
-	return float64(q.occupSum) / float64(q.occupN)
 }

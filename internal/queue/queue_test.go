@@ -116,18 +116,6 @@ func TestQueueConservation(t *testing.T) {
 	}
 }
 
-func TestMeanOccupancy(t *testing.T) {
-	q := NewQueue("m", 8)
-	q.Enq(Data(1))
-	q.Sample()
-	q.Enq(Data(2))
-	q.Enq(Data(3))
-	q.Sample()
-	if got := q.MeanOccupancy(); got != 2 {
-		t.Fatalf("mean occupancy = %g, want 2", got)
-	}
-}
-
 func TestMemBudget(t *testing.T) {
 	m := NewMem("pe0", 64) // 8 tokens total
 	q1 := m.MustAlloc("a", 4)
