@@ -65,18 +65,18 @@ func buildHistogram(sys *core.System, hashPE, updPE int, data []uint64) (bins me
 	// Queues: the scan DRM feeds idxQ's producer stage; hash feeds updQ.
 	pe0, pe1 := sys.PE(hashPE), sys.PE(updPE)
 	dataQ := pe0.AllocQueue("data", 256)
-	var updIn stage.InPort
-	var updOut stage.OutPort
+	var updIn stage.In
+	var updOut stage.Out
 	if hashPE == updPE {
 		q := pe0.AllocQueue("upd", 256)
-		updIn, updOut = stage.LocalPort{Q: q}, stage.LocalPort{Q: q}
+		updIn, updOut = stage.LocalIn(q), stage.LocalOut(q)
 	} else {
 		arb := sys.InterPEQueue(updPE, "upd", 256, 1)
-		updIn, updOut = stage.ArbiterPort{A: arb}, stage.CreditOut{P: arb.Port(0)}
+		updIn, updOut = stage.CreditedIn(arb), stage.CreditOut(arb.Port(0))
 	}
 
 	drm := pe0.DRM(0)
-	drm.Configure(core.DRMScan, stage.LocalPort{Q: dataQ})
+	drm.Configure(core.DRMScan, stage.LocalOut(dataQ))
 	drm.In().Enq(queue.Data(uint64(dataA)))
 	drm.In().Enq(queue.Data(uint64(dataA) + uint64(len(data)*mem.WordBytes)))
 
@@ -89,7 +89,8 @@ func buildHistogram(sys *core.System, hashPE, updPE int, data []uint64) (bins me
 	}
 
 	pe0.AddStage(&stage.Stage{
-		Kernel: stage.KernelFunc{KernelName: "hash", Fn: func(c *stage.Ctx) stage.Status {
+		Name: "hash",
+		Fire: func(c *stage.Ctx) stage.Status {
 			t, ok := c.In[0].Peek()
 			if !ok {
 				return stage.NoInput
@@ -100,13 +101,14 @@ func buildHistogram(sys *core.System, hashPE, updPE int, data []uint64) (bins me
 			c.In[0].Pop()
 			c.Out[0].Push(queue.Data(hashOf(t.Value)))
 			return stage.Fired
-		}},
+		},
 		Mapping: place(hashDFG()),
-		In:      []stage.InPort{stage.LocalPort{Q: dataQ}},
-		Out:     []stage.OutPort{updOut},
+		In:      []stage.In{stage.LocalIn(dataQ)},
+		Out:     []stage.Out{updOut},
 	})
 	pe1.AddStage(&stage.Stage{
-		Kernel: stage.KernelFunc{KernelName: "update", Fn: func(c *stage.Ctx) stage.Status {
+		Name: "update",
+		Fire: func(c *stage.Ctx) stage.Status {
 			t, ok := c.In[0].Peek()
 			if !ok {
 				return stage.NoInput
@@ -115,9 +117,9 @@ func buildHistogram(sys *core.System, hashPE, updPE int, data []uint64) (bins me
 			a := bins + mem.Addr(t.Value*mem.WordBytes)
 			c.Store(a, c.Load(a)+1)
 			return stage.Fired
-		}},
+		},
 		Mapping: place(updateDFG()),
-		In:      []stage.InPort{updIn},
+		In:      []stage.In{updIn},
 	})
 	return bins
 }

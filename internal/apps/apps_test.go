@@ -99,20 +99,20 @@ func TestQueuePlanBudgetsPerPE(t *testing.T) {
 	}
 	// A queue whose only producer is its consumer's PE is a plain local
 	// queue: its producer port and its local port are the same port.
-	if _, ok := self.In().(stage.LocalPort); !ok || self.Out(0) != self.Local() {
-		t.Fatalf("same-PE producer: in %T, out %v, local %v; want one local port", self.In(), self.Out(0), self.Local())
+	if self.In() != stage.LocalIn(self.Queue()) || self.Out(0) != self.Local() || self.Local() != stage.LocalOut(self.Queue()) {
+		t.Fatalf("same-PE producer: in %v, out %v, local %v; want one local queue", self.In(), self.Out(0), self.Local())
 	}
 	if self.Queue().Cap() != 1024 {
 		t.Fatalf("self cap = %d, want 1024", self.Queue().Cap())
 	}
 	// One remote producer among two makes the queue credited, one port
 	// per listed producer, the local one included.
-	if _, ok := mixed.In().(stage.ArbiterPort); !ok {
-		t.Fatalf("mixed producers: in %T, want a credited arbiter", mixed.In())
+	if mixed.arb == nil || mixed.In() != stage.CreditedIn(mixed.arb) {
+		t.Fatalf("mixed producers: in %v, want a credited arbiter", mixed.In())
 	}
 	for i := 0; i < 2; i++ {
-		if o, ok := mixed.Out(i).(stage.CreditOut); !ok || o.Space() != 512 {
-			t.Fatalf("mixed port %d: %T with space %d, want a credit port with 512", i, mixed.Out(i), mixed.Out(i).Space())
+		if o := mixed.Out(i); o != stage.CreditOut(mixed.arb.Port(i)) || o.Space() != 512 {
+			t.Fatalf("mixed port %d: %v with space %d, want a credit port with 512", i, o, o.Space())
 		}
 	}
 }

@@ -99,7 +99,7 @@ type replica struct {
 	distQ   *apps.QueueRef // drmDist out → S3
 	updQ    *apps.QueueRef // routed neighbor ids → S4 (one producer port per replica)
 
-	updOut []stage.OutPort // S3's ports into every replica's updQ
+	updOut []stage.Out // S3's ports into every replica's updQ
 
 	// S2 edge-enumeration registers.
 	scanActive bool
@@ -197,8 +197,8 @@ func Build(sys *core.System, g *graph.Graph, opts Options) *Pipeline {
 
 // updPorts returns the routing stage's ports into every replica's update
 // queue; port index within each arbiter is the sending replica's id.
-func updPorts(p *Pipeline, rep *replica) []stage.OutPort {
-	ports := make([]stage.OutPort, len(p.reps))
+func updPorts(p *Pipeline, rep *replica) []stage.Out {
+	ports := make([]stage.Out, len(p.reps))
 	for d, dst := range p.reps {
 		ports[d] = dst.updQ.Out(rep.id)
 	}

@@ -20,26 +20,24 @@ func (p *Pipeline) addFullStages(rep *replica) {
 	// Dequeues vertex ids produced by the fringe-scanning DRM and issues
 	// the two offsets addresses to the offsets DRM.
 	s1 := &stage.Stage{
-		Kernel: stage.KernelFunc{
-			KernelName: fmt.Sprintf("%s.r%d.proc-fringe", p.Opts.Mode, r),
-			Fn: func(c *stage.Ctx) stage.Status {
-				t, ok := c.In[0].Peek()
-				if !ok {
-					return stage.NoInput
-				}
-				if c.Out[0].Space() < 2 {
-					return stage.NoOutput
-				}
-				c.In[0].Pop()
-				v := t.Value
-				c.Out[0].Push(queue.Data(uint64(p.offsetsA) + v*mem.WordBytes))
-				c.Out[0].Push(queue.Data(uint64(p.offsetsA) + (v+1)*mem.WordBytes))
-				return stage.Fired
-			},
+		Name: fmt.Sprintf("%s.r%d.proc-fringe", p.Opts.Mode, r),
+		Fire: func(c *stage.Ctx) stage.Status {
+			t, ok := c.In[0].Peek()
+			if !ok {
+				return stage.NoInput
+			}
+			if c.Out[0].Space() < 2 {
+				return stage.NoOutput
+			}
+			c.In[0].Pop()
+			v := t.Value
+			c.Out[0].Push(queue.Data(uint64(p.offsetsA) + v*mem.WordBytes))
+			c.Out[0].Push(queue.Data(uint64(p.offsetsA) + (v+1)*mem.WordBytes))
+			return stage.Fired
 		},
 		Mapping: apps.PlaceDFG(p.Sys, procFringeDFG),
-		In:      []stage.InPort{rep.fringeQ.In()},
-		Out:     []stage.OutPort{rep.drmOff.InPort()},
+		In:      []stage.In{rep.fringeQ.In()},
+		Out:     []stage.Out{rep.drmOff.Feed()},
 	}
 	p.Sys.PE(p.place.PEOf(r, 0)).AddStage(s1)
 
@@ -48,34 +46,32 @@ func (p *Pipeline) addFullStages(rep *replica) {
 	// neighbor-array address per datapath firing to the neighbors DRM
 	// (Fig. 6 / Fig. 9 right).
 	s2 := &stage.Stage{
-		Kernel: stage.KernelFunc{
-			KernelName: fmt.Sprintf("%s.r%d.enum-neighbors", p.Opts.Mode, r),
-			Fn: func(c *stage.Ctx) stage.Status {
-				if !rep.scanActive {
-					if c.In[0].Len() < 2 {
-						return stage.NoInput
-					}
-					s, _ := c.In[0].Pop()
-					e, _ := c.In[0].Pop()
-					if s.Value < e.Value {
-						rep.scanActive, rep.scanE, rep.scanEnd = true, s.Value, e.Value
-					}
-					return stage.Fired
+		Name: fmt.Sprintf("%s.r%d.enum-neighbors", p.Opts.Mode, r),
+		Fire: func(c *stage.Ctx) stage.Status {
+			if !rep.scanActive {
+				if c.In[0].Len() < 2 {
+					return stage.NoInput
 				}
-				if c.Out[0].Space() < 1 {
-					return stage.NoOutput
-				}
-				c.Out[0].Push(queue.Data(uint64(p.neighborsA) + rep.scanE*mem.WordBytes))
-				rep.scanE++
-				if rep.scanE >= rep.scanEnd {
-					rep.scanActive = false
+				s, _ := c.In[0].Pop()
+				e, _ := c.In[0].Pop()
+				if s.Value < e.Value {
+					rep.scanActive, rep.scanE, rep.scanEnd = true, s.Value, e.Value
 				}
 				return stage.Fired
-			},
+			}
+			if c.Out[0].Space() < 1 {
+				return stage.NoOutput
+			}
+			c.Out[0].Push(queue.Data(uint64(p.neighborsA) + rep.scanE*mem.WordBytes))
+			rep.scanE++
+			if rep.scanE >= rep.scanEnd {
+				rep.scanActive = false
+			}
+			return stage.Fired
 		},
 		Mapping: apps.PlaceDFG(p.Sys, enumNeighborsDFG),
-		In:      []stage.InPort{rep.offQ.In()},
-		Out:     []stage.OutPort{rep.drmNgh.InPort()},
+		In:      []stage.In{rep.offQ.In()},
+		Out:     []stage.Out{rep.drmNgh.Feed()},
 		StateWork: func() int {
 			if rep.scanActive {
 				return int(rep.scanEnd - rep.scanE)
@@ -91,45 +87,43 @@ func (p *Pipeline) addFullStages(rep *replica) {
 	// ids; unvisited neighbors are routed to the owner replica's update
 	// queue, visited ones are filtered out (Fig. 10's cross-PE hop).
 	s3 := &stage.Stage{
-		Kernel: stage.KernelFunc{
-			KernelName: fmt.Sprintf("%s.r%d.fetch-dist", p.Opts.Mode, r),
-			Fn: func(c *stage.Ctx) stage.Status {
-				// Route phase has priority: it drains the deepest queues.
-				if c.In[1].Len() > 0 && c.In[2].Len() > 0 {
-					ngh, _ := c.In[1].Peek()
-					dist, _ := c.In[2].Peek()
-					if dist.Value != graph.Unset {
-						c.In[1].Pop()
-						c.In[2].Pop()
-						return stage.Fired // already visited: filtered
-					}
-					owner := p.ownerOf(ngh.Value)
-					if rep.updOut[owner].Push(queue.Data(ngh.Value)) {
-						c.In[1].Pop()
-						c.In[2].Pop()
-						return stage.Fired
-					}
-					// Out of credits to that destination; fall through and
-					// try the issue side so the PE stays busy.
+		Name: fmt.Sprintf("%s.r%d.fetch-dist", p.Opts.Mode, r),
+		Fire: func(c *stage.Ctx) stage.Status {
+			// Route phase has priority: it drains the deepest queues.
+			if c.In[1].Len() > 0 && c.In[2].Len() > 0 {
+				ngh, _ := c.In[1].Peek()
+				dist, _ := c.In[2].Peek()
+				if dist.Value != graph.Unset {
+					c.In[1].Pop()
+					c.In[2].Pop()
+					return stage.Fired // already visited: filtered
 				}
-				if c.In[0].Len() > 0 {
-					if c.Out[0].Space() < 1 || rep.pairQ.Queue().Space() < 1 {
-						return stage.NoOutput
-					}
-					t, _ := c.In[0].Pop()
-					c.Out[0].Push(queue.Data(uint64(p.labelAddr(t.Value))))
-					rep.pairQ.Local().Push(queue.Data(t.Value))
+				owner := p.ownerOf(ngh.Value)
+				if rep.updOut[owner].Push(queue.Data(ngh.Value)) {
+					c.In[1].Pop()
+					c.In[2].Pop()
 					return stage.Fired
 				}
-				if c.In[1].Len() > 0 && c.In[2].Len() > 0 {
-					return stage.NoOutput // routing blocked on credits
+				// Out of credits to that destination; fall through and
+				// try the issue side so the PE stays busy.
+			}
+			if c.In[0].Len() > 0 {
+				if c.Out[0].Space() < 1 || rep.pairQ.Queue().Space() < 1 {
+					return stage.NoOutput
 				}
-				return stage.NoInput
-			},
+				t, _ := c.In[0].Pop()
+				c.Out[0].Push(queue.Data(uint64(p.labelAddr(t.Value))))
+				rep.pairQ.Local().Push(queue.Data(t.Value))
+				return stage.Fired
+			}
+			if c.In[1].Len() > 0 && c.In[2].Len() > 0 {
+				return stage.NoOutput // routing blocked on credits
+			}
+			return stage.NoInput
 		},
 		Mapping: apps.PlaceDFG(p.Sys, fetchDistDFG),
-		In:      []stage.InPort{rep.nghQ.In(), rep.pairQ.In(), rep.distQ.In()},
-		Out:     []stage.OutPort{rep.drmDist.InPort()},
+		In:      []stage.In{rep.nghQ.In(), rep.pairQ.In(), rep.distQ.In()},
+		Out:     []stage.Out{rep.drmDist.Feed()},
 	}
 	p.Sys.PE(p.place.PEOf(r, 2)).AddStage(s3)
 
@@ -143,34 +137,32 @@ func (p *Pipeline) addFullStages(rep *replica) {
 func (p *Pipeline) addUpdateStage(rep *replica, stageIdx int) {
 	r := rep.id
 	s4 := &stage.Stage{
-		Kernel: stage.KernelFunc{
-			KernelName: fmt.Sprintf("%s.r%d.update", p.Opts.Mode, r),
-			Fn: func(c *stage.Ctx) stage.Status {
-				t, ok := c.In[0].Peek()
-				if !ok {
-					return stage.NoInput
+		Name: fmt.Sprintf("%s.r%d.update", p.Opts.Mode, r),
+		Fire: func(c *stage.Ctx) stage.Status {
+			t, ok := c.In[0].Peek()
+			if !ok {
+				return stage.NoInput
+			}
+			c.In[0].Pop()
+			ngh := t.Value
+			if cur := c.Load(p.labelAddr(ngh)); cur == graph.Unset {
+				c.Store(p.labelAddr(ngh), p.curLabel)
+				if rep.nextCnt >= rep.fringeCap {
+					panic(fmt.Sprintf("replica %d: next fringe overflow", r))
 				}
-				c.In[0].Pop()
-				ngh := t.Value
-				if cur := c.Load(p.labelAddr(ngh)); cur == graph.Unset {
-					c.Store(p.labelAddr(ngh), p.curLabel)
-					if rep.nextCnt >= rep.fringeCap {
-						panic(fmt.Sprintf("replica %d: next fringe overflow", r))
-					}
-					c.Store(rep.nextFringe+mem.Addr(rep.nextCnt*mem.WordBytes), ngh)
-					rep.nextCnt++
-					if p.Opts.Mode == ModeRadii {
-						ra := p.radiiA + mem.Addr(ngh*mem.WordBytes)
-						if old := c.Load(ra); p.curLabel > old {
-							c.Store(ra, p.curLabel)
-						}
+				c.Store(rep.nextFringe+mem.Addr(rep.nextCnt*mem.WordBytes), ngh)
+				rep.nextCnt++
+				if p.Opts.Mode == ModeRadii {
+					ra := p.radiiA + mem.Addr(ngh*mem.WordBytes)
+					if old := c.Load(ra); p.curLabel > old {
+						c.Store(ra, p.curLabel)
 					}
 				}
-				return stage.Fired
-			},
+			}
+			return stage.Fired
 		},
 		Mapping: apps.PlaceDFG(p.Sys, updateDFGs[p.Opts.Mode]),
-		In:      []stage.InPort{rep.updQ.In()},
+		In:      []stage.In{rep.updQ.In()},
 		Out:     nil,
 	}
 	p.Sys.PE(p.place.PEOf(r, stageIdx)).AddStage(s4)
@@ -184,38 +176,36 @@ func (p *Pipeline) addUpdateStage(rep *replica, stageIdx int) {
 func (p *Pipeline) addMergedStages(rep *replica) {
 	r := rep.id
 	sa := &stage.Stage{
-		Kernel: stage.KernelFunc{
-			KernelName: fmt.Sprintf("%s.r%d.merged-src", p.Opts.Mode, r),
-			Fn: func(c *stage.Ctx) stage.Status {
-				if rep.scanActive {
-					ngh := c.Load(p.neighborsA + mem.Addr(rep.scanE*mem.WordBytes))
-					owner := p.ownerOf(ngh)
-					if !rep.updOut[owner].Push(queue.Data(ngh)) {
-						c.ExtraStall = 0 // load retries next attempt
-						return stage.NoOutput
-					}
-					rep.scanE++
-					if rep.scanE >= rep.scanEnd {
-						rep.scanActive = false
-					}
-					return stage.Fired
+		Name: fmt.Sprintf("%s.r%d.merged-src", p.Opts.Mode, r),
+		Fire: func(c *stage.Ctx) stage.Status {
+			if rep.scanActive {
+				ngh := c.Load(p.neighborsA + mem.Addr(rep.scanE*mem.WordBytes))
+				owner := p.ownerOf(ngh)
+				if !rep.updOut[owner].Push(queue.Data(ngh)) {
+					c.ExtraStall = 0 // load retries next attempt
+					return stage.NoOutput
 				}
-				t, ok := c.In[0].Peek()
-				if !ok {
-					return stage.NoInput
-				}
-				c.In[0].Pop()
-				v := t.Value
-				start := c.Load(p.offsetsA + mem.Addr(v*mem.WordBytes))
-				end := c.Load(p.offsetsA + mem.Addr((v+1)*mem.WordBytes))
-				if start < end {
-					rep.scanActive, rep.scanE, rep.scanEnd = true, start, end
+				rep.scanE++
+				if rep.scanE >= rep.scanEnd {
+					rep.scanActive = false
 				}
 				return stage.Fired
-			},
+			}
+			t, ok := c.In[0].Peek()
+			if !ok {
+				return stage.NoInput
+			}
+			c.In[0].Pop()
+			v := t.Value
+			start := c.Load(p.offsetsA + mem.Addr(v*mem.WordBytes))
+			end := c.Load(p.offsetsA + mem.Addr((v+1)*mem.WordBytes))
+			if start < end {
+				rep.scanActive, rep.scanE, rep.scanEnd = true, start, end
+			}
+			return stage.Fired
 		},
 		Mapping: apps.PlaceDFG(p.Sys, mergedSrcDFG),
-		In:      []stage.InPort{rep.fringeQ.In()},
+		In:      []stage.In{rep.fringeQ.In()},
 		Out:     rep.updOut,
 		StateWork: func() int {
 			if rep.scanActive {

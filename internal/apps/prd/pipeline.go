@@ -69,7 +69,7 @@ type replica struct {
 	accQ    *apps.QueueRef
 	applyQ  *apps.QueueRef
 
-	accOut []stage.OutPort
+	accOut []stage.Out
 
 	// P2 registers.
 	haveShare bool
@@ -153,7 +153,7 @@ func build(sys *core.System, g *graph.Graph, cfg graph.PRDConfig, merged bool) *
 
 	for r := 0; r < R; r++ {
 		rep := p.reps[r]
-		rep.accOut = make([]stage.OutPort, R)
+		rep.accOut = make([]stage.Out, R)
 		for d := range p.reps {
 			rep.accOut[d] = p.reps[d].accQ.Out(r)
 		}
@@ -182,85 +182,81 @@ func (p *pipeline) addFull(rep *replica) {
 	// P1: process the active list — issue offsets fetches, then compute
 	// shares and launch neighbor scans as the offsets come back.
 	p.sys.PE(pe(0)).AddStage(&stage.Stage{
-		Kernel: stage.KernelFunc{
-			KernelName: fmt.Sprintf("prd.r%d.proc-active", r),
-			Fn: func(c *stage.Ctx) stage.Status {
-				// Compute side first: it drains the deeper queues.
-				if c.In[1].Len() >= 2 && c.In[2].Len() >= 1 {
-					if rep.drmNgh.In().Space() < 2 || c.Out[1].Space() < 1 {
-						return stage.NoOutput
-					}
-					s, _ := c.In[1].Pop()
-					e, _ := c.In[1].Pop()
-					vt, _ := c.In[2].Pop()
-					deg := e.Value - s.Value
-					if deg == 0 {
-						return stage.Fired
-					}
-					delta := c.Load(p.deltaA + mem.Addr(vt.Value*mem.WordBytes))
-					share := graph.FixMul(p.cfg.Damping, delta) / deg
-					rep.drmNgh.In().Enq(queue.Data(uint64(p.neighborsA) + s.Value*mem.WordBytes))
-					rep.drmNgh.In().Enq(queue.Data(uint64(p.neighborsA) + e.Value*mem.WordBytes))
-					c.Out[1].Push(queue.Data(share))
+		Name: fmt.Sprintf("prd.r%d.proc-active", r),
+		Fire: func(c *stage.Ctx) stage.Status {
+			// Compute side first: it drains the deeper queues.
+			if c.In[1].Len() >= 2 && c.In[2].Len() >= 1 {
+				if rep.drmNgh.In().Space() < 2 || c.Out[1].Space() < 1 {
+					return stage.NoOutput
+				}
+				s, _ := c.In[1].Pop()
+				e, _ := c.In[1].Pop()
+				vt, _ := c.In[2].Pop()
+				deg := e.Value - s.Value
+				if deg == 0 {
 					return stage.Fired
 				}
-				// Issue side.
-				if c.In[0].Len() >= 1 {
-					if c.Out[0].Space() < 2 || rep.pendQ.Queue().Space() < 1 {
-						return stage.NoOutput
-					}
-					t, _ := c.In[0].Pop()
-					v := t.Value
-					c.Out[0].Push(queue.Data(uint64(p.offsetsA) + v*mem.WordBytes))
-					c.Out[0].Push(queue.Data(uint64(p.offsetsA) + (v+1)*mem.WordBytes))
-					rep.pendQ.Local().Push(queue.Data(v))
-					return stage.Fired
+				delta := c.Load(p.deltaA + mem.Addr(vt.Value*mem.WordBytes))
+				share := graph.FixMul(p.cfg.Damping, delta) / deg
+				rep.drmNgh.In().Enq(queue.Data(uint64(p.neighborsA) + s.Value*mem.WordBytes))
+				rep.drmNgh.In().Enq(queue.Data(uint64(p.neighborsA) + e.Value*mem.WordBytes))
+				c.Out[1].Push(queue.Data(share))
+				return stage.Fired
+			}
+			// Issue side.
+			if c.In[0].Len() >= 1 {
+				if c.Out[0].Space() < 2 || rep.pendQ.Queue().Space() < 1 {
+					return stage.NoOutput
 				}
-				return stage.NoInput
-			},
+				t, _ := c.In[0].Pop()
+				v := t.Value
+				c.Out[0].Push(queue.Data(uint64(p.offsetsA) + v*mem.WordBytes))
+				c.Out[0].Push(queue.Data(uint64(p.offsetsA) + (v+1)*mem.WordBytes))
+				rep.pendQ.Local().Push(queue.Data(v))
+				return stage.Fired
+			}
+			return stage.NoInput
 		},
 		Mapping: apps.PlaceDFG(p.sys, procActiveDFG),
-		In:      []stage.InPort{rep.activeQ.In(), rep.offQ.In(), rep.pendQ.In()},
-		Out:     []stage.OutPort{rep.drmOff.InPort(), rep.shareQ.Out(0)},
+		In:      []stage.In{rep.activeQ.In(), rep.offQ.In(), rep.pendQ.In()},
+		Out:     []stage.Out{rep.drmOff.Feed(), rep.shareQ.Out(0)},
 	})
 
 	// P2: pair neighbors with shares, route to owners.
 	p.sys.PE(pe(1)).AddStage(&stage.Stage{
-		Kernel: stage.KernelFunc{
-			KernelName: fmt.Sprintf("prd.r%d.scatter", r),
-			Fn: func(c *stage.Ctx) stage.Status {
-				if !rep.haveShare {
-					t, ok := c.In[1].Peek()
-					if !ok {
-						return stage.NoInput
-					}
-					c.In[1].Pop()
-					rep.curShare = t.Value
-					rep.haveShare = true
-					return stage.Fired
-				}
-				t, ok := c.In[0].Peek()
+		Name: fmt.Sprintf("prd.r%d.scatter", r),
+		Fire: func(c *stage.Ctx) stage.Status {
+			if !rep.haveShare {
+				t, ok := c.In[1].Peek()
 				if !ok {
 					return stage.NoInput
 				}
-				if t.Ctrl {
-					c.In[0].Pop()
-					rep.haveShare = false
-					c.FiredCtrl = true
-					return stage.Fired
-				}
-				dst := rep.accOut[p.owner(t.Value)]
-				if dst.Space() < 2 {
-					return stage.NoOutput
-				}
-				c.In[0].Pop()
-				dst.Push(queue.Data(t.Value))
-				dst.Push(queue.Data(rep.curShare))
+				c.In[1].Pop()
+				rep.curShare = t.Value
+				rep.haveShare = true
 				return stage.Fired
-			},
+			}
+			t, ok := c.In[0].Peek()
+			if !ok {
+				return stage.NoInput
+			}
+			if t.Ctrl {
+				c.In[0].Pop()
+				rep.haveShare = false
+				c.FiredCtrl = true
+				return stage.Fired
+			}
+			dst := rep.accOut[p.owner(t.Value)]
+			if dst.Space() < 2 {
+				return stage.NoOutput
+			}
+			c.In[0].Pop()
+			dst.Push(queue.Data(t.Value))
+			dst.Push(queue.Data(rep.curShare))
+			return stage.Fired
 		},
 		Mapping: apps.PlaceDFG(p.sys, scatterDFG),
-		In:      []stage.InPort{rep.nghQ.In(), rep.shareQ.In()},
+		In:      []stage.In{rep.nghQ.In(), rep.shareQ.In()},
 		Out:     rep.accOut,
 		StateWork: func() int {
 			if rep.haveShare {
@@ -279,54 +275,50 @@ func (p *pipeline) addFull(rep *replica) {
 
 func (p *pipeline) accumulateStage(rep *replica) *stage.Stage {
 	return &stage.Stage{
-		Kernel: stage.KernelFunc{
-			KernelName: fmt.Sprintf("prd.r%d.accumulate", rep.id),
-			Fn: func(c *stage.Ctx) stage.Status {
-				if c.In[0].Len() < 2 {
-					return stage.NoInput
-				}
-				u, _ := c.In[0].Pop()
-				sh, _ := c.In[0].Pop()
-				a := p.nextDeltaA + mem.Addr(u.Value*mem.WordBytes)
-				c.Store(a, c.Load(a)+sh.Value)
-				return stage.Fired
-			},
+		Name: fmt.Sprintf("prd.r%d.accumulate", rep.id),
+		Fire: func(c *stage.Ctx) stage.Status {
+			if c.In[0].Len() < 2 {
+				return stage.NoInput
+			}
+			u, _ := c.In[0].Pop()
+			sh, _ := c.In[0].Pop()
+			a := p.nextDeltaA + mem.Addr(u.Value*mem.WordBytes)
+			c.Store(a, c.Load(a)+sh.Value)
+			return stage.Fired
 		},
 		Mapping: apps.PlaceDFG(p.sys, accumulateDFG),
-		In:      []stage.InPort{rep.accQ.In()},
+		In:      []stage.In{rep.accQ.In()},
 	}
 }
 
 func (p *pipeline) applyStage(rep *replica) *stage.Stage {
 	return &stage.Stage{
-		Kernel: stage.KernelFunc{
-			KernelName: fmt.Sprintf("prd.r%d.apply", rep.id),
-			Fn: func(c *stage.Ctx) stage.Status {
-				t, ok := c.In[0].Peek()
-				if !ok {
-					return stage.NoInput
-				}
-				c.In[0].Pop()
-				v := uint64(rep.vCur)
-				rep.vCur++
-				d := t.Value
-				if d == 0 {
-					return stage.Fired
-				}
-				ra := p.rankA + mem.Addr(v*mem.WordBytes)
-				rank := c.Load(ra) + d
-				c.Store(ra, rank)
-				c.Store(p.deltaA+mem.Addr(v*mem.WordBytes), d)
-				c.Store(p.nextDeltaA+mem.Addr(v*mem.WordBytes), 0)
-				if d > graph.FixMul(p.cfg.Epsilon, rank) {
-					c.Store(rep.nxtActive+mem.Addr(rep.nextCnt*mem.WordBytes), v)
-					rep.nextCnt++
-				}
+		Name: fmt.Sprintf("prd.r%d.apply", rep.id),
+		Fire: func(c *stage.Ctx) stage.Status {
+			t, ok := c.In[0].Peek()
+			if !ok {
+				return stage.NoInput
+			}
+			c.In[0].Pop()
+			v := uint64(rep.vCur)
+			rep.vCur++
+			d := t.Value
+			if d == 0 {
 				return stage.Fired
-			},
+			}
+			ra := p.rankA + mem.Addr(v*mem.WordBytes)
+			rank := c.Load(ra) + d
+			c.Store(ra, rank)
+			c.Store(p.deltaA+mem.Addr(v*mem.WordBytes), d)
+			c.Store(p.nextDeltaA+mem.Addr(v*mem.WordBytes), 0)
+			if d > graph.FixMul(p.cfg.Epsilon, rank) {
+				c.Store(rep.nxtActive+mem.Addr(rep.nextCnt*mem.WordBytes), v)
+				rep.nextCnt++
+			}
+			return stage.Fired
 		},
 		Mapping: apps.PlaceDFG(p.sys, applyDFG),
-		In:      []stage.InPort{rep.applyQ.In()},
+		In:      []stage.In{rep.applyQ.In()},
 	}
 }
 
@@ -335,41 +327,39 @@ func (p *pipeline) applyStage(rep *replica) *stage.Stage {
 func (p *pipeline) addMerged(rep *replica) {
 	r := rep.id
 	p.sys.PE(p.place.PEOf(r, 0)).AddStage(&stage.Stage{
-		Kernel: stage.KernelFunc{
-			KernelName: fmt.Sprintf("prd.r%d.merged-scatter", r),
-			Fn: func(c *stage.Ctx) stage.Status {
-				if rep.scanActive {
-					u := c.Load(p.neighborsA + mem.Addr(rep.scanE*mem.WordBytes))
-					dst := rep.accOut[p.owner(u)]
-					if dst.Space() < 2 {
-						return stage.NoOutput
-					}
-					dst.Push(queue.Data(u))
-					dst.Push(queue.Data(rep.curShare))
-					rep.scanE++
-					if rep.scanE >= rep.scanEnd {
-						rep.scanActive = false
-					}
-					return stage.Fired
+		Name: fmt.Sprintf("prd.r%d.merged-scatter", r),
+		Fire: func(c *stage.Ctx) stage.Status {
+			if rep.scanActive {
+				u := c.Load(p.neighborsA + mem.Addr(rep.scanE*mem.WordBytes))
+				dst := rep.accOut[p.owner(u)]
+				if dst.Space() < 2 {
+					return stage.NoOutput
 				}
-				t, ok := c.In[0].Peek()
-				if !ok {
-					return stage.NoInput
-				}
-				c.In[0].Pop()
-				v := t.Value
-				start := c.Load(p.offsetsA + mem.Addr(v*mem.WordBytes))
-				end := c.Load(p.offsetsA + mem.Addr((v+1)*mem.WordBytes))
-				if end > start {
-					delta := c.Load(p.deltaA + mem.Addr(v*mem.WordBytes))
-					rep.curShare = graph.FixMul(p.cfg.Damping, delta) / (end - start)
-					rep.scanActive, rep.scanE, rep.scanEnd = true, start, end
+				dst.Push(queue.Data(u))
+				dst.Push(queue.Data(rep.curShare))
+				rep.scanE++
+				if rep.scanE >= rep.scanEnd {
+					rep.scanActive = false
 				}
 				return stage.Fired
-			},
+			}
+			t, ok := c.In[0].Peek()
+			if !ok {
+				return stage.NoInput
+			}
+			c.In[0].Pop()
+			v := t.Value
+			start := c.Load(p.offsetsA + mem.Addr(v*mem.WordBytes))
+			end := c.Load(p.offsetsA + mem.Addr((v+1)*mem.WordBytes))
+			if end > start {
+				delta := c.Load(p.deltaA + mem.Addr(v*mem.WordBytes))
+				rep.curShare = graph.FixMul(p.cfg.Damping, delta) / (end - start)
+				rep.scanActive, rep.scanE, rep.scanEnd = true, start, end
+			}
+			return stage.Fired
 		},
 		Mapping: apps.PlaceDFG(p.sys, mergedScatterDFG),
-		In:      []stage.InPort{rep.activeQ.In()},
+		In:      []stage.In{rep.activeQ.In()},
 		Out:     rep.accOut,
 		StateWork: func() int {
 			if rep.scanActive {

@@ -78,31 +78,26 @@ func (qp *QueuePlan) Build() {
 	}
 }
 
-// In returns the consumer-side port.
-func (r *QueueRef) In() stage.InPort {
+// In returns the consumer end.
+func (r *QueueRef) In() stage.In {
 	if r.arb != nil {
-		return stage.ArbiterPort{A: r.arb}
+		return stage.CreditedIn(r.arb)
 	}
-	return stage.LocalPort{Q: r.q}
+	return stage.LocalIn(r.q)
 }
 
-// Out returns producer i's port (i indexes the Producers slice). For purely
-// local queues, any index returns the direct port.
-func (r *QueueRef) Out(i int) stage.OutPort {
+// Out returns producer i's end (i indexes the Producers slice). For purely
+// local queues, any index returns the local end.
+func (r *QueueRef) Out(i int) stage.Out {
 	if r.arb != nil {
-		return stage.CreditOut{P: r.arb.Port(i)}
+		return stage.CreditOut(r.arb.Port(i))
 	}
-	return stage.LocalPort{Q: r.q}
+	return stage.LocalOut(r.q)
 }
 
-// Local returns the direct local port (for Program seeding and DRM outputs
-// feeding a same-PE queue).
-func (r *QueueRef) Local() stage.OutPort {
-	if r.arb != nil {
-		return stage.LocalPort{Q: r.arb.Queue()}
-	}
-	return stage.LocalPort{Q: r.q}
-}
+// Local returns the local producer end, bypassing credits (for Program
+// seeding and DRM outputs feeding a same-PE queue).
+func (r *QueueRef) Local() stage.Out { return stage.LocalOut(r.Queue()) }
 
 // Queue exposes the underlying queue (stats, invariant checks).
 func (r *QueueRef) Queue() *queue.Queue {

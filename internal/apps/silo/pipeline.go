@@ -37,8 +37,8 @@ type replica struct {
 	hdrQ  *apps.QueueRef
 	leafQ *apps.QueueRef
 
-	nodeFromQ0 stage.OutPort
-	nodeFromS2 stage.OutPort
+	nodeFromQ0 stage.Out
+	nodeFromS2 stage.Out
 
 	// Merged-variant register: none needed (single stage walks levels
 	// with coupled loads, one level per firing).
@@ -124,128 +124,120 @@ func (p *pipeline) addFull(rep *replica) {
 
 	// Q0: query — inject keys, throttled by the in-flight limit.
 	p.sys.PE(pe(0)).AddStage(&stage.Stage{
-		Kernel: stage.KernelFunc{
-			KernelName: fmt.Sprintf("silo.r%d.query", r),
-			Fn: func(c *stage.Ctx) stage.Status {
-				if rep.inFlight.Full() {
-					return stage.Sleep
-				}
-				t, ok := c.In[0].Peek()
-				if !ok {
-					return stage.NoInput
-				}
-				if rep.nodeFromQ0.Space() < 2 {
-					return stage.NoOutput
-				}
-				c.In[0].Pop()
-				rep.nodeFromQ0.Push(queue.Data(t.Value))
-				rep.nodeFromQ0.Push(queue.Data(root))
-				rep.inFlight.Acquire()
-				return stage.Fired
-			},
+		Name: fmt.Sprintf("silo.r%d.query", r),
+		Fire: func(c *stage.Ctx) stage.Status {
+			if rep.inFlight.Full() {
+				return stage.Sleep
+			}
+			t, ok := c.In[0].Peek()
+			if !ok {
+				return stage.NoInput
+			}
+			if rep.nodeFromQ0.Space() < 2 {
+				return stage.NoOutput
+			}
+			c.In[0].Pop()
+			rep.nodeFromQ0.Push(queue.Data(t.Value))
+			rep.nodeFromQ0.Push(queue.Data(root))
+			rep.inFlight.Acquire()
+			return stage.Fired
 		},
 		Mapping: apps.PlaceDFG(p.sys, queryDFG),
-		In:      []stage.InPort{rep.keyQ.In()},
-		Out:     []stage.OutPort{rep.nodeFromQ0},
+		In:      []stage.In{rep.keyQ.In()},
+		Out:     []stage.Out{rep.nodeFromQ0},
 		Gate:    &rep.inFlight,
 	})
 
 	// S1: lookup — issue the header dereference.
 	p.sys.PE(pe(1)).AddStage(&stage.Stage{
-		Kernel: stage.KernelFunc{
-			KernelName: fmt.Sprintf("silo.r%d.lookup", r),
-			Fn: func(c *stage.Ctx) stage.Status {
-				if c.In[0].Len() < 2 {
-					return stage.NoInput
-				}
-				if c.Out[0].Space() < 1 || c.Out[1].Space() < 2 {
-					return stage.NoOutput
-				}
-				key, _ := c.In[0].Pop()
-				addr, _ := c.In[0].Pop()
-				c.Out[0].Push(queue.Data(addr.Value)) // header word address
-				c.Out[1].Push(queue.Data(key.Value))
-				c.Out[1].Push(queue.Data(addr.Value))
-				return stage.Fired
-			},
+		Name: fmt.Sprintf("silo.r%d.lookup", r),
+		Fire: func(c *stage.Ctx) stage.Status {
+			if c.In[0].Len() < 2 {
+				return stage.NoInput
+			}
+			if c.Out[0].Space() < 1 || c.Out[1].Space() < 2 {
+				return stage.NoOutput
+			}
+			key, _ := c.In[0].Pop()
+			addr, _ := c.In[0].Pop()
+			c.Out[0].Push(queue.Data(addr.Value)) // header word address
+			c.Out[1].Push(queue.Data(key.Value))
+			c.Out[1].Push(queue.Data(addr.Value))
+			return stage.Fired
 		},
 		Mapping: apps.PlaceDFG(p.sys, lookupDFG),
-		In:      []stage.InPort{rep.nodeQ.In()},
-		Out:     []stage.OutPort{rep.drmNode.InPort(), rep.pendQ.Out(0)},
+		In:      []stage.In{rep.nodeQ.In()},
+		Out:     []stage.Out{rep.drmNode.Feed(), rep.pendQ.Out(0)},
 	})
 
 	// S2: traverse internal node (or forward leaves).
 	p.sys.PE(pe(2)).AddStage(&stage.Stage{
-		Kernel: stage.KernelFunc{
-			KernelName: fmt.Sprintf("silo.r%d.traverse", r),
-			Fn: func(c *stage.Ctx) stage.Status {
-				if c.In[0].Len() < 1 || c.In[1].Len() < 2 {
-					return stage.NoInput
-				}
-				hdr, _ := c.In[0].Peek()
-				numKeys, leaf := btree.DecodeHeader(hdr.Value)
-				key, _ := c.In[1].Peek()
-				addr, _ := c.In[1].PeekAt(1)
-				if leaf {
-					if c.Out[1].Space() < 2 {
-						return stage.NoOutput
-					}
-					c.In[0].Pop()
-					c.In[1].Pop()
-					c.In[1].Pop()
-					c.Out[1].Push(queue.Data(key.Value))
-					c.Out[1].Push(queue.Data(addr.Value))
-					return stage.Fired
-				}
-				if c.Out[0].Space() < 2 {
+		Name: fmt.Sprintf("silo.r%d.traverse", r),
+		Fire: func(c *stage.Ctx) stage.Status {
+			if c.In[0].Len() < 1 || c.In[1].Len() < 2 {
+				return stage.NoInput
+			}
+			hdr, _ := c.In[0].Peek()
+			numKeys, leaf := btree.DecodeHeader(hdr.Value)
+			key, _ := c.In[1].Peek()
+			addr, _ := c.In[1].PeekAt(1)
+			if leaf {
+				if c.Out[1].Space() < 2 {
 					return stage.NoOutput
 				}
 				c.In[0].Pop()
 				c.In[1].Pop()
 				c.In[1].Pop()
-				na := mem.Addr(addr.Value)
-				i := 0
-				for i < numKeys && key.Value >= c.Load(btree.KeyAddr(na, i)) {
-					i++
-				}
-				child := c.Load(btree.ChildAddr(na, i))
-				c.Out[0].Push(queue.Data(key.Value))
-				c.Out[0].Push(queue.Data(child))
+				c.Out[1].Push(queue.Data(key.Value))
+				c.Out[1].Push(queue.Data(addr.Value))
 				return stage.Fired
-			},
+			}
+			if c.Out[0].Space() < 2 {
+				return stage.NoOutput
+			}
+			c.In[0].Pop()
+			c.In[1].Pop()
+			c.In[1].Pop()
+			na := mem.Addr(addr.Value)
+			i := 0
+			for i < numKeys && key.Value >= c.Load(btree.KeyAddr(na, i)) {
+				i++
+			}
+			child := c.Load(btree.ChildAddr(na, i))
+			c.Out[0].Push(queue.Data(key.Value))
+			c.Out[0].Push(queue.Data(child))
+			return stage.Fired
 		},
 		Mapping: apps.PlaceDFG(p.sys, traverseDFG),
-		In:      []stage.InPort{rep.hdrQ.In(), rep.pendQ.In()},
-		Out:     []stage.OutPort{rep.nodeFromS2, rep.leafQ.Out(0)},
+		In:      []stage.In{rep.hdrQ.In(), rep.pendQ.In()},
+		Out:     []stage.Out{rep.nodeFromS2, rep.leafQ.Out(0)},
 	})
 
 	// S3: process leaf — locate the key, fetch the value, store the result.
 	p.sys.PE(pe(3)).AddStage(&stage.Stage{
-		Kernel: stage.KernelFunc{
-			KernelName: fmt.Sprintf("silo.r%d.leaf", r),
-			Fn: func(c *stage.Ctx) stage.Status {
-				if c.In[0].Len() < 2 {
-					return stage.NoInput
+		Name: fmt.Sprintf("silo.r%d.leaf", r),
+		Fire: func(c *stage.Ctx) stage.Status {
+			if c.In[0].Len() < 2 {
+				return stage.NoInput
+			}
+			key, _ := c.In[0].Pop()
+			addr, _ := c.In[0].Pop()
+			na := mem.Addr(addr.Value)
+			numKeys, _ := btree.DecodeHeader(c.Load(na))
+			val := MissingMark
+			for i := 0; i < numKeys; i++ {
+				if c.Load(btree.KeyAddr(na, i)) == key.Value {
+					val = c.Load(btree.ChildAddr(na, i))
+					break
 				}
-				key, _ := c.In[0].Pop()
-				addr, _ := c.In[0].Pop()
-				na := mem.Addr(addr.Value)
-				numKeys, _ := btree.DecodeHeader(c.Load(na))
-				val := MissingMark
-				for i := 0; i < numKeys; i++ {
-					if c.Load(btree.KeyAddr(na, i)) == key.Value {
-						val = c.Load(btree.ChildAddr(na, i))
-						break
-					}
-				}
-				c.Store(rep.resultsA+mem.Addr(rep.resIdx*mem.WordBytes), val)
-				rep.resIdx++
-				rep.inFlight.Release()
-				return stage.Fired
-			},
+			}
+			c.Store(rep.resultsA+mem.Addr(rep.resIdx*mem.WordBytes), val)
+			rep.resIdx++
+			rep.inFlight.Release()
+			return stage.Fired
 		},
 		Mapping: apps.PlaceDFG(p.sys, leafDFG),
-		In:      []stage.InPort{rep.leafQ.In()},
+		In:      []stage.In{rep.leafQ.In()},
 	})
 }
 
@@ -254,42 +246,40 @@ func (p *pipeline) addFull(rep *replica) {
 func (p *pipeline) addMerged(rep *replica) {
 	root := mem.Addr(p.tree.RootAddr)
 	p.sys.PE(p.place.PEOf(rep.id, 0)).AddStage(&stage.Stage{
-		Kernel: stage.KernelFunc{
-			KernelName: fmt.Sprintf("silo.r%d.merged", rep.id),
-			Fn: func(c *stage.Ctx) stage.Status {
-				if !rep.mActive {
-					t, ok := c.In[0].Peek()
-					if !ok {
-						return stage.NoInput
-					}
-					c.In[0].Pop()
-					rep.mKey, rep.mAddr, rep.mActive = t.Value, root, true
-					return stage.Fired
+		Name: fmt.Sprintf("silo.r%d.merged", rep.id),
+		Fire: func(c *stage.Ctx) stage.Status {
+			if !rep.mActive {
+				t, ok := c.In[0].Peek()
+				if !ok {
+					return stage.NoInput
 				}
-				numKeys, leaf := btree.DecodeHeader(c.Load(rep.mAddr))
-				if leaf {
-					val := MissingMark
-					for i := 0; i < numKeys; i++ {
-						if c.Load(btree.KeyAddr(rep.mAddr, i)) == rep.mKey {
-							val = c.Load(btree.ChildAddr(rep.mAddr, i))
-							break
-						}
-					}
-					c.Store(rep.resultsA+mem.Addr(rep.resIdx*mem.WordBytes), val)
-					rep.resIdx++
-					rep.mActive = false
-					return stage.Fired
-				}
-				i := 0
-				for i < numKeys && rep.mKey >= c.Load(btree.KeyAddr(rep.mAddr, i)) {
-					i++
-				}
-				rep.mAddr = mem.Addr(c.Load(btree.ChildAddr(rep.mAddr, i)))
+				c.In[0].Pop()
+				rep.mKey, rep.mAddr, rep.mActive = t.Value, root, true
 				return stage.Fired
-			},
+			}
+			numKeys, leaf := btree.DecodeHeader(c.Load(rep.mAddr))
+			if leaf {
+				val := MissingMark
+				for i := 0; i < numKeys; i++ {
+					if c.Load(btree.KeyAddr(rep.mAddr, i)) == rep.mKey {
+						val = c.Load(btree.ChildAddr(rep.mAddr, i))
+						break
+					}
+				}
+				c.Store(rep.resultsA+mem.Addr(rep.resIdx*mem.WordBytes), val)
+				rep.resIdx++
+				rep.mActive = false
+				return stage.Fired
+			}
+			i := 0
+			for i < numKeys && rep.mKey >= c.Load(btree.KeyAddr(rep.mAddr, i)) {
+				i++
+			}
+			rep.mAddr = mem.Addr(c.Load(btree.ChildAddr(rep.mAddr, i)))
+			return stage.Fired
 		},
 		Mapping: apps.PlaceDFG(p.sys, mergedDFG),
-		In:      []stage.InPort{rep.keyQ.In()},
+		In:      []stage.In{rep.keyQ.In()},
 		StateWork: func() int {
 			if rep.mActive {
 				return 1

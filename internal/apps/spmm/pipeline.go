@@ -140,55 +140,51 @@ func (p *pipeline) addFull(rep *replica) {
 
 	// S0: output-pair scheduler — launches the four scans per (i, j).
 	s0 := &stage.Stage{
-		Kernel: stage.KernelFunc{
-			KernelName: fmt.Sprintf("spmm.r%d.sched", r),
-			Fn: func(c *stage.Ctx) stage.Status {
-				if rep.pairsLeft(p) == 0 {
-					return stage.Sleep
+		Name: fmt.Sprintf("spmm.r%d.sched", r),
+		Fire: func(c *stage.Ctx) stage.Status {
+			if rep.pairsLeft(p) == 0 {
+				return stage.Sleep
+			}
+			for _, d := range []*core.DRM{rep.drmACoord, rep.drmAVal, rep.drmBCoord, rep.drmBVal} {
+				if d.In().Space() < 2 {
+					return stage.NoOutput
 				}
-				for _, d := range []*core.DRM{rep.drmACoord, rep.drmAVal, rep.drmBCoord, rep.drmBVal} {
-					if d.In().Space() < 2 {
-						return stage.NoOutput
-					}
-				}
-				i := uint64(p.rows[rep.ri])
-				j := uint64(p.cols[rep.cj])
-				aLo := c.Load(p.aOffA + mem.Addr(i*mem.WordBytes))
-				aHi := c.Load(p.aOffA + mem.Addr((i+1)*mem.WordBytes))
-				bLo := c.Load(p.bOffA + mem.Addr(j*mem.WordBytes))
-				bHi := c.Load(p.bOffA + mem.Addr((j+1)*mem.WordBytes))
-				pushR := func(d *core.DRM, base mem.Addr, lo, hi uint64) {
-					d.In().Enq(queue.Data(uint64(base) + lo*mem.WordBytes))
-					d.In().Enq(queue.Data(uint64(base) + hi*mem.WordBytes))
-				}
-				pushR(rep.drmACoord, p.aColA, aLo, aHi)
-				pushR(rep.drmAVal, p.aValA, aLo, aHi)
-				pushR(rep.drmBCoord, p.bRowA, bLo, bHi)
-				pushR(rep.drmBVal, p.bValA, bLo, bHi)
-				rep.cj++
-				if rep.cj == len(p.cols) {
-					rep.cj = 0
-					rep.ri++
-				}
-				return stage.Fired
-			},
+			}
+			i := uint64(p.rows[rep.ri])
+			j := uint64(p.cols[rep.cj])
+			aLo := c.Load(p.aOffA + mem.Addr(i*mem.WordBytes))
+			aHi := c.Load(p.aOffA + mem.Addr((i+1)*mem.WordBytes))
+			bLo := c.Load(p.bOffA + mem.Addr(j*mem.WordBytes))
+			bHi := c.Load(p.bOffA + mem.Addr((j+1)*mem.WordBytes))
+			pushR := func(d *core.DRM, base mem.Addr, lo, hi uint64) {
+				d.In().Enq(queue.Data(uint64(base) + lo*mem.WordBytes))
+				d.In().Enq(queue.Data(uint64(base) + hi*mem.WordBytes))
+			}
+			pushR(rep.drmACoord, p.aColA, aLo, aHi)
+			pushR(rep.drmAVal, p.aValA, aLo, aHi)
+			pushR(rep.drmBCoord, p.bRowA, bLo, bHi)
+			pushR(rep.drmBVal, p.bValA, bLo, bHi)
+			rep.cj++
+			if rep.cj == len(p.cols) {
+				rep.cj = 0
+				rep.ri++
+			}
+			return stage.Fired
 		},
 		Mapping:   apps.PlaceDFG(p.sys, schedDFG),
 		In:        nil,
-		Out:       []stage.OutPort{rep.drmACoord.InPort(), rep.drmAVal.InPort(), rep.drmBCoord.InPort(), rep.drmBVal.InPort()},
+		Out:       []stage.Out{rep.drmACoord.Feed(), rep.drmAVal.Feed(), rep.drmBCoord.Feed(), rep.drmBVal.Feed()},
 		StateWork: func() int { return rep.pairsLeft(p) },
 	}
 	p.sys.PE(p.place.PEOf(r, 0)).AddStage(s0)
 
 	// S1: merge-intersect.
 	s1 := &stage.Stage{
-		Kernel: stage.KernelFunc{
-			KernelName: fmt.Sprintf("spmm.r%d.merge", r),
-			Fn:         func(c *stage.Ctx) stage.Status { return p.mergeFire(rep, c) },
-		},
+		Name:    fmt.Sprintf("spmm.r%d.merge", r),
+		Fire:    func(c *stage.Ctx) stage.Status { return p.mergeFire(rep, c) },
 		Mapping: apps.PlaceDFG(p.sys, mergeDFG),
-		In:      []stage.InPort{rep.acQ.In(), rep.bcQ.In(), rep.avQ.In(), rep.bvQ.In()},
-		Out:     []stage.OutPort{rep.mulQ.Out(0)},
+		In:      []stage.In{rep.acQ.In(), rep.bcQ.In(), rep.avQ.In(), rep.bvQ.In()},
+		Out:     []stage.Out{rep.mulQ.Out(0)},
 	}
 	p.sys.PE(p.place.PEOf(r, 1)).AddStage(s1)
 
@@ -272,32 +268,30 @@ func (p *pipeline) mergeFire(rep *replica, c *stage.Ctx) stage.Status {
 
 func (p *pipeline) accumulateStage(rep *replica, stageIdx int) *stage.Stage {
 	return &stage.Stage{
-		Kernel: stage.KernelFunc{
-			KernelName: fmt.Sprintf("spmm.r%d.accumulate", rep.id),
-			Fn: func(c *stage.Ctx) stage.Status {
-				t, ok := c.In[0].Peek()
-				if !ok {
-					return stage.NoInput
-				}
-				if t.Ctrl {
-					c.In[0].Pop()
-					c.Store(rep.outA+mem.Addr(rep.outIdx*mem.WordBytes), floatBits(rep.acc))
-					rep.outIdx++
-					rep.acc = 0
-					c.FiredCtrl = true
-					return stage.Fired
-				}
-				if c.In[0].Len() < 2 {
-					return stage.NoInput
-				}
-				av, _ := c.In[0].Pop()
-				bv, _ := c.In[0].Pop()
-				rep.acc = math.FMA(math.Float64frombits(av.Value), math.Float64frombits(bv.Value), rep.acc)
+		Name: fmt.Sprintf("spmm.r%d.accumulate", rep.id),
+		Fire: func(c *stage.Ctx) stage.Status {
+			t, ok := c.In[0].Peek()
+			if !ok {
+				return stage.NoInput
+			}
+			if t.Ctrl {
+				c.In[0].Pop()
+				c.Store(rep.outA+mem.Addr(rep.outIdx*mem.WordBytes), floatBits(rep.acc))
+				rep.outIdx++
+				rep.acc = 0
+				c.FiredCtrl = true
 				return stage.Fired
-			},
+			}
+			if c.In[0].Len() < 2 {
+				return stage.NoInput
+			}
+			av, _ := c.In[0].Pop()
+			bv, _ := c.In[0].Pop()
+			rep.acc = math.FMA(math.Float64frombits(av.Value), math.Float64frombits(bv.Value), rep.acc)
+			return stage.Fired
 		},
 		Mapping: apps.PlaceDFG(p.sys, accumulateDFG),
-		In:      []stage.InPort{rep.mulQ.In()},
+		In:      []stage.In{rep.mulQ.In()},
 	}
 }
 
@@ -306,50 +300,48 @@ func (p *pipeline) accumulateStage(rep *replica, stageIdx int) *stage.Stage {
 // loads — more data parallelism (16 replicas), no decoupling.
 func (p *pipeline) addMerged(rep *replica) {
 	s := &stage.Stage{
-		Kernel: stage.KernelFunc{
-			KernelName: fmt.Sprintf("spmm.r%d.merged", rep.id),
-			Fn: func(c *stage.Ctx) stage.Status {
-				if !rep.mPairActive {
-					if rep.pairsLeft(p) == 0 {
-						return stage.Sleep
-					}
-					i := uint64(p.rows[rep.ri])
-					j := uint64(p.cols[rep.cj])
-					rep.mAi = c.Load(p.aOffA + mem.Addr(i*mem.WordBytes))
-					rep.mAEnd = c.Load(p.aOffA + mem.Addr((i+1)*mem.WordBytes))
-					rep.mBi = c.Load(p.bOffA + mem.Addr(j*mem.WordBytes))
-					rep.mBEnd = c.Load(p.bOffA + mem.Addr((j+1)*mem.WordBytes))
-					rep.mPairActive = true
-					rep.acc = 0
-					return stage.Fired
+		Name: fmt.Sprintf("spmm.r%d.merged", rep.id),
+		Fire: func(c *stage.Ctx) stage.Status {
+			if !rep.mPairActive {
+				if rep.pairsLeft(p) == 0 {
+					return stage.Sleep
 				}
-				if rep.mAi >= rep.mAEnd || rep.mBi >= rep.mBEnd {
-					c.Store(rep.outA+mem.Addr(rep.outIdx*mem.WordBytes), floatBits(rep.acc))
-					rep.outIdx++
-					rep.mPairActive = false
-					rep.cj++
-					if rep.cj == len(p.cols) {
-						rep.cj = 0
-						rep.ri++
-					}
-					return stage.Fired
-				}
-				ac := c.Load(p.aColA + mem.Addr(rep.mAi*mem.WordBytes))
-				bc := c.Load(p.bRowA + mem.Addr(rep.mBi*mem.WordBytes))
-				switch {
-				case ac < bc:
-					rep.mAi++
-				case bc < ac:
-					rep.mBi++
-				default:
-					av := c.Load(p.aValA + mem.Addr(rep.mAi*mem.WordBytes))
-					bv := c.Load(p.bValA + mem.Addr(rep.mBi*mem.WordBytes))
-					rep.acc = math.FMA(math.Float64frombits(av), math.Float64frombits(bv), rep.acc)
-					rep.mAi++
-					rep.mBi++
+				i := uint64(p.rows[rep.ri])
+				j := uint64(p.cols[rep.cj])
+				rep.mAi = c.Load(p.aOffA + mem.Addr(i*mem.WordBytes))
+				rep.mAEnd = c.Load(p.aOffA + mem.Addr((i+1)*mem.WordBytes))
+				rep.mBi = c.Load(p.bOffA + mem.Addr(j*mem.WordBytes))
+				rep.mBEnd = c.Load(p.bOffA + mem.Addr((j+1)*mem.WordBytes))
+				rep.mPairActive = true
+				rep.acc = 0
+				return stage.Fired
+			}
+			if rep.mAi >= rep.mAEnd || rep.mBi >= rep.mBEnd {
+				c.Store(rep.outA+mem.Addr(rep.outIdx*mem.WordBytes), floatBits(rep.acc))
+				rep.outIdx++
+				rep.mPairActive = false
+				rep.cj++
+				if rep.cj == len(p.cols) {
+					rep.cj = 0
+					rep.ri++
 				}
 				return stage.Fired
-			},
+			}
+			ac := c.Load(p.aColA + mem.Addr(rep.mAi*mem.WordBytes))
+			bc := c.Load(p.bRowA + mem.Addr(rep.mBi*mem.WordBytes))
+			switch {
+			case ac < bc:
+				rep.mAi++
+			case bc < ac:
+				rep.mBi++
+			default:
+				av := c.Load(p.aValA + mem.Addr(rep.mAi*mem.WordBytes))
+				bv := c.Load(p.bValA + mem.Addr(rep.mBi*mem.WordBytes))
+				rep.acc = math.FMA(math.Float64frombits(av), math.Float64frombits(bv), rep.acc)
+				rep.mAi++
+				rep.mBi++
+			}
+			return stage.Fired
 		},
 		Mapping: apps.PlaceDFG(p.sys, mergedDFG),
 		StateWork: func() int {

@@ -59,14 +59,23 @@ func TestPanicErrorRoundTrip(t *testing.T) {
 		panic(fmt.Errorf("kernel blew up: %w", sentinel))
 	}}
 	job := Job{App: "BFS", Input: "Rd", Kind: apps.StaticPipe, Merged: true}
-	res := r.Run(Options{}, []Job{job})[0]
+	// Two jobs that differ only by variant (Fig. 16's qmem sweep) must
+	// panic with different messages.
+	variant := Job{App: "BFS", Input: "Rd", Kind: apps.FiferPipe, Variant: "qmem=0.25x"}
+	results := r.Run(Options{}, []Job{job, variant})
+	res := results[0]
 
 	var pe *PanicError
 	if !errors.As(res.Err, &pe) {
 		t.Fatalf("err %v does not expose *PanicError", res.Err)
 	}
-	if pe.App != job.App || pe.Input != job.Input || pe.Kind != job.Kind || !pe.Merged {
-		t.Fatalf("panic lost its job identity: %+v", pe)
+	if pe.Job.Key() != job.Key() {
+		t.Fatalf("panic lost its job identity: %+v", pe.Job)
+	}
+	var pv *PanicError
+	if !errors.As(results[1].Err, &pv) || pv.Job.Key() != variant.Key() ||
+		!strings.Contains(pv.Error(), "bench: simulation BFS/Rd fifer-16pe qmem=0.25x panicked") {
+		t.Fatalf("variant job's panic does not name its variant: %v", results[1].Err)
 	}
 	if !errors.Is(res.Err, sentinel) {
 		t.Fatalf("err %v does not unwrap to the panicked error", res.Err)

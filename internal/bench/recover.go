@@ -19,11 +19,7 @@ import (
 // state-dump excerpt), so what reaches this recovery is the unexpected
 // remainder — bad configs panicking in NewSystem, nil derefs, index errors.
 type PanicError struct {
-	// App, Input, Kind, and Merged identify the job that panicked.
-	App, Input string
-	Kind       apps.SystemKind
-	Merged     bool
-
+	Job   Job // the job that panicked
 	Value any
 	Stack []byte
 }
@@ -31,12 +27,7 @@ type PanicError struct {
 // Error renders the job identity and panic value followed by the captured
 // stack.
 func (e *PanicError) Error() string {
-	merged := ""
-	if e.Merged {
-		merged = " merged"
-	}
-	return fmt.Sprintf("bench: simulation %s/%s %v%s panicked: %v\n%s",
-		e.App, e.Input, e.Kind, merged, e.Value, e.Stack)
+	return fmt.Sprintf("bench: simulation %s panicked: %v\n%s", e.Job.Key(), e.Value, e.Stack)
 }
 
 // Unwrap exposes the panic value when it was itself an error, so
@@ -55,8 +46,7 @@ func protect(run func(Job, Options) (apps.Outcome, error)) func(Job, Options) (a
 		defer func() {
 			if r := recover(); r != nil {
 				out = apps.Outcome{}
-				err = &PanicError{App: j.App, Input: j.Input, Kind: j.Kind, Merged: j.Merged,
-					Value: r, Stack: debug.Stack()}
+				err = &PanicError{Job: j, Value: r, Stack: debug.Stack()}
 			}
 		}()
 		return run(j, opt)

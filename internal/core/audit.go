@@ -62,7 +62,7 @@ func (s *System) AuditLive() error {
 		for _, st := range pe.stages {
 			if g := st.Gate; g != nil && (g.Held() < 0 || g.Held() > g.Limit) {
 				return auditErr("gate-count", "pe%d/%s: gate holds %d slots, limit %d",
-					pe.ID, st.Name(), g.Held(), g.Limit)
+					pe.ID, st.Name, g.Held(), g.Limit)
 			}
 		}
 	}

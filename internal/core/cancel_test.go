@@ -18,8 +18,8 @@ func cancelSystem(cfg Config) (*System, *queue.Queue) {
 	q1 := pe.AllocQueue("q1", 64)
 	q2 := pe.AllocQueue("q2", 64)
 	got := 0
-	pe.AddStage(passStage("fwd", stage.LocalPort{Q: q1}, stage.LocalPort{Q: q2}))
-	pe.AddStage(sinkStage("sink", stage.LocalPort{Q: q2}, &got))
+	pe.AddStage(passStage("fwd", stage.LocalIn(q1), stage.LocalOut(q2)))
+	pe.AddStage(sinkStage("sink", stage.LocalIn(q2), &got))
 	return sys, q1
 }
 
@@ -108,8 +108,8 @@ func TestDoneUnusedDoesNotPerturb(t *testing.T) {
 		q1 := pe.AllocQueue("q1", 64)
 		q2 := pe.AllocQueue("q2", 64)
 		got := 0
-		pe.AddStage(passStage("fwd", stage.LocalPort{Q: q1}, stage.LocalPort{Q: q2}))
-		pe.AddStage(sinkStage("sink", stage.LocalPort{Q: q2}, &got))
+		pe.AddStage(passStage("fwd", stage.LocalIn(q1), stage.LocalOut(q2)))
+		pe.AddStage(sinkStage("sink", stage.LocalIn(q2), &got))
 		rounds := 0
 		res, err := sys.Run(ProgramFunc(func(*System) bool {
 			rounds++

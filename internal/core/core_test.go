@@ -30,9 +30,10 @@ func passDFG(name string) *cgra.Mapping {
 }
 
 // passStage forwards tokens from in to out, n tokens max per firing = 1.
-func passStage(name string, in stage.InPort, out stage.OutPort) *stage.Stage {
+func passStage(name string, in stage.In, out stage.Out) *stage.Stage {
 	return &stage.Stage{
-		Kernel: stage.KernelFunc{KernelName: name, Fn: func(c *stage.Ctx) stage.Status {
+		Name: name,
+		Fire: func(c *stage.Ctx) stage.Status {
 			t, ok := c.In[0].Peek()
 			if !ok {
 				return stage.NoInput
@@ -43,25 +44,26 @@ func passStage(name string, in stage.InPort, out stage.OutPort) *stage.Stage {
 			c.In[0].Pop()
 			c.Out[0].Push(t)
 			return stage.Fired
-		}},
+		},
 		Mapping: passDFG(name),
-		In:      []stage.InPort{in},
-		Out:     []stage.OutPort{out},
+		In:      []stage.In{in},
+		Out:     []stage.Out{out},
 	}
 }
 
 // sinkStage drains tokens and counts them.
-func sinkStage(name string, in stage.InPort, count *int) *stage.Stage {
+func sinkStage(name string, in stage.In, count *int) *stage.Stage {
 	return &stage.Stage{
-		Kernel: stage.KernelFunc{KernelName: name, Fn: func(c *stage.Ctx) stage.Status {
+		Name: name,
+		Fire: func(c *stage.Ctx) stage.Status {
 			if _, ok := c.In[0].Pop(); !ok {
 				return stage.NoInput
 			}
 			*count++
 			return stage.Fired
-		}},
+		},
 		Mapping: passDFG(name),
-		In:      []stage.InPort{in},
+		In:      []stage.In{in},
 	}
 }
 
@@ -71,8 +73,8 @@ func TestTemporalPipelineForwardsAllTokens(t *testing.T) {
 	q1 := pe.AllocQueue("q1", 64)
 	q2 := pe.AllocQueue("q2", 64)
 	got := 0
-	pe.AddStage(passStage("fwd", stage.LocalPort{Q: q1}, stage.LocalPort{Q: q2}))
-	pe.AddStage(sinkStage("sink", stage.LocalPort{Q: q2}, &got))
+	pe.AddStage(passStage("fwd", stage.LocalIn(q1), stage.LocalOut(q2)))
+	pe.AddStage(sinkStage("sink", stage.LocalIn(q2), &got))
 	rounds := 0
 	refill := func() {
 		for j := 0; j < 50; j++ {
@@ -109,20 +111,20 @@ func TestStaticModeRejectsSecondStage(t *testing.T) {
 	pe := sys.PE(0)
 	q := pe.AllocQueue("q", 16)
 	got := 0
-	pe.AddStage(sinkStage("a", stage.LocalPort{Q: q}, &got))
+	pe.AddStage(sinkStage("a", stage.LocalIn(q), &got))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("second stage on a static PE accepted")
 		}
 	}()
-	pe.AddStage(sinkStage("b", stage.LocalPort{Q: q}, &got))
+	pe.AddStage(sinkStage("b", stage.LocalIn(q), &got))
 }
 
 func TestCPIStackSumsToCycles(t *testing.T) {
 	sys := NewSystem(testConfig(2))
 	q := sys.PE(0).AllocQueue("q", 32)
 	got := 0
-	sys.PE(0).AddStage(sinkStage("sink", stage.LocalPort{Q: q}, &got))
+	sys.PE(0).AddStage(sinkStage("sink", stage.LocalIn(q), &got))
 	for i := 0; i < 20; i++ {
 		q.Enq(queue.Data(uint64(i)))
 	}
@@ -142,15 +144,15 @@ func TestMostWorkPolicyPrefersDeeperQueue(t *testing.T) {
 	qa := pe.AllocQueue("qa", 64)
 	qb := pe.AllocQueue("qb", 64)
 	gotA, gotB := 0, 0
-	pe.AddStage(sinkStage("a", stage.LocalPort{Q: qa}, &gotA))
-	pe.AddStage(sinkStage("b", stage.LocalPort{Q: qb}, &gotB))
+	pe.AddStage(sinkStage("a", stage.LocalIn(qa), &gotA))
+	pe.AddStage(sinkStage("b", stage.LocalIn(qb), &gotB))
 	qa.Enq(queue.Data(1))
 	for i := 0; i < 40; i++ {
 		qb.Enq(queue.Data(uint64(i)))
 	}
 	// First activation must pick b (more work).
 	pe.Tick(0)
-	if act := pe.ActiveStage(); act == nil || act.Name() != "b" {
+	if act := pe.ActiveStage(); act == nil || act.Name != "b" {
 		t.Fatalf("scheduler picked %v, want b", pe.ActiveStage())
 	}
 }
@@ -163,8 +165,8 @@ func TestReconfigurationTiming(t *testing.T) {
 	qa := pe.AllocQueue("qa", 64)
 	qb := pe.AllocQueue("qb", 64)
 	gotA, gotB := 0, 0
-	pe.AddStage(sinkStage("a", stage.LocalPort{Q: qa}, &gotA))
-	pe.AddStage(sinkStage("b", stage.LocalPort{Q: qb}, &gotB))
+	pe.AddStage(sinkStage("a", stage.LocalIn(qa), &gotA))
+	pe.AddStage(sinkStage("b", stage.LocalIn(qb), &gotB))
 	for i := 0; i < 8; i++ {
 		qa.Enq(queue.Data(0))
 		qb.Enq(queue.Data(0))
@@ -190,8 +192,8 @@ func TestZeroCostReconfigIsFree(t *testing.T) {
 		qa := pe.AllocQueue("qa", 4)
 		qb := pe.AllocQueue("qb", 4)
 		gotA, gotB := 0, 0
-		pe.AddStage(sinkStage("a", stage.LocalPort{Q: qa}, &gotA))
-		pe.AddStage(sinkStage("b", stage.LocalPort{Q: qb}, &gotB))
+		pe.AddStage(sinkStage("a", stage.LocalIn(qa), &gotA))
+		pe.AddStage(sinkStage("b", stage.LocalIn(qb), &gotB))
 		// Alternate single tokens to force constant switching.
 		prog := 0
 		_, err := sys.Run(ProgramFunc(func(s *System) bool {
@@ -239,9 +241,9 @@ func TestDoubleBufferingOverlapsDrainAndLoad(t *testing.T) {
 		qa := pe.AllocQueue("qa", 8)
 		qb := pe.AllocQueue("qb", 8)
 		gotA, gotB := 0, 0
-		sa := sinkStage("a", stage.LocalPort{Q: qa}, &gotA)
+		sa := sinkStage("a", stage.LocalIn(qa), &gotA)
 		sa.Mapping = deepDFG("a")
-		sb := sinkStage("b", stage.LocalPort{Q: qb}, &gotB)
+		sb := sinkStage("b", stage.LocalIn(qb), &gotB)
 		sb.Mapping = deepDFG("b")
 		pe.AddStage(sa)
 		pe.AddStage(sb)
@@ -274,7 +276,7 @@ func TestDRMDereference(t *testing.T) {
 	arr := b.AllocSlice([]uint64{10, 20, 30})
 	out := pe.AllocQueue("out", 16)
 	d := pe.DRM(0)
-	d.Configure(DRMDereference, stage.LocalPort{Q: out})
+	d.Configure(DRMDereference, stage.LocalOut(out))
 	for i := 0; i < 3; i++ {
 		d.In().Enq(queue.Data(uint64(arr) + uint64(i*mem.WordBytes)))
 	}
@@ -295,7 +297,7 @@ func TestDRMScanWithBoundary(t *testing.T) {
 	arr := sys.Backing.AllocSlice([]uint64{7, 8})
 	out := pe.AllocQueue("out", 16)
 	d := pe.DRM(0)
-	d.Configure(DRMScan, stage.LocalPort{Q: out})
+	d.Configure(DRMScan, stage.LocalOut(out))
 	d.SetBoundary(true)
 	d.In().Enq(queue.Data(uint64(arr)))
 	d.In().Enq(queue.Data(uint64(arr) + 16))
@@ -323,7 +325,7 @@ func TestDRMCtrlPassThrough(t *testing.T) {
 	arr := sys.Backing.AllocSlice([]uint64{5})
 	out := pe.AllocQueue("out", 16)
 	d := pe.DRM(0)
-	d.Configure(DRMDereference, stage.LocalPort{Q: out})
+	d.Configure(DRMDereference, stage.LocalOut(out))
 	d.In().Enq(queue.Data(uint64(arr)))
 	d.In().Enq(queue.Ctrl(99))
 	for now := uint64(0); now < 2000 && out.Len() < 2; now++ {
@@ -345,11 +347,12 @@ func TestRunDetectsDeadlockViaMaxCycles(t *testing.T) {
 	q.Enq(queue.Data(1))
 	// A stage that is never able to fire but holds state-work forever.
 	pe.AddStage(&stage.Stage{
-		Kernel: stage.KernelFunc{KernelName: "stuck", Fn: func(*stage.Ctx) stage.Status {
+		Name: "stuck",
+		Fire: func(*stage.Ctx) stage.Status {
 			return stage.NoOutput
-		}},
+		},
 		Mapping:   passDFG("stuck"),
-		In:        []stage.InPort{stage.LocalPort{Q: q}},
+		In:        []stage.In{stage.LocalIn(q)},
 		StateWork: func() int { return 1 },
 	})
 	if _, err := sys.Run(ProgramFunc(func(*System) bool { return false })); err == nil {
@@ -366,7 +369,8 @@ func TestCouplesLoadStallsFabric(t *testing.T) {
 	q := pe.AllocQueue("q", 64)
 	n := 0
 	pe.AddStage(&stage.Stage{
-		Kernel: stage.KernelFunc{KernelName: "loads", Fn: func(c *stage.Ctx) stage.Status {
+		Name: "loads",
+		Fire: func(c *stage.Ctx) stage.Status {
 			t, ok := c.In[0].Pop()
 			if !ok {
 				return stage.NoInput
@@ -374,9 +378,9 @@ func TestCouplesLoadStallsFabric(t *testing.T) {
 			c.Load(arr + mem.Addr(t.Value*4096))
 			n++
 			return stage.Fired
-		}},
+		},
 		Mapping: passDFG("loads"),
-		In:      []stage.InPort{stage.LocalPort{Q: q}},
+		In:      []stage.In{stage.LocalIn(q)},
 	})
 	for i := 0; i < 32; i++ {
 		q.Enq(queue.Data(uint64(i)))
@@ -398,8 +402,8 @@ func TestResidenceStats(t *testing.T) {
 	qa := pe.AllocQueue("qa", 64)
 	qb := pe.AllocQueue("qb", 64)
 	gotA, gotB := 0, 0
-	pe.AddStage(sinkStage("a", stage.LocalPort{Q: qa}, &gotA))
-	pe.AddStage(sinkStage("b", stage.LocalPort{Q: qb}, &gotB))
+	pe.AddStage(sinkStage("a", stage.LocalIn(qa), &gotA))
+	pe.AddStage(sinkStage("b", stage.LocalIn(qb), &gotB))
 	for i := 0; i < 30; i++ {
 		qa.Enq(queue.Data(0))
 		qb.Enq(queue.Data(0))

@@ -49,12 +49,12 @@ func (s *System) Dump() string {
 	for _, pe := range s.PEs {
 		act := "-"
 		if st := pe.ActiveStage(); st != nil {
-			act = st.Name()
+			act = st.Name
 		}
 		fmt.Fprintf(&b, "pe%d active=%s reconfigUntil=%d stallUntil=%d pending=%d stack=%+v\n",
 			pe.ID, act, pe.reconfigUntil, pe.stallUntil, pe.pending, pe.Stack)
 		for _, st := range pe.stages {
-			fmt.Fprintf(&b, "  stage %s work=%d ready=%v outBlocked=%v", st.Name(), st.InputWork(), st.Ready(), st.OutputsBlocked())
+			fmt.Fprintf(&b, "  stage %s work=%d ready=%v outBlocked=%v", st.Name, st.InputWork(), st.Ready(), st.OutputsBlocked())
 			if st.StateWork != nil {
 				fmt.Fprintf(&b, " stateWork=%d", st.StateWork())
 			}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"fifer/internal/mem"
 	"fifer/internal/queue"
 	"fifer/internal/stage"
@@ -46,7 +44,7 @@ type DRM struct {
 	name  string
 	mode  DRMMode
 	in    *queue.Queue
-	out   stage.OutPort
+	out   stage.Out
 	port  *mem.Port
 	max   int // max in-flight accesses
 	width int // accesses issued (and completions delivered) per cycle
@@ -153,14 +151,8 @@ func NewDRM(name string, in *queue.Queue, port *mem.Port, maxOutstanding, issueW
 }
 
 // Configure sets the DRM's mode and output; it is called once at program
-// initialization. It panics on an output port type other than
-// stage.LocalPort or stage.CreditOut, as PE.AddStage does for stages.
-func (d *DRM) Configure(mode DRMMode, out stage.OutPort) {
-	switch out.(type) {
-	case stage.LocalPort, stage.CreditOut:
-	default:
-		panic(fmt.Sprintf("%s: output port %s has unsupported type %T", d.name, out.Name(), out))
-	}
+// initialization.
+func (d *DRM) Configure(mode DRMMode, out stage.Out) {
 	d.mode = mode
 	d.out = out
 }
@@ -177,11 +169,8 @@ func (d *DRM) Mode() DRMMode { return d.mode }
 // In returns the DRM's address input queue (stages push into it).
 func (d *DRM) In() *queue.Queue { return d.in }
 
-// InPort returns the input queue wrapped as a stage output port.
-func (d *DRM) InPort() stage.OutPort { return stage.LocalPort{Q: d.in} }
-
-// Out returns the configured output port (nil before Configure).
-func (d *DRM) Out() stage.OutPort { return d.out }
+// Feed returns the address queue as the channel end stages push into.
+func (d *DRM) Feed() stage.Out { return stage.LocalOut(d.in) }
 
 // Busy reports whether the DRM has pending work: buffered addresses,
 // in-flight accesses, or an active scan range.

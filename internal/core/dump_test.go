@@ -26,11 +26,12 @@ func TestDumpNamesBlockedState(t *testing.T) {
 		qin.Enq(queue.Data(uint64(i)))
 	}
 	pe.AddStage(&stage.Stage{
-		Kernel: stage.KernelFunc{KernelName: "wedged", Fn: func(*stage.Ctx) stage.Status {
+		Name: "wedged",
+		Fire: func(*stage.Ctx) stage.Status {
 			return stage.NoOutput
-		}},
+		},
 		Mapping:   passDFG("wedged"),
-		In:        []stage.InPort{stage.LocalPort{Q: qin}},
+		In:        []stage.In{stage.LocalIn(qin)},
 		StateWork: func() int { return 2 },
 	})
 
@@ -39,7 +40,7 @@ func TestDumpNamesBlockedState(t *testing.T) {
 	arr := sys.Backing.AllocSlice([]uint64{1, 2, 3, 4})
 	dout := pe.AllocQueue("dout", 1)
 	d := pe.DRM(0)
-	d.Configure(DRMDereference, stage.LocalPort{Q: dout})
+	d.Configure(DRMDereference, stage.LocalOut(dout))
 	for i := 0; i < 4; i++ {
 		d.In().Enq(queue.Data(uint64(arr) + uint64(i*8)))
 	}

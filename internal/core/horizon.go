@@ -21,15 +21,16 @@ import (
 // arrives from outside, so Run parks it: the sweep skips its tick and
 // peCatchUp later replays the fixed charges it owes — one CPI-bucket
 // increment per cycle, blocked-DRM OutFull counts, the sliding scheduler
-// cooldown. The arrival edges are the arbiter hooks (exchangeHooks): a
-// credited send settles the consumer before the token lands and marks it
-// dirty, so it ticks this cycle if the ascending sweep has not passed it
-// and next cycle otherwise; a credit return marks the producing port's PE
-// dirty; a stage.Gate release marks the gated stage's PE dirty
-// (PE.AddStage); program injection at quiescence marks every PE dirty.
-// Neither a credit return nor a release changes anything peCatchUp
-// replays, so neither settles first. Port types whose readiness these
-// edges cannot see are rejected at AddStage and DRM.Configure.
+// cooldown. The arrival edges are the arbiter's credit hook
+// (exchangeHooks): a credited send marks the consumer dirty, so it ticks
+// this cycle if the ascending sweep has not passed it and next cycle
+// otherwise; a credit return marks the producing port's PE dirty; a
+// stage.Gate release marks the gated stage's PE dirty (PE.AddStage);
+// program injection at quiescence marks every PE dirty. None of these
+// changes anything peCatchUp replays, so none settles first: the marked
+// PE's own tick catches it up. A stage's channel ends (stage.In,
+// stage.Out) can only be local queues or credited queues, so no readiness
+// change escapes these edges.
 //
 // Observation boundaries settle every PE first; the watchdog signature
 // reads only monotonic counters and needs no settling. When every PE is
@@ -50,9 +51,9 @@ func (s *System) KernelStats() trace.KernelStats {
 		Jumped: s.jumped, CatchUps: s.catchUps}
 }
 
-// exchangeHooks wires one inter-PE arbiter into parking: sends settle and
-// mark the consumer PE, returns mark the producing port's PE, and credit
-// grants and returns are traced when tracing is on.
+// exchangeHooks wires one inter-PE arbiter into parking: a grant (send)
+// marks the consumer PE, a return marks the producing port's PE, and both
+// are traced when tracing is on.
 func (s *System) exchangeHooks(a *queue.Arbiter, consumer int) {
 	cpe := s.PEs[consumer]
 	// portPE[p] is the PE that was ticking when port p first sent; a port
@@ -61,23 +62,19 @@ func (s *System) exchangeHooks(a *queue.Arbiter, consumer int) {
 	for i := range portPE {
 		portPE[i] = -1
 	}
-	a.SetSendHook(func(port int) {
-		if portPE[port] < 0 {
-			portPE[port] = s.curPE
-		}
-		s.peCatchUp(cpe, s.Cycle)
-		cpe.dirty = true
-	})
 	a.SetCreditHook(func(port int, granted bool) {
-		if !granted {
-			// A return mutates only the producer port's credit counter —
-			// nothing peCatchUp accounts — so the producer just has to tick.
-			if p := portPE[port]; p >= 0 {
-				s.PEs[p].dirty = true
-			} else {
-				for _, pe := range s.PEs {
-					pe.dirty = true
-				}
+		// Neither a grant nor a return changes anything peCatchUp replays,
+		// so neither settles first: the PE that must act just has to tick.
+		if granted {
+			if portPE[port] < 0 {
+				portPE[port] = s.curPE
+			}
+			cpe.dirty = true
+		} else if p := portPE[port]; p >= 0 {
+			s.PEs[p].dirty = true
+		} else {
+			for _, pe := range s.PEs {
+				pe.dirty = true
 			}
 		}
 		if s.tracer != nil {

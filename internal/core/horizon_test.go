@@ -110,9 +110,9 @@ func drmLatencyCase() horizonCase {
 			arr := sys.Backing.AllocWords(1 << 16)
 			addrQ := pe.DRM(0).In()
 			out := pe.AllocQueue("out", 16)
-			pe.DRM(0).Configure(DRMDereference, stage.LocalPort{Q: out})
+			pe.DRM(0).Configure(DRMDereference, stage.LocalOut(out))
 			got := 0
-			pe.AddStage(sinkStage("sink", stage.LocalPort{Q: out}, &got))
+			pe.AddStage(sinkStage("sink", stage.LocalIn(out), &got))
 			next := 0
 			refill := func() {
 				// Spread addresses across pages so every access cold-misses.
@@ -143,7 +143,8 @@ func stallCase() horizonCase {
 			q := pe.AllocQueue("q", 64)
 			n := 0
 			pe.AddStage(&stage.Stage{
-				Kernel: stage.KernelFunc{KernelName: "loads", Fn: func(c *stage.Ctx) stage.Status {
+				Name: "loads",
+				Fire: func(c *stage.Ctx) stage.Status {
 					tok, ok := c.In[0].Pop()
 					if !ok {
 						return stage.NoInput
@@ -151,9 +152,9 @@ func stallCase() horizonCase {
 					c.Load(arr + mem.Addr(tok.Value*4096))
 					n++
 					return stage.Fired
-				}},
+				},
 				Mapping: passDFG("loads"),
-				In:      []stage.InPort{stage.LocalPort{Q: q}},
+				In:      []stage.In{stage.LocalIn(q)},
 			})
 			for i := 0; i < 32; i++ {
 				q.Enq(queue.Data(uint64(i)))
@@ -173,8 +174,8 @@ func reconfigCase() horizonCase {
 			qa := pe.AllocQueue("qa", 4)
 			qb := pe.AllocQueue("qb", 4)
 			gotA, gotB := 0, 0
-			pe.AddStage(sinkStage("a", stage.LocalPort{Q: qa}, &gotA))
-			pe.AddStage(sinkStage("b", stage.LocalPort{Q: qb}, &gotB))
+			pe.AddStage(sinkStage("a", stage.LocalIn(qa), &gotA))
+			pe.AddStage(sinkStage("b", stage.LocalIn(qb), &gotB))
 			prog := 0
 			return ProgramFunc(func(*System) bool {
 				prog++
@@ -211,20 +212,22 @@ func gateCase(name string, gated, releaser int) horizonCase {
 			toFwd := sys.InterPEQueue(fwd, "keys", 4, 1)
 			toRel := sys.InterPEQueue(releaser, "vals", 4, 1)
 			drm := sys.PE(fwd).DRM(0)
-			drm.Configure(DRMDereference, stage.CreditOut{P: toRel.Port(0)})
+			drm.Configure(DRMDereference, stage.CreditOut(toRel.Port(0)))
 			sys.PE(releaser).AddStage(&stage.Stage{
-				Kernel: stage.KernelFunc{KernelName: "release", Fn: func(c *stage.Ctx) stage.Status {
+				Name: "release",
+				Fire: func(c *stage.Ctx) stage.Status {
 					if _, ok := c.In[0].Pop(); !ok {
 						return stage.NoInput
 					}
 					gate.Release()
 					return stage.Fired
-				}},
+				},
 				Mapping: passDFG("release"),
-				In:      []stage.InPort{stage.ArbiterPort{A: toRel}},
+				In:      []stage.In{stage.CreditedIn(toRel)},
 			})
 			sys.PE(gated).AddStage(&stage.Stage{
-				Kernel: stage.KernelFunc{KernelName: "gated", Fn: func(c *stage.Ctx) stage.Status {
+				Name: "gated",
+				Fire: func(c *stage.Ctx) stage.Status {
 					if gate.Full() {
 						return stage.Sleep
 					}
@@ -238,14 +241,15 @@ func gateCase(name string, gated, releaser int) horizonCase {
 					gate.Acquire()
 					c.Out[0].Push(tok)
 					return stage.Fired
-				}},
+				},
 				Mapping: passDFG("gated"),
-				In:      []stage.InPort{stage.LocalPort{Q: keys}},
-				Out:     []stage.OutPort{stage.CreditOut{P: toFwd.Port(0)}},
+				In:      []stage.In{stage.LocalIn(keys)},
+				Out:     []stage.Out{stage.CreditOut(toFwd.Port(0))},
 				Gate:    gate,
 			})
 			sys.PE(fwd).AddStage(&stage.Stage{
-				Kernel: stage.KernelFunc{KernelName: "fwd", Fn: func(c *stage.Ctx) stage.Status {
+				Name: "fwd",
+				Fire: func(c *stage.Ctx) stage.Status {
 					tok, ok := c.In[0].Peek()
 					if !ok {
 						return stage.NoInput
@@ -256,10 +260,10 @@ func gateCase(name string, gated, releaser int) horizonCase {
 					c.In[0].Pop()
 					c.Out[0].Push(queue.Data(uint64(arr) + tok.Value*4096))
 					return stage.Fired
-				}},
+				},
 				Mapping: passDFG("fwd"),
-				In:      []stage.InPort{stage.ArbiterPort{A: toFwd}},
-				Out:     []stage.OutPort{stage.LocalPort{Q: drm.In()}},
+				In:      []stage.In{stage.CreditedIn(toFwd)},
+				Out:     []stage.Out{stage.LocalOut(drm.In())},
 			})
 			return ProgramFunc(func(*System) bool { return false })
 		},
@@ -276,7 +280,7 @@ func outFullCase() horizonCase {
 			arr := sys.Backing.AllocSlice(make([]uint64, 256))
 			out := pe.AllocQueue("out", 2)
 			d := pe.DRM(0)
-			d.Configure(DRMScan, stage.LocalPort{Q: out})
+			d.Configure(DRMScan, stage.LocalOut(out))
 			d.In().Enq(queue.Data(uint64(arr)))
 			d.In().Enq(queue.Data(uint64(arr) + 256*mem.WordBytes))
 			// The sink only drains when poked by the control program, so the
@@ -284,7 +288,8 @@ func outFullCase() horizonCase {
 			gate := pe.AllocQueue("gate", 1)
 			got := 0
 			pe.AddStage(&stage.Stage{
-				Kernel: stage.KernelFunc{KernelName: "gated", Fn: func(c *stage.Ctx) stage.Status {
+				Name: "gated",
+				Fire: func(c *stage.Ctx) stage.Status {
 					if _, ok := c.In[1].Peek(); !ok {
 						return stage.NoInput
 					}
@@ -294,9 +299,9 @@ func outFullCase() horizonCase {
 					c.In[1].Pop()
 					got++
 					return stage.Fired
-				}},
+				},
 				Mapping: passDFG("gated"),
-				In:      []stage.InPort{stage.LocalPort{Q: out}, stage.LocalPort{Q: gate}},
+				In:      []stage.In{stage.LocalIn(out), stage.LocalIn(gate)},
 			})
 			return ProgramFunc(func(*System) bool {
 				if got >= 256 {
@@ -343,11 +348,12 @@ func stuckLastPE(t *testing.T, sys *System) Program {
 	q := pe.AllocQueue("q", 4)
 	q.Enq(queue.Data(1))
 	pe.AddStage(&stage.Stage{
-		Kernel: stage.KernelFunc{KernelName: "stuck", Fn: func(*stage.Ctx) stage.Status {
+		Name: "stuck",
+		Fire: func(*stage.Ctx) stage.Status {
 			return stage.NoOutput
-		}},
+		},
 		Mapping:   passDFG("stuck"),
-		In:        []stage.InPort{stage.LocalPort{Q: q}},
+		In:        []stage.In{stage.LocalIn(q)},
 		StateWork: func() int { return 1 },
 	})
 	return ProgramFunc(func(*System) bool { return false })
@@ -466,19 +472,20 @@ func TestFastForwardActuallySkips(t *testing.T) {
 			arr := sys.Backing.AllocWords(1 << 16)
 			addrQ := pe.DRM(0).In()
 			out := pe.AllocQueue("out", 16)
-			pe.DRM(0).Configure(DRMDereference, stage.LocalPort{Q: out})
+			pe.DRM(0).Configure(DRMDereference, stage.LocalOut(out))
 			count := 0
 			pe.AddStage(&stage.Stage{
-				Kernel: stage.KernelFunc{KernelName: "sink", Fn: func(c *stage.Ctx) stage.Status {
+				Name: "sink",
+				Fire: func(c *stage.Ctx) stage.Status {
 					ticks++
 					if _, ok := c.In[0].Pop(); !ok {
 						return stage.NoInput
 					}
 					count++
 					return stage.Fired
-				}},
+				},
 				Mapping: passDFG("sink"),
-				In:      []stage.InPort{stage.LocalPort{Q: out}},
+				In:      []stage.In{stage.LocalIn(out)},
 			})
 			for j := 0; j < 16; j++ {
 				addrQ.Enq(queue.Data(uint64(arr) + uint64(j*4096)))
@@ -491,7 +498,7 @@ func TestFastForwardActuallySkips(t *testing.T) {
 		t.Fatal(err)
 	}
 	if uint64(ticks) >= sys.Cycle {
-		t.Fatalf("kernel saw %d TryFire cycles over %d simulated cycles; fast-forward skipped nothing", ticks, sys.Cycle)
+		t.Fatalf("kernel saw %d Fire cycles over %d simulated cycles; fast-forward skipped nothing", ticks, sys.Cycle)
 	}
 	if sys.Cycle < 100 {
 		t.Fatalf("workload too short (%d cycles) to prove skipping", sys.Cycle)
@@ -511,15 +518,16 @@ func TestShardCorruptionParity(t *testing.T) {
 			q.Enq(queue.Data(uint64(i)))
 		}
 		pe.AddStage(&stage.Stage{
-			Kernel: stage.KernelFunc{KernelName: "corrupt", Fn: func(c *stage.Ctx) stage.Status {
+			Name: "corrupt",
+			Fire: func(c *stage.Ctx) stage.Status {
 				if c.Now == 300 {
 					panic(&queue.Corruption{Component: "corrupt", Detail: "synthetic"})
 				}
 				c.In[0].Pop()
 				return stage.Fired
-			}},
+			},
 			Mapping: passDFG("corrupt"),
-			In:      []stage.InPort{stage.LocalPort{Q: q}},
+			In:      []stage.In{stage.LocalIn(q)},
 		})
 		return ProgramFunc(func(*System) bool { return false })
 	}}

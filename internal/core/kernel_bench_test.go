@@ -11,7 +11,7 @@ import (
 // blockedPE builds a one-PE Fifer system whose four resident stages all
 // have input work but full outputs. Stage 0 starts with one free output
 // slot, so the first tick activates it and fills it; from then on every
-// tick takes the blocked path (TryFire fails, scanStages snapshots every
+// tick takes the blocked path (Fire fails, scanStages snapshots every
 // stage, the scheduler finds nothing ready) and changes nothing but the
 // CPI charge and the sliding cooldown.
 func blockedPE(b *testing.B) (*System, *PE) {
@@ -26,7 +26,7 @@ func blockedPE(b *testing.B) (*System, *PE) {
 		for out.Space() > 0 && !(i == 0 && out.Space() == 1) {
 			out.Enq(queue.Data(1))
 		}
-		pe.AddStage(passStage(fmt.Sprintf("s%d", i), stage.LocalPort{Q: in}, stage.LocalPort{Q: out}))
+		pe.AddStage(passStage(fmt.Sprintf("s%d", i), stage.LocalIn(in), stage.LocalOut(out)))
 	}
 	for now := uint64(0); now < 4; now++ {
 		pe.Tick(now)

@@ -85,14 +85,14 @@ func buildRandPipeline(sys *core.System, seed int64) *randPipeline {
 
 	// inbox[k] feeds stage k: a local queue for the head (the program seeds
 	// it directly), a credited queue for every later hop.
-	inPort := make([]stage.InPort, stages)
-	outPort := make([]stage.OutPort, stages) // producer-side port into inbox[k]
+	inPort := make([]stage.In, stages)
+	outPort := make([]stage.Out, stages) // producer-side port into inbox[k]
 	p.inbox0 = peOf(0).AllocQueue("in", 64)
-	inPort[0] = stage.LocalPort{Q: p.inbox0}
+	inPort[0] = stage.LocalIn(p.inbox0)
 	for k := 1; k < stages; k++ {
 		a := sys.InterPEQueue(chain[k%n], fmt.Sprintf("hop%d", k), 4+rng.Intn(9), 1)
-		inPort[k] = stage.ArbiterPort{A: a}
-		outPort[k] = stage.CreditOut{P: a.Port(0)}
+		inPort[k] = stage.CreditedIn(a)
+		outPort[k] = stage.CreditOut(a.Port(0))
 	}
 	// The reflection edge: the tail sends tokens with reflections left back
 	// to a mid-chain stage, which merges them into the forward flow.
@@ -101,9 +101,9 @@ func buildRandPipeline(sys *core.System, seed int64) *randPipeline {
 
 	for k := 0; k < stages-1; k++ {
 		pe := peOf(k)
-		ins := []stage.InPort{inPort[k]}
+		ins := []stage.In{inPort[k]}
 		if k == backIdx {
-			ins = append(ins, stage.ArbiterPort{A: backArb})
+			ins = append(ins, stage.CreditedIn(backArb))
 		}
 		fwd := func(c *stage.Ctx, v uint64) bool { return c.Out[0].Push(queue.Data(v)) }
 		switch rng.Intn(3) {
@@ -123,7 +123,7 @@ func buildRandPipeline(sys *core.System, seed int64) *randPipeline {
 			fwd = func(c *stage.Ctx, v uint64) bool {
 				return c.Out[0].Push(queue.Data(uint64(arr) + (v%ext)*8))
 			}
-			outPort[k+1] = stage.LocalPort{Q: d.In()}
+			outPort[k+1] = stage.LocalOut(d.In())
 		}
 		var gate *stage.Gate
 		if k == 0 {
@@ -131,7 +131,8 @@ func buildRandPipeline(sys *core.System, seed int64) *randPipeline {
 		}
 		name := fmt.Sprintf("hop%d", k)
 		pe.AddStage(&stage.Stage{
-			Kernel: stage.KernelFunc{KernelName: name, Fn: func(c *stage.Ctx) stage.Status {
+			Name: name,
+			Fire: func(c *stage.Ctx) stage.Status {
 				if gate != nil && gate.Full() {
 					return stage.Sleep
 				}
@@ -153,17 +154,18 @@ func buildRandPipeline(sys *core.System, seed int64) *randPipeline {
 					return stage.Fired
 				}
 				return stage.NoInput
-			}},
+			},
 			Mapping: passDFG(name),
 			In:      ins,
-			Out:     []stage.OutPort{outPort[k+1]},
+			Out:     []stage.Out{outPort[k+1]},
 			Gate:    gate,
 		})
 	}
 	// Tail: reflect tokens with reflections left, sink the rest.
-	backOut := stage.CreditOut{P: backArb.Port(0)}
+	backOut := stage.CreditOut(backArb.Port(0))
 	peOf(stages - 1).AddStage(&stage.Stage{
-		Kernel: stage.KernelFunc{KernelName: "tail", Fn: func(c *stage.Ctx) stage.Status {
+		Name: "tail",
+		Fire: func(c *stage.Ctx) stage.Status {
 			t, ok := c.In[0].Peek()
 			if !ok {
 				return stage.NoInput
@@ -178,9 +180,9 @@ func buildRandPipeline(sys *core.System, seed int64) *randPipeline {
 			}
 			c.In[0].Pop()
 			return stage.Fired
-		}},
+		},
 		Mapping: passDFG("tail"),
-		In:      []stage.InPort{inPort[stages-1]},
+		In:      []stage.In{inPort[stages-1]},
 	})
 	p.gate.Limit = 1 + rng.Intn(8)
 	return p

@@ -21,8 +21,8 @@ func tickBatch(cfg Config) (run func(), sys *System) {
 	q1 := pe.AllocQueue("q1", 8)
 	q2 := pe.AllocQueue("q2", 8)
 	got := 0
-	pe.AddStage(passStage("fwd", stage.LocalPort{Q: q1}, stage.LocalPort{Q: q2}))
-	pe.AddStage(sinkStage("sink", stage.LocalPort{Q: q2}, &got))
+	pe.AddStage(passStage("fwd", stage.LocalIn(q1), stage.LocalOut(q2)))
+	pe.AddStage(sinkStage("sink", stage.LocalIn(q2), &got))
 	return func() {
 		fed := 0
 		for i := 0; i < 2000; i++ {

@@ -115,16 +115,11 @@ func (p *PE) DRM(i int) *DRM { return p.DRMs[i] }
 
 // AddStage makes a stage resident on this PE. In static mode, at most one
 // stage may be resident (the hardware has a single configuration and no
-// scheduler). It panics on a port type the stage package cannot read
-// through (stage.Bind): parking is correct only for state the exchange
-// hooks see change.
+// scheduler).
 func (p *PE) AddStage(s *stage.Stage) {
 	if p.cfg.Mode == ModeStatic && len(p.stages) >= 1 {
 		panic(fmt.Sprintf("pe%d: static pipeline allows one stage per PE; %q would be the second",
-			p.ID, s.Name()))
-	}
-	if err := s.Bind(); err != nil {
-		panic(fmt.Sprintf("pe%d: %v", p.ID, err))
+			p.ID, s.Name))
 	}
 	if s.Gate != nil {
 		// A release, like a credit return, is an arrival only the gated
@@ -215,7 +210,7 @@ func (p *PE) tickFabric(now uint64) (uint64, inertBucket, bool) {
 	}
 	if p.pending >= 0 {
 		if p.sys.tracer != nil {
-			p.trace(now, trace.KindReconfigEnd, p.stages[p.pending].Name(), uint64(p.pending))
+			p.trace(now, trace.KindReconfigEnd, p.stages[p.pending].Name, uint64(p.pending))
 		}
 		p.activate(now, p.pending)
 		p.pending = -1
@@ -244,7 +239,7 @@ func (p *PE) tickFabric(now uint64) (uint64, inertBucket, bool) {
 	p.ctx.FiredCtrl = false
 	width := s.Width()
 	for i := 0; i < width; i++ {
-		st := s.Kernel.TryFire(&p.ctx)
+		st := s.Fire(&p.ctx)
 		if st != stage.Fired {
 			if i == 0 {
 				blocked = st
@@ -340,7 +335,7 @@ func (p *PE) beginReconfig(now uint64, next int) {
 	p.SumReconfig += period
 	p.Reconfigs++
 	if p.sys.tracer != nil {
-		p.trace(now, trace.KindReconfigBegin, p.stages[next].Name(), period)
+		p.trace(now, trace.KindReconfigBegin, p.stages[next].Name, period)
 	}
 }
 
@@ -377,7 +372,7 @@ func (p *PE) activate(now uint64, idx int) {
 	s := p.stages[idx]
 	p.ctx.In, p.ctx.Out, p.ctx.Mem = s.In, s.Out, p.Mem
 	if p.sys.tracer != nil {
-		p.trace(now, trace.KindStageSwitch, s.Name(), uint64(idx))
+		p.trace(now, trace.KindStageSwitch, s.Name, uint64(idx))
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,9 +13,10 @@ import (
 
 // mulStage pops one token and pushes it twice — token multiplication, so a
 // ring of mulStages inevitably fills its queues and deadlocks on credits.
-func mulStage(name string, in stage.InPort, out stage.OutPort) *stage.Stage {
+func mulStage(name string, in stage.In, out stage.Out) *stage.Stage {
 	return &stage.Stage{
-		Kernel: stage.KernelFunc{KernelName: name, Fn: func(c *stage.Ctx) stage.Status {
+		Name: name,
+		Fire: func(c *stage.Ctx) stage.Status {
 			t, ok := c.In[0].Peek()
 			if !ok {
 				return stage.NoInput
@@ -28,10 +28,10 @@ func mulStage(name string, in stage.InPort, out stage.OutPort) *stage.Stage {
 			c.Out[0].Push(t)
 			c.Out[0].Push(t)
 			return stage.Fired
-		}},
+		},
 		Mapping: passDFG(name),
-		In:      []stage.InPort{in},
-		Out:     []stage.OutPort{out},
+		In:      []stage.In{in},
+		Out:     []stage.Out{out},
 	}
 }
 
@@ -49,8 +49,8 @@ func TestWatchdogReportsCreditCycleDeadlock(t *testing.T) {
 	// pe1 stage); ring1 lives on pe1 fed by the pe0 stage.
 	ring0 := sys.InterPEQueue(0, "ring0", 16, 2)
 	ring1 := sys.InterPEQueue(1, "ring1", 16, 1)
-	sys.PE(0).AddStage(mulStage("mul0", stage.ArbiterPort{A: ring0}, stage.CreditOut{P: ring1.Port(0)}))
-	sys.PE(1).AddStage(mulStage("mul1", stage.ArbiterPort{A: ring1}, stage.CreditOut{P: ring0.Port(1)}))
+	sys.PE(0).AddStage(mulStage("mul0", stage.CreditedIn(ring0), stage.CreditOut(ring1.Port(0))))
+	sys.PE(1).AddStage(mulStage("mul1", stage.CreditedIn(ring1), stage.CreditOut(ring0.Port(1))))
 	if !ring0.Port(0).Send(queue.Data(1)) {
 		t.Fatal("seed send failed")
 	}
@@ -102,11 +102,12 @@ func TestMaxCyclesMessageCarriesBlockedSummary(t *testing.T) {
 	q := pe.AllocQueue("qstuck", 4)
 	q.Enq(queue.Data(1))
 	pe.AddStage(&stage.Stage{
-		Kernel: stage.KernelFunc{KernelName: "stuck", Fn: func(*stage.Ctx) stage.Status {
+		Name: "stuck",
+		Fire: func(*stage.Ctx) stage.Status {
 			return stage.NoOutput
-		}},
+		},
 		Mapping:   passDFG("stuck"),
-		In:        []stage.InPort{stage.LocalPort{Q: q}},
+		In:        []stage.In{stage.LocalIn(q)},
 		StateWork: func() int { return 1 },
 	})
 	_, err := sys.Run(ProgramFunc(func(*System) bool { return false }))
@@ -134,7 +135,7 @@ func TestRunRecoversQueueCorruption(t *testing.T) {
 		src.Enq(queue.Data(uint64(i)))
 	}
 	arb := sys.InterPEQueue(0, "cq", 4, 1)
-	pe.AddStage(passStage("send", stage.LocalPort{Q: src}, stage.CreditOut{P: arb.Port(0)}))
+	pe.AddStage(passStage("send", stage.LocalIn(src), stage.CreditOut(arb.Port(0))))
 	sys.OnCycle(func(s *System, now uint64) {
 		if now == 100 {
 			arb.Port(0).FaultAdjustCredits(+1)
@@ -161,8 +162,8 @@ func TestAuditLiveCleanOnHealthySystem(t *testing.T) {
 		q1 := pe.AllocQueue("q1", 32)
 		q2 := pe.AllocQueue("q2", 32)
 		got := 0
-		pe.AddStage(passStage("fwd", stage.LocalPort{Q: q1}, stage.LocalPort{Q: q2}))
-		pe.AddStage(sinkStage("sink", stage.LocalPort{Q: q2}, &got))
+		pe.AddStage(passStage("fwd", stage.LocalIn(q1), stage.LocalOut(q2)))
+		pe.AddStage(sinkStage("sink", stage.LocalIn(q2), &got))
 		for i := 0; i < 30; i++ {
 			q1.Enq(queue.Data(uint64(i)))
 		}
@@ -247,7 +248,8 @@ func gatedPair(sys *System, release func(g *stage.Gate) stage.Status) {
 	}
 	toPE1 := sys.InterPEQueue(1, "sent", 8, 1)
 	sys.PE(0).AddStage(&stage.Stage{
-		Kernel: stage.KernelFunc{KernelName: "gated", Fn: func(c *stage.Ctx) stage.Status {
+		Name: "gated",
+		Fire: func(c *stage.Ctx) stage.Status {
 			if gate.Full() {
 				return stage.Sleep
 			}
@@ -261,14 +263,15 @@ func gatedPair(sys *System, release func(g *stage.Gate) stage.Status) {
 			c.In[0].Pop()
 			gate.Acquire()
 			return stage.Fired
-		}},
+		},
 		Mapping: passDFG("gated"),
-		In:      []stage.InPort{stage.LocalPort{Q: keys}},
-		Out:     []stage.OutPort{stage.CreditOut{P: toPE1.Port(0)}},
+		In:      []stage.In{stage.LocalIn(keys)},
+		Out:     []stage.Out{stage.CreditOut(toPE1.Port(0))},
 		Gate:    gate,
 	})
 	sys.PE(1).AddStage(&stage.Stage{
-		Kernel: stage.KernelFunc{KernelName: "release", Fn: func(c *stage.Ctx) stage.Status {
+		Name: "release",
+		Fire: func(c *stage.Ctx) stage.Status {
 			if _, ok := c.In[0].Peek(); !ok {
 				return stage.NoInput
 			}
@@ -277,9 +280,9 @@ func gatedPair(sys *System, release func(g *stage.Gate) stage.Status) {
 				c.In[0].Pop()
 			}
 			return st
-		}},
+		},
 		Mapping: passDFG("release"),
-		In:      []stage.InPort{stage.ArbiterPort{A: toPE1}},
+		In:      []stage.In{stage.CreditedIn(toPE1)},
 	})
 }
 
@@ -325,43 +328,5 @@ func TestAuditCatchesDoubleRelease(t *testing.T) {
 	_, err := sys.Run(ProgramFunc(func(*System) bool { return false }))
 	if !errors.Is(err, ErrInvariant) || !strings.Contains(err.Error(), "gate-count: pe0/gated: gate holds -") {
 		t.Fatalf("err = %v, want an ErrInvariant gate-count violation", err)
-	}
-}
-
-// TestAddStageRejectsUnknownPorts checks that a stage or DRM wired to a
-// port type the stage package cannot read through is refused at build
-// time, naming the stage (or DRM) and the port, rather than run.
-func TestAddStageRejectsUnknownPorts(t *testing.T) {
-	sys := NewSystem(testConfig(1))
-	pe := sys.PE(0)
-	q := pe.AllocQueue("q", 4)
-	type wrapped struct{ stage.LocalPort }
-	for _, tc := range []struct {
-		name, want string
-		wire       func()
-	}{
-		{"in-port", `pe0: stage "in": in-port 0 (pe0.q) has unsupported type core.wrapped`, func() {
-			got := 0
-			pe.AddStage(sinkStage("in", wrapped{stage.LocalPort{Q: q}}, &got))
-		}},
-		{"out-port", `pe0: stage "out": out-port 0 (pe0.q) has unsupported type core.wrapped`, func() {
-			pe.AddStage(passStage("out", stage.LocalPort{Q: q}, wrapped{stage.LocalPort{Q: q}}))
-		}},
-		{"drm", "pe0.drm0: output port pe0.q has unsupported type core.wrapped", func() {
-			pe.DRM(0).Configure(DRMDereference, wrapped{stage.LocalPort{Q: q}})
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				r := recover()
-				if msg := fmt.Sprint(r); msg != tc.want {
-					t.Errorf("panic %q, want %q", msg, tc.want)
-				}
-			}()
-			tc.wire()
-		})
-	}
-	if len(pe.Stages()) != 0 {
-		t.Errorf("%d rejected stages were made resident", len(pe.Stages()))
 	}
 }

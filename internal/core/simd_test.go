@@ -29,7 +29,7 @@ func TestSIMDGroupsFiringsPerCycle(t *testing.T) {
 		pe := sys.PE(0)
 		q := pe.AllocQueue("q", 512)
 		got := 0
-		s := sinkStage("sink", stage.LocalPort{Q: q}, &got)
+		s := sinkStage("sink", stage.LocalIn(q), &got)
 		if replicate {
 			s.Mapping = wideDFG("sink")
 		}
@@ -61,7 +61,8 @@ func TestControlValuesHandledSerially(t *testing.T) {
 		q := pe.AllocQueue("q", 512)
 		got := 0
 		s := &stage.Stage{
-			Kernel: stage.KernelFunc{KernelName: "sink", Fn: func(c *stage.Ctx) stage.Status {
+			Name: "sink",
+			Fire: func(c *stage.Ctx) stage.Status {
 				tok, ok := c.In[0].Pop()
 				if !ok {
 					return stage.NoInput
@@ -71,9 +72,9 @@ func TestControlValuesHandledSerially(t *testing.T) {
 				}
 				got++
 				return stage.Fired
-			}},
+			},
 			Mapping: wideDFG("sink"),
-			In:      []stage.InPort{stage.LocalPort{Q: q}},
+			In:      []stage.In{stage.LocalIn(q)},
 		}
 		pe.AddStage(s)
 		for i := 0; i < 400; i++ {
@@ -107,9 +108,9 @@ func TestSchedulerCooldownBreaksPingPong(t *testing.T) {
 	qb := pe.AllocQueue("qb", 8)
 	got := 0
 	// Stage A: forwards qa -> qb (big backlog on qa, tiny qb).
-	pe.AddStage(passStage("a", stage.LocalPort{Q: qa}, stage.LocalPort{Q: qb}))
+	pe.AddStage(passStage("a", stage.LocalIn(qa), stage.LocalOut(qb)))
 	// Stage B: drains qb.
-	pe.AddStage(sinkStage("b", stage.LocalPort{Q: qb}, &got))
+	pe.AddStage(sinkStage("b", stage.LocalIn(qb), &got))
 	for i := 0; i < 128; i++ {
 		qa.Enq(queue.Data(uint64(i)))
 	}
@@ -126,7 +127,7 @@ func TestDumpRendersState(t *testing.T) {
 	pe := sys.PE(0)
 	q := pe.AllocQueue("q", 8)
 	got := 0
-	pe.AddStage(sinkStage("sink", stage.LocalPort{Q: q}, &got))
+	pe.AddStage(sinkStage("sink", stage.LocalIn(q), &got))
 	q.Enq(queue.Data(1))
 	out := sys.Dump()
 	if !strings.Contains(out, "pe0") || !strings.Contains(out, "sink") {

@@ -126,7 +126,7 @@ func (s *System) WaitFor() []WaitEdge {
 			})
 		}
 		for _, st := range pe.stages {
-			waiter := peName + "/" + st.Name()
+			waiter := peName + "/" + st.Name
 			if g := st.Gate; g != nil && g.Full() {
 				// A full gate hides queued input from InputWork.
 				for _, in := range st.In {
@@ -187,7 +187,7 @@ func (s *System) WaitFor() []WaitEdge {
 				continue
 			}
 			switch {
-			case d.out != nil && d.out.Space() == 0:
+			case d.out.Space() == 0:
 				edges = append(edges, WaitEdge{
 					Waiter:  d.Name(),
 					WaitsOn: d.out.Name(),

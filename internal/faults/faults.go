@@ -79,7 +79,7 @@ func (f StuckStage) Name() string {
 	return fmt.Sprintf("stuck-stage(pe%d/stage%d@%d)", f.PE, f.Stage, f.At)
 }
 
-// Arm wraps the target stage's kernel with the fault gate. The gate is
+// Arm wraps the target stage's Fire with the fault gate. The gate is
 // thrown from the per-cycle hook, like every other fault: a kernel whose
 // status changed with the clock alone would be invisible to a PE parked
 // before the trigger cycle.
@@ -92,14 +92,14 @@ func (f StuckStage) Arm(sys *core.System) error {
 		return fmt.Errorf("pe%d has no stage %d", f.PE, f.Stage)
 	}
 	st := stages[f.Stage]
-	healthy := st.Kernel
+	healthy := st.Fire
 	stuck := false
-	st.Kernel = stage.KernelFunc{KernelName: healthy.Name(), Fn: func(c *stage.Ctx) stage.Status {
+	st.Fire = func(c *stage.Ctx) stage.Status {
 		if stuck {
 			return stage.NoOutput // hung datapath: work visible, nothing moves
 		}
-		return healthy.TryFire(c)
-	}}
+		return healthy(c)
+	}
 	sys.OnCycle(func(_ *core.System, now uint64) {
 		stuck = now >= f.At
 	})

@@ -36,9 +36,10 @@ func passDFG(name string) *cgra.Mapping {
 }
 
 // passStage forwards one token per firing from in to out.
-func passStage(name string, in stage.InPort, out stage.OutPort) *stage.Stage {
+func passStage(name string, in stage.In, out stage.Out) *stage.Stage {
 	return &stage.Stage{
-		Kernel: stage.KernelFunc{KernelName: name, Fn: func(c *stage.Ctx) stage.Status {
+		Name: name,
+		Fire: func(c *stage.Ctx) stage.Status {
 			t, ok := c.In[0].Peek()
 			if !ok {
 				return stage.NoInput
@@ -49,24 +50,25 @@ func passStage(name string, in stage.InPort, out stage.OutPort) *stage.Stage {
 			c.In[0].Pop()
 			c.Out[0].Push(t)
 			return stage.Fired
-		}},
+		},
 		Mapping: passDFG(name),
-		In:      []stage.InPort{in},
-		Out:     []stage.OutPort{out},
+		In:      []stage.In{in},
+		Out:     []stage.Out{out},
 	}
 }
 
 // sinkStage drains its input.
-func sinkStage(name string, in stage.InPort) *stage.Stage {
+func sinkStage(name string, in stage.In) *stage.Stage {
 	return &stage.Stage{
-		Kernel: stage.KernelFunc{KernelName: name, Fn: func(c *stage.Ctx) stage.Status {
+		Name: name,
+		Fire: func(c *stage.Ctx) stage.Status {
 			if _, ok := c.In[0].Pop(); !ok {
 				return stage.NoInput
 			}
 			return stage.Fired
-		}},
+		},
 		Mapping: passDFG(name),
-		In:      []stage.InPort{in},
+		In:      []stage.In{in},
 	}
 }
 
@@ -79,8 +81,8 @@ func fwdSinkSystem(t *testing.T, cfg core.Config) *core.System {
 	pe := sys.PE(0)
 	q1 := pe.AllocQueue("q1", 512)
 	q2 := pe.AllocQueue("q2", 16)
-	pe.AddStage(passStage("fwd", stage.LocalPort{Q: q1}, stage.LocalPort{Q: q2}))
-	pe.AddStage(sinkStage("sink", stage.LocalPort{Q: q2}))
+	pe.AddStage(passStage("fwd", stage.LocalIn(q1), stage.LocalOut(q2)))
+	pe.AddStage(sinkStage("sink", stage.LocalIn(q2)))
 	for i := 0; i < 400; i++ {
 		q1.Enq(queue.Data(uint64(i)))
 	}
@@ -145,8 +147,8 @@ func TestWithheldCreditsTripsAudit(t *testing.T) {
 		src.Enq(queue.Data(uint64(i)))
 	}
 	xq := sys.InterPEQueue(1, "xq", 8, 1)
-	sys.PE(0).AddStage(passStage("send", stage.LocalPort{Q: src}, stage.CreditOut{P: xq.Port(0)}))
-	sys.PE(1).AddStage(sinkStage("recv", stage.ArbiterPort{A: xq}))
+	sys.PE(0).AddStage(passStage("send", stage.LocalIn(src), stage.CreditOut(xq.Port(0))))
+	sys.PE(1).AddStage(sinkStage("recv", stage.CreditedIn(xq)))
 
 	plan := faults.NewPlan(2)
 	plan.Add(faults.WithheldCredits{Arbiter: 0, Port: 0, N: 2, At: 100})
@@ -180,7 +182,7 @@ func TestDroppedGrantTripsAudit(t *testing.T) {
 	// No consumer on pe1: the 4-slot queue fills with credited tokens, so the
 	// injector finds its unambiguous all-credited state quickly.
 	xq := sys.InterPEQueue(1, "xq", 4, 1)
-	sys.PE(0).AddStage(passStage("send", stage.LocalPort{Q: src}, stage.CreditOut{P: xq.Port(0)}))
+	sys.PE(0).AddStage(passStage("send", stage.LocalIn(src), stage.CreditOut(xq.Port(0))))
 
 	plan := faults.NewPlan(3)
 	plan.Add(faults.DroppedGrant{Arbiter: 0, At: 50})
@@ -251,9 +253,9 @@ func TestStalledDRMTripsWatchdog(t *testing.T) {
 	addrs := pe.AllocQueue("addrs", 512)
 	vals := pe.AllocQueue("vals", 16)
 	d := pe.DRM(0)
-	d.Configure(core.DRMDereference, stage.LocalPort{Q: vals})
-	pe.AddStage(passStage("feed", stage.LocalPort{Q: addrs}, d.InPort()))
-	pe.AddStage(sinkStage("sink", stage.LocalPort{Q: vals}))
+	d.Configure(core.DRMDereference, stage.LocalOut(vals))
+	pe.AddStage(passStage("feed", stage.LocalIn(addrs), d.Feed()))
+	pe.AddStage(sinkStage("sink", stage.LocalIn(vals)))
 	for i := range arr {
 		addrs.Enq(queue.Data(uint64(base) + uint64(i*mem.WordBytes)))
 	}
@@ -388,8 +390,8 @@ func TestShardedDetectorParity(t *testing.T) {
 					src.Enq(queue.Data(uint64(i)))
 				}
 				xq := sys.InterPEQueue(3, "xq", 8, 1)
-				sys.PE(0).AddStage(passStage("send", stage.LocalPort{Q: src}, stage.CreditOut{P: xq.Port(0)}))
-				sys.PE(3).AddStage(sinkStage("recv", stage.ArbiterPort{A: xq}))
+				sys.PE(0).AddStage(passStage("send", stage.LocalIn(src), stage.CreditOut(xq.Port(0))))
+				sys.PE(3).AddStage(sinkStage("recv", stage.CreditedIn(xq)))
 				plan := faults.NewPlan(2)
 				plan.Add(faults.WithheldCredits{Arbiter: 0, Port: 0, N: 2, At: 100})
 				return sys, plan
@@ -409,7 +411,7 @@ func TestShardedDetectorParity(t *testing.T) {
 					src.Enq(queue.Data(uint64(i)))
 				}
 				xq := sys.InterPEQueue(2, "xq", 4, 1)
-				sys.PE(0).AddStage(passStage("send", stage.LocalPort{Q: src}, stage.CreditOut{P: xq.Port(0)}))
+				sys.PE(0).AddStage(passStage("send", stage.LocalIn(src), stage.CreditOut(xq.Port(0))))
 				plan := faults.NewPlan(3)
 				plan.Add(faults.DroppedGrant{Arbiter: 0, At: 50})
 				return sys, plan
@@ -447,9 +449,9 @@ func TestShardedDetectorParity(t *testing.T) {
 				addrs := pe.AllocQueue("addrs", 512)
 				vals := pe.AllocQueue("vals", 16)
 				d := pe.DRM(0)
-				d.Configure(core.DRMDereference, stage.LocalPort{Q: vals})
-				pe.AddStage(passStage("feed", stage.LocalPort{Q: addrs}, d.InPort()))
-				pe.AddStage(sinkStage("sink", stage.LocalPort{Q: vals}))
+				d.Configure(core.DRMDereference, stage.LocalOut(vals))
+				pe.AddStage(passStage("feed", stage.LocalIn(addrs), d.Feed()))
+				pe.AddStage(sinkStage("sink", stage.LocalIn(vals)))
 				for i := range arr {
 					addrs.Enq(queue.Data(uint64(base) + uint64(i*mem.WordBytes)))
 				}

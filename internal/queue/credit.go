@@ -34,9 +34,6 @@ func (p *CreditPort) Send(t Token) bool {
 		p.Stalls++
 		return false
 	}
-	if p.arb.send != nil {
-		p.arb.send(p.index)
-	}
 	if !p.arb.dst.Enq(t) {
 		// Credits are supposed to make this impossible; a failure here means
 		// credit accounting is broken. Raised as a typed Corruption so the
@@ -60,28 +57,20 @@ type Arbiter struct {
 	ports   []*CreditPort
 	senders senderRing // port index of each buffered credited token, FIFO
 
-	// credit, when non-nil, observes credit movements: f(port, true) when a
-	// send consumes one of port's credits, f(port, false) when a consumer
-	// dequeue returns one. Nil costs one branch per send and per credited
-	// dequeue.
+	// credit, when non-nil, observes credit movements: f(port, true) after
+	// a send's token has landed in the destination queue and consumed one
+	// of port's credits, f(port, false) after a consumer dequeue returns
+	// one. Rejected sends (no credits) never invoke it. The simulation
+	// kernel uses it to mark the PE that must tick next: the consumer on a
+	// grant, the producer on a return. Nil costs one branch per send and
+	// per credited dequeue.
 	credit func(port int, granted bool)
-
-	// send, when non-nil, runs at the top of every successful Send, BEFORE
-	// the token lands in the destination queue. The simulation kernel uses
-	// it to settle a parked consumer's deferred per-cycle accounting and to
-	// mark the consumer for ticking; rejected sends (no credits) never
-	// invoke it. Nil costs one branch per send.
-	send func(port int)
 }
 
 // SetCreditHook registers f to observe credit grants (sends) and returns
 // (consumer dequeues) on this arbiter; see the credit field for the
 // callback contract.
 func (a *Arbiter) SetCreditHook(f func(port int, granted bool)) { a.credit = f }
-
-// SetSendHook registers f to run before each successful send's enqueue; see
-// the send field for the callback contract.
-func (a *Arbiter) SetSendHook(f func(port int)) { a.send = f }
 
 // NewArbiter wraps dst with credit flow control for nproducers producers.
 // Credits are divided evenly; remainders go to the lowest-numbered ports,

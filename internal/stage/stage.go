@@ -9,8 +9,6 @@
 package stage
 
 import (
-	"fmt"
-
 	"fifer/internal/cgra"
 	"fifer/internal/mem"
 	"fifer/internal/queue"
@@ -45,65 +43,84 @@ func (s Status) String() string {
 	return "unknown"
 }
 
-// InPort is the consumer side of a channel: a local queue, or the arbiter of
-// a credited inter-PE queue. Name, here and on OutPort, names the queue the
-// port fronts, for deadlock diagnostics.
-type InPort interface {
-	Len() int
-	Peek() (queue.Token, bool)
-	PeekAt(i int) (queue.Token, bool)
-	Pop() (queue.Token, bool)
-	Name() string
+// In is the consumer end of a channel: a queue in the stage's own PE's
+// queue memory (Sec. 5.3), or a credited inter-PE queue (Sec. 5.6) read
+// through its Arbiter so that dequeues return credits. Those are the only
+// channels whose readiness changes the parking kernel can see (DESIGN.md
+// §10), so they are the only ones that can be built.
+type In struct {
+	q   *queue.Queue
+	arb *queue.Arbiter // nil for a local queue
 }
 
-// OutPort is the producer side of a channel: a local queue, a credit port
-// into another PE, or a DRM's address queue.
-type OutPort interface {
-	// Space returns how many tokens can currently be pushed.
-	Space() int
-	// Push delivers a token; it returns false when no space (or credit) is
-	// available, without side effects.
-	Push(t queue.Token) bool
-	Name() string
+// LocalIn reads a queue on the stage's own PE.
+func LocalIn(q *queue.Queue) In { return In{q: q} }
+
+// CreditedIn reads a credited inter-PE queue through its arbiter.
+func CreditedIn(a *queue.Arbiter) In { return In{q: a.Queue(), arb: a} }
+
+func (p In) Len() int                         { return p.q.Len() }
+func (p In) Peek() (queue.Token, bool)        { return p.q.Peek() }
+func (p In) PeekAt(i int) (queue.Token, bool) { return p.q.PeekAt(i) }
+
+// Name names the queue, for deadlock diagnostics.
+func (p In) Name() string { return p.q.Name() }
+
+// Pop dequeues the head token, returning its credit when the queue is
+// credited.
+func (p In) Pop() (queue.Token, bool) {
+	if p.arb != nil {
+		return p.arb.Deq()
+	}
+	return p.q.Deq()
 }
 
-// LocalPort adapts a *queue.Queue to both port interfaces (intra-PE queues,
-// Sec. 5.3).
-type LocalPort struct{ Q *queue.Queue }
-
-func (p LocalPort) Len() int                         { return p.Q.Len() }
-func (p LocalPort) Peek() (queue.Token, bool)        { return p.Q.Peek() }
-func (p LocalPort) PeekAt(i int) (queue.Token, bool) { return p.Q.PeekAt(i) }
-func (p LocalPort) Pop() (queue.Token, bool)         { return p.Q.Deq() }
-func (p LocalPort) Space() int                       { return p.Q.Space() }
-func (p LocalPort) Push(t queue.Token) bool          { return p.Q.Enq(t) }
-func (p LocalPort) Name() string                     { return p.Q.Name() }
-
-// ArbiterPort adapts the consumer side of a credited queue: dequeues return
-// credits to producers.
-type ArbiterPort struct{ A *queue.Arbiter }
-
-func (p ArbiterPort) Len() int                         { return p.A.Queue().Len() }
-func (p ArbiterPort) Peek() (queue.Token, bool)        { return p.A.Queue().Peek() }
-func (p ArbiterPort) PeekAt(i int) (queue.Token, bool) { return p.A.Queue().PeekAt(i) }
-func (p ArbiterPort) Pop() (queue.Token, bool)         { return p.A.Deq() }
-func (p ArbiterPort) Name() string                     { return p.A.Queue().Name() }
-
-// CreditOut adapts a producer-side credit port.
-type CreditOut struct{ P *queue.CreditPort }
-
-func (p CreditOut) Space() int {
-	return p.P.Credits()
+// Out is the producer end of a channel: a queue on the producer's own PE
+// (a DRM's address queue is one), or a credit port into another PE's
+// queue.
+type Out struct {
+	q    *queue.Queue
+	port *queue.CreditPort // nil for a local queue
 }
-func (p CreditOut) Push(t queue.Token) bool { return p.P.Send(t) }
-func (p CreditOut) Name() string            { return p.P.DestName() }
+
+// LocalOut pushes into a queue on the producer's own PE.
+func LocalOut(q *queue.Queue) Out { return Out{q: q} }
+
+// CreditOut sends through a credit port into another PE's queue.
+func CreditOut(p *queue.CreditPort) Out { return Out{port: p} }
+
+// Space returns how many tokens can currently be pushed: free slots, or
+// credits.
+func (p Out) Space() int {
+	if p.port != nil {
+		return p.port.Credits()
+	}
+	return p.q.Space()
+}
+
+// Push delivers a token; it returns false when no space (or credit) is
+// available, without side effects.
+func (p Out) Push(t queue.Token) bool {
+	if p.port != nil {
+		return p.port.Send(t)
+	}
+	return p.q.Enq(t)
+}
+
+// Name names the destination queue, for deadlock diagnostics.
+func (p Out) Name() string {
+	if p.port != nil {
+		return p.port.DestName()
+	}
+	return p.q.Name()
+}
 
 // Ctx is the environment of one firing attempt. The PE populates it each
 // cycle; kernels use it to touch queues and memory.
 type Ctx struct {
 	Now uint64
-	In  []InPort
-	Out []OutPort
+	In  []In
+	Out []Out
 	Mem *mem.Port
 
 	// ExtraStall accumulates coupled-load miss penalties incurred by this
@@ -135,24 +152,6 @@ func (c *Ctx) Store(a mem.Addr, v uint64) {
 	}
 }
 
-// Kernel is the functional behavior of a stage. TryFire attempts exactly one
-// firing (one token group through the datapath). Kernels must be
-// transactional: either complete a firing, or return a non-Fired status
-// having consumed nothing.
-type Kernel interface {
-	Name() string
-	TryFire(c *Ctx) Status
-}
-
-// KernelFunc adapts a function to the Kernel interface.
-type KernelFunc struct {
-	KernelName string
-	Fn         func(c *Ctx) Status
-}
-
-func (k KernelFunc) Name() string          { return k.KernelName }
-func (k KernelFunc) TryFire(c *Ctx) Status { return k.Fn(c) }
-
 // Gate is a counting throttle for a cyclic pipeline (Silo's traversal
 // loop): the gated stage Acquires a slot per unit of work it admits into
 // the loop, a later stage Releases it when the work leaves, and a full gate
@@ -181,13 +180,17 @@ func (g *Gate) Release() {
 // gated stage uses it to learn that the stage may have become ready.
 func (g *Gate) OnRelease(f func()) { g.onRelease = append(g.onRelease, f) }
 
-// Stage is a kernel bound to its CGRA mapping and channel endpoints,
-// ready to be scheduled onto a PE.
+// Stage is a kernel bound to its CGRA mapping and channel ends, ready to be
+// scheduled onto a PE.
 type Stage struct {
-	Kernel  Kernel
+	Name string
+	// Fire is the kernel: it attempts exactly one firing (one token group
+	// through the datapath). It must be transactional: either complete a
+	// firing, or return a non-Fired status having consumed nothing.
+	Fire    func(c *Ctx) Status
 	Mapping *cgra.Mapping
-	In      []InPort
-	Out     []OutPort
+	In      []In
+	Out     []Out
 
 	// StateWork, when non-nil, reports work held in the stage's fabric
 	// registers (e.g. the remainder of an active edge-list scan) that queue
@@ -201,50 +204,7 @@ type Stage struct {
 
 	// Firings counts successful firings (for utilization stats).
 	Firings uint64
-
-	// Devirtualized port caches, set by Bind (ports are wired by struct
-	// literal and never reassigned afterwards). The per-cycle hot paths —
-	// InputWork and OutputsBlocked run for every resident stage on every
-	// blocked cycle — read occupancy through these concrete pointers
-	// instead of interface dispatch.
-	inQs    []*queue.Queue      // LocalPort / ArbiterPort input backing queues
-	outQs   []*queue.Queue      // LocalPort output backing queues
-	outCred []*queue.CreditPort // CreditOut output ports
 }
-
-// Bind resolves the ports to their backing queues and credit ports, and
-// fails on any other port type: a kernel that parks idle PEs cannot see
-// readiness hidden behind one. PE.AddStage calls it; InputWork,
-// OutputsBlocked and Ready are valid only after it succeeds.
-func (s *Stage) Bind() error {
-	s.inQs = make([]*queue.Queue, len(s.In))
-	for i, in := range s.In {
-		switch p := in.(type) {
-		case LocalPort:
-			s.inQs[i] = p.Q
-		case ArbiterPort:
-			s.inQs[i] = p.A.Queue()
-		default:
-			return fmt.Errorf("stage %q: in-port %d (%s) has unsupported type %T", s.Name(), i, in.Name(), in)
-		}
-	}
-	s.outQs = make([]*queue.Queue, len(s.Out))
-	s.outCred = make([]*queue.CreditPort, len(s.Out))
-	for i, out := range s.Out {
-		switch p := out.(type) {
-		case LocalPort:
-			s.outQs[i] = p.Q
-		case CreditOut:
-			s.outCred[i] = p.P
-		default:
-			return fmt.Errorf("stage %q: out-port %d (%s) has unsupported type %T", s.Name(), i, out.Name(), out)
-		}
-	}
-	return nil
-}
-
-// Name returns the kernel name.
-func (s *Stage) Name() string { return s.Kernel.Name() }
 
 // Width returns the SIMD firing width (replicated datapaths).
 func (s *Stage) Width() int {
@@ -270,8 +230,8 @@ func (s *Stage) InputWork() int {
 		return 0
 	}
 	n := 0
-	for _, q := range s.inQs {
-		n += q.Len()
+	for _, in := range s.In {
+		n += in.Len()
 	}
 	if s.StateWork != nil {
 		n += s.StateWork()
@@ -281,8 +241,8 @@ func (s *Stage) InputWork() int {
 
 // OutputsBlocked reports whether any output port currently has no space.
 func (s *Stage) OutputsBlocked() bool {
-	for i, q := range s.outQs {
-		if q != nil && q.Space() == 0 || q == nil && s.outCred[i].Credits() == 0 {
+	for _, out := range s.Out {
+		if out.Space() == 0 {
 			return true
 		}
 	}

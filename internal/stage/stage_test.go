@@ -10,17 +10,17 @@ import (
 
 func TestLocalPortRoundTrip(t *testing.T) {
 	q := queue.NewQueue("q", 4)
-	p := LocalPort{Q: q}
-	if p.Len() != 0 || p.Space() != 4 {
+	in, out := LocalIn(q), LocalOut(q)
+	if in.Len() != 0 || out.Space() != 4 || in.Name() != "q" || out.Name() != "q" {
 		t.Fatal("fresh port state wrong")
 	}
-	if !p.Push(queue.Data(9)) {
+	if !out.Push(queue.Data(9)) {
 		t.Fatal("push failed")
 	}
-	if tok, ok := p.Peek(); !ok || tok.Value != 9 {
+	if tok, ok := in.Peek(); !ok || tok.Value != 9 {
 		t.Fatal("peek wrong")
 	}
-	if tok, ok := p.Pop(); !ok || tok.Value != 9 {
+	if tok, ok := in.Pop(); !ok || tok.Value != 9 {
 		t.Fatal("pop wrong")
 	}
 }
@@ -28,9 +28,9 @@ func TestLocalPortRoundTrip(t *testing.T) {
 func TestArbiterAndCreditPorts(t *testing.T) {
 	q := queue.NewQueue("q", 4)
 	arb := queue.NewArbiter(q, 2)
-	in := ArbiterPort{A: arb}
-	out0 := CreditOut{P: arb.Port(0)}
-	if out0.Space() != 2 {
+	in := CreditedIn(arb)
+	out0 := CreditOut(arb.Port(0))
+	if out0.Space() != 2 || out0.Name() != "q" {
 		t.Fatalf("credit space = %d, want 2", out0.Space())
 	}
 	out0.Push(queue.Data(1))
@@ -51,13 +51,10 @@ func TestStageWorkAndReadiness(t *testing.T) {
 	qout := queue.NewQueue("out", 1)
 	extra := 0
 	s := &Stage{
-		Kernel:    KernelFunc{KernelName: "k", Fn: func(*Ctx) Status { return Fired }},
-		In:        []InPort{LocalPort{Q: qin}},
-		Out:       []OutPort{LocalPort{Q: qout}},
+		Name: "k", Fire: func(*Ctx) Status { return Fired },
+		In:        []In{LocalIn(qin)},
+		Out:       []Out{LocalOut(qout)},
 		StateWork: func() int { return extra },
-	}
-	if err := s.Bind(); err != nil {
-		t.Fatal(err)
 	}
 	if s.InputWork() != 0 || s.Ready() {
 		t.Fatal("empty stage should not be ready")
@@ -83,12 +80,9 @@ func TestGateThrottlesInputWork(t *testing.T) {
 	released := 0
 	g.OnRelease(func() { released++ })
 	s := &Stage{
-		Kernel: KernelFunc{KernelName: "k"},
-		In:     []InPort{LocalPort{Q: qin}},
-		Gate:   g,
-	}
-	if err := s.Bind(); err != nil {
-		t.Fatal(err)
+		Name: "k",
+		In:   []In{LocalIn(qin)},
+		Gate: g,
 	}
 	g.Acquire()
 	if g.Full() || s.InputWork() != 1 {
@@ -104,15 +98,6 @@ func TestGateThrottlesInputWork(t *testing.T) {
 	}
 }
 
-func TestBindRejectsUnknownPorts(t *testing.T) {
-	type wrapped struct{ LocalPort }
-	q := queue.NewQueue("q", 4)
-	s := &Stage{Kernel: KernelFunc{KernelName: "k"}, In: []InPort{wrapped{LocalPort{Q: q}}}}
-	if err := s.Bind(); err == nil {
-		t.Fatal("Bind accepted a wrapped in-port")
-	}
-}
-
 func TestStageWidthAndDepth(t *testing.T) {
 	g := cgra.NewDFG("w")
 	a := g.Deq(0)
@@ -121,11 +106,11 @@ func TestStageWidthAndDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Stage{Kernel: KernelFunc{KernelName: "k"}, Mapping: m}
+	s := &Stage{Name: "k", Mapping: m}
 	if s.Width() != m.Replicas || s.Depth() != m.Depth {
 		t.Fatal("width/depth not from mapping")
 	}
-	bare := &Stage{Kernel: KernelFunc{KernelName: "k"}}
+	bare := &Stage{Name: "k"}
 	if bare.Width() != 1 || bare.Depth() != 1 {
 		t.Fatal("unmapped stage defaults wrong")
 	}
