@@ -13,8 +13,9 @@ import (
 const Name = "BFS"
 
 // RunOn executes BFS on g on the chosen system. It only reads g, so runs
-// may share it. seed is unused.
-func RunOn(kind apps.SystemKind, g *graph.Graph, scale int, _ uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
+// may share it, and derives its reference output through derive. seed is
+// unused.
+func RunOn(kind apps.SystemKind, g *graph.Graph, derive apps.Derive, scale int, _ uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
 	src := graphpipe.DefaultSource(g)
-	return apps.Run(kind, scale, merged, override, graphpipe.App(graphpipe.ModeBFS, g, []int{src}))
+	return apps.Run(kind, scale, merged, override, derive, graphpipe.App(graphpipe.ModeBFS, g, []int{src}))
 }

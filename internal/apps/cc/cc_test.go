@@ -44,5 +44,5 @@ func TestCCManyComponentsStillTerminates(t *testing.T) {
 
 // run generates the named input and runs CC on it.
 func run(kind apps.SystemKind, input string, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
-	return RunOn(kind, graph.Generate(graph.Input(input), graph.Scale(scale), seed), scale, seed, merged, override)
+	return RunOn(kind, graph.Generate(graph.Input(input), graph.Scale(scale), seed), nil, scale, seed, merged, override)
 }

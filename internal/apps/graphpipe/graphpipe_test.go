@@ -30,7 +30,7 @@ func testGraph(t *testing.T) *graph.Graph {
 // the reference algorithm. Scale 2 keeps the full-size LLC.
 func run(t *testing.T, kind apps.SystemKind, mode Mode, g *graph.Graph, sources []int, merged bool, npes int) apps.Outcome {
 	t.Helper()
-	out, err := apps.Run(kind, 2, merged, pes(npes), App(mode, g, sources))
+	out, err := apps.Run(kind, 2, merged, pes(npes), nil, App(mode, g, sources))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,23 +40,27 @@ func App(mode Mode, g *graph.Graph, sources []int) apps.App[[]uint64] {
 			}
 			return p, p.Labels
 		},
-		Check: func(got []uint64) error { return verify(mode, g, sources, got) },
+		Want:  func() []uint64 { return reference(mode, g, sources) },
+		Check: func(got, want []uint64) error { return compare(labelNames[mode], got, want) },
 	}
 }
 
-// verify checks an output (labels, or radii for ModeRadii) against the
-// reference algorithms.
-func verify(mode Mode, g *graph.Graph, sources []int, got []uint64) error {
+// reference runs mode's reference algorithm on g: the labels, or the radii
+// for ModeRadii.
+func reference(mode Mode, g *graph.Graph, sources []int) []uint64 {
 	switch mode {
 	case ModeBFS:
-		return compare("distance", got, graph.BFS(g, sources[0]))
+		return graph.BFS(g, sources[0])
 	case ModeCC:
-		return compare("component", got, graph.CC(g))
+		return graph.CC(g)
 	case ModeRadii:
-		return compare("radius", got, graph.Radii(g, sources))
+		return graph.Radii(g, sources)
 	}
-	return fmt.Errorf("unknown mode %v", mode)
+	panic(fmt.Sprintf("graphpipe: unknown mode %v", mode))
 }
+
+// labelNames names what each mode's output holds per vertex.
+var labelNames = [...]string{ModeBFS: "distance", ModeCC: "component", ModeRadii: "radius"}
 
 func compare(what string, got, want []uint64) error {
 	if len(got) != len(want) {

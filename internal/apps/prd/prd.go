@@ -17,7 +17,8 @@ import (
 const Name = "PRD"
 
 // RunOn executes PageRank-Delta on g on the chosen system. It only reads
-// g, so runs may share it. seed is unused.
-func RunOn(kind apps.SystemKind, g *graph.Graph, scale int, _ uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
-	return apps.Run(kind, scale, merged, override, app(g, graph.DefaultPRD(), scale))
+// g, so runs may share it, and derives its reference output through
+// derive. seed is unused.
+func RunOn(kind apps.SystemKind, g *graph.Graph, derive apps.Derive, scale int, _ uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
+	return apps.Run(kind, scale, merged, override, derive, app(g, graph.DefaultPRD(), scale))
 }

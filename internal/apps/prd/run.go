@@ -35,8 +35,8 @@ func app(g *graph.Graph, cfg graph.PRDConfig, scale int) apps.App[[]uint64] {
 			p.start()
 			return p, p.ranks
 		},
-		Check: func(got []uint64) error {
-			want := graph.PRD(g, cfg)
+		Want: func() []uint64 { return graph.PRD(g, cfg) },
+		Check: func(got, want []uint64) error {
 			for v := range want {
 				if got[v] != want[v] {
 					return fmt.Errorf("vertex %d rank %d, want %d", v, got[v], want[v])

@@ -19,8 +19,9 @@ const Name = "Radii"
 const Samples = 4
 
 // RunOn executes Radii on g on the chosen system; seed picks the sources.
-// It only reads g, so runs may share it.
-func RunOn(kind apps.SystemKind, g *graph.Graph, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
+// It only reads g, so runs may share it, and derives its reference output
+// through derive.
+func RunOn(kind apps.SystemKind, g *graph.Graph, derive apps.Derive, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
 	sources := graph.SampleSources(g, Samples, sim.NewRand(seed^0x4add1))
-	return apps.Run(kind, scale, merged, override, graphpipe.App(graphpipe.ModeRadii, g, sources))
+	return apps.Run(kind, scale, merged, override, derive, graphpipe.App(graphpipe.ModeRadii, g, sources))
 }

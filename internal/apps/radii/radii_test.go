@@ -48,5 +48,5 @@ func TestRadiiMergedVerified(t *testing.T) {
 
 // run generates the named input and runs Radii on it.
 func run(kind apps.SystemKind, input string, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
-	return RunOn(kind, graph.Generate(graph.Input(input), graph.Scale(scale), seed), scale, seed, merged, override)
+	return RunOn(kind, graph.Generate(graph.Input(input), graph.Scale(scale), seed), nil, scale, seed, merged, override)
 }

@@ -24,8 +24,26 @@ type App[T any] struct {
 	// program that drives the run and a read-back of the output, valid once
 	// the program has finished.
 	Build func(sys *core.System, merged bool) (core.Program, func() T)
-	// Check compares an output with the reference implementation.
-	Check func(T) error
+	// Want computes the output every system must produce, from the input
+	// alone (the reference implementation). Run derives it under the app's
+	// Name, so the jobs of one input share one reference.
+	Want func() T
+	// Check compares an output with Want's.
+	Check func(got, want T) error
+}
+
+// Derive returns the value build computes from a job's input alone; name
+// tells apart the values derived from one input. A sweep builds each value
+// once and shares it, read-only, among the jobs of that input. A nil Derive
+// (a job run on its own) builds a private value.
+type Derive func(name string, build func() any) any
+
+// Derived is Derive for a value of type T.
+func Derived[T any](d Derive, name string, build func() T) T {
+	if d == nil {
+		return build()
+	}
+	return d(name, func() any { return build() }).(T)
 }
 
 // Run executes app on one system and checks its output. It owns every
@@ -36,10 +54,11 @@ type App[T any] struct {
 //   - CGRA systems start from DefaultConfig (Fifer) or StaticConfig, take
 //     the app's BackingBytes, shrink the LLC by LLCDivisor, then apply the
 //     app's Tweak and last the caller's override, so the override wins;
-//   - every CGRA run is audited with CheckInvariants.
+//   - every CGRA run is audited with CheckInvariants;
+//   - every output is checked against app.Want, derived through derive.
 //
 // Errors read "<kind> <app>: …".
-func Run[T any](kind SystemKind, scale int, merged bool, override func(*core.Config), app App[T]) (Outcome, error) {
+func Run[T any](kind SystemKind, scale int, merged bool, override func(*core.Config), derive Derive, app App[T]) (Outcome, error) {
 	out := Outcome{Kind: kind}
 	var got T
 	switch kind {
@@ -88,7 +107,7 @@ func Run[T any](kind SystemKind, scale int, merged bool, override func(*core.Con
 	default:
 		return out, fmt.Errorf("unknown system kind %v", kind)
 	}
-	if err := app.Check(got); err != nil {
+	if err := app.Check(got, Derived(derive, app.Name+" reference", app.Want)); err != nil {
 		return out, fmt.Errorf("%v %s: %w", kind, app.Name, err)
 	}
 	out.Verified = true

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -20,7 +21,46 @@ func fakeApp(check func(int) error, tweak func(*core.Config)) App[int] {
 		Build: func(sys *core.System, merged bool) (core.Program, func() int) {
 			return Halt, func() int { return sys.Cfg.PEs }
 		},
-		Check: check,
+		Want:  func() int { return 0 },
+		Check: func(got, _ int) error { return check(got) },
+	}
+}
+
+// TestRunDerivesReference shares one derived reference between runs: Run
+// asks derive for "<name> reference", builds it once, and checks every
+// output against it, so an output that differs from the shared value fails.
+func TestRunDerivesReference(t *testing.T) {
+	shared := map[string]any{}
+	derive := func(name string, build func() any) any {
+		if _, ok := shared[name]; !ok {
+			shared[name] = build()
+		}
+		return shared[name]
+	}
+	wants := 0
+	app := fakeApp(nil, nil)
+	app.Want = func() int { wants++; return 16 } // the CGRA PE count
+	app.Check = func(got, want int) error {
+		if got != want {
+			return fmt.Errorf("output %d, want %d", got, want)
+		}
+		return nil
+	}
+	for _, kind := range Kinds {
+		out, err := Run(kind, 0, false, nil, derive, app)
+		switch kind {
+		case StaticPipe, FiferPipe:
+			if err != nil || !out.Verified {
+				t.Errorf("%v: err %v, verified %v", kind, err, out.Verified)
+			}
+		default:
+			if err == nil || out.Verified {
+				t.Errorf("%v: a core count that differs from the shared reference passed", kind)
+			}
+		}
+	}
+	if wants != 1 || len(shared) != 1 || shared["fake reference"] != 16 {
+		t.Fatalf("reference built %d times, derived values %v; want one \"fake reference\"", wants, shared)
 	}
 }
 
@@ -46,7 +86,7 @@ func TestRunBuildsEachKind(t *testing.T) {
 			}
 		}
 		var got int
-		out, err := Run(kind, scale, false, override, fakeApp(func(n int) error { got = n; return nil }, tweak))
+		out, err := Run(kind, scale, false, override, nil, fakeApp(func(n int) error { got = n; return nil }, tweak))
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -84,7 +124,7 @@ func TestRunErrorsNameKindAndApp(t *testing.T) {
 	boom := errors.New("boom")
 	fail := fakeApp(func(int) error { return boom }, nil)
 	for _, kind := range Kinds {
-		out, err := Run(kind, 0, false, nil, fail)
+		out, err := Run(kind, 0, false, nil, nil, fail)
 		if !errors.Is(err, boom) || err.Error() != kind.String()+" fake: boom" {
 			t.Errorf("%v: err = %v, want %q", kind, err, kind.String()+" fake: boom")
 		}
@@ -94,12 +134,12 @@ func TestRunErrorsNameKindAndApp(t *testing.T) {
 	}
 	noPEs := func(cfg *core.Config) { cfg.PEs = 0 }
 	for _, kind := range []SystemKind{StaticPipe, FiferPipe} {
-		_, err := Run(kind, 0, false, noPEs, fakeApp(func(int) error { return nil }, nil))
+		_, err := Run(kind, 0, false, noPEs, nil, fakeApp(func(int) error { return nil }, nil))
 		if err == nil || !strings.HasPrefix(err.Error(), kind.String()+" fake: core: ") {
 			t.Errorf("%v: err = %v, want a core config error after %q", kind, err, kind.String()+" fake: ")
 		}
 	}
-	if _, err := Run(SystemKind(99), 0, false, nil, fail); err == nil || !strings.Contains(err.Error(), "unknown system kind") {
+	if _, err := Run(SystemKind(99), 0, false, nil, nil, fail); err == nil || !strings.Contains(err.Error(), "unknown system kind") {
 		t.Errorf("kind 99: err = %v, want unknown system kind", err)
 	}
 }

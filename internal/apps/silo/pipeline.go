@@ -54,13 +54,8 @@ func (p *pipeline) stages() int {
 	return 4
 }
 
-func build(sys *core.System, ds Dataset, merged bool) *pipeline {
-	p := &pipeline{sys: sys, merged: merged}
-	tree, err := btree.Build(sys.Backing, ds.Keys, ds.Values)
-	if err != nil {
-		panic(err)
-	}
-	p.tree = tree
+func build(sys *core.System, ds Dataset, recs btree.Records, merged bool) *pipeline {
+	p := &pipeline{sys: sys, merged: merged, tree: btree.Build(sys.Backing, recs)}
 	p.place = apps.PlaceFor(sys.Cfg, p.stages())
 	R := p.place.Replicas
 	b := sys.Backing

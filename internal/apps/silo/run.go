@@ -17,28 +17,23 @@ func backingFor(ds Dataset) int {
 	return nodes*btree.NodeBytes + len(ds.Lookups)*2*mem.WordBytes + (8 << 20)
 }
 
-// lookups is Silo's output: the value found for each lookup, in global
-// lookup order, and the tree the run searched, whose Go-side Lookup is
-// the reference.
-type lookups struct {
-	tree   *btree.Tree
-	values []uint64
-}
-
-// app is Silo over ds, ready for apps.Run.
-func app(ds Dataset) apps.App[lookups] {
-	return apps.App[lookups]{
+// app is Silo over ds and its sorted records recs, ready for apps.Run. Its
+// output is the value found for each lookup, in global lookup order; the
+// reference answers the lookups from recs, not from the tree a system built.
+func app(ds Dataset, recs btree.Records) apps.App[[]uint64] {
+	return apps.App[[]uint64]{
 		Name:         "silo",
 		BackingBytes: backingFor(ds),
 		// Sec. 7.2: Silo's queue memory is scaled down 4× to fit the LLC.
 		Tweak: func(cfg *core.Config) { cfg.QueueMemBytes /= 4 },
-		OOO:   func(m *ooo.Machine) lookups { return runOOO(m, ds) },
-		Build: func(sys *core.System, merged bool) (core.Program, func() lookups) {
-			p := build(sys, ds, merged)
+		OOO:   func(m *ooo.Machine) []uint64 { return runOOO(m, ds, recs) },
+		Build: func(sys *core.System, merged bool) (core.Program, func() []uint64) {
+			p := build(sys, ds, recs, merged)
 			p.startScans()
-			return apps.Halt, func() lookups { return lookups{p.tree, p.extract(len(ds.Lookups))} }
+			return apps.Halt, func() []uint64 { return p.extract(len(ds.Lookups)) }
 		},
-		Check: func(r lookups) error { return compare(r.values, refLookups(r.tree, ds.Lookups)) },
+		Want:  func() []uint64 { return refLookups(recs, ds.Lookups) },
+		Check: compare,
 	}
 }
 
@@ -79,11 +74,8 @@ func (p *pipeline) extract(total int) []uint64 {
 }
 
 // runOOO executes the lookups through the OOO model, striping across cores.
-func runOOO(m *ooo.Machine, ds Dataset) lookups {
-	tree, err := btree.Build(m.Backing, ds.Keys, ds.Values)
-	if err != nil {
-		panic(err)
-	}
+func runOOO(m *ooo.Machine, ds Dataset, recs btree.Records) []uint64 {
+	tree := btree.Build(m.Backing, recs)
 	keysA := m.Backing.AllocSlice(ds.Lookups)
 	resA := m.Backing.AllocWords(len(ds.Lookups))
 	out := make([]uint64, len(ds.Lookups))
@@ -123,7 +115,7 @@ func runOOO(m *ooo.Machine, ds Dataset) lookups {
 		}
 	}
 	m.Barrier()
-	return lookups{tree, out}
+	return out
 }
 
 // --- Stage dataflow graphs -------------------------------------------------

@@ -62,18 +62,30 @@ func GenerateDataset(scale int, seed uint64) Dataset {
 }
 
 // RunOn executes Silo on ds, the YCSB-C dataset GenerateDataset builds, on
-// the chosen system. It only reads ds, so runs may share it. seed is
+// the chosen system. It only reads ds, so runs may share it, and derives
+// ds's sorted records and the reference output through derive. seed is
 // unused.
-func RunOn(kind apps.SystemKind, ds Dataset, scale int, _ uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
-	return apps.Run(kind, scale, merged, override, app(ds))
+func RunOn(kind apps.SystemKind, ds Dataset, derive apps.Derive, scale int, _ uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
+	recs := apps.Derived(derive, "silo records", func() btree.Records { return sortRecords(ds) })
+	return apps.Run(kind, scale, merged, override, derive, app(ds, recs))
 }
 
-// refLookups computes the expected lookup results (value, found-flag packed
-// as value with missing keys yielding btree.MissingMark).
-func refLookups(t *btree.Tree, lookups []uint64) []uint64 {
+// sortRecords returns ds's records ordered by key. GenerateDataset draws
+// distinct keys, so Sort cannot fail on a generated dataset.
+func sortRecords(ds Dataset) btree.Records {
+	recs, err := btree.Sort(ds.Keys, ds.Values)
+	if err != nil {
+		panic(err)
+	}
+	return recs
+}
+
+// refLookups computes the expected lookup results: each lookup's value in
+// recs, or MissingMark for a key no record holds.
+func refLookups(recs btree.Records, lookups []uint64) []uint64 {
 	out := make([]uint64, len(lookups))
 	for i, k := range lookups {
-		v, ok := t.Lookup(k)
+		v, ok := recs.Lookup(k)
 		if !ok {
 			v = MissingMark
 		}

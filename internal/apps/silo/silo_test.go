@@ -1,9 +1,12 @@
 package silo
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"fifer/internal/apps"
+	"fifer/internal/btree"
 	"fifer/internal/core"
 )
 
@@ -21,7 +24,7 @@ func tinyDataset() Dataset {
 func TestSiloAllSystemsMatchReference(t *testing.T) {
 	ds := tinyDataset()
 	for _, kind := range apps.Kinds {
-		out, err := apps.Run(kind, 2, false, small, app(ds))
+		out, err := apps.Run(kind, 2, false, small, nil, app(ds, sortRecords(ds)))
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -34,7 +37,7 @@ func TestSiloAllSystemsMatchReference(t *testing.T) {
 func TestSiloMergedMatchesReference(t *testing.T) {
 	ds := tinyDataset()
 	for _, kind := range []apps.SystemKind{apps.StaticPipe, apps.FiferPipe} {
-		out, err := apps.Run(kind, 2, true, small, app(ds))
+		out, err := apps.Run(kind, 2, true, small, nil, app(ds, sortRecords(ds)))
 		if err != nil {
 			t.Fatalf("%v merged: %v", kind, err)
 		}
@@ -50,12 +53,39 @@ func TestSiloMissingKeysReported(t *testing.T) {
 	for i := 0; i < len(ds.Lookups); i += 7 {
 		ds.Lookups[i] = ds.Lookups[i] ^ 0x1
 	}
-	out, err := apps.Run(apps.FiferPipe, 2, false, small, app(ds))
+	out, err := apps.Run(apps.FiferPipe, 2, false, small, nil, app(ds, sortRecords(ds)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !out.Verified {
 		t.Fatal("unverified")
+	}
+}
+
+// TestSiloTreeMissingRecordFails builds every system's tree from the
+// records without the first lookup's key, while the reference still
+// answers from the dataset's records: each run must fail its check, so a
+// tree that lost records cannot vouch for itself.
+func TestSiloTreeMissingRecordFails(t *testing.T) {
+	ds := tinyDataset()
+	drop := slices.Index(ds.Keys, ds.Lookups[0])
+	keys := slices.Delete(slices.Clone(ds.Keys), drop, drop+1)
+	values := slices.Delete(slices.Clone(ds.Values), drop, drop+1)
+	short, err := btree.Sort(keys, values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := app(ds, short)
+	a := app(ds, sortRecords(ds))
+	a.OOO, a.Build = bad.OOO, bad.Build
+	for _, kind := range apps.Kinds {
+		out, err := apps.Run(kind, 2, false, small, nil, a)
+		if err == nil || out.Verified {
+			t.Fatalf("%v: a tree without key %#x passed its check", kind, ds.Lookups[0])
+		}
+		if !strings.Contains(err.Error(), "lookup 0: value 0xffffffffffffffff, want") {
+			t.Fatalf("%v: err %v, want a missing value at lookup 0", kind, err)
+		}
 	}
 }
 

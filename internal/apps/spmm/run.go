@@ -26,8 +26,8 @@ func app(a *sparse.CSR, b *sparse.CSC, rows, cols []int) apps.App[[][]float64] {
 		Build: func(sys *core.System, merged bool) (core.Program, func() [][]float64) {
 			return apps.Halt, build(sys, a, b, rows, cols, merged).extract
 		},
-		Check: func(got [][]float64) error {
-			want := sparse.SpMM(a, b, rows, cols)
+		Want: func() [][]float64 { return sparse.SpMM(a, b, rows, cols) },
+		Check: func(got, want [][]float64) error {
 			for i := range want {
 				for j := range want[i] {
 					if got[i][j] != want[i][j] {

@@ -60,8 +60,9 @@ func Generate(input string, scale int, seed uint64) Operands {
 
 // RunOn executes SpMM (C = A·A with A in CSR and CSC forms) on ops, the
 // operands Generate builds, on the chosen system. It only reads ops, so
-// runs may share it. seed is unused.
-func RunOn(kind apps.SystemKind, ops Operands, scale int, _ uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
+// runs may share it, and derives its reference output through derive. seed
+// is unused.
+func RunOn(kind apps.SystemKind, ops Operands, derive apps.Derive, scale int, _ uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
 	rows, cols := sampleFor(ops.A, scale)
-	return apps.Run(kind, scale, merged, override, app(ops.A, ops.B, rows, cols))
+	return apps.Run(kind, scale, merged, override, derive, app(ops.A, ops.B, rows, cols))
 }

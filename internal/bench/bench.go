@@ -98,7 +98,7 @@ type appEntry struct {
 	// inputs, so a sweep builds each of them once (see inputStore).
 	family string
 	build  func(input string, scale int, seed uint64) any
-	runOn  func(in any, kind apps.SystemKind, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error)
+	runOn  func(in any, derive apps.Derive, kind apps.SystemKind, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error)
 }
 
 // inputFamily is one generator of app inputs.
@@ -119,14 +119,14 @@ var (
 
 // entry makes an app table row from the app's input family and its RunOn.
 func entry[T any](name string, inputs []string, fam inputFamily[T],
-	runOn func(apps.SystemKind, T, int, uint64, bool, func(*core.Config)) (apps.Outcome, error)) appEntry {
+	runOn func(apps.SystemKind, T, apps.Derive, int, uint64, bool, func(*core.Config)) (apps.Outcome, error)) appEntry {
 	return appEntry{
 		name:   name,
 		inputs: inputs,
 		family: fam.name,
 		build:  func(in string, scale int, seed uint64) any { return fam.build(in, scale, seed) },
-		runOn: func(in any, kind apps.SystemKind, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
-			return runOn(kind, in.(T), scale, seed, merged, override)
+		runOn: func(in any, derive apps.Derive, kind apps.SystemKind, scale int, seed uint64, merged bool, override func(*core.Config)) (apps.Outcome, error) {
+			return runOn(kind, in.(T), derive, scale, seed, merged, override)
 		},
 	}
 }
@@ -217,9 +217,9 @@ func (j Job) inputKey(opt Options) inputKey {
 	return inputKey{family: a.family, input: j.Input, scale: opt.Scale, seed: opt.Seed}
 }
 
-// run executes the job as RunOne describes, reading its input from inputs
-// (nil builds a private one). A traced run files its collector in
-// opt.Trace under the job's traceKey in sweep.
+// run executes the job as RunOne describes, reading its input and the
+// values derived from it from inputs (nil builds private ones). A traced
+// run files its collector in opt.Trace under the job's traceKey in sweep.
 func (j Job) run(opt Options, sweep string, inputs *inputStore) (apps.Outcome, error) {
 	var col *trace.Collector
 	if opt.Trace != nil {
@@ -261,8 +261,10 @@ func (j Job) run(opt Options, sweep string, inputs *inputStore) (apps.Outcome, e
 	if !ok {
 		return apps.Outcome{}, fmt.Errorf("bench: unknown app %q", j.App)
 	}
-	in := inputs.get(j.inputKey(opt), func() any { return a.build(j.Input, opt.Scale, opt.Seed) })
-	out, err := a.runOn(in, j.Kind, opt.Scale, opt.Seed, j.Merged, override)
+	k := j.inputKey(opt)
+	in := inputs.get(k, "", func() any { return a.build(j.Input, opt.Scale, opt.Seed) })
+	derive := func(name string, build func() any) any { return inputs.get(k, name, build) }
+	out, err := a.runOn(in, derive, j.Kind, opt.Scale, opt.Seed, j.Merged, override)
 	if col != nil {
 		opt.Trace.add(j.traceKey(sweep), col)
 	}

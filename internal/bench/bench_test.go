@@ -129,3 +129,23 @@ func TestZeroCostNeverSlower(t *testing.T) {
 		t.Fatalf("zero-cost reconfig gmean %.2f < 1", r.GMean)
 	}
 }
+
+// BenchmarkFig13Scale0Sweep runs the whole Fig. 13 sweep at scale 0 on two
+// workers, the sweep perfbench's fig13-sweep workload times. Its B/op is
+// what one sweep allocates, shared inputs and derived values included.
+func BenchmarkFig13Scale0Sweep(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		d, err := Fig13(Options{Scale: 0, Seed: 1, Jobs: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range d.Cells {
+			for _, kind := range apps.Kinds {
+				if cls := c.Failed(kind); cls != "" {
+					b.Fatalf("%s/%s %v failed: %s", c.App, c.Input, kind, cls)
+				}
+			}
+		}
+	}
+}

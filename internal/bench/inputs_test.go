@@ -3,12 +3,15 @@ package bench
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
 	"fifer/internal/apps"
+	"fifer/internal/apps/graphpipe"
 	"fifer/internal/apps/silo"
 	"fifer/internal/apps/spmm"
 	"fifer/internal/core"
@@ -60,36 +63,98 @@ func fingerprint(t *testing.T, in any) uint64 {
 	return h.Sum64()
 }
 
+// derivedValues returns the values derived so far from k's input, by name,
+// and the cells that hold them.
+func (s *inputStore) derivedValues(k inputKey) (map[string]any, map[string]*lazy) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	vals, cells := map[string]any{}, map[string]*lazy{}
+	for name, l := range s.entries[k].values {
+		if name != "" {
+			vals[name], cells[name] = l.val, l
+		}
+	}
+	return vals, cells
+}
+
+// fingerprintValue hashes a derived value's printed form (FNV-1a). %v
+// prints every element of a slice, nested slices and unexported struct
+// fields, and a float64 in the shortest form that reads back to its bits.
+func fingerprintValue(v any) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%T %v", v, v)
+	return h.Sum64()
+}
+
 // TestSharedInputsUnchanged runs each app on all four systems, two at a
-// time, through one store and requires the shared input to be bit-for-bit
-// what it was before: a job that wrote to its input would change every
-// later job's result.
+// time, through one store and requires the shared input, and every value
+// derived from it (the app's reference output, Silo's sorted records), to
+// be bit-for-bit what it was before: a job that wrote to either would
+// change every later job's result. Each derived value must also be the one
+// the first job built, not a rebuild.
 func TestSharedInputsUnchanged(t *testing.T) {
 	opt := Options{Scale: 0, Seed: 1}
+	derivedNames := map[string][]string{
+		"BFS": {"bfs reference"}, "CC": {"cc reference"}, "PRD": {"prd reference"},
+		"Radii": {"radii reference"}, "SpMM": {"spmm reference"},
+		"Silo": {"silo records", "silo reference"},
+	}
 	for _, a := range appTable {
 		t.Run(a.name, func(t *testing.T) {
 			input := a.inputs[0]
 			store := &inputStore{}
 			k := Job{App: a.name, Input: input}.inputKey(opt)
 			store.acquire(k) // the test's own reference keeps the input alive
-			in := store.get(k, func() any { return a.build(input, opt.Scale, opt.Seed) })
+			in := store.get(k, "", func() any { return a.build(input, opt.Scale, opt.Seed) })
 			before := fingerprint(t, in)
 
 			var jobs []Job
 			for _, kind := range apps.Kinds {
 				jobs = append(jobs, Job{App: a.name, Input: input, Kind: kind})
 			}
-			for _, res := range (Runner{Workers: 2}).runWith(opt, jobs, store) {
-				if res.Err != nil || !res.Outcome.Verified {
-					t.Fatalf("%s: err %v, verified %v", res.Job.Key(), res.Err, res.Outcome.Verified)
+			run := func(jobs []Job) {
+				t.Helper()
+				for _, res := range (Runner{Workers: 2}).runWith(opt, jobs, store) {
+					if res.Err != nil || !res.Outcome.Verified {
+						t.Fatalf("%s: err %v, verified %v", res.Job.Key(), res.Err, res.Outcome.Verified)
+					}
 				}
 			}
-			again := store.get(k, func() any {
+			// The first job derives the input's values; the four-system run
+			// must read them as they are.
+			run(jobs[:1])
+			vals, cells := store.derivedValues(k)
+			if len(vals) != len(derivedNames[a.name]) {
+				t.Fatalf("derived %d value(s), want %v", len(vals), derivedNames[a.name])
+			}
+			derivedBefore := map[string]uint64{}
+			for _, name := range derivedNames[a.name] {
+				v, ok := vals[name]
+				if !ok {
+					t.Fatalf("no derived value %q", name)
+				}
+				derivedBefore[name] = fingerprintValue(v)
+			}
+			run(jobs)
+
+			again := store.get(k, "", func() any {
 				t.Fatal("the store rebuilt an input a job still holds")
 				return nil
 			})
 			if got := fingerprint(t, again); got != before {
 				t.Fatalf("input fingerprint %#x after the runs, %#x before", got, before)
+			}
+			valsAfter, cellsAfter := store.derivedValues(k)
+			if len(valsAfter) != len(vals) {
+				t.Fatalf("%d derived value(s) after the runs, %d before", len(valsAfter), len(vals))
+			}
+			for name, fp := range derivedBefore {
+				if cellsAfter[name] != cells[name] {
+					t.Fatalf("%q was derived again", name)
+				}
+				if got := fingerprintValue(valsAfter[name]); got != fp {
+					t.Fatalf("%q fingerprint %#x after the runs, %#x before", name, got, fp)
+				}
 			}
 			store.release(k)
 			if n := store.len(); n != 0 {
@@ -99,9 +164,47 @@ func TestSharedInputsUnchanged(t *testing.T) {
 	}
 }
 
-// TestInputStoreBuildsOnce reads one key from several goroutines: the input
-// is built once, every reader gets it, and a panicking build reaches every
-// reader with the same value.
+// TestSweepChecksSharedReference seeds the store with a wrong BFS
+// reference before a two-worker sweep of BFS on all four systems: every
+// job must fail its check against the shared value, and the graph's other
+// apps, whose references are their own, must still pass.
+func TestSweepChecksSharedReference(t *testing.T) {
+	opt := Options{Scale: 0, Seed: 1}
+	var jobs []Job
+	for _, kind := range apps.Kinds {
+		jobs = append(jobs, Job{App: "BFS", Input: "Hu", Kind: kind}, Job{App: "CC", Input: "Hu", Kind: kind})
+	}
+	store := &inputStore{}
+	k := jobs[0].inputKey(opt)
+	store.acquire(k)
+	g := store.get(k, "", func() any { return graphs.build("Hu", opt.Scale, opt.Seed) }).(*graph.Graph)
+	store.get(k, "bfs reference", func() any {
+		want := graph.BFS(g, graphpipe.DefaultSource(g))
+		want[len(want)-1]++
+		return want
+	})
+	for _, res := range (Runner{Workers: 2}).runWith(opt, jobs, store) {
+		switch res.Job.App {
+		case "BFS":
+			if res.Err == nil || res.Outcome.Verified || !strings.Contains(res.Err.Error(), "distance") {
+				t.Errorf("%s: err %v, verified %v; want a distance mismatch", res.Job.Key(), res.Err, res.Outcome.Verified)
+			}
+		default:
+			if res.Err != nil || !res.Outcome.Verified {
+				t.Errorf("%s: err %v, verified %v", res.Job.Key(), res.Err, res.Outcome.Verified)
+			}
+		}
+	}
+	store.release(k)
+	if n := store.len(); n != 0 {
+		t.Fatalf("store holds %d input(s) after the sweep", n)
+	}
+}
+
+// TestInputStoreBuildsOnce reads one key, and two values derived from it,
+// from several goroutines: the input and each derived value are built
+// once, every reader gets them, and a panicking build, of an input or of a
+// derived value, reaches every reader with the same value.
 func TestInputStoreBuildsOnce(t *testing.T) {
 	const readers = 8
 	store := &inputStore{}
@@ -111,46 +214,68 @@ func TestInputStoreBuildsOnce(t *testing.T) {
 		store.acquire(k)
 		store.acquire(boom)
 	}
-	var builds sync.Map
+	names := []string{"input", "a reference", "records"}
+	var builds [3]sync.Map
+	counted := func(i int) func() any {
+		return func() any {
+			v := new(int)
+			builds[i].Store(v, true)
+			return v
+		}
+	}
 	var wg sync.WaitGroup
-	got := make([]any, readers)
-	panics := make([]any, readers)
+	got := make([][3]any, readers)
+	panics := make([][2]any, readers)
 	for i := 0; i < readers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			defer store.release(k)
 			defer store.release(boom)
-			got[i] = store.get(k, func() any {
-				v := new(int)
-				builds.Store(v, true)
-				return v
-			})
-			defer func() { panics[i] = recover() }()
-			store.get(boom, func() any { panic(errors.New("unknown input")) })
+			got[i][0] = store.get(k, "", counted(0))
+			got[i][1] = store.get(k, names[1], counted(1))
+			got[i][2] = store.get(k, names[2], counted(2))
+			func() {
+				defer func() { panics[i][0] = recover() }()
+				store.get(k, "bad", func() any { panic(errors.New("bad derived value")) })
+			}()
+			defer func() { panics[i][1] = recover() }()
+			store.get(boom, "", func() any { panic(errors.New("unknown input")) })
 		}(i)
 	}
 	wg.Wait()
-	n := 0
-	builds.Range(func(any, any) bool { n++; return true })
-	if n != 1 {
-		t.Fatalf("%d builds for one key, want 1", n)
+	for j, name := range names {
+		n := 0
+		builds[j].Range(func(any, any) bool { n++; return true })
+		if n != 1 {
+			t.Fatalf("%d builds of %s, want 1", n, name)
+		}
 	}
 	for i := range got {
-		if got[i] != got[0] {
-			t.Fatalf("reader %d got a different input", i)
+		for j, name := range names {
+			if got[i][j] != got[0][j] {
+				t.Fatalf("reader %d got a different %s", i, name)
+			}
 		}
-		if err, ok := panics[i].(error); !ok || err.Error() != "unknown input" {
-			t.Fatalf("reader %d: panic %v, want the build's panic", i, panics[i])
+		for j, want := range []string{"bad derived value", "unknown input"} {
+			if err, ok := panics[i][j].(error); !ok || err.Error() != want {
+				t.Fatalf("reader %d: panic %v, want the build's panic %q", i, panics[i][j], want)
+			}
 		}
 	}
 	if n := store.len(); n != 0 {
 		t.Fatalf("store holds %d input(s) after every reader released", n)
 	}
-	// A key no job holds is built privately and not kept.
-	store.get(k, func() any { return 1 })
+	// A key no job holds is built privately and not kept, and so is what
+	// is derived from it.
+	store.get(k, "", func() any { return 1 })
+	store.get(k, names[1], func() any { return 2 })
 	if n := store.len(); n != 0 {
 		t.Fatalf("a private build left %d input(s) in the store", n)
+	}
+	var nilStore *inputStore
+	if v := nilStore.get(k, names[1], func() any { return 3 }); v != 3 {
+		t.Fatalf("a nil store derived %v, want a private build", v)
 	}
 }
 
@@ -204,7 +329,7 @@ func TestInputStoreEmptiedBySweep(t *testing.T) {
 	t.Run("panicking", func(t *testing.T) {
 		store := &inputStore{}
 		r := Runner{Workers: 2, run: func(j Job, o Options) (apps.Outcome, error) {
-			store.get(j.inputKey(o), func() any { return j.Input })
+			store.get(j.inputKey(o), "", func() any { return j.Input })
 			panic("boom")
 		}}
 		for _, res := range r.runWith(opt, stubJobs(6), store) {

@@ -7,7 +7,7 @@ package btree
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"fifer/internal/mem"
 )
@@ -43,39 +43,60 @@ type node struct {
 	addr     mem.Addr
 }
 
-// Tree is a B+tree plus its simulated-memory image.
+// Tree is a B+tree laid out in simulated memory.
 type Tree struct {
-	root     *node
 	height   int
 	numKeys  int
 	RootAddr mem.Addr
 }
 
-// Build constructs a B+tree over the given key/value pairs (bulk-loaded,
-// keys must be unique) and lays it out in backing. Keys are sorted
-// internally.
-func Build(backing *mem.Backing, keys, values []uint64) (*Tree, error) {
+// Records is a record set ordered by key with no key repeated: what Build
+// lays out and what Lookup answers from. Only Sort makes one, and nothing
+// writes it afterwards, so jobs may share it.
+type Records struct {
+	keys, values []uint64
+}
+
+// Sort orders the records (keys[i], values[i]) by key. It fails on a length
+// mismatch, an empty set or a repeated key. keys and values are not
+// modified.
+func Sort(keys, values []uint64) (Records, error) {
 	if len(keys) != len(values) {
-		return nil, fmt.Errorf("btree: %d keys but %d values", len(keys), len(values))
+		return Records{}, fmt.Errorf("btree: %d keys but %d values", len(keys), len(values))
 	}
 	if len(keys) == 0 {
-		return nil, fmt.Errorf("btree: empty key set")
+		return Records{}, fmt.Errorf("btree: empty key set")
 	}
 	sortedKeys, sortedVals := sortByKey(keys, values)
 	for i := 1; i < len(sortedKeys); i++ {
 		if sortedKeys[i] == sortedKeys[i-1] {
-			return nil, fmt.Errorf("btree: duplicate key %d", sortedKeys[i])
+			return Records{}, fmt.Errorf("btree: duplicate key %d", sortedKeys[i])
 		}
 	}
+	return Records{sortedKeys, sortedVals}, nil
+}
 
+// Lookup is the Go-side reference: it returns the value for key and whether
+// a record holds it.
+func (r Records) Lookup(key uint64) (uint64, bool) {
+	i, ok := slices.BinarySearch(r.keys, key)
+	if !ok {
+		return 0, false
+	}
+	return r.values[i], true
+}
+
+// Build bulk-loads a B+tree over r, which must come from Sort, and lays it
+// out in backing. It only reads r.
+func Build(backing *mem.Backing, r Records) *Tree {
 	// Bulk-load leaves: each slices its keys and values out of the sorted
 	// arrays.
-	n := len(sortedKeys)
+	n := len(r.keys)
 	leaves := make([]node, (n+Fanout-1)/Fanout)
 	level := make([]*node, len(leaves))
 	for i := range leaves {
 		lo, hi := i*Fanout, min((i+1)*Fanout, n)
-		leaves[i] = node{leaf: true, keys: sortedKeys[lo:hi:hi], values: sortedVals[lo:hi:hi]}
+		leaves[i] = node{leaf: true, keys: r.keys[lo:hi:hi], values: r.values[lo:hi:hi]}
 		level[i] = &leaves[i]
 	}
 	height := 1
@@ -96,10 +117,8 @@ func Build(backing *mem.Backing, keys, values []uint64) (*Tree, error) {
 		level = up
 		height++
 	}
-	t := &Tree{root: level[0], height: height, numKeys: n}
-	t.layout(backing, t.root)
-	t.RootAddr = t.root.addr
-	return t, nil
+	layout(backing, level[0])
+	return &Tree{height: height, numKeys: n, RootAddr: level[0].addr}
 }
 
 type kv struct{ k, v uint64 }
@@ -175,10 +194,10 @@ func firstKey(n *node) uint64 {
 
 // layout writes the subtree into simulated memory (children first so every
 // child address is known when the parent is written).
-func (t *Tree) layout(backing *mem.Backing, n *node) {
+func layout(backing *mem.Backing, n *node) {
 	if !n.leaf {
 		for _, c := range n.children {
-			t.layout(backing, c)
+			layout(backing, c)
 		}
 	}
 	n.addr = backing.Alloc(NodeBytes)
@@ -199,22 +218,6 @@ func (t *Tree) layout(backing *mem.Backing, n *node) {
 			backing.Store(n.addr+mem.Addr((childWord+i)*mem.WordBytes), uint64(c.addr))
 		}
 	}
-}
-
-// Lookup is the Go-side reference: it returns the value for key and whether
-// it was found.
-func (t *Tree) Lookup(key uint64) (uint64, bool) {
-	n := t.root
-	for !n.leaf {
-		i := sort.Search(len(n.keys), func(i int) bool { return key < n.keys[i] })
-		n = n.children[i]
-	}
-	for i, k := range n.keys {
-		if k == key {
-			return n.values[i], true
-		}
-	}
-	return 0, false
 }
 
 // --- Simulated-memory traversal helpers -----------------------------------

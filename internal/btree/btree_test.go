@@ -15,6 +15,9 @@ func (t *Tree) Height() int { return t.height }
 // NumKeys returns the number of stored keys.
 func (t *Tree) NumKeys() int { return t.numKeys }
 
+// Len returns the number of records.
+func (r Records) Len() int { return len(r.keys) }
+
 // SimLookup walks the simulated-memory image the way the hardware pipeline
 // does: linear key scans within a node, one child dereference per level.
 // It returns the value, whether the key was found, and the number of node
@@ -40,7 +43,17 @@ func SimLookup(backing *mem.Backing, root mem.Addr, key uint64) (val uint64, fou
 	}
 }
 
-func build(t *testing.T, n int) (*Tree, *mem.Backing) {
+// sortAndBuild sorts keys and values and lays the tree out in b.
+func sortAndBuild(t testing.TB, b *mem.Backing, keys, vals []uint64) (*Tree, Records) {
+	t.Helper()
+	r, err := Sort(keys, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Build(b, r), r
+}
+
+func build(t *testing.T, n int) (*Tree, *mem.Backing, Records) {
 	t.Helper()
 	b := mem.NewBacking(64 << 20)
 	keys := make([]uint64, n)
@@ -49,48 +62,50 @@ func build(t *testing.T, n int) (*Tree, *mem.Backing) {
 		keys[i] = uint64(i) * 0x9e3779b97f4a7c15 // unique, scattered
 		vals[i] = uint64(i) + 1000
 	}
-	tr, err := Build(b, keys, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr, b
+	tr, r := sortAndBuild(t, b, keys, vals)
+	return tr, b, r
 }
 
 func TestBuildAndLookup(t *testing.T) {
-	tr, _ := build(t, 1000)
-	if tr.NumKeys() != 1000 {
+	tr, b, r := build(t, 1000)
+	if tr.NumKeys() != 1000 || r.Len() != 1000 {
 		t.Fatal("key count wrong")
 	}
 	for i := 0; i < 1000; i++ {
 		k := uint64(i) * 0x9e3779b97f4a7c15
-		v, ok := tr.Lookup(k)
+		v, ok := r.Lookup(k)
 		if !ok || v != uint64(i)+1000 {
 			t.Fatalf("lookup %d: %d %v", i, v, ok)
 		}
+		if sv, ok, _ := SimLookup(b, tr.RootAddr, k); !ok || sv != v {
+			t.Fatalf("sim lookup %d: %d %v", i, sv, ok)
+		}
 	}
-	if _, ok := tr.Lookup(12345); ok {
+	if _, ok := r.Lookup(12345); ok {
 		t.Fatal("missing key found")
+	}
+	if _, ok, _ := SimLookup(b, tr.RootAddr, 12345); ok {
+		t.Fatal("sim lookup found a missing key")
 	}
 }
 
 func TestBuildRejectsBadInput(t *testing.T) {
-	b := mem.NewBacking(1 << 20)
-	if _, err := Build(b, []uint64{1, 1}, []uint64{2, 3}); err == nil {
+	if _, err := Sort([]uint64{1, 1}, []uint64{2, 3}); err == nil {
 		t.Fatal("duplicate keys accepted")
 	}
-	if _, err := Build(b, []uint64{1}, []uint64{}); err == nil {
+	if _, err := Sort([]uint64{1}, []uint64{}); err == nil {
 		t.Fatal("mismatched lengths accepted")
 	}
-	if _, err := Build(b, nil, nil); err == nil {
+	if _, err := Sort(nil, nil); err == nil {
 		t.Fatal("empty key set accepted")
 	}
 }
 
 func TestSimLookupMatchesGoLookup(t *testing.T) {
-	tr, b := build(t, 5000)
+	tr, b, r := build(t, 5000)
 	for i := 0; i < 5000; i += 7 {
 		k := uint64(i) * 0x9e3779b97f4a7c15
-		want, _ := tr.Lookup(k)
+		want, _ := r.Lookup(k)
 		got, ok, visits := SimLookup(b, tr.RootAddr, k)
 		if !ok || got != want {
 			t.Fatalf("sim lookup %d: %d %v", i, got, ok)
@@ -122,12 +137,13 @@ func TestTreeMatchesMapOracle(t *testing.T) {
 			vals = append(vals, v)
 		}
 		b := mem.NewBacking(256 << 20)
-		tr, err := Build(b, keys, vals)
+		recs, err := Sort(keys, vals)
 		if err != nil {
 			return false
 		}
+		tr := Build(b, recs)
 		for k, v := range oracle {
-			if got, ok := tr.Lookup(k); !ok || got != v {
+			if got, ok := recs.Lookup(k); !ok || got != v {
 				return false
 			}
 			if got, ok, _ := SimLookup(b, tr.RootAddr, k); !ok || got != v {
@@ -140,7 +156,7 @@ func TestTreeMatchesMapOracle(t *testing.T) {
 			if _, present := oracle[k]; present {
 				continue
 			}
-			if _, ok := tr.Lookup(k); ok {
+			if _, ok := recs.Lookup(k); ok {
 				return false
 			}
 			if _, ok, _ := SimLookup(b, tr.RootAddr, k); ok {
@@ -186,11 +202,11 @@ func TestSortByKeyProperty(t *testing.T) {
 }
 
 func TestHeightGrowsLogarithmically(t *testing.T) {
-	small, _ := build(t, Fanout) // one leaf
+	small, _, _ := build(t, Fanout) // one leaf
 	if small.Height() != 1 {
 		t.Fatalf("height = %d, want 1", small.Height())
 	}
-	big, _ := build(t, 10_000)
+	big, _, _ := build(t, 10_000)
 	if big.Height() < 4 || big.Height() > 7 {
 		t.Fatalf("height = %d, implausible for 10k keys with fanout %d", big.Height(), Fanout)
 	}
@@ -209,8 +225,8 @@ func TestHeaderCodec(t *testing.T) {
 
 var sinkTree *Tree
 
-// BenchmarkBTreeBuild bulk-loads Silo's scale-2 index size: 1M scattered
-// keys.
+// BenchmarkBTreeBuild sorts and bulk-loads Silo's scale-2 index size: 1M
+// scattered keys.
 func BenchmarkBTreeBuild(b *testing.B) {
 	const n = 1 << 20
 	keys := make([]uint64, n)
@@ -225,10 +241,6 @@ func BenchmarkBTreeBuild(b *testing.B) {
 		b.StopTimer()
 		backing := mem.NewBacking(size)
 		b.StartTimer()
-		tr, err := Build(backing, keys, vals)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sinkTree = tr
+		sinkTree, _ = sortAndBuild(b, backing, keys, vals)
 	}
 }

@@ -62,10 +62,8 @@ func legacyBuild(backing *mem.Backing, keys, values []uint64) (*Tree, error) {
 		level = up
 		height++
 	}
-	t := &Tree{root: level[0], height: height, numKeys: len(pairs)}
-	legacyLayout(backing, t.root)
-	t.RootAddr = t.root.addr
-	return t, nil
+	legacyLayout(backing, level[0])
+	return &Tree{height: height, numKeys: len(pairs), RootAddr: level[0].addr}, nil
 }
 
 func legacyLayout(backing *mem.Backing, n *node) {

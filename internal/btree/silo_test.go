@@ -22,10 +22,11 @@ func TestBuildMatchesLegacySilo(t *testing.T) {
 			ds := silo.GenerateDataset(scale, seed)
 			size := (len(ds.Keys)/btree.Fanout + 2) * 2 * btree.NodeBytes
 			gotMem, wantMem := mem.NewBacking(size), mem.NewBacking(size)
-			got, err := btree.Build(gotMem, ds.Keys, ds.Values)
+			recs, err := btree.Sort(ds.Keys, ds.Values)
 			if err != nil {
 				t.Fatal(err)
 			}
+			got := btree.Build(gotMem, recs)
 			want, err := btree.LegacyBuild(wantMem, ds.Keys, ds.Values)
 			if err != nil {
 				t.Fatal(err)

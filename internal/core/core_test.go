@@ -338,6 +338,40 @@ func TestDRMCtrlPassThrough(t *testing.T) {
 	}
 }
 
+// TestDRMDelaySaturates stalls a DRM holding a data and a control entry by
+// the largest delay, twice: ready cycles stop at maxReady, the control flag
+// in bit 63 survives, and a response issued afterwards saturates too.
+func TestDRMDelaySaturates(t *testing.T) {
+	sys := NewSystem(testConfig(1))
+	pe := sys.PE(0)
+	arr := sys.Backing.AllocSlice([]uint64{5})
+	d := pe.DRM(0)
+	d.Configure(DRMDereference, stage.LocalOut(pe.AllocQueue("out", 16)))
+	d.In().Enq(queue.Data(uint64(arr)))
+	d.In().Enq(queue.Ctrl(99))
+	d.Tick(0)
+	d.Tick(1)
+	if n := d.FaultDelayResponses(^uint64(0)); n != 2 {
+		t.Fatalf("delayed %d entries, want 2", n)
+	}
+	d.FaultDelayResponses(maxReady)
+	d.In().Enq(queue.Data(uint64(arr)))
+	d.Tick(2)
+	want := []queue.Token{queue.Data(5), queue.Ctrl(99), queue.Data(5)}
+	if d.inflight.Len() != len(want) {
+		t.Fatalf("%d entries in flight, want %d", d.inflight.Len(), len(want))
+	}
+	for i, w := range want {
+		e := d.inflight.at(i)
+		if e.readyAt() != maxReady || e.token() != w {
+			t.Fatalf("entry %d: ready %#x token %+v, want ready %#x token %+v", i, e.readyAt(), e.token(), uint64(maxReady), w)
+		}
+	}
+	if d.Tick(maxReady - 1); d.Emitted != 0 || d.wake != maxReady {
+		t.Fatalf("emitted %d, wake %#x before the saturated ready cycle", d.Emitted, d.wake)
+	}
+}
+
 func TestRunDetectsDeadlockViaMaxCycles(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.MaxCycles = 1000

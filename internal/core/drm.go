@@ -79,9 +79,25 @@ type DRM struct {
 	OutFull  uint64 // cycles a completed token waited on a full output
 }
 
+// drmEntry is one in-flight access in 16 bytes: the token's value, and the
+// cycle it is ready with the token's control flag in bit 63. No ready
+// cycle reaches bit 63: push and FaultDelayResponses saturate at maxReady.
 type drmEntry struct {
-	tok   queue.Token
+	val   uint64
 	ready uint64
+}
+
+const (
+	entryCtrl = 1 << 63
+	maxReady  = entryCtrl - 1
+)
+
+// readyAt returns the cycle the entry's token may be delivered.
+func (e *drmEntry) readyAt() uint64 { return e.ready &^ entryCtrl }
+
+// token returns the entry's token.
+func (e *drmEntry) token() queue.Token {
+	return queue.Token{Value: e.val, Ctrl: e.ready&entryCtrl != 0}
 }
 
 // inflightRing is the DRM's in-order reorder buffer as a power-of-two ring:
@@ -192,8 +208,8 @@ func (d *DRM) Tick(now uint64) {
 	}
 	progressed := false
 	// Completion (in order).
-	for k := 0; k < d.width && d.inflight.Len() > 0 && d.inflight.front().ready <= now; k++ {
-		tok := d.inflight.front().tok
+	for k := 0; k < d.width && d.inflight.Len() > 0 && d.inflight.front().readyAt() <= now; k++ {
+		tok := d.inflight.front().token()
 		if !d.out.Push(tok) {
 			d.OutFull++
 			d.outBlocked = true
@@ -223,7 +239,7 @@ func (d *DRM) Tick(now uint64) {
 		return // wake stays horizonNever; advanceInert batches the OutFull count
 	}
 	if d.inflight.Len() > 0 {
-		d.wake = d.inflight.front().ready
+		d.wake = d.inflight.front().readyAt()
 	}
 }
 
@@ -302,12 +318,15 @@ func (d *DRM) trace(now uint64, k trace.Kind, arg uint64) {
 }
 
 func (d *DRM) push(t queue.Token, ready uint64) {
-	ready += d.respExtra
+	ready = min(ready+d.respExtra, maxReady) // both addends are below 2^63
 	if ready < d.lastReady {
 		ready = d.lastReady // in-order delivery
 	}
 	d.lastReady = ready
-	d.inflight.push(drmEntry{tok: t, ready: ready})
+	if t.Ctrl {
+		ready |= entryCtrl
+	}
+	d.inflight.push(drmEntry{val: t.Value, ready: ready})
 }
 
 // FaultDelayResponses is a fault-injection hook (internal/faults): it pushes
@@ -315,12 +334,15 @@ func (d *DRM) push(t queue.Token, ready uint64) {
 // afterwards — out by extra cycles, modeling a memory controller that stops
 // responding to this DRM. Detector: the progress watchdog, once the stalled
 // responses starve the downstream stage and traffic ceases. It returns the
-// number of in-flight accesses that were delayed.
+// number of in-flight accesses that were delayed. Ready cycles saturate at
+// maxReady, so a delay never reaches an entry's control flag.
 func (d *DRM) FaultDelayResponses(extra uint64) int {
+	extra = min(extra, maxReady)
 	for i := 0; i < d.inflight.Len(); i++ {
-		d.inflight.at(i).ready += extra
+		e := d.inflight.at(i)
+		e.ready = min(e.readyAt()+extra, maxReady) | e.ready&entryCtrl
 	}
-	d.lastReady += extra
-	d.respExtra += extra
+	d.lastReady = min(d.lastReady+extra, maxReady)
+	d.respExtra = min(d.respExtra+extra, maxReady)
 	return d.inflight.Len()
 }

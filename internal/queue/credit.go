@@ -1,5 +1,7 @@
 package queue
 
+import "fmt"
+
 // CreditPort is the producer-side endpoint of an inter-PE queue with
 // credit-based flow control (Sec. 5.6). Each destination queue divides its
 // credits (free slots) evenly across its producers; a producer stalls when it
@@ -42,7 +44,7 @@ func (p *CreditPort) Send(t Token) bool {
 			p.index, p.credits)
 	}
 	p.credits--
-	p.arb.senders.push(p.index)
+	p.arb.senders.push(uint16(p.index))
 	if p.arb.credit != nil {
 		p.arb.credit(p.index, true)
 	}
@@ -72,12 +74,15 @@ type Arbiter struct {
 // callback contract.
 func (a *Arbiter) SetCreditHook(f func(port int, granted bool)) { a.credit = f }
 
-// NewArbiter wraps dst with credit flow control for nproducers producers.
-// Credits are divided evenly; remainders go to the lowest-numbered ports,
-// so all dst.Cap() slots are always covered.
+// NewArbiter wraps dst with credit flow control for nproducers producers,
+// at most 65535. Credits are divided evenly; remainders go to the
+// lowest-numbered ports, so all dst.Cap() slots are always covered.
 func NewArbiter(dst *Queue, nproducers int) *Arbiter {
 	if nproducers <= 0 {
 		panic("queue: arbiter needs at least one producer")
+	}
+	if nproducers > maxProducers {
+		panic(fmt.Sprintf("queue: arbiter has %d producers, at most %d fit a sender index", nproducers, maxProducers))
 	}
 	a := &Arbiter{dst: dst}
 	base := dst.Cap() / nproducers
@@ -117,7 +122,7 @@ func (a *Arbiter) returnCredit() {
 		// producer is owed a credit.
 		return
 	}
-	idx := a.senders.pop()
+	idx := int(a.senders.pop())
 	a.ports[idx].credits++
 	if a.credit != nil {
 		a.credit(idx, false)
@@ -141,16 +146,20 @@ func (a *Arbiter) TotalCredits() int {
 	return total
 }
 
+// maxProducers is the most producer ports an arbiter serves: the sender
+// FIFO keeps each buffered token's port index in 16 bits.
+const maxProducers = 1<<16 - 1
+
 // senderRing is the arbiter's FIFO of sender port indices as a power-of-two
 // ring, so a credited dequeue pops the oldest sender in O(1) however deep
 // the queue is. It grows on demand, as the slice it replaces did.
 type senderRing struct {
-	buf  []int // len(buf) is zero or a power of two
+	buf  []uint16 // len(buf) is zero or a power of two
 	head int
 	n    int
 }
 
-func (r *senderRing) push(port int) {
+func (r *senderRing) push(port uint16) {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
@@ -159,7 +168,7 @@ func (r *senderRing) push(port int) {
 }
 
 // pop removes and returns the oldest sender; the ring must not be empty.
-func (r *senderRing) pop() int {
+func (r *senderRing) pop() uint16 {
 	port := r.buf[r.head]
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
@@ -167,7 +176,7 @@ func (r *senderRing) pop() int {
 }
 
 func (r *senderRing) grow() {
-	nb := make([]int, max(4, 2*len(r.buf)))
+	nb := make([]uint16, max(4, 2*len(r.buf)))
 	for i := 0; i < r.n; i++ {
 		nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 	}

@@ -217,6 +217,27 @@ func TestArbiterSeededTokens(t *testing.T) {
 	}
 }
 
+// TestArbiterProducerLimit checks the sender FIFO's 16-bit port indices:
+// the highest port index returns its credit to that port, and one producer
+// more than maxProducers is rejected.
+func TestArbiterProducerLimit(t *testing.T) {
+	dst := NewQueue("wide", maxProducers)
+	arb := NewArbiter(dst, maxProducers)
+	last := arb.Port(maxProducers - 1)
+	if !last.Send(Data(7)) || last.Send(Data(8)) {
+		t.Fatal("the last port did not hold exactly one credit")
+	}
+	if tok, ok := arb.Deq(); !ok || tok.Value != 7 || !last.Send(Data(9)) {
+		t.Fatal("the credit did not return to the last port")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an arbiter with maxProducers+1 producers was built")
+		}
+	}()
+	NewArbiter(NewQueue("wider", 4), maxProducers+1)
+}
+
 // BenchmarkArbiterDeq times one credited dequeue, plus the send that refills
 // the slot, on a queue 4096 tokens deep fed by 16 producers: inter-PE
 // queues hold a few thousand tokens, and returning a credit must not cost

@@ -98,6 +98,51 @@ func TestGenerateMatchesLegacy(t *testing.T) {
 	}
 }
 
+// legacyTranspose is the original transpose, with separate per-column
+// counts and cursors, kept as the oracle that pins Transpose's output.
+func legacyTranspose(m *CSR) *CSC {
+	t := &CSC{
+		Name: m.Name + "^csc", NumRows: m.NumRows, NumCols: m.NumCols,
+		ColOffsets: make([]uint64, m.NumCols+1),
+		RowIdx:     make([]uint64, m.NNZ()),
+		Values:     make([]float64, m.NNZ()),
+	}
+	counts := make([]uint64, m.NumCols)
+	for _, c := range m.ColIdx {
+		counts[c]++
+	}
+	for c := 0; c < m.NumCols; c++ {
+		t.ColOffsets[c+1] = t.ColOffsets[c] + counts[c]
+	}
+	next := append([]uint64(nil), t.ColOffsets[:m.NumCols]...)
+	for r := 0; r < m.NumRows; r++ {
+		cols, vals := m.Row(r)
+		for i, c := range cols {
+			t.RowIdx[next[c]] = uint64(r)
+			t.Values[next[c]] = vals[i]
+			next[c]++
+		}
+	}
+	return t
+}
+
+// TestTransposeMatchesLegacy pins Transpose on every Table 4 input at
+// scales 0–2: its CSC form equals the original transpose's.
+func TestTransposeMatchesLegacy(t *testing.T) {
+	scales := []int{0, 1, 2}
+	if testing.Short() {
+		scales = scales[:1]
+	}
+	for _, in := range Inputs {
+		for _, scale := range scales {
+			m := Generate(in, scale, 1)
+			if got, want := Transpose(m), legacyTranspose(m); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s scale %d: Transpose differs from the legacy transpose", in, scale)
+			}
+		}
+	}
+}
+
 var sinkCSR *CSR
 
 func BenchmarkSparseGenerate(b *testing.B) {

@@ -97,22 +97,28 @@ func Transpose(m *CSR) *CSC {
 		RowIdx:     make([]uint64, m.NNZ()),
 		Values:     make([]float64, m.NNZ()),
 	}
-	counts := make([]uint64, m.NumCols)
+	// Count column c's entries in off[c+1], and sum the counts so off[c]
+	// is where column c starts. The scatter then uses off[c] as column c's
+	// cursor, which leaves it where column c+1 starts; shifting off up by
+	// one restores the starts.
+	off, rowIdx, values := t.ColOffsets, t.RowIdx, t.Values
 	for _, c := range m.ColIdx {
-		counts[c]++
+		off[c+1]++
 	}
-	for c := 0; c < m.NumCols; c++ {
-		t.ColOffsets[c+1] = t.ColOffsets[c] + counts[c]
+	for c := 1; c <= m.NumCols; c++ {
+		off[c] += off[c-1]
 	}
-	next := append([]uint64(nil), t.ColOffsets[:m.NumCols]...)
 	for r := 0; r < m.NumRows; r++ {
 		cols, vals := m.Row(r)
 		for i, c := range cols {
-			t.RowIdx[next[c]] = uint64(r)
-			t.Values[next[c]] = vals[i]
-			next[c]++
+			o := off[c]
+			rowIdx[o] = uint64(r)
+			values[o] = vals[i]
+			off[c] = o + 1
 		}
 	}
+	copy(off[1:], off[:m.NumCols])
+	off[0] = 0
 	return t
 }
 
