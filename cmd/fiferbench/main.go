@@ -38,14 +38,10 @@
 // from the naive loop's. -cpuprofile/-memprofile write pprof profiles of
 // whatever the invocation ran (see EXPERIMENTS.md §profiling).
 //
-// Crash-safe sweeps: -journal FILE appends every finished job to a
-// checksummed JSONL journal; -resume (with the same -journal and workload
-// flags) replays the completed jobs and runs only the remainder, producing
-// byte-identical tables. -job-timeout bounds each job's wall-clock time.
+// Stopping a sweep: -job-timeout bounds each job's wall-clock time.
 // SIGINT/SIGTERM stops admitting jobs, cancels in-flight simulations
-// cooperatively, flushes the journal, renders whatever completed in
-// degraded mode, and exits nonzero with a summary; a second signal kills
-// immediately. See EXPERIMENTS.md.
+// cooperatively, renders whatever completed in degraded mode, and exits
+// 130 with a summary; a second signal kills immediately. See EXPERIMENTS.md.
 package main
 
 import (
@@ -74,8 +70,6 @@ func fiferbench() int {
 	progress := flag.Bool("progress", false, "report per-simulation progress on stderr")
 	watchdog := flag.Int64("watchdog", 0, "deadlock watchdog window in cycles (0 = config default, -1 = disable)")
 	audit := flag.Int64("audit", 0, "invariant audit period in cycles (0 = config default, -1 = disable)")
-	journalPath := flag.String("journal", "", "append every finished job to this crash-safe JSONL journal")
-	resume := flag.Bool("resume", false, "resume from the -journal file: replay completed jobs, run only the remainder")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job wall-clock deadline, e.g. 90s (0 = none)")
 	tracePath := flag.String("trace", "", "write per-simulation event traces to this Chrome/Perfetto JSON file")
 	metricsPath := flag.String("metrics", "", "write periodic per-PE metrics samples to this file (.csv extension = CSV, else JSONL)")
@@ -125,38 +119,15 @@ func fiferbench() int {
 		opt.Trace = sink
 	}
 
-	var journal *bench.Journal
-	if *resume && *journalPath == "" {
-		fmt.Fprintln(os.Stderr, "fiferbench: -resume requires -journal")
-		return 2
-	}
-	if *journalPath != "" {
-		var err error
-		if *resume {
-			journal, err = bench.ResumeJournal(*journalPath, opt)
-		} else {
-			journal, err = bench.CreateJournal(*journalPath, opt)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fiferbench: %v\n", err)
-			return 1
-		}
-		opt.Journal = journal
-		if *resume {
-			fmt.Fprintf(os.Stderr, "fiferbench: resuming from %s: %d completed job(s) will be replayed\n",
-				*journalPath, journal.Replayed())
-		}
-	}
-
 	// SIGINT/SIGTERM: stop admitting jobs and cancel in-flight simulations
-	// through the cooperative core hook; finished work is already in the
-	// journal. A second signal kills the process immediately.
+	// through the cooperative core hook. A second signal kills the process
+	// immediately.
 	cancel := make(chan struct{})
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		s := <-sigc
-		fmt.Fprintf(os.Stderr, "\nfiferbench: %v: canceling — in-flight simulations stop at their next checkpoint, the journal is flushed, partial tables render degraded (repeat the signal to kill now)\n", s)
+		fmt.Fprintf(os.Stderr, "\nfiferbench: %v: canceling — in-flight simulations stop at their next checkpoint, partial tables render degraded (repeat the signal to kill now)\n", s)
 		close(cancel)
 		<-sigc
 		os.Exit(130)
@@ -165,7 +136,7 @@ func fiferbench() int {
 
 	// The summary counts every job the drivers report, whether or not
 	// -progress echoes them.
-	var okCnt, failedCnt, canceledCnt, replayedCnt int
+	var okCnt, failedCnt, canceledCnt int
 	opt.Progress = func(done, total int, res bench.JobResult) {
 		class := bench.ErrorClass(res.Err)
 		switch class {
@@ -176,15 +147,8 @@ func fiferbench() int {
 		default:
 			failedCnt++
 		}
-		if res.Replayed {
-			replayedCnt++
-		}
 		if *progress {
-			status := class
-			if res.Replayed {
-				status += " (replayed)"
-			}
-			fmt.Fprintf(os.Stderr, "[%d/%d] %s %s\n", done, total, res.Job.Key(), status)
+			fmt.Fprintf(os.Stderr, "[%d/%d] %s %s\n", done, total, res.Job.Key(), class)
 		}
 	}
 	w := os.Stdout
@@ -306,12 +270,6 @@ func fiferbench() int {
 		}
 	}
 
-	if err := journal.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "fiferbench: journal: %v\n", err)
-		if code == 0 {
-			code = 1
-		}
-	}
 	interrupted := false
 	select {
 	case <-cancel:
@@ -319,11 +277,8 @@ func fiferbench() int {
 	default:
 	}
 	if failedCnt > 0 || canceledCnt > 0 || interrupted {
-		fmt.Fprintf(os.Stderr, "fiferbench: %d ok, %d failed, %d canceled/timed out (%d replayed)\n",
-			okCnt, failedCnt, canceledCnt, replayedCnt)
-		if *journalPath != "" {
-			fmt.Fprintf(os.Stderr, "fiferbench: journal flushed to %s — rerun with -resume to pick up where this run stopped\n", *journalPath)
-		}
+		fmt.Fprintf(os.Stderr, "fiferbench: %d ok, %d failed, %d canceled/timed out\n",
+			okCnt, failedCnt, canceledCnt)
 		if interrupted {
 			return 130
 		}

@@ -56,8 +56,7 @@ func DefaultOptions() Options { return bench.DefaultOptions() }
 type Outcome = apps.Outcome
 
 // JobResult is one sweep job's result as reported to Options.Progress:
-// the job, its outcome or error, the attempt count, and whether it was
-// replayed from a journal.
+// the job and its outcome or error.
 type JobResult = bench.JobResult
 
 // ProgressFunc observes sweep job completions (Options.Progress); done is
@@ -101,26 +100,8 @@ var ErrJobTimeout = bench.ErrJobTimeout
 
 // ErrorClass maps any run or sweep error onto its stable one-word class
 // ("ok", "canceled", "timeout", "panic", "cycle-budget", "deadlock",
-// "invariant", "journal-mismatch", "error") — the vocabulary the journal
-// persists and degraded tables print.
+// "invariant", "error") — the vocabulary degraded tables print.
 func ErrorClass(err error) string { return bench.ErrorClass(err) }
-
-// Journal is the crash-safe JSONL result log that makes sweeps resumable;
-// see CreateJournal and ResumeJournal.
-type Journal = bench.Journal
-
-// CreateJournal starts a fresh journal at path for sweeps run with opt;
-// attach it via Options.Journal.
-func CreateJournal(path string, opt Options) (*Journal, error) {
-	return bench.CreateJournal(path, opt)
-}
-
-// ResumeJournal verifies an existing journal against opt and returns a
-// Journal that replays completed jobs and appends the rest, making a
-// resumed sweep byte-identical to an uninterrupted one.
-func ResumeJournal(path string, opt Options) (*Journal, error) {
-	return bench.ResumeJournal(path, opt)
-}
 
 // Config is the CGRA-system configuration (Table 2 plus Fifer mechanisms).
 type Config = core.Config

@@ -68,10 +68,6 @@ type Options struct {
 	// it does for the other knobs.
 	MaxCycles uint64
 
-	// Journal, when non-nil, records every finished job durably and replays
-	// journaled results on a resumed sweep. See CreateJournal/ResumeJournal.
-	Journal *Journal
-
 	// Trace, when non-nil, attaches an event collector and metrics sampler
 	// to every CGRA simulation the sweep runs; see TraceSink. Applied before
 	// the per-job Override, so an override that sets Config.Tracer (or

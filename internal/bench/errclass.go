@@ -2,7 +2,6 @@ package bench
 
 import (
 	"errors"
-	"fmt"
 
 	"fifer/internal/core"
 )
@@ -15,29 +14,24 @@ import (
 var ErrJobTimeout = errors.New("bench: job exceeded its wall-clock deadline")
 
 // Error classes. Every job error maps onto exactly one class; the class is
-// what the journal persists, what degraded tables print, and what Resume
-// consults to decide replay-vs-reschedule.
+// what degraded tables print and what fiferbench's summary counts.
 const (
 	ClassOK          = "ok"
-	ClassCanceled    = "canceled"         // sweep canceled (Options.Cancel); rescheduled on resume
-	ClassTimeout     = "timeout"          // per-job deadline; rescheduled on resume
-	ClassPanic       = "panic"            // recovered panic (*PanicError)
-	ClassCycleBudget = "cycle-budget"     // ErrCycleBudget: simulation budget exhausted
-	ClassDeadlock    = "deadlock"         // watchdog tripped (core.ErrDeadlock)
-	ClassInvariant   = "invariant"        // live audit / queue corruption (core.ErrInvariant)
-	ClassMismatch    = "journal-mismatch" // resumed journal disagrees with the job list
-	ClassError       = "error"            // any other failure
+	ClassCanceled    = "canceled"     // sweep canceled (Options.Cancel)
+	ClassTimeout     = "timeout"      // per-job deadline (Options.JobTimeout)
+	ClassPanic       = "panic"        // recovered panic (*PanicError)
+	ClassCycleBudget = "cycle-budget" // ErrCycleBudget: simulation budget exhausted
+	ClassDeadlock    = "deadlock"     // watchdog tripped (core.ErrDeadlock)
+	ClassInvariant   = "invariant"    // live audit / queue corruption (core.ErrInvariant)
+	ClassError       = "error"        // any other failure
 )
 
-// ErrorClass maps a job error onto its journal/report class.
+// ErrorClass maps a job error onto its report class.
 func ErrorClass(err error) string {
 	var pe *PanicError
-	var re *ReplayedError
 	switch {
 	case err == nil:
 		return ClassOK
-	case errors.As(err, &re):
-		return re.Class
 	case errors.Is(err, ErrJobTimeout):
 		return ClassTimeout
 	case errors.Is(err, core.ErrCanceled):
@@ -68,18 +62,4 @@ func abortError(results []JobResult) error {
 		}
 	}
 	return nil
-}
-
-// ReplayedError stands in for a failure that happened in a previous,
-// journaled run: the journal persists the class and rendered message, not
-// the original error chain, so a resumed sweep reports the failure without
-// re-executing the job. ErrorClass returns the original class unchanged.
-type ReplayedError struct {
-	Class string // original ErrorClass
-	Msg   string // original err.Error(), as journaled
-}
-
-// Error renders the journaled failure, marked as replayed.
-func (e *ReplayedError) Error() string {
-	return fmt.Sprintf("bench: replayed from journal (%s): %s", e.Class, e.Msg)
 }

@@ -2,9 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -16,7 +16,7 @@ import (
 
 // This file is the harness-level half of the fast-forward equivalence
 // contract (DESIGN.md §10): every simulation surface the harness exports —
-// outcomes, trace events, metrics rows, goldens, journals — must be
+// outcomes, trace events, metrics rows, goldens — must be
 // byte-identical whether the core runs the naive per-cycle loop
 // (Options.NoFastForward, the oracle) or the event-horizon fast-forward
 // that is on by default. The core-level differential suite lives in
@@ -126,21 +126,20 @@ func TestGoldenFig13WithOracle(t *testing.T) {
 	checkGolden(t, "fig13", b.String())
 }
 
-// TestFastForwardJournalBytesIdentical journals the same sweep once under
-// fast-forward and once under the oracle: the two journals must hold the
-// same header and records byte for byte, CRCs included, in whatever order
-// the jobs completed. Journal records carry no wall-clock fields, so any
-// divergence means fast-forward changed a simulated result.
+// TestFastForwardJournalBytesIdentical runs the same sweep once under
+// fast-forward and once under the oracle: every job must report the same
+// error class and a DeepEqual outcome, whatever order the jobs completed in.
+// Its name, like TestShardJournalBytesIdentical's, is historical: both
+// compare per-job results.
 func TestFastForwardJournalBytesIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	dir := t.TempDir()
 	opt := goldenOpt("BFS", "SpMM")
-	fast := journalFig13(t, filepath.Join(dir, "fast.jsonl"), opt)
+	fast := sweepResults(t, opt)
 	opt.NoFastForward = true
-	oracle := journalFig13(t, filepath.Join(dir, "oracle.jsonl"), opt)
-	checkSameJournal(t, "fast-forward", fast, "oracle", oracle)
+	oracle := sweepResults(t, opt)
+	checkSameResults(t, "fast-forward", fast, "oracle", oracle)
 }
 
 // The two Shard tests below keep the names of the multi-shard kernel they
@@ -168,23 +167,71 @@ func TestGoldenFig13Sharded(t *testing.T) {
 	checkGolden(t, "fig13", b.String())
 }
 
-// TestShardJournalBytesIdentical journals the same sweep with default
+// TestShardJournalBytesIdentical runs the same sweep with default
 // observation and with metrics sampled every 64 cycles plus a 64-cycle
-// audit: the two journals must hold the same header and records byte for
-// byte, CRCs included.
+// audit: every job must report the same error class and a DeepEqual
+// outcome.
 func TestShardJournalBytesIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	dir := t.TempDir()
 	opt := goldenOpt("BFS", "SpMM")
-	base := journalFig13(t, filepath.Join(dir, "default.jsonl"), opt)
+	base := sweepResults(t, opt)
 	opt.Trace = &TraceSink{SampleCycles: 64, BufEvents: 1 << 10}
 	opt.AuditCycles = 64
-	tight := journalFig13(t, filepath.Join(dir, "tight.jsonl"), opt)
-	checkSameJournal(t, "tight observation", tight, "default", base)
+	tight := sweepResults(t, opt)
+	checkSameResults(t, "tight observation", tight, "default", base)
 	if len(opt.Trace.Jobs()) == 0 {
 		t.Fatal("sweep with TraceSink captured nothing")
+	}
+}
+
+// sweepResults runs Fig13 under opt and returns every job's result as
+// Options.Progress reported it, keyed by Job.Key().
+func sweepResults(t *testing.T, opt Options) map[string]JobResult {
+	t.Helper()
+	results := map[string]JobResult{}
+	opt.Progress = func(_, _ int, res JobResult) {
+		k := res.Job.Key()
+		if _, dup := results[k]; dup {
+			t.Errorf("%s reported twice", k)
+		}
+		results[k] = res
+	}
+	if _, err := Fig13(opt); err != nil {
+		t.Fatal(err)
+	}
+	if len(results) == 0 {
+		t.Fatal("sweep reported no jobs")
+	}
+	return results
+}
+
+// checkSameResults requires two sweeps to report the same jobs, each with
+// the same error class and a DeepEqual outcome.
+func checkSameResults(t *testing.T, gotName string, got map[string]JobResult, wantName string, want map[string]JobResult) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s reported %d jobs, %s %d", gotName, len(got), wantName, len(want))
+	}
+	keys := make([]string, 0, len(want))
+	for k := range want {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		g, ok := got[k]
+		if !ok {
+			t.Errorf("%s: missing from %s", k, gotName)
+			continue
+		}
+		w := want[k]
+		if gc, wc := ErrorClass(g.Err), ErrorClass(w.Err); gc != wc {
+			t.Errorf("%s: class %s: %q, %s: %q", k, gotName, gc, wantName, wc)
+		}
+		if !reflect.DeepEqual(g.Outcome, w.Outcome) {
+			t.Errorf("%s: outcomes differ\n%s: %+v\n%s: %+v", k, gotName, g.Outcome, wantName, w.Outcome)
+		}
 	}
 }
 

@@ -342,45 +342,4 @@ func TestInputStoreEmptiedBySweep(t *testing.T) {
 			t.Fatalf("store holds %d input(s) after the sweep", n)
 		}
 	})
-
-	t.Run("resumed", func(t *testing.T) {
-		path := journalPath(t)
-		var jobs []Job
-		for _, in := range InputsOf("BFS")[:4] {
-			jobs = append(jobs, Job{App: "BFS", Input: in, Kind: apps.SerialOOO})
-		}
-		j, err := CreateJournal(path, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o := opt
-		o.Journal = j
-		sweep(t, Runner{Workers: 1}, o, jobs[:2])
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if o.Journal, err = ResumeJournal(path, opt); err != nil {
-			t.Fatal(err)
-		}
-		defer o.Journal.Close()
-		// Jobs replayed from the journal hold no input: when the first job
-		// that runs finishes, only the two jobs left to run hold one.
-		store := &inputStore{}
-		held := -1
-		r := Runner{Workers: 1, Progress: func(done, _ int, res JobResult) {
-			if !res.Replayed && held < 0 {
-				held = store.len()
-			}
-		}}
-		results := r.runWith(o, jobs, store)
-		if held != 2 {
-			t.Fatalf("first fresh job saw %d held input(s), want 2", held)
-		}
-		if !results[0].Replayed || !results[1].Replayed || results[2].Replayed {
-			t.Fatal("the resumed sweep did not replay exactly the journaled jobs")
-		}
-		if n := store.len(); n != 0 {
-			t.Fatalf("store holds %d input(s) after the sweep", n)
-		}
-	})
 }

@@ -59,20 +59,13 @@ type JobResult struct {
 	Job     Job
 	Outcome apps.Outcome
 	Err     error
-
-	// Attempts is 1 for a job that ran and 0 for one the sweep never
-	// started (canceled before dispatch).
-	Attempts int
-	// Replayed marks a result served from a resumed journal rather than a
-	// fresh simulation.
-	Replayed bool
 }
 
 // ProgressFunc observes job completions. done counts completed jobs
 // (1..total); calls are serialized, but arrive in completion order, not
 // submission order. Every job is reported exactly once — including jobs
-// replayed from a journal, canceled mid-run, or skipped because the sweep
-// was canceled before they started — so done always reaches total.
+// canceled mid-run or skipped because the sweep was canceled before they
+// started — so done always reaches total.
 type ProgressFunc func(done, total int, res JobResult)
 
 // Runner executes batches of simulation jobs on a bounded worker pool.
@@ -84,11 +77,10 @@ type ProgressFunc func(done, total int, res JobResult)
 // on first use, and only reads (see inputStore). The determinism test in
 // determinism_test.go pins this down.
 //
-// The Options carried into Run add the crash-safety layer: Cancel stops
-// the sweep cooperatively, JobTimeout bounds each job's wall-clock time,
-// and Journal makes finished work durable and resumable. None of them
-// changes any result when unused. A job runs once: every simulation is
-// deterministic, so a retry would fail the same way again.
+// Two Options fields bound a sweep: Cancel stops it cooperatively and
+// JobTimeout bounds each job's wall-clock time. Neither changes any result
+// when unused. A job runs once: every simulation is deterministic, so a
+// retry would fail the same way again.
 type Runner struct {
 	// Workers bounds the number of concurrently running simulations.
 	// <= 0 means runtime.GOMAXPROCS(0); 1 reproduces fully serial
@@ -96,8 +88,8 @@ type Runner struct {
 	Workers int
 	// Progress, if non-nil, is invoked after each job completes.
 	Progress ProgressFunc
-	// Sweep labels this batch's records in the journal (e.g. "fig13") so
-	// the same journal can serve several drivers without index collisions.
+	// Sweep labels this batch's jobs in a TraceSink (e.g. "fig13"), so one
+	// sink can hold the same job from several drivers.
 	Sweep string
 
 	// run stubs out RunOne in unit tests.
@@ -112,13 +104,13 @@ func (r Runner) Run(opt Options, jobs []Job) []JobResult {
 	return r.runWith(opt, jobs, &inputStore{})
 }
 
-// runWith is Run with the sweep's input store. Every job that will run
-// holds a reference to its input from the start of the sweep until it
-// finishes, however it finishes, so the store is empty when runWith returns.
+// runWith is Run with the sweep's input store. Every job holds a reference
+// to its input from the start of the sweep until it finishes, however it
+// finishes, so the store is empty when runWith returns.
 func (r Runner) runWith(opt Options, jobs []Job, inputs *inputStore) []JobResult {
 	if len(jobs) == 0 {
 		// Explicit empty-batch path: nothing to clamp workers against,
-		// nothing to journal, no Progress calls.
+		// no Progress calls.
 		return []JobResult{}
 	}
 	workers := r.Workers
@@ -134,9 +126,6 @@ func (r Runner) runWith(opt Options, jobs []Job, inputs *inputStore) []JobResult
 	done := 0
 	finish := func(i int, res JobResult) {
 		results[i] = res
-		if !res.Replayed {
-			opt.Journal.record(r.Sweep, i, res)
-		}
 		if r.Progress != nil {
 			progressMu.Lock()
 			done++
@@ -145,19 +134,8 @@ func (r Runner) runWith(opt Options, jobs []Job, inputs *inputStore) []JobResult
 		}
 	}
 
-	// Replay pass: serve journaled results first (in submission order),
-	// then run only the remainder.
-	pending := make([]int, 0, len(jobs))
-	for i, j := range jobs {
-		if res, ok := opt.Journal.replayResult(r.Sweep, i, j); ok {
-			finish(i, res)
-		} else {
-			pending = append(pending, i)
-		}
-	}
-
 	keys := make([]inputKey, len(jobs))
-	for _, i := range pending {
+	for i := range jobs {
 		keys[i] = jobs[i].inputKey(opt)
 		inputs.acquire(keys[i])
 	}
@@ -165,18 +143,18 @@ func (r Runner) runWith(opt Options, jobs []Job, inputs *inputStore) []JobResult
 	runJob := func(i int) {
 		defer inputs.release(keys[i])
 		if canceled(opt.Cancel) {
-			// Stopped admitting work: the job is reported (and journaled)
-			// as canceled-before-start so a resume reschedules it.
+			// Stopped admitting work: the job is reported as
+			// canceled-before-start.
 			finish(i, JobResult{Job: jobs[i], Err: fmt.Errorf(
 				"bench: %s skipped: sweep canceled before it started: %w", jobs[i].Key(), core.ErrCanceled)})
 			return
 		}
 		out, err := r.attempt(jobs[i], opt, inputs)
-		finish(i, JobResult{Job: jobs[i], Outcome: out, Err: err, Attempts: 1})
+		finish(i, JobResult{Job: jobs[i], Outcome: out, Err: err})
 	}
 
 	if workers <= 1 {
-		for _, i := range pending {
+		for i := range jobs {
 			runJob(i)
 		}
 		return results
@@ -193,7 +171,7 @@ func (r Runner) runWith(opt Options, jobs []Job, inputs *inputStore) []JobResult
 			}
 		}()
 	}
-	for _, i := range pending {
+	for i := range jobs {
 		idx <- i
 	}
 	close(idx)
@@ -263,8 +241,8 @@ func canceled(cancel <-chan struct{}) bool {
 // runner builds the Runner the experiment drivers share, honoring
 // opt.Jobs. Options defaults to serial (Jobs == 0 → 1 worker) so library
 // callers keep today's behavior unless they opt in; cmd/fiferbench
-// defaults -j to runtime.NumCPU(). sweep labels the driver's records in
-// the journal.
+// defaults -j to runtime.NumCPU(). sweep labels the driver's jobs in a
+// TraceSink.
 func (opt Options) runner(sweep string) Runner {
 	workers := opt.Jobs
 	if workers <= 0 {

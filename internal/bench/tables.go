@@ -22,7 +22,7 @@ func PrintTable1(w io.Writer) {
 	tbl.Add("32 KB data cache", fmt.Sprintf("%.2f", energy.AreaDCacheMM2))
 	tbl.Add("Total area (per PE)", fmt.Sprintf("%.2f", energy.AreaPEMM2))
 	fmt.Fprint(w, tbl)
-	fmt.Fprintf(w, "\nEach PE is %.1f%% of the area of an OOO core at the same node (paper: 4.6%%).\n",
+	fmt.Fprintf(w, "\nEach PE is %.1f%% of the area of an OOO core at the same node (input: the OOO core area is derived from the paper's 4.6%%).\n",
 		100*energy.AreaPEMM2/energy.AreaOOOCoreMM2)
 }
 

@@ -18,9 +18,9 @@ import (
 // collector; only registration takes the sink's lock. The sink holds one
 // trace per job, keyed by Job.Key after the sweep's label.
 //
-// Tracing is observation only: outcomes, goldens, and journals are
-// byte-identical with a sink attached or not, at any worker count (pinned
-// by the differential test in determinism_test.go).
+// Tracing is observation only: outcomes and goldens are byte-identical
+// with a sink attached or not, at any worker count (pinned by the
+// differential test in determinism_test.go).
 type TraceSink struct {
 	// SampleCycles is the metrics sample period in cycles
 	// (0 = core.DefaultMetricsCycles).

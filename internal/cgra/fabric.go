@@ -49,11 +49,14 @@ type Mapping struct {
 	ConfigAddr  uint64 // set by the system when it reserves the configuration in memory
 }
 
-// Place maps g onto fabric, replicating the datapath to fill unused units
-// when replicate is true. It fails when even a single copy does not fit.
+// Place sizes g's mapping onto fabric. It fails when even a single copy
+// does not fit. It counts g's integer and FMA ops against the fabric's
+// units; when replicate is true it picks the largest power-of-two replica
+// count that those units and the memory ports allow. The mapping charges
+// the full-fabric configuration size, and its depth is g's longest path.
 //
-// The placer is deliberately simple (greedy row-major), matching the scale
-// of datapaths the paper maps: stages are small by construction because the
+// No op gets a grid position and no route is checked, so routing distance
+// never adds to the depth. Stages are small by construction, because the
 // program is split at every long-latency load.
 func Place(g *DFG, fabric FabricConfig, replicate bool) (*Mapping, error) {
 	if err := g.Validate(); err != nil {

@@ -49,9 +49,9 @@ type Config struct {
 	// NoFastForward disables per-PE parking and the whole-machine clock jump
 	// (horizon.go) and makes Run tick every PE on every cycle naively. The
 	// default kernel produces bit-identical results — the differential suite
-	// holds every run surface (Result, goldens, journal CRCs, metrics,
-	// traces) equal between the two — so this exists as the test oracle and
-	// as an escape hatch, not a mode anyone should need.
+	// holds every run surface (Result, goldens, metrics, traces) equal
+	// between the two — so this exists as the test oracle and as an escape
+	// hatch, not a mode anyone should need.
 	NoFastForward bool
 
 	// WatchdogCycles is the progress watchdog's window: if no component of

@@ -45,7 +45,7 @@ const horizonNever = ^uint64(0)
 // KernelStats returns the run loop's own work counters, accumulated over
 // every Run of this system. They legitimately differ between the default
 // kernel and the NoFastForward oracle, so they live outside Result:
-// journals, goldens and the differential suites never see them.
+// outcomes, goldens and the differential suites never see them.
 func (s *System) KernelStats() trace.KernelStats {
 	return trace.KernelStats{PEs: len(s.PEs), Cycles: s.Cycle, Ticks: s.ticks,
 		Jumped: s.jumped, CatchUps: s.catchUps}

@@ -151,9 +151,8 @@ type Result struct {
 
 	// PEActivations is each PE's completed stage activations — the counter
 	// the trace invariant suite reconciles per-PE stage-switch events
-	// against. omitempty keeps journals written before this field existed
-	// verifying (their records re-marshal without it, so CRCs still match).
-	PEActivations []uint64 `json:"PEActivations,omitempty"`
+	// against.
+	PEActivations []uint64
 }
 
 // Run drives the system until the program reports completion. It fails with
