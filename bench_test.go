@@ -202,7 +202,7 @@ func benchRunApp(b *testing.B, app string) {
 	}{{"FastForward", false}, {"Oracle", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			opt := benchOpt()
-			opt.NoFastForward = mode.oracle
+			opt.Override = func(cfg *fifer.Config) { cfg.NoFastForward = mode.oracle }
 			var cycles uint64
 			for i := 0; i < b.N; i++ {
 				out, err := bench.RunOne(app, input, fifer.FiferPipe, false, opt, nil)

@@ -45,6 +45,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -79,9 +80,8 @@ func fiferbench() int {
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
 	flag.Parse()
 
-	opt := bench.Options{Scale: *scale, Seed: *seed, Jobs: *jobs,
-		WatchdogCycles: *watchdog, AuditCycles: *audit,
-		JobTimeout: *jobTimeout, NoFastForward: *noFF}
+	opt := bench.Options{Scale: *scale, Seed: *seed, Jobs: *jobs, JobTimeout: *jobTimeout,
+		Override: configOverride(*watchdog, *audit, *noFF)}
 	if *appsFlag != "" {
 		opt.Apps = strings.Split(*appsFlag, ",")
 	}
@@ -122,17 +122,18 @@ func fiferbench() int {
 	// SIGINT/SIGTERM: stop admitting jobs and cancel in-flight simulations
 	// through the cooperative core hook. A second signal kills the process
 	// immediately.
-	cancel := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		s := <-sigc
 		fmt.Fprintf(os.Stderr, "\nfiferbench: %v: canceling — in-flight simulations stop at their next checkpoint, partial tables render degraded (repeat the signal to kill now)\n", s)
-		close(cancel)
+		cancel()
 		<-sigc
 		os.Exit(130)
 	}()
-	opt.Cancel = cancel
+	opt.Context = ctx
 
 	// The summary counts every job the drivers report, whether or not
 	// -progress echoes them.
@@ -270,12 +271,7 @@ func fiferbench() int {
 		}
 	}
 
-	interrupted := false
-	select {
-	case <-cancel:
-		interrupted = true
-	default:
-	}
+	interrupted := ctx.Err() != nil
 	if failedCnt > 0 || canceledCnt > 0 || interrupted {
 		fmt.Fprintf(os.Stderr, "fiferbench: %d ok, %d failed, %d canceled/timed out\n",
 			okCnt, failedCnt, canceledCnt)
@@ -287,6 +283,27 @@ func fiferbench() int {
 		}
 	}
 	return code
+}
+
+// configOverride maps -watchdog, -audit and -no-fast-forward onto every
+// job's configuration. A cycle flag of 0 keeps the config default, a
+// negative one disables the mechanism, and a positive one sets its window.
+func configOverride(watchdog, audit int64, noFastForward bool) func(*fifer.Config) {
+	cycles := func(field *uint64, v int64) {
+		switch {
+		case v < 0:
+			*field = 0
+		case v > 0:
+			*field = uint64(v)
+		}
+	}
+	return func(cfg *fifer.Config) {
+		cycles(&cfg.WatchdogCycles, watchdog)
+		cycles(&cfg.AuditCycles, audit)
+		if noFastForward {
+			cfg.NoFastForward = true
+		}
+	}
 }
 
 // writeFileWith creates path and streams write into it, reporting either

@@ -6,6 +6,7 @@ import (
 
 	"fifer/internal/apps"
 	"fifer/internal/bench"
+	"fifer/internal/core"
 	"fifer/internal/trace"
 )
 
@@ -20,11 +21,13 @@ const wdEvery = 2048
 func tracedRun(t *testing.T, oracle bool) trace.JobTrace {
 	t.Helper()
 	opt := bench.Options{
-		Scale:          0,
-		Seed:           1,
-		WatchdogCycles: wdEvery,
-		NoFastForward:  oracle,
-		Trace:          &bench.TraceSink{SampleCycles: 512, BufEvents: 1 << 17},
+		Scale: 0,
+		Seed:  1,
+		Trace: &bench.TraceSink{SampleCycles: 512, BufEvents: 1 << 17},
+		Override: func(cfg *core.Config) {
+			cfg.WatchdogCycles = wdEvery
+			cfg.NoFastForward = oracle
+		},
 	}
 	if _, err := bench.RunOne("BFS", bench.InputsOf("BFS")[0], apps.FiferPipe, false, opt, nil); err != nil {
 		t.Fatal(err)

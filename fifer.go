@@ -64,20 +64,21 @@ type JobResult = bench.JobResult
 type ProgressFunc = bench.ProgressFunc
 
 // ErrCycleBudget is returned (wrapped) by runs that exhaust their cycle
-// budget (Config.MaxCycles) before completing. The harness cap is applied
-// before the user override, so an override may raise MaxCycles to buy a
-// longer budget.
+// budget (Config.MaxCycles, 400M cycles by default) before completing.
+// The user override runs last, so it may raise MaxCycles to buy a longer
+// budget.
 var ErrCycleBudget = bench.ErrCycleBudget
 
 // ErrDeadlock is returned (wrapped) when the progress watchdog
-// (Config.WatchdogCycles, or Options.WatchdogCycles) sees no component of
-// the simulated system make progress for a full window. errors.As with a
-// *DeadlockError retrieves the structured report.
+// (Config.WatchdogCycles, settable for a sweep through Options.Override)
+// sees no component of the simulated system make progress for a full
+// window. errors.As with a *DeadlockError retrieves the structured report.
 var ErrDeadlock = core.ErrDeadlock
 
 // ErrInvariant is returned (wrapped) when the live invariant audit
-// (Config.AuditCycles, or Options.AuditCycles) finds the simulation in an
-// inconsistent state, or when recovered queue-layer corruption is reported.
+// (Config.AuditCycles, settable for a sweep through Options.Override) finds
+// the simulation in an inconsistent state, or when recovered queue-layer
+// corruption is reported.
 var ErrInvariant = core.ErrInvariant
 
 // DeadlockError carries the watchdog's structured DeadlockReport: trip
@@ -86,7 +87,7 @@ var ErrInvariant = core.ErrInvariant
 type DeadlockError = core.DeadlockError
 
 // ErrCanceled is returned (wrapped) by runs stopped through the cooperative
-// cancellation hook (Config.Done, or Options.Cancel). errors.As with a
+// cancellation hook (Config.Done, or Options.Context). errors.As with a
 // *CanceledError retrieves the stop cycle and a blocked-state excerpt.
 var ErrCanceled = core.ErrCanceled
 

@@ -1,6 +1,7 @@
 package graphpipe
 
 import (
+	"fifer/internal/apps"
 	"fifer/internal/graph"
 	"fifer/internal/mem"
 	"fifer/internal/ooo"
@@ -105,16 +106,8 @@ func (og *oooGraph) search(m *ooo.Machine, src int, component, radii bool) {
 		// Cores run in core order, so appending each core's discoveries to
 		// one buffer concatenates the per-core lists.
 		next = next[:0]
-		k := len(m.Cores)
-		per := (len(cur) + k - 1) / k
 		for i, core := range m.Cores {
-			lo, hi := i*per, (i+1)*per
-			if lo > len(cur) {
-				lo = len(cur)
-			}
-			if hi > len(cur) {
-				hi = len(cur)
-			}
+			lo, hi := apps.OwnedRange(i, len(cur), len(m.Cores))
 			next = og.bfsLevel(core, i, cur[lo:hi], label, radii, next)
 		}
 		m.Barrier()

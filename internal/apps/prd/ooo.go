@@ -1,6 +1,7 @@
 package prd
 
 import (
+	"fifer/internal/apps"
 	"fifer/internal/graph"
 	"fifer/internal/mem"
 	"fifer/internal/ooo"
@@ -30,22 +31,10 @@ func runOOO(m *ooo.Machine, g *graph.Graph, cfg graph.PRDConfig) []uint64 {
 		active = append(active, uint64(v))
 	}
 
-	chunk := func(k, i, n int) (int, int) {
-		per := (n + k - 1) / k
-		lo, hi := i*per, (i+1)*per
-		if lo > n {
-			lo = n
-		}
-		if hi > n {
-			hi = n
-		}
-		return lo, hi
-	}
-
 	for iter := 0; iter < cfg.MaxIters && len(active) > 0; iter++ {
 		// Scatter phase.
 		for i, c := range m.Cores {
-			lo, hi := chunk(len(m.Cores), i, len(active))
+			lo, hi := apps.OwnedRange(i, len(active), len(m.Cores))
 			for _, v := range active[lo:hi] {
 				depD := c.Load(deltaA+mem.Addr(v*mem.WordBytes), 0)
 				c.Load(offsetsA+mem.Addr(v*mem.WordBytes), 0)
@@ -73,7 +62,7 @@ func runOOO(m *ooo.Machine, g *graph.Graph, cfg graph.PRDConfig) []uint64 {
 		// vertices to one list keeps it ascending, like the reference.
 		next = next[:0]
 		for i, c := range m.Cores {
-			lo, hi := chunk(len(m.Cores), i, n)
+			lo, hi := apps.OwnedRange(i, n, len(m.Cores))
 			for v := lo; v < hi; v++ {
 				depD := c.Load(nextDeltaA+mem.Addr(uint64(v)*mem.WordBytes), 0)
 				d := nextDelta[v]

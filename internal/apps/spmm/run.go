@@ -75,16 +75,8 @@ func runOOO(m *ooo.Machine, a *sparse.CSR, b *sparse.CSC, rows, cols []int) [][]
 	for i := range out {
 		out[i] = make([]float64, len(cols))
 	}
-	k := len(m.Cores)
-	per := (len(rows) + k - 1) / k
 	for ci, c := range m.Cores {
-		lo, hi := ci*per, (ci+1)*per
-		if lo > len(rows) {
-			lo = len(rows)
-		}
-		if hi > len(rows) {
-			hi = len(rows)
-		}
+		lo, hi := apps.OwnedRange(ci, len(rows), len(m.Cores))
 		for ri := lo; ri < hi; ri++ {
 			i := rows[ri]
 			c.Load(aOffA+mem.Addr(uint64(i)*mem.WordBytes), 0)

@@ -6,6 +6,7 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -33,27 +34,19 @@ type Options struct {
 	// Jobs is the number of simulations the experiment drivers run
 	// concurrently. <= 1 runs serially (the default, and what library
 	// callers get unless they opt in); parallel runs produce bit-identical
-	// results in the same order — see Runner.
+	// results in the same order — see runJobs.
 	Jobs int
 	// Progress, if non-nil, observes every job completion during driver
 	// sweeps (Fig13, Fig16, Fig17, ZeroCost).
 	Progress ProgressFunc
 
-	// WatchdogCycles adjusts the core progress watchdog for every job:
-	// 0 keeps the config default, > 0 sets the window, < 0 disables the
-	// watchdog. Like the harness cycle cap it is applied before the per-job
-	// Override, so an override that sets Config.WatchdogCycles wins.
-	WatchdogCycles int64
-	// AuditCycles likewise adjusts the live invariant audit period.
-	AuditCycles int64
-
-	// Cancel, when non-nil, cancels the whole sweep cooperatively once the
-	// channel is closed: no new job starts, and every in-flight CGRA
-	// simulation stops at its next cancellation checkpoint (core.Config.Done)
-	// with an error wrapping core.ErrCanceled. The OOO baselines do not run
-	// through the core loop and finish on their own. A never-closed Cancel
+	// Context, when non-nil, cancels the whole sweep cooperatively once it
+	// is done: no new job starts, and every in-flight CGRA simulation stops
+	// at its next cancellation checkpoint (core.Config.Done) with an error
+	// wrapping core.ErrCanceled. The OOO baselines do not run through the
+	// core loop and finish on their own. A context that is never canceled
 	// does not change any result.
-	Cancel <-chan struct{}
+	Context context.Context
 
 	// JobTimeout, when positive, bounds each job's wall-clock time. The
 	// deadline is enforced through the same cooperative core hook — the
@@ -63,27 +56,27 @@ type Options struct {
 	// for the jobs that time out.
 	JobTimeout time.Duration
 
-	// MaxCycles overrides the harness cycle budget HarnessMaxCycles for
-	// every job (0 keeps the default). The per-job Override still wins, as
-	// it does for the other knobs.
-	MaxCycles uint64
-
 	// Trace, when non-nil, attaches an event collector and metrics sampler
-	// to every CGRA simulation the sweep runs; see TraceSink. Applied before
-	// the per-job Override, so an override that sets Config.Tracer (or
-	// Metrics/MetricsCycles) wins.
+	// to every CGRA simulation the sweep runs; see TraceSink.
 	Trace *TraceSink
 
-	// NoFastForward runs every simulation with the naive per-cycle loop
-	// instead of the parking kernel (core.Config.NoFastForward) — the
-	// differential oracle. Results are bit-identical either way; only
-	// wall-clock time differs. Applied before the per-job Override, which
-	// wins as usual.
-	NoFastForward bool
+	// Override, when non-nil, adjusts every job's configuration, with the
+	// contract of RunOne's override. It runs after the harness settings
+	// (Context's cancellation hook, Trace's collector) and before the
+	// per-job override (Job.Override, or RunOne's), which wins.
+	Override func(*core.Config)
 }
 
 // DefaultOptions returns the standard harness configuration.
 func DefaultOptions() Options { return Options{Scale: 1, Seed: 1} }
+
+// context returns opt.Context, or context.Background() when it is nil.
+func (opt Options) context() context.Context {
+	if opt.Context == nil {
+		return context.Background()
+	}
+	return opt.Context
+}
 
 // appEntry is one row of the app table: an application's name, its input
 // labels (Table 3/4 names), how its inputs are built and how it runs on one.
@@ -186,10 +179,6 @@ func (opt Options) selected() []string {
 	return opt.Apps
 }
 
-// HarnessMaxCycles is the cycle budget RunOne imposes on every run so a
-// misconfiguration surfaces as an error rather than an endless simulation.
-const HarnessMaxCycles = 400_000_000
-
 // ErrCycleBudget reports that a simulation ran out of its cycle budget
 // (cfg.MaxCycles) before the program quiesced. RunOne translates the core
 // layer's exhaustion error into this named error so harness callers can
@@ -198,10 +187,10 @@ var ErrCycleBudget = errors.New("bench: simulation cycle budget exhausted (raise
 
 // RunOne executes one (app, input, system) combination.
 //
-// The harness cap HarnessMaxCycles is applied to cfg.MaxCycles BEFORE the
-// user override runs, so an override that sets MaxCycles always wins:
-// callers can intentionally raise (or lower) the budget. If the budget is
-// exhausted the returned error wraps ErrCycleBudget.
+// override, when non-nil, adjusts the configuration last, after the
+// harness settings and opt.Override, so it wins over both: a caller can
+// intentionally raise (or lower) the cycle budget cfg.MaxCycles. If the
+// budget is exhausted the returned error wraps ErrCycleBudget.
 func RunOne(app, input string, kind apps.SystemKind, merged bool, opt Options, override func(*core.Config)) (apps.Outcome, error) {
 	return Job{App: app, Input: input, Kind: kind, Merged: merged, Override: override}.run(opt, "", nil)
 }
@@ -219,26 +208,10 @@ func (j Job) inputKey(opt Options) inputKey {
 func (j Job) run(opt Options, sweep string, inputs *inputStore) (apps.Outcome, error) {
 	var col *trace.Collector
 	if opt.Trace != nil {
-		n := opt.Trace.BufEvents
-		if n <= 0 {
-			n = trace.DefaultBufEvents
-		}
-		col = trace.NewCollector(n)
+		col = trace.NewCollector(opt.Trace.BufEvents)
 	}
 	override := func(cfg *core.Config) {
-		cfg.MaxCycles = HarnessMaxCycles
-		if opt.MaxCycles > 0 {
-			cfg.MaxCycles = opt.MaxCycles
-		}
-		if opt.Cancel != nil {
-			cfg.Done = opt.Cancel
-		}
-		if opt.WatchdogCycles != 0 {
-			cfg.WatchdogCycles = cyclesKnob(opt.WatchdogCycles)
-		}
-		if opt.AuditCycles != 0 {
-			cfg.AuditCycles = cyclesKnob(opt.AuditCycles)
-		}
+		cfg.Done = opt.context().Done()
 		if col != nil {
 			if !opt.Trace.MetricsOnly {
 				cfg.Tracer = col
@@ -246,8 +219,8 @@ func (j Job) run(opt Options, sweep string, inputs *inputStore) (apps.Outcome, e
 			cfg.Metrics = col
 			cfg.MetricsCycles = opt.Trace.SampleCycles
 		}
-		if opt.NoFastForward {
-			cfg.NoFastForward = true
+		if opt.Override != nil {
+			opt.Override(cfg)
 		}
 		if j.Override != nil {
 			j.Override(cfg)
@@ -268,13 +241,4 @@ func (j Job) run(opt Options, sweep string, inputs *inputStore) (apps.Outcome, e
 		err = fmt.Errorf("%w: %s: %w", ErrCycleBudget, j.Key(), err)
 	}
 	return out, err
-}
-
-// cyclesKnob maps an Options cycle knob to a config value: negative
-// disables the mechanism (0 in the config), positive passes through.
-func cyclesKnob(v int64) uint64 {
-	if v < 0 {
-		return 0
-	}
-	return uint64(v)
 }

@@ -1,10 +1,10 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -16,16 +16,12 @@ import (
 // empty result and no progress calls.
 func TestRunnerEmptyBatch(t *testing.T) {
 	calls := 0
-	r := Runner{
-		Workers:  4,
-		Progress: func(done, total int, res JobResult) { calls++ },
-		run: func(Job, Options) (apps.Outcome, error) {
+	opt := Options{Jobs: 4, Progress: func(done, total int, res JobResult) { calls++ }}
+	for _, jobs := range [][]Job{nil, {}} {
+		results := runStub(opt, jobs, func(Job, Options) (apps.Outcome, error) {
 			t.Error("empty batch ran a job")
 			return apps.Outcome{}, nil
-		},
-	}
-	for _, jobs := range [][]Job{nil, {}} {
-		results := r.Run(Options{}, jobs)
+		})
 		if results == nil || len(results) != 0 {
 			t.Fatalf("empty batch returned %#v, want empty non-nil slice", results)
 		}
@@ -39,14 +35,13 @@ func TestRunnerEmptyBatch(t *testing.T) {
 // and unwraps to the original error chain.
 func TestPanicErrorRoundTrip(t *testing.T) {
 	sentinel := errors.New("boom-root")
-	r := Runner{Workers: 1, run: func(Job, Options) (apps.Outcome, error) {
-		panic(fmt.Errorf("kernel blew up: %w", sentinel))
-	}}
 	job := Job{App: "BFS", Input: "Rd", Kind: apps.StaticPipe, Merged: true}
 	// Two jobs that differ only by variant (Fig. 16's qmem sweep) must
 	// panic with different messages.
 	variant := Job{App: "BFS", Input: "Rd", Kind: apps.FiferPipe, Variant: "qmem=0.25x"}
-	results := r.Run(Options{}, []Job{job, variant})
+	results := runStub(Options{}, []Job{job, variant}, func(Job, Options) (apps.Outcome, error) {
+		panic(fmt.Errorf("kernel blew up: %w", sentinel))
+	})
 	res := results[0]
 
 	var pe *PanicError
@@ -81,17 +76,8 @@ func TestPanicErrorRoundTrip(t *testing.T) {
 // TestJobTimeout checks the per-job deadline stops a job through the
 // cooperative hook and classifies it as timeout, not canceled.
 func TestJobTimeout(t *testing.T) {
-	r := Runner{Workers: 1, run: func(_ Job, o Options) (apps.Outcome, error) {
-		// Stand-in for a core simulation honoring Config.Done.
-		select {
-		case <-o.Cancel:
-			return apps.Outcome{}, fmt.Errorf("stopped at checkpoint: %w", core.ErrCanceled)
-		case <-time.After(30 * time.Second):
-			return apps.Outcome{Cycles: 1}, nil
-		}
-	}}
 	start := time.Now()
-	res := r.Run(Options{JobTimeout: 20 * time.Millisecond}, []Job{{App: "BFS", Input: "Rn"}})[0]
+	res := runStub(Options{JobTimeout: 20 * time.Millisecond}, []Job{{App: "BFS", Input: "Rn"}}, checkpointStub)[0]
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("deadline did not bound the job (took %v)", elapsed)
 	}
@@ -101,22 +87,29 @@ func TestJobTimeout(t *testing.T) {
 	if got := ErrorClass(res.Err); got != ClassTimeout {
 		t.Fatalf("class = %q, want %q", got, ClassTimeout)
 	}
+	want := "bench: BFS/Rn serial-ooo: bench: job exceeded its wall-clock deadline (20ms): stopped at checkpoint: " + core.ErrCanceled.Error()
+	if res.Err.Error() != want {
+		t.Fatalf("err text = %q, want %q", res.Err.Error(), want)
+	}
+}
+
+// checkpointStub stands in for a core simulation honoring Config.Done: it
+// stops when the job's context is done, or succeeds after 30 seconds.
+func checkpointStub(_ Job, o Options) (apps.Outcome, error) {
+	select {
+	case <-o.Context.Done():
+		return apps.Outcome{}, fmt.Errorf("stopped at checkpoint: %w", core.ErrCanceled)
+	case <-time.After(30 * time.Second):
+		return apps.Outcome{Cycles: 1}, nil
+	}
 }
 
 // TestSweepCancelBeatsTimeout checks a sweep-wide cancel during a job with
 // an armed (but unexpired) deadline classifies as canceled, not timeout.
 func TestSweepCancelBeatsTimeout(t *testing.T) {
-	cancel := make(chan struct{})
-	time.AfterFunc(10*time.Millisecond, func() { close(cancel) })
-	r := Runner{Workers: 1, run: func(_ Job, o Options) (apps.Outcome, error) {
-		select {
-		case <-o.Cancel:
-			return apps.Outcome{}, fmt.Errorf("stopped at checkpoint: %w", core.ErrCanceled)
-		case <-time.After(30 * time.Second):
-			return apps.Outcome{Cycles: 1}, nil
-		}
-	}}
-	res := r.Run(Options{JobTimeout: time.Hour, Cancel: cancel}, []Job{{App: "BFS", Input: "Rn"}})[0]
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(10*time.Millisecond, cancel)
+	res := runStub(Options{JobTimeout: time.Hour, Context: ctx}, []Job{{App: "BFS", Input: "Rn"}}, checkpointStub)[0]
 	if got := ErrorClass(res.Err); got != ClassCanceled {
 		t.Fatalf("class = %q (err %v), want %q", got, res.Err, ClassCanceled)
 	}
@@ -132,33 +125,29 @@ func TestProgressContractUnderCancel(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = Job{App: "BFS", Input: fmt.Sprintf("in%d", i), Kind: apps.FiferPipe}
 	}
-	cancel := make(chan struct{})
-	var once sync.Once
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	seen := map[string]int{}
 	lastDone := 0
 	var classes []string
-	r := Runner{
-		Workers: 2,
-		Progress: func(done, total int, res JobResult) {
-			if total != n {
-				t.Errorf("total = %d, want %d", total, n)
-			}
-			if done != lastDone+1 {
-				t.Errorf("done jumped %d -> %d, want monotone steps of 1", lastDone, done)
-			}
-			lastDone = done
-			seen[res.Job.Input]++
-			classes = append(classes, ErrorClass(res.Err))
-			if done == 3 {
-				once.Do(func() { close(cancel) })
-			}
-		},
-		run: func(Job, Options) (apps.Outcome, error) {
-			time.Sleep(5 * time.Millisecond)
-			return apps.Outcome{Cycles: 1}, nil
-		},
-	}
-	results := r.Run(Options{Cancel: cancel}, jobs)
+	opt := Options{Jobs: 2, Context: ctx, Progress: func(done, total int, res JobResult) {
+		if total != n {
+			t.Errorf("total = %d, want %d", total, n)
+		}
+		if done != lastDone+1 {
+			t.Errorf("done jumped %d -> %d, want monotone steps of 1", lastDone, done)
+		}
+		lastDone = done
+		seen[res.Job.Input]++
+		classes = append(classes, ErrorClass(res.Err))
+		if done == 3 {
+			cancel()
+		}
+	}}
+	results := runStub(opt, jobs, func(Job, Options) (apps.Outcome, error) {
+		time.Sleep(5 * time.Millisecond)
+		return apps.Outcome{Cycles: 1}, nil
+	})
 
 	if lastDone != n {
 		t.Fatalf("done reached %d, want %d (every job reported)", lastDone, n)

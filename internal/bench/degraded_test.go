@@ -1,11 +1,11 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -35,9 +35,9 @@ func TestCanceledFig13RendersDegraded(t *testing.T) {
 			t.Run(fmt.Sprintf("j%d-k%d", workers, k), func(t *testing.T) {
 				opt := baseOpt
 				opt.Jobs = workers
-				cancel := make(chan struct{})
-				var once sync.Once
-				opt.Cancel = cancel
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				opt.Context = ctx
 				seen := map[string]int{}
 				jobs, canceled := 0, 0
 				opt.Progress = func(done, total int, res JobResult) {
@@ -47,7 +47,7 @@ func TestCanceledFig13RendersDegraded(t *testing.T) {
 						canceled++
 					}
 					if done >= k {
-						once.Do(func() { close(cancel) })
+						cancel()
 					}
 				}
 				d, err := Fig13(opt)

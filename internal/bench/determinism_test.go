@@ -12,7 +12,7 @@ import (
 
 // TestParallelMatchesSerial is the determinism guarantee's pin: for every
 // app at scale 0, the same (input, system, seed) run serially and through
-// the parallel Runner must produce bit-identical apps.Outcome structs.
+// a parallel sweep must produce bit-identical apps.Outcome structs.
 // Any hidden shared state (a package-level RNG, a memoized generated
 // input) the concurrency audit missed shows up here — either as a
 // DeepEqual mismatch or as a report under `go test -race`.
@@ -28,8 +28,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 			jobs = append(jobs, Job{App: app, Input: input, Kind: kind})
 		}
 	}
-	serial := Runner{Workers: 1}.Run(opt, jobs)
-	parallel := Runner{Workers: 8}.Run(opt, jobs)
+	serial := runJobs(opt, "", jobs)
+	opt.Jobs = 8
+	parallel := runJobs(opt, "", jobs)
 	if len(serial) != len(jobs) || len(parallel) != len(jobs) {
 		t.Fatalf("result counts: serial=%d parallel=%d, want %d", len(serial), len(parallel), len(jobs))
 	}
@@ -64,14 +65,15 @@ func TestTracingDoesNotPerturb(t *testing.T) {
 		jobs = append(jobs, Job{App: app, Input: input, Kind: apps.StaticPipe})
 	}
 	base := Options{Scale: 0, Seed: 1}
-	plain := Runner{Workers: 1}.Run(base, jobs)
+	plain := runJobs(base, "", jobs)
 
 	run := func(workers int) ([]JobResult, *TraceSink) {
 		opt := base
 		// Small rings on purpose: overflow (drop-oldest) must be just as
 		// invisible to the simulation as comfortable headroom.
 		opt.Trace = &TraceSink{SampleCycles: 512, BufEvents: 1 << 12}
-		return Runner{Workers: workers}.Run(opt, jobs), opt.Trace
+		opt.Jobs = workers
+		return runJobs(opt, "", jobs), opt.Trace
 	}
 	serialTraced, sinkSerial := run(1)
 	parallelTraced, sinkParallel := run(runtime.NumCPU())
@@ -160,7 +162,7 @@ func TestMetricsOnlySink(t *testing.T) {
 	run := func(metricsOnly bool) []TracedJob {
 		opt := Options{Scale: 0, Seed: 1,
 			Trace: &TraceSink{SampleCycles: 1024, MetricsOnly: metricsOnly}}
-		for _, r := range (Runner{Workers: 1}).Run(opt, jobs) {
+		for _, r := range runJobs(opt, "", jobs) {
 			if r.Err != nil {
 				t.Fatal(r.Err)
 			}

@@ -17,7 +17,7 @@ var ErrJobTimeout = errors.New("bench: job exceeded its wall-clock deadline")
 // what degraded tables print and what fiferbench's summary counts.
 const (
 	ClassOK          = "ok"
-	ClassCanceled    = "canceled"     // sweep canceled (Options.Cancel)
+	ClassCanceled    = "canceled"     // sweep canceled (Options.Context)
 	ClassTimeout     = "timeout"      // per-job deadline (Options.JobTimeout)
 	ClassPanic       = "panic"        // recovered panic (*PanicError)
 	ClassCycleBudget = "cycle-budget" // ErrCycleBudget: simulation budget exhausted

@@ -18,10 +18,16 @@ import (
 // contract (DESIGN.md §10): every simulation surface the harness exports —
 // outcomes, trace events, metrics rows, goldens — must be
 // byte-identical whether the core runs the naive per-cycle loop
-// (Options.NoFastForward, the oracle) or the event-horizon fast-forward
+// (core.Config.NoFastForward, the oracle) or the event-horizon fast-forward
 // that is on by default. The core-level differential suite lives in
 // internal/core/horizon_test.go; these tests pin the same equivalence
 // through the full application stack.
+
+// naiveLoop returns an Options.Override that runs the naive per-cycle loop
+// when oracle is set, and the default parking kernel otherwise.
+func naiveLoop(oracle bool) func(*core.Config) {
+	return func(cfg *core.Config) { cfg.NoFastForward = oracle }
+}
 
 // ffJobs is the standard differential job list: every app's first input on
 // both pipelined CGRA systems.
@@ -50,11 +56,12 @@ func TestFastForwardMatchesOracleApps(t *testing.T) {
 
 	run := func(oracle, traced bool, workers int) ([]JobResult, *TraceSink) {
 		opt := base
-		opt.NoFastForward = oracle
+		opt.Jobs = workers
+		opt.Override = naiveLoop(oracle)
 		if traced {
 			opt.Trace = &TraceSink{SampleCycles: 512, BufEvents: 1 << 14}
 		}
-		return Runner{Workers: workers}.Run(opt, jobs), opt.Trace
+		return runJobs(opt, "", jobs), opt.Trace
 	}
 
 	for _, tc := range []struct {
@@ -116,7 +123,7 @@ func TestGoldenFig13WithOracle(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	opt := goldenOpt("BFS", "SpMM")
-	opt.NoFastForward = true
+	opt.Override = naiveLoop(true)
 	d, err := Fig13(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +144,7 @@ func TestFastForwardJournalBytesIdentical(t *testing.T) {
 	}
 	opt := goldenOpt("BFS", "SpMM")
 	fast := sweepResults(t, opt)
-	opt.NoFastForward = true
+	opt.Override = naiveLoop(true)
 	oracle := sweepResults(t, opt)
 	checkSameResults(t, "fast-forward", fast, "oracle", oracle)
 }
@@ -156,8 +163,7 @@ func TestGoldenFig13Sharded(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	opt := goldenOpt("BFS", "SpMM")
-	opt.AuditCycles = 64
-	opt.WatchdogCycles = 5000
+	opt.Override = func(cfg *core.Config) { cfg.AuditCycles, cfg.WatchdogCycles = 64, 5000 }
 	d, err := Fig13(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +184,7 @@ func TestShardJournalBytesIdentical(t *testing.T) {
 	opt := goldenOpt("BFS", "SpMM")
 	base := sweepResults(t, opt)
 	opt.Trace = &TraceSink{SampleCycles: 64, BufEvents: 1 << 10}
-	opt.AuditCycles = 64
+	opt.Override = func(cfg *core.Config) { cfg.AuditCycles = 64 }
 	tight := sweepResults(t, opt)
 	checkSameResults(t, "tight observation", tight, "default", base)
 	if len(opt.Trace.Jobs()) == 0 {
@@ -253,7 +259,7 @@ func TestSiloMatchesOracle(t *testing.T) {
 					var outs [2]apps.Outcome
 					for i, oracle := range []bool{false, true} {
 						col := trace.NewCollector(1)
-						opt := Options{Scale: scale, Seed: 1, NoFastForward: oracle}
+						opt := Options{Scale: scale, Seed: 1, Override: naiveLoop(oracle)}
 						out, err := RunOne(silo.Name, input, kind, merged, opt, func(cfg *core.Config) {
 							cfg.Metrics = col
 						})
@@ -294,7 +300,7 @@ func TestKernelStatsApps(t *testing.T) {
 	}
 	for _, j := range ffJobs() {
 		for _, oracle := range []bool{false, true} {
-			opt := Options{Scale: 0, Seed: 1, NoFastForward: oracle}
+			opt := Options{Scale: 0, Seed: 1, Override: naiveLoop(oracle)}
 			col := trace.NewCollector(1)
 			out, err := RunOne(j.App, j.Input, j.Kind, false, opt, func(cfg *core.Config) {
 				cfg.Metrics = col

@@ -62,7 +62,7 @@ func Fig13(opt Options) (*Fig13Data, error) {
 			}
 		}
 	}
-	results := opt.runner("fig13").Run(opt, jobs)
+	results := runJobs(opt, "fig13", jobs)
 	if err := abortError(results); err != nil {
 		return nil, err
 	}

@@ -67,7 +67,7 @@ func Fig16(opt Options) ([]Fig16Point, error) {
 			}
 		}
 	}
-	results := opt.runner("fig16").Run(opt, jobs)
+	results := runJobs(opt, "fig16", jobs)
 	if err := abortError(results); err != nil {
 		return nil, err
 	}
@@ -183,7 +183,7 @@ func ZeroCost(opt Options) (ZeroCostResult, error) {
 				Override: func(cfg *core.Config) { cfg.ZeroCostReconfig = true }})
 		}
 	}
-	results := opt.runner("zerocost").Run(opt, jobs)
+	results := runJobs(opt, "zerocost", jobs)
 	if err := abortError(results); err != nil {
 		return res, err
 	}

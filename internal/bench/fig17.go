@@ -34,7 +34,7 @@ func Fig17(opt Options) ([]Fig17Row, error) {
 				Job{App: app, Input: input, Kind: apps.FiferPipe})
 		}
 	}
-	results := opt.runner("fig17").Run(opt, jobs)
+	results := runJobs(opt, "fig17", jobs)
 	if err := abortError(results); err != nil {
 		return nil, err
 	}

@@ -11,7 +11,7 @@ type inputKey struct {
 	seed          uint64
 }
 
-// inputStore holds the inputs of one Runner.Run sweep, and next to each
+// inputStore holds the inputs of one sweep (runJobs), and next to each
 // input the values derived from it alone (each app's reference output,
 // Silo's sorted records). An input is built by the first job that asks for
 // it, read by every later job with the same key, and dropped, with

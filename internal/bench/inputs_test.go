@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -114,7 +115,7 @@ func TestSharedInputsUnchanged(t *testing.T) {
 			}
 			run := func(jobs []Job) {
 				t.Helper()
-				for _, res := range (Runner{Workers: 2}).runWith(opt, jobs, store) {
+				for _, res := range runOnStore(opt, jobs, store) {
 					if res.Err != nil || !res.Outcome.Verified {
 						t.Fatalf("%s: err %v, verified %v", res.Job.Key(), res.Err, res.Outcome.Verified)
 					}
@@ -183,7 +184,7 @@ func TestSweepChecksSharedReference(t *testing.T) {
 		want[len(want)-1]++
 		return want
 	})
-	for _, res := range (Runner{Workers: 2}).runWith(opt, jobs, store) {
+	for _, res := range runOnStore(opt, jobs, store) {
 		switch res.Job.App {
 		case "BFS":
 			if res.Err == nil || res.Outcome.Verified || !strings.Contains(res.Err.Error(), "distance") {
@@ -279,14 +280,23 @@ func TestInputStoreBuildsOnce(t *testing.T) {
 	}
 }
 
+// runOnStore runs jobs on two workers, as a sweep does, reading their
+// inputs from store.
+func runOnStore(opt Options, jobs []Job, store *inputStore) []JobResult {
+	opt.Jobs = 2
+	return runWith(opt, jobs, store, func(j Job, o Options) (apps.Outcome, error) {
+		return j.run(o, "", store)
+	})
+}
+
 // TestInputStoreEmptiedBySweep checks that every way a job can finish
 // releases its input: when runWith returns, the store is empty.
 func TestInputStoreEmptiedBySweep(t *testing.T) {
 	opt := Options{Scale: 0, Seed: 1}
-	sweep := func(t *testing.T, r Runner, opt Options, jobs []Job) []JobResult {
+	sweep := func(t *testing.T, opt Options, jobs []Job) []JobResult {
 		t.Helper()
 		store := &inputStore{}
-		results := r.runWith(opt, jobs, store)
+		results := runOnStore(opt, jobs, store)
 		if n := store.len(); n != 0 {
 			t.Fatalf("store holds %d input(s) after the sweep", n)
 		}
@@ -300,7 +310,7 @@ func TestInputStoreEmptiedBySweep(t *testing.T) {
 		}
 		jobs = append(jobs, Job{App: "SpMM", Input: InputsOf("SpMM")[0], Kind: apps.FiferPipe},
 			Job{App: "Silo", Input: "YCSB-C", Kind: apps.SerialOOO})
-		for _, res := range sweep(t, Runner{Workers: 2}, opt, jobs) {
+		for _, res := range sweep(t, opt, jobs) {
 			if res.Err != nil || !res.Outcome.Verified {
 				t.Fatalf("%s: err %v, verified %v", res.Job.Key(), res.Err, res.Outcome.Verified)
 			}
@@ -308,19 +318,21 @@ func TestInputStoreEmptiedBySweep(t *testing.T) {
 	})
 
 	t.Run("canceled", func(t *testing.T) {
-		cancel := make(chan struct{})
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
 		o := opt
-		o.Cancel = cancel
-		r := Runner{Workers: 1, Progress: func(done, _ int, _ JobResult) {
+		o.Jobs = 1
+		o.Context = ctx
+		o.Progress = func(done, _ int, _ JobResult) {
 			if done == 1 {
-				close(cancel)
+				cancel()
 			}
-		}}
+		}
 		var jobs []Job
 		for _, in := range InputsOf("BFS") {
 			jobs = append(jobs, Job{App: "BFS", Input: in, Kind: apps.FiferPipe})
 		}
-		results := sweep(t, r, o, jobs)
+		results := sweep(t, o, jobs)
 		if last := results[len(results)-1]; !errors.Is(last.Err, core.ErrCanceled) {
 			t.Fatalf("last job: err %v, want a canceled skip", last.Err)
 		}
@@ -328,11 +340,12 @@ func TestInputStoreEmptiedBySweep(t *testing.T) {
 
 	t.Run("panicking", func(t *testing.T) {
 		store := &inputStore{}
-		r := Runner{Workers: 2, run: func(j Job, o Options) (apps.Outcome, error) {
+		o := opt
+		o.Jobs = 2
+		for _, res := range runWith(o, stubJobs(6), store, func(j Job, o Options) (apps.Outcome, error) {
 			store.get(j.inputKey(o), "", func() any { return j.Input })
 			panic("boom")
-		}}
-		for _, res := range r.runWith(opt, stubJobs(6), store) {
+		}) {
 			var pe *PanicError
 			if !errors.As(res.Err, &pe) {
 				t.Fatalf("%s: err %v, want a recovered panic", res.Job.Key(), res.Err)

@@ -10,7 +10,7 @@ import (
 // PanicError captures a panic that escaped one simulation job: the panic
 // value plus the goroutine stack at the point of recovery, tagged with the
 // job's identity so a batch report names the culprit directly instead of
-// requiring the reader to cross-reference result indices. The Runner
+// requiring the reader to cross-reference result indices. A sweep
 // converts panics into this error so a corrupted or misconfigured job fails
 // alone while the rest of the sweep completes with untouched results.
 //
@@ -41,7 +41,7 @@ func (e *PanicError) Unwrap() error {
 }
 
 // protect wraps a job-running function with panic recovery.
-func protect(run func(Job, Options) (apps.Outcome, error)) func(Job, Options) (apps.Outcome, error) {
+func protect(run jobFunc) jobFunc {
 	return func(j Job, opt Options) (out apps.Outcome, err error) {
 		defer func() {
 			if r := recover(); r != nil {

@@ -15,7 +15,7 @@ import (
 // as a *PanicError carrying the value and a stack, while every other job's
 // result is identical to a clean run of the same batch.
 func TestRunnerPanicIsolation(t *testing.T) {
-	stub := func(poison bool) func(Job, Options) (apps.Outcome, error) {
+	stub := func(poison bool) jobFunc {
 		return func(j Job, _ Options) (apps.Outcome, error) {
 			if poison && j.Input == "in3" {
 				panic("injected test panic")
@@ -26,8 +26,8 @@ func TestRunnerPanicIsolation(t *testing.T) {
 		}
 	}
 	jobs := stubJobs(8)
-	clean := Runner{Workers: 4, run: stub(false)}.Run(Options{}, jobs)
-	faulted := Runner{Workers: 4, run: stub(true)}.Run(Options{}, jobs)
+	clean := runStub(Options{Jobs: 4}, jobs, stub(false))
+	faulted := runStub(Options{Jobs: 4}, jobs, stub(true))
 
 	var pe *PanicError
 	if !errors.As(faulted[3].Err, &pe) {
@@ -69,9 +69,9 @@ func TestRunnerPanicIsolationIntegration(t *testing.T) {
 		}
 		return jobs
 	}
-	opt := Options{Scale: 0, Seed: 1}
-	clean := Runner{Workers: 3}.Run(opt, mk(false))
-	faulted := Runner{Workers: 3}.Run(opt, mk(true))
+	opt := Options{Scale: 0, Seed: 1, Jobs: 3}
+	clean := runJobs(opt, "", mk(false))
+	faulted := runJobs(opt, "", mk(true))
 
 	var pe *PanicError
 	if !errors.As(faulted[1].Err, &pe) {
@@ -94,29 +94,34 @@ func TestRunnerPanicIsolationIntegration(t *testing.T) {
 // watchdog and audit at aggressive settings and fully disabled: identical
 // outcomes, because both mechanisms only observe.
 func TestRobustnessKnobsDoNotPerturb(t *testing.T) {
-	run := func(watchdog, audit int64) apps.Outcome {
-		opt := Options{Scale: 0, Seed: 1, WatchdogCycles: watchdog, AuditCycles: audit}
+	run := func(watchdog, audit uint64) apps.Outcome {
+		opt := Options{Scale: 0, Seed: 1, Override: func(cfg *core.Config) {
+			cfg.WatchdogCycles, cfg.AuditCycles = watchdog, audit
+		}}
 		out, err := RunOne("BFS", "Hu", apps.FiferPipe, false, opt, nil)
 		if err != nil {
 			t.Fatalf("watchdog=%d audit=%d: %v", watchdog, audit, err)
 		}
 		return out
 	}
-	off := run(-1, -1)
+	off := run(0, 0)
 	aggressive := run(5000, 64)
 	if !reflect.DeepEqual(off, aggressive) {
 		t.Fatal("watchdog/audit settings changed simulation outcomes")
 	}
 }
 
-// TestRunOneRobustnessKnobOrdering pins the knob/override precedence: the
-// Options knobs apply before the per-job override, so the override wins.
+// TestRunOneRobustnessKnobOrdering pins the override precedence:
+// Options.Override applies before the per-call override, so the per-call
+// override sees its values and wins.
 func TestRunOneRobustnessKnobOrdering(t *testing.T) {
 	var got core.Config
-	opt := Options{Scale: 0, Seed: 1, WatchdogCycles: 12345, AuditCycles: -1}
+	opt := Options{Scale: 0, Seed: 1, Override: func(cfg *core.Config) {
+		cfg.WatchdogCycles, cfg.AuditCycles = 12345, 0
+	}}
 	_, err := RunOne("BFS", "Hu", apps.FiferPipe, false, opt, func(cfg *core.Config) {
 		if cfg.WatchdogCycles != 12345 || cfg.AuditCycles != 0 {
-			t.Errorf("knobs not applied before override: watchdog=%d audit=%d",
+			t.Errorf("Options.Override not applied before the override: watchdog=%d audit=%d",
 				cfg.WatchdogCycles, cfg.AuditCycles)
 		}
 		cfg.WatchdogCycles = 777

@@ -1,12 +1,10 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"fifer/internal/apps"
 	"fifer/internal/core"
@@ -14,7 +12,7 @@ import (
 
 // Job describes one simulation: the same tuple RunOne accepts, plus the
 // label of the configuration variant its Override sets. Experiment drivers
-// enumerate their full job list up front and hand it to a Runner, so the
+// enumerate their full job list up front and hand it to runJobs, so the
 // (app × input × system) sweeps that dominate regeneration time can fan
 // out across cores.
 type Job struct {
@@ -68,68 +66,59 @@ type JobResult struct {
 // started — so done always reaches total.
 type ProgressFunc func(done, total int, res JobResult)
 
-// Runner executes batches of simulation jobs on a bounded worker pool.
+// jobFunc runs one job of a sweep. runJobs runs the job's simulation;
+// tests substitute a fake through runWith.
+type jobFunc func(Job, Options) (apps.Outcome, error)
+
+// runJobs runs a driver's sweep on opt.Jobs workers (<= 1 is serial) and
+// returns one JobResult per job, index-aligned with jobs. sweep labels the
+// jobs in a TraceSink (e.g. "fig13"), so one sink can hold the same job
+// from several drivers.
 //
-// Results are returned in submission order regardless of completion order,
+// Results come back in submission order regardless of completion order,
 // and a parallel run's outcomes are bit-identical to a serial run's: every
 // simulation owns its state (RNG, caches, queues, backing store), and the
-// only thing jobs share is their inputs, which each Run call builds once,
-// on first use, and only reads (see inputStore). The determinism test in
+// only thing jobs share is their inputs, which the sweep builds once, on
+// first use, and only reads (see inputStore). The determinism test in
 // determinism_test.go pins this down.
 //
-// Two Options fields bound a sweep: Cancel stops it cooperatively and
+// Two Options fields bound a sweep: Context stops it cooperatively and
 // JobTimeout bounds each job's wall-clock time. Neither changes any result
 // when unused. A job runs once: every simulation is deterministic, so a
 // retry would fail the same way again.
-type Runner struct {
-	// Workers bounds the number of concurrently running simulations.
-	// <= 0 means runtime.GOMAXPROCS(0); 1 reproduces fully serial
-	// execution.
-	Workers int
-	// Progress, if non-nil, is invoked after each job completes.
-	Progress ProgressFunc
-	// Sweep labels this batch's jobs in a TraceSink (e.g. "fig13"), so one
-	// sink can hold the same job from several drivers.
-	Sweep string
-
-	// run stubs out RunOne in unit tests.
-	run func(Job, Options) (apps.Outcome, error)
+func runJobs(opt Options, sweep string, jobs []Job) []JobResult {
+	inputs := &inputStore{}
+	return runWith(opt, jobs, inputs, func(j Job, opt Options) (apps.Outcome, error) {
+		return j.run(opt, sweep, inputs)
+	})
 }
 
-// Run executes jobs and returns one JobResult per job, index-aligned with
-// the input slice. It always returns every job: errors are captured per
-// job, never short-circuited, and when the sweep is canceled the jobs that
-// never started still come back, carrying a canceled error.
-func (r Runner) Run(opt Options, jobs []Job) []JobResult {
-	return r.runWith(opt, jobs, &inputStore{})
-}
-
-// runWith is Run with the sweep's input store. Every job holds a reference
-// to its input from the start of the sweep until it finishes, however it
-// finishes, so the store is empty when runWith returns.
-func (r Runner) runWith(opt Options, jobs []Job, inputs *inputStore) []JobResult {
+// runWith is runJobs with the sweep's input store and job function. It
+// always returns every job: errors are captured per job, never
+// short-circuited, and when the sweep is canceled the jobs that never
+// started still come back, carrying a canceled error. Every job holds a
+// reference to its input from the start of the sweep until it finishes,
+// however it finishes, so the store is empty when runWith returns.
+func runWith(opt Options, jobs []Job, inputs *inputStore, run jobFunc) []JobResult {
 	if len(jobs) == 0 {
 		// Explicit empty-batch path: nothing to clamp workers against,
 		// no Progress calls.
 		return []JobResult{}
 	}
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	workers := min(max(opt.Jobs, 1), len(jobs))
+	// A panicking job must not take down (or reorder) the batch: recover it
+	// into a per-job *PanicError and keep going.
+	run = protect(run)
 
 	results := make([]JobResult, len(jobs))
 	var progressMu sync.Mutex
 	done := 0
 	finish := func(i int, res JobResult) {
 		results[i] = res
-		if r.Progress != nil {
+		if opt.Progress != nil {
 			progressMu.Lock()
 			done++
-			r.Progress(done, len(jobs), results[i])
+			opt.Progress(done, len(jobs), results[i])
 			progressMu.Unlock()
 		}
 	}
@@ -142,18 +131,18 @@ func (r Runner) runWith(opt Options, jobs []Job, inputs *inputStore) []JobResult
 
 	runJob := func(i int) {
 		defer inputs.release(keys[i])
-		if canceled(opt.Cancel) {
+		if opt.context().Err() != nil {
 			// Stopped admitting work: the job is reported as
 			// canceled-before-start.
 			finish(i, JobResult{Job: jobs[i], Err: fmt.Errorf(
 				"bench: %s skipped: sweep canceled before it started: %w", jobs[i].Key(), core.ErrCanceled)})
 			return
 		}
-		out, err := r.attempt(jobs[i], opt, inputs)
+		out, err := attempt(jobs[i], opt, run)
 		finish(i, JobResult{Job: jobs[i], Outcome: out, Err: err})
 	}
 
-	if workers <= 1 {
+	if workers == 1 {
 		for i := range jobs {
 			runJob(i)
 		}
@@ -179,76 +168,23 @@ func (r Runner) runWith(opt Options, jobs []Job, inputs *inputStore) []JobResult
 	return results
 }
 
-// attempt runs the job once on the sweep's inputs, with the per-job
-// wall-clock deadline merged into the cooperative cancellation channel.
-func (r Runner) attempt(j Job, opt Options, inputs *inputStore) (apps.Outcome, error) {
-	runOne := r.run
-	if runOne == nil {
-		runOne = func(j Job, opt Options) (apps.Outcome, error) { return j.run(opt, r.Sweep, inputs) }
-	}
-	// A panicking job must not take down (or reorder) the batch: recover it
-	// into a per-job *PanicError and keep going.
-	runOne = protect(runOne)
-
+// attempt runs the job once, under a context that also carries the
+// per-job wall-clock deadline when opt.JobTimeout is set.
+func attempt(j Job, opt Options, run jobFunc) (apps.Outcome, error) {
 	if opt.JobTimeout <= 0 {
-		return runOne(j, opt)
+		return run(j, opt)
 	}
-
-	// Merge the sweep-wide Cancel and this job's deadline into one done
-	// channel; timedOut disambiguates which of the two fired.
-	jobDone := make(chan struct{})
-	var once sync.Once
-	stop := func() { once.Do(func() { close(jobDone) }) }
-	var timedOut atomic.Bool
-	timer := time.AfterFunc(opt.JobTimeout, func() {
-		timedOut.Store(true)
-		stop()
-	})
-	defer timer.Stop()
-	if opt.Cancel != nil {
-		finished := make(chan struct{})
-		defer close(finished)
-		go func() {
-			select {
-			case <-opt.Cancel:
-				stop()
-			case <-finished:
-			}
-		}()
-	}
+	ctx, cancel := context.WithTimeoutCause(opt.context(), opt.JobTimeout, ErrJobTimeout)
+	defer cancel()
 	jobOpt := opt
-	jobOpt.Cancel = jobDone
-	out, err := runOne(j, jobOpt)
-	if err != nil && timedOut.Load() && errors.Is(err, core.ErrCanceled) {
+	jobOpt.Context = ctx
+	out, err := run(j, jobOpt)
+	// The cause tells the deadline apart from a sweep-wide cancel, which
+	// the job's context inherits with the parent's cause.
+	if err != nil && errors.Is(context.Cause(ctx), ErrJobTimeout) && errors.Is(err, core.ErrCanceled) {
 		err = fmt.Errorf("bench: %s: %w (%v): %w", j.Key(), ErrJobTimeout, opt.JobTimeout, err)
 	}
 	return out, err
-}
-
-// canceled reports whether the sweep's cancel channel is closed.
-func canceled(cancel <-chan struct{}) bool {
-	if cancel == nil {
-		return false
-	}
-	select {
-	case <-cancel:
-		return true
-	default:
-		return false
-	}
-}
-
-// runner builds the Runner the experiment drivers share, honoring
-// opt.Jobs. Options defaults to serial (Jobs == 0 → 1 worker) so library
-// callers keep today's behavior unless they opt in; cmd/fiferbench
-// defaults -j to runtime.NumCPU(). sweep labels the driver's jobs in a
-// TraceSink.
-func (opt Options) runner(sweep string) Runner {
-	workers := opt.Jobs
-	if workers <= 0 {
-		workers = 1
-	}
-	return Runner{Workers: workers, Progress: opt.Progress, Sweep: sweep}
 }
 
 // firstError returns the first failed result in submission order, or nil.

@@ -3,6 +3,7 @@ package bench
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,20 +20,22 @@ func stubJobs(n int) []Job {
 	return jobs
 }
 
+// runStub runs jobs as a sweep does, with run standing in for the
+// simulation.
+func runStub(opt Options, jobs []Job, run jobFunc) []JobResult {
+	return runWith(opt, jobs, &inputStore{}, run)
+}
+
 // TestRunnerSubmissionOrder makes later-submitted jobs finish first and
 // checks results still come back index-aligned with the job slice.
 func TestRunnerSubmissionOrder(t *testing.T) {
 	const n = 16
-	r := Runner{
-		Workers: 4,
-		run: func(j Job, _ Options) (apps.Outcome, error) {
-			var i int
-			fmt.Sscanf(j.Input, "in%d", &i)
-			time.Sleep(time.Duration(n-i) * time.Millisecond) // invert completion order
-			return apps.Outcome{Cycles: uint64(i) + 1}, nil
-		},
-	}
-	results := r.Run(Options{}, stubJobs(n))
+	results := runStub(Options{Jobs: 4}, stubJobs(n), func(j Job, _ Options) (apps.Outcome, error) {
+		var i int
+		fmt.Sscanf(j.Input, "in%d", &i)
+		time.Sleep(time.Duration(n-i) * time.Millisecond) // invert completion order
+		return apps.Outcome{Cycles: uint64(i) + 1}, nil
+	})
 	if len(results) != n {
 		t.Fatalf("got %d results, want %d", len(results), n)
 	}
@@ -46,45 +49,43 @@ func TestRunnerSubmissionOrder(t *testing.T) {
 	}
 }
 
-// TestRunnerWorkerBound checks concurrency never exceeds Workers.
+// TestRunnerWorkerBound checks concurrency never exceeds Options.Jobs.
 func TestRunnerWorkerBound(t *testing.T) {
 	const workers = 3
+	if got := peakConcurrency(Options{Jobs: workers}, 24); got > workers {
+		t.Fatalf("peak concurrency %d exceeds Jobs=%d", got, workers)
+	}
+}
+
+// peakConcurrency runs n stub jobs that each take 2ms and returns how many
+// ran at once at the peak.
+func peakConcurrency(opt Options, n int) int64 {
 	var inFlight, peak atomic.Int64
-	r := Runner{
-		Workers: workers,
-		run: func(Job, Options) (apps.Outcome, error) {
-			cur := inFlight.Add(1)
-			for {
-				p := peak.Load()
-				if cur <= p || peak.CompareAndSwap(p, cur) {
-					break
-				}
+	runStub(opt, stubJobs(n), func(Job, Options) (apps.Outcome, error) {
+		cur := inFlight.Add(1)
+		for {
+			p := peak.Load()
+			if cur <= p || peak.CompareAndSwap(p, cur) {
+				break
 			}
-			time.Sleep(2 * time.Millisecond)
-			inFlight.Add(-1)
-			return apps.Outcome{}, nil
-		},
-	}
-	r.Run(Options{}, stubJobs(24))
-	if got := peak.Load(); got > workers {
-		t.Fatalf("peak concurrency %d exceeds Workers=%d", got, workers)
-	}
+		}
+		time.Sleep(2 * time.Millisecond)
+		inFlight.Add(-1)
+		return apps.Outcome{}, nil
+	})
+	return peak.Load()
 }
 
 // TestRunnerErrorIsolation checks one failing job neither aborts nor
 // reorders the rest of the batch.
 func TestRunnerErrorIsolation(t *testing.T) {
 	boom := errors.New("boom")
-	r := Runner{
-		Workers: 4,
-		run: func(j Job, _ Options) (apps.Outcome, error) {
-			if j.Input == "in5" {
-				return apps.Outcome{}, boom
-			}
-			return apps.Outcome{Cycles: 7}, nil
-		},
-	}
-	results := r.Run(Options{}, stubJobs(10))
+	results := runStub(Options{Jobs: 4}, stubJobs(10), func(j Job, _ Options) (apps.Outcome, error) {
+		if j.Input == "in5" {
+			return apps.Outcome{}, boom
+		}
+		return apps.Outcome{Cycles: 7}, nil
+	})
 	for i, res := range results {
 		if i == 5 {
 			if !errors.Is(res.Err, boom) {
@@ -107,53 +108,67 @@ func TestRunnerProgress(t *testing.T) {
 	const n = 12
 	var calls int
 	seen := map[string]bool{}
-	r := Runner{
-		Workers: 4,
-		run: func(Job, Options) (apps.Outcome, error) {
-			return apps.Outcome{}, nil
-		},
-		// Progress runs under the runner's mutex, so plain ints/maps are
-		// safe here; the race detector verifies that claim.
-		Progress: func(done, total int, res JobResult) {
-			calls++
-			if done != calls {
-				t.Errorf("done=%d on call %d: progress not monotone", done, calls)
-			}
-			if total != n {
-				t.Errorf("total=%d, want %d", total, n)
-			}
-			if seen[res.Job.Input] {
-				t.Errorf("job %s reported twice", res.Job.Input)
-			}
-			seen[res.Job.Input] = true
-		},
-	}
-	r.Run(Options{}, stubJobs(n))
+	// Progress runs under the sweep's mutex, so plain ints/maps are safe
+	// here; the race detector verifies that claim.
+	opt := Options{Jobs: 4, Progress: func(done, total int, res JobResult) {
+		calls++
+		if done != calls {
+			t.Errorf("done=%d on call %d: progress not monotone", done, calls)
+		}
+		if total != n {
+			t.Errorf("total=%d, want %d", total, n)
+		}
+		if seen[res.Job.Input] {
+			t.Errorf("job %s reported twice", res.Job.Input)
+		}
+		seen[res.Job.Input] = true
+	}}
+	runStub(opt, stubJobs(n), func(Job, Options) (apps.Outcome, error) {
+		return apps.Outcome{}, nil
+	})
 	if calls != n {
 		t.Fatalf("progress called %d times, want %d", calls, n)
 	}
 }
 
-// TestRunnerDefaultWorkers checks Workers<=0 still runs everything.
+// TestRunnerDefaultWorkers checks Jobs<=0 still runs everything.
 func TestRunnerDefaultWorkers(t *testing.T) {
-	r := Runner{run: func(Job, Options) (apps.Outcome, error) {
-		return apps.Outcome{Cycles: 1}, nil
-	}}
-	results := r.Run(Options{}, stubJobs(5))
-	for i, res := range results {
-		if res.Outcome.Cycles != 1 {
-			t.Fatalf("job %d did not run", i)
+	for _, jobs := range []int{0, -1} {
+		results := runStub(Options{Jobs: jobs}, stubJobs(5), func(Job, Options) (apps.Outcome, error) {
+			return apps.Outcome{Cycles: 1}, nil
+		})
+		for i, res := range results {
+			if res.Outcome.Cycles != 1 {
+				t.Fatalf("Jobs=%d: job %d did not run", jobs, i)
+			}
 		}
 	}
 }
 
 // TestOptionsRunnerSerialDefault checks Options defaults to one worker so
-// library callers keep serial behavior unless they opt in.
+// library callers keep serial behavior unless they opt in, and that Jobs=6
+// runs six jobs at once: each of the six waits until all six have started.
 func TestOptionsRunnerSerialDefault(t *testing.T) {
-	if w := (Options{}).runner("test").Workers; w != 1 {
-		t.Fatalf("default worker count = %d, want 1", w)
+	if got := peakConcurrency(Options{}, 6); got != 1 {
+		t.Fatalf("default peak concurrency = %d, want 1", got)
 	}
-	if w := (Options{Jobs: 6}).runner("test").Workers; w != 6 {
-		t.Fatalf("Jobs=6 worker count = %d, want 6", w)
+	const n = 6
+	var started sync.WaitGroup
+	started.Add(n)
+	allStarted := make(chan struct{})
+	go func() { started.Wait(); close(allStarted) }()
+	results := runStub(Options{Jobs: n}, stubJobs(n), func(Job, Options) (apps.Outcome, error) {
+		started.Done()
+		select {
+		case <-allStarted:
+			return apps.Outcome{Cycles: 1}, nil
+		case <-time.After(10 * time.Second):
+			return apps.Outcome{}, errors.New("the other jobs never started")
+		}
+	})
+	for i, res := range results {
+		if res.Err != nil {
+			t.Fatalf("Jobs=%d: job %d: %v", n, i, res.Err)
+		}
 	}
 }

@@ -9,8 +9,9 @@ import (
 )
 
 // TestRunOneCapBeforeOverride pins the documented override ordering: the
-// harness cap on MaxCycles is applied before the user override runs, so
-// the override observes the capped value and can intentionally replace it.
+// override sees the configuration's own cycle budget,
+// core.DefaultConfig().MaxCycles, which no harness setting replaces, and
+// can intentionally replace it.
 func TestRunOneCapBeforeOverride(t *testing.T) {
 	var seen uint64
 	_, err := RunOne("BFS", "Hu", apps.FiferPipe, false, Options{Scale: 0, Seed: 1},
@@ -18,20 +19,20 @@ func TestRunOneCapBeforeOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seen != HarnessMaxCycles {
-		t.Fatalf("override saw MaxCycles=%d, want the harness cap %d (cap must be applied first)", seen, HarnessMaxCycles)
+	if want := core.DefaultConfig().MaxCycles; seen != want {
+		t.Fatalf("override saw MaxCycles=%d, want the default budget %d", seen, want)
 	}
 }
 
 // TestRunOneCycleBudgetError checks that an override lowering the budget
-// wins over the harness cap (proving user overrides are applied last) and
+// takes effect (proving user overrides are applied last) and
 // that exhaustion surfaces as the named ErrCycleBudget, still wrapping the
 // core layer's sentinel.
 func TestRunOneCycleBudgetError(t *testing.T) {
 	_, err := RunOne("BFS", "Hu", apps.FiferPipe, false, Options{Scale: 0, Seed: 1},
 		func(cfg *core.Config) { cfg.MaxCycles = 10 })
 	if err == nil {
-		t.Fatal("MaxCycles=10 run succeeded; override did not win over the harness cap")
+		t.Fatal("MaxCycles=10 run succeeded; override did not take effect")
 	}
 	if !errors.Is(err, ErrCycleBudget) {
 		t.Fatalf("err = %v, want errors.Is(err, ErrCycleBudget)", err)
@@ -49,7 +50,7 @@ func TestRunnerCapturesCycleBudgetError(t *testing.T) {
 			Override: func(cfg *core.Config) { cfg.MaxCycles = 10 }},
 		{App: "BFS", Input: "Hu", Kind: apps.FiferPipe},
 	}
-	results := Runner{Workers: 2}.Run(Options{Scale: 0, Seed: 1}, jobs)
+	results := runJobs(Options{Scale: 0, Seed: 1, Jobs: 2}, "", jobs)
 	if !errors.Is(results[0].Err, ErrCycleBudget) {
 		t.Fatalf("job 0 err = %v, want ErrCycleBudget", results[0].Err)
 	}

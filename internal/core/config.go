@@ -44,7 +44,7 @@ type Config struct {
 	ZeroCostReconfig bool // idealized free reconfiguration (Sec. 8.3 ablation)
 	SIMDReplication  bool // replicate small datapaths to fill the fabric (Sec. 5.6)
 
-	MaxCycles uint64 // safety limit; Run fails beyond this
+	MaxCycles uint64 // cycle budget, a safety limit; Run fails beyond this
 
 	// NoFastForward disables per-PE parking and the whole-machine clock jump
 	// (horizon.go) and makes Run tick every PE on every cycle naively. The
@@ -117,7 +117,7 @@ func DefaultConfig() Config {
 		Mode:            ModeFifer,
 		DoubleBuffered:  true,
 		SIMDReplication: true,
-		MaxCycles:       2_000_000_000,
+		MaxCycles:       400_000_000,
 		WatchdogCycles:  1_000_000,
 		AuditCycles:     1024,
 	}
