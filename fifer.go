@@ -63,36 +63,34 @@ type JobResult = bench.JobResult
 // monotone 1..total and every job is reported exactly once.
 type ProgressFunc = bench.ProgressFunc
 
-// ErrCycleBudget is returned (wrapped) by runs that exhaust their cycle
-// budget (Config.MaxCycles, 400M cycles by default) before completing.
-// The user override runs last, so it may raise MaxCycles to buy a longer
-// budget.
-var ErrCycleBudget = bench.ErrCycleBudget
+// StopError is the one error a simulation returns when it stops early:
+// its Reason (ErrCanceled, ErrDeadlock, ErrInvariant or ErrMaxCycles), the
+// stop cycle, what the detector saw, wait-for edges naming what each
+// blocked component waits on, and a truncated state dump. errors.As
+// retrieves it through the sweep's wrapping.
+type StopError = core.StopError
+
+// ErrCanceled is returned (wrapped) by runs stopped through the cooperative
+// cancellation hook (Config.Done, or Options.Context).
+var ErrCanceled = core.ErrCanceled
 
 // ErrDeadlock is returned (wrapped) when the progress watchdog
 // (Config.WatchdogCycles, settable for a sweep through Options.Override)
 // sees no component of the simulated system make progress for a full
-// window. errors.As with a *DeadlockError retrieves the structured report.
+// window.
 var ErrDeadlock = core.ErrDeadlock
 
 // ErrInvariant is returned (wrapped) when the live invariant audit
-// (Config.AuditCycles, settable for a sweep through Options.Override) finds
-// the simulation in an inconsistent state, or when recovered queue-layer
-// corruption is reported.
+// (Config.AuditCycles, settable for a sweep through Options.Override) or
+// the end-of-run check finds the simulation in an inconsistent state, or
+// when recovered queue-layer corruption is reported.
 var ErrInvariant = core.ErrInvariant
 
-// DeadlockError carries the watchdog's structured DeadlockReport: trip
-// cycle, last progress, wait-for edges naming what each blocked component
-// waits on, and a truncated state dump.
-type DeadlockError = core.DeadlockError
-
-// ErrCanceled is returned (wrapped) by runs stopped through the cooperative
-// cancellation hook (Config.Done, or Options.Context). errors.As with a
-// *CanceledError retrieves the stop cycle and a blocked-state excerpt.
-var ErrCanceled = core.ErrCanceled
-
-// CanceledError carries where a canceled run stopped.
-type CanceledError = core.CanceledError
+// ErrMaxCycles is returned (wrapped) by runs that exhaust their cycle
+// budget (Config.MaxCycles, 400M cycles by default) before completing.
+// The user override runs last, so it may raise MaxCycles to buy a longer
+// budget.
+var ErrMaxCycles = core.ErrMaxCycles
 
 // ErrJobTimeout is returned (wrapped) by sweep jobs that exceeded
 // Options.JobTimeout; the underlying error still wraps ErrCanceled because

@@ -54,7 +54,8 @@ func Derived[T any](d Derive, name string, build func() T) T {
 //   - CGRA systems start from DefaultConfig (Fifer) or StaticConfig, take
 //     the app's BackingBytes, shrink the LLC by LLCDivisor, then apply the
 //     app's Tweak and last the caller's override, so the override wins;
-//   - every CGRA run is audited with CheckInvariants;
+//   - every CGRA run ends with CheckInvariants, whose failure is an
+//     ErrInvariant like the live audit's;
 //   - every output is checked against app.Want, derived through derive.
 //
 // Errors read "<kind> <app>: …".
@@ -98,7 +99,7 @@ func Run[T any](kind SystemKind, scale int, merged bool, override func(*core.Con
 			return out, fmt.Errorf("%v %s: %w", kind, app.Name, err)
 		}
 		if err := sys.CheckInvariants(); err != nil {
-			return out, fmt.Errorf("%v %s invariants: %w", kind, app.Name, err)
+			return out, fmt.Errorf("%v %s: %w", kind, app.Name, err)
 		}
 		out.Cycles = res.Cycles
 		out.Pipe = res

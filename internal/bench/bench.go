@@ -7,7 +7,6 @@ package bench
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -42,8 +41,8 @@ type Options struct {
 
 	// Context, when non-nil, cancels the whole sweep cooperatively once it
 	// is done: no new job starts, and every in-flight CGRA simulation stops
-	// at its next cancellation checkpoint (core.Config.Done) with an error
-	// wrapping core.ErrCanceled. The OOO baselines do not run through the
+	// at its next poll of core.Config.Done with a *core.StopError for
+	// core.ErrCanceled. The OOO baselines do not run through the
 	// core loop and finish on their own. A context that is never canceled
 	// does not change any result.
 	Context context.Context
@@ -179,18 +178,12 @@ func (opt Options) selected() []string {
 	return opt.Apps
 }
 
-// ErrCycleBudget reports that a simulation ran out of its cycle budget
-// (cfg.MaxCycles) before the program quiesced. RunOne translates the core
-// layer's exhaustion error into this named error so harness callers can
-// errors.Is for it and decide to raise the budget.
-var ErrCycleBudget = errors.New("bench: simulation cycle budget exhausted (raise Config.MaxCycles via the override)")
-
 // RunOne executes one (app, input, system) combination.
 //
 // override, when non-nil, adjusts the configuration last, after the
 // harness settings and opt.Override, so it wins over both: a caller can
 // intentionally raise (or lower) the cycle budget cfg.MaxCycles. If the
-// budget is exhausted the returned error wraps ErrCycleBudget.
+// budget is exhausted the returned error wraps core.ErrMaxCycles.
 func RunOne(app, input string, kind apps.SystemKind, merged bool, opt Options, override func(*core.Config)) (apps.Outcome, error) {
 	return Job{App: app, Input: input, Kind: kind, Merged: merged, Override: override}.run(opt, "", nil)
 }
@@ -236,9 +229,6 @@ func (j Job) run(opt Options, sweep string, inputs *inputStore) (apps.Outcome, e
 	out, err := a.runOn(in, derive, j.Kind, opt.Scale, opt.Seed, j.Merged, override)
 	if col != nil {
 		opt.Trace.add(j.traceKey(sweep), col)
-	}
-	if err != nil && errors.Is(err, core.ErrMaxCycles) {
-		err = fmt.Errorf("%w: %s: %w", ErrCycleBudget, j.Key(), err)
 	}
 	return out, err
 }

@@ -20,9 +20,9 @@ const (
 	ClassCanceled    = "canceled"     // sweep canceled (Options.Context)
 	ClassTimeout     = "timeout"      // per-job deadline (Options.JobTimeout)
 	ClassPanic       = "panic"        // recovered panic (*PanicError)
-	ClassCycleBudget = "cycle-budget" // ErrCycleBudget: simulation budget exhausted
+	ClassCycleBudget = "cycle-budget" // core.ErrMaxCycles: simulation budget exhausted
 	ClassDeadlock    = "deadlock"     // watchdog tripped (core.ErrDeadlock)
-	ClassInvariant   = "invariant"    // live audit / queue corruption (core.ErrInvariant)
+	ClassInvariant   = "invariant"    // audit, end-of-run check, queue corruption (core.ErrInvariant)
 	ClassError       = "error"        // any other failure
 )
 
@@ -38,7 +38,7 @@ func ErrorClass(err error) string {
 		return ClassCanceled
 	case errors.As(err, &pe):
 		return ClassPanic
-	case errors.Is(err, ErrCycleBudget):
+	case errors.Is(err, core.ErrMaxCycles):
 		return ClassCycleBudget
 	case errors.Is(err, core.ErrDeadlock):
 		return ClassDeadlock

@@ -9,6 +9,7 @@ import (
 
 	"fifer/internal/apps"
 	"fifer/internal/core"
+	"fifer/internal/queue"
 )
 
 // TestRunnerPanicIsolation panics one stubbed job and checks it comes back
@@ -132,5 +133,35 @@ func TestRunOneRobustnessKnobOrdering(t *testing.T) {
 	}
 	if got.WatchdogCycles != 777 {
 		t.Fatalf("override value %d did not win", got.WatchdogCycles)
+	}
+}
+
+// TestPostRunInvariantDegradesCell runs an app whose program leaves a token
+// buffered as it reports completion. The end-of-run check must fail as an
+// invariant violation, which degrades one cell, not as an unclassified
+// error, which aborts the whole sweep.
+func TestPostRunInvariantDegradesCell(t *testing.T) {
+	leaky := apps.App[int]{
+		Name:         "leaky",
+		BackingBytes: 1 << 20,
+		Build: func(sys *core.System, _ bool) (core.Program, func() int) {
+			q := sys.PE(0).AllocQueue("leak", 4)
+			return core.ProgramFunc(func(*core.System) bool {
+				q.Enq(queue.Data(1))
+				return false
+			}), func() int { return 0 }
+		},
+		Want:  func() int { return 0 },
+		Check: func(int, int) error { return nil },
+	}
+	_, err := apps.Run(apps.FiferPipe, 0, false, nil, nil, leaky)
+	if got := ErrorClass(err); got != ClassInvariant {
+		t.Fatalf("class = %q, want %q (err %v)", got, ClassInvariant, err)
+	}
+	if abort := abortError([]JobResult{{Err: err}}); abort != nil {
+		t.Fatalf("sweep aborts on the failure: %v", abort)
+	}
+	if cell := degradedCell(0, ErrorClass(err)); cell != "!invariant" {
+		t.Fatalf("cell renders %q, want !invariant", cell)
 	}
 }

@@ -25,24 +25,25 @@ func TestRunOneCapBeforeOverride(t *testing.T) {
 }
 
 // TestRunOneCycleBudgetError checks that an override lowering the budget
-// takes effect (proving user overrides are applied last) and
-// that exhaustion surfaces as the named ErrCycleBudget, still wrapping the
-// core layer's sentinel.
+// takes effect (proving user overrides are applied last) and that
+// exhaustion surfaces as the core layer's *core.StopError for
+// core.ErrMaxCycles, classed as a cycle-budget failure.
 func TestRunOneCycleBudgetError(t *testing.T) {
 	_, err := RunOne("BFS", "Hu", apps.FiferPipe, false, Options{Scale: 0, Seed: 1},
 		func(cfg *core.Config) { cfg.MaxCycles = 10 })
 	if err == nil {
 		t.Fatal("MaxCycles=10 run succeeded; override did not take effect")
 	}
-	if !errors.Is(err, ErrCycleBudget) {
-		t.Fatalf("err = %v, want errors.Is(err, ErrCycleBudget)", err)
+	var se *core.StopError
+	if !errors.As(err, &se) || se.Reason != core.ErrMaxCycles || se.Cycle != 10 {
+		t.Fatalf("err = %v, want a *core.StopError for core.ErrMaxCycles at cycle 10", err)
 	}
-	if !errors.Is(err, core.ErrMaxCycles) {
-		t.Fatalf("err = %v, want it to still wrap core.ErrMaxCycles", err)
+	if got := ErrorClass(err); got != ClassCycleBudget {
+		t.Fatalf("class = %q, want %q", got, ClassCycleBudget)
 	}
 }
 
-// TestRunnerCapturesCycleBudgetError checks the named error also comes
+// TestRunnerCapturesCycleBudgetError checks the budget error also comes
 // back through the worker pool's per-job capture.
 func TestRunnerCapturesCycleBudgetError(t *testing.T) {
 	jobs := []Job{
@@ -51,8 +52,8 @@ func TestRunnerCapturesCycleBudgetError(t *testing.T) {
 		{App: "BFS", Input: "Hu", Kind: apps.FiferPipe},
 	}
 	results := runJobs(Options{Scale: 0, Seed: 1, Jobs: 2}, "", jobs)
-	if !errors.Is(results[0].Err, ErrCycleBudget) {
-		t.Fatalf("job 0 err = %v, want ErrCycleBudget", results[0].Err)
+	if !errors.Is(results[0].Err, core.ErrMaxCycles) {
+		t.Fatalf("job 0 err = %v, want core.ErrMaxCycles", results[0].Err)
 	}
 	if results[1].Err != nil {
 		t.Fatalf("job 1 err = %v, want success despite job 0 failing", results[1].Err)

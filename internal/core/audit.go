@@ -1,16 +1,12 @@
 package core
 
-import (
-	"fmt"
-
-	"fifer/internal/queue"
-)
+import "fifer/internal/queue"
 
 // AuditLive validates the invariants that must hold at every cycle of a
-// healthy simulation (unlike CheckInvariants, which also asserts end-of-run
-// quiescence). Run calls it every Cfg.AuditCycles cycles; fault-injection
-// tests call it directly. It returns nil or an error wrapping ErrInvariant
-// that names the failing invariant and component.
+// healthy simulation. Run calls it every Cfg.AuditCycles cycles, and
+// CheckInvariants after a run. It returns nil or a *StopError whose Reason
+// is ErrInvariant and whose Detail names the failing invariant and
+// component.
 //
 // The checks, in order:
 //
@@ -27,27 +23,27 @@ import (
 func (s *System) AuditLive() error {
 	for _, pe := range s.PEs {
 		if total := pe.Stack.Total(); total != s.Cycle {
-			return auditErr("cpi-accounting", "pe%d: CPI stack sums to %d, want %d cycles",
+			return s.invariantError("cpi-accounting", "pe%d: CPI stack sums to %d, want %d cycles",
 				pe.ID, total, s.Cycle)
 		}
 		used := pe.QMem.TotalBytes() - pe.QMem.FreeBytes()
 		footprint := 0
 		for _, q := range pe.QMem.Queues() {
-			if err := auditQueue(q); err != nil {
+			if err := s.auditQueue(q); err != nil {
 				return err
 			}
 			footprint += q.Cap() * queue.TokenBytes
 		}
 		if footprint != used || used > pe.QMem.TotalBytes() {
-			return auditErr("sram-accounting", "pe%d: queues occupy %d B but %d B are accounted (budget %d B)",
+			return s.invariantError("sram-accounting", "pe%d: queues occupy %d B but %d B are accounted (budget %d B)",
 				pe.ID, footprint, used, pe.QMem.TotalBytes())
 		}
 		if inc, rescan, ok := pe.QMem.CheckBuffered(); !ok {
-			return auditErr("queue-occupancy", "pe%d: incremental buffered count %d != rescan %d",
+			return s.invariantError("queue-occupancy", "pe%d: incremental buffered count %d != rescan %d",
 				pe.ID, inc, rescan)
 		}
 		for _, d := range pe.DRMs {
-			if err := auditQueue(d.in); err != nil {
+			if err := s.auditQueue(d.in); err != nil {
 				return err
 			}
 			// A scan that completes its range pushes the data
@@ -55,13 +51,13 @@ func (s *System) AuditLive() error {
 			// reorder buffer can briefly hold one entry beyond the
 			// outstanding-access bound; anything past that is corruption.
 			if got := d.inflight.Len(); got > d.max+1 {
-				return auditErr("drm-inflight", "%s: %d entries in flight, bound is %d (+1 boundary slack)",
+				return s.invariantError("drm-inflight", "%s: %d entries in flight, bound is %d (+1 boundary slack)",
 					d.Name(), got, d.max)
 			}
 		}
 		for _, st := range pe.stages {
 			if g := st.Gate; g != nil && (g.Held() < 0 || g.Held() > g.Limit) {
-				return auditErr("gate-count", "pe%d/%s: gate holds %d slots, limit %d",
+				return s.invariantError("gate-count", "pe%d/%s: gate holds %d slots, limit %d",
 					pe.ID, st.Name, g.Held(), g.Limit)
 			}
 		}
@@ -69,17 +65,17 @@ func (s *System) AuditLive() error {
 	for _, a := range s.arbiters {
 		q := a.Queue()
 		if got, want := a.TotalCredits(), q.Cap(); got != want {
-			return auditErr("credit-conservation", "arbiter %q: %d credits outstanding, want %d",
+			return s.invariantError("credit-conservation", "arbiter %q: %d credits outstanding, want %d",
 				q.Name(), got, want)
 		}
 		for i := 0; i < a.Ports(); i++ {
 			if c := a.Port(i).Credits(); c < 0 {
-				return auditErr("credit-conservation", "arbiter %q port %d: negative credit count %d",
+				return s.invariantError("credit-conservation", "arbiter %q port %d: negative credit count %d",
 					q.Name(), i, c)
 			}
 		}
 		if credited, buffered := a.CreditedBuffered(), q.Len(); credited > buffered {
-			return auditErr("credit-conservation", "arbiter %q: %d credited senders recorded but only %d tokens buffered (dropped grant?)",
+			return s.invariantError("credit-conservation", "arbiter %q: %d credited senders recorded but only %d tokens buffered (dropped grant?)",
 				q.Name(), credited, buffered)
 		}
 	}
@@ -87,19 +83,39 @@ func (s *System) AuditLive() error {
 }
 
 // auditQueue checks one queue's occupancy bounds and flux accounting.
-func auditQueue(q *queue.Queue) error {
+func (s *System) auditQueue(q *queue.Queue) error {
 	if q.Len() < 0 || q.Len() > q.Cap() {
-		return auditErr("queue-occupancy", "queue %q: %d tokens buffered, capacity %d",
+		return s.invariantError("queue-occupancy", "queue %q: %d tokens buffered, capacity %d",
 			q.Name(), q.Len(), q.Cap())
 	}
 	if q.Enqueued-q.Dequeued != uint64(q.Len()) {
-		return auditErr("queue-occupancy", "queue %q: %d enqueued - %d dequeued != %d buffered",
+		return s.invariantError("queue-occupancy", "queue %q: %d enqueued - %d dequeued != %d buffered",
 			q.Name(), q.Enqueued, q.Dequeued, q.Len())
 	}
 	return nil
 }
 
-// auditErr wraps ErrInvariant with the invariant's name and detail.
-func auditErr(invariant, format string, args ...any) error {
-	return fmt.Errorf("%w: %s: %s", ErrInvariant, invariant, fmt.Sprintf(format, args...))
+// CheckInvariants is AuditLive plus the end-of-run quiescence checks: no
+// queue still buffers tokens and no DRM is busy. apps.Run calls it after
+// every CGRA run; its failures are AuditLive's kind of error.
+func (s *System) CheckInvariants() error {
+	if err := s.AuditLive(); err != nil {
+		return err
+	}
+	for _, pe := range s.PEs {
+		if got := pe.QMem.Buffered(); got != 0 {
+			return s.invariantError("quiescence", "pe%d: %d tokens still buffered after completion", pe.ID, got)
+		}
+		for _, d := range pe.DRMs {
+			if d.Busy() {
+				return s.invariantError("quiescence", "%s: still busy after completion", d.Name())
+			}
+		}
+	}
+	return nil
+}
+
+// invariantError is the StopError for a violated invariant.
+func (s *System) invariantError(invariant, format string, args ...any) error {
+	return s.stop(ErrInvariant, invariant+": "+format, args...)
 }

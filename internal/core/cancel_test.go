@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -32,6 +33,17 @@ func endlessProgram(q *queue.Queue) Program {
 	})
 }
 
+// stopError checks that err is a *StopError whose Reason is reason, the
+// shape of every error Run returns, and returns it.
+func stopError(t *testing.T, err, reason error) *StopError {
+	t.Helper()
+	var se *StopError
+	if !errors.As(err, &se) || se.Reason != reason {
+		t.Fatalf("err = %v, want a *StopError for %v", err, reason)
+	}
+	return se
+}
+
 // TestRunCanceledBeforeStart closes Done before Run: the run must stop
 // before simulating a single cycle, with the structured report intact.
 func TestRunCanceledBeforeStart(t *testing.T) {
@@ -41,56 +53,52 @@ func TestRunCanceledBeforeStart(t *testing.T) {
 	cfg.Done = done
 	sys, q := cancelSystem(cfg)
 	_, err := sys.Run(endlessProgram(q))
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-	var ce *CanceledError
-	if !errors.As(err, &ce) {
-		t.Fatalf("err chain %v carries no *CanceledError", err)
-	}
-	if ce.Cycle != 0 || sys.Cycle != 0 {
-		t.Fatalf("pre-start cancellation simulated %d cycles (report says %d), want 0", sys.Cycle, ce.Cycle)
+	if se := stopError(t, err, ErrCanceled); se.Cycle != 0 || sys.Cycle != 0 {
+		t.Fatalf("pre-start cancellation simulated %d cycles (report says %d), want 0", sys.Cycle, se.Cycle)
 	}
 }
 
-// TestRunCanceledMidRun closes Done from a per-cycle hook at a chosen
-// trigger cycle and checks Run stops within one checkpoint interval,
-// carrying the stop cycle and a state excerpt.
+// TestRunCanceledMidRun closes Done from the program at the first
+// quiescence at or after a trigger cycle and checks that Run stops at the
+// first multiple of cancelInterval at or after the close, whatever the
+// watchdog and kernel, carrying the stop cycle and a state excerpt.
+// Closing from the program, not an OnCycle hook, keeps the parking kernel
+// free to park and jump.
 func TestRunCanceledMidRun(t *testing.T) {
-	const trigger = 1000
+	const trigger = 100_000
 	for _, tc := range []struct {
 		name     string
 		watchdog uint64
-		latency  uint64 // max cycles from trigger to observation
 	}{
-		{"watchdog-cadence", 2000, 1000},    // checkpoint every window/2
-		{"watchdog-disabled", 0, 65536 + 1}, // fallback polling interval
+		{"watchdog-enabled", DefaultConfig().WatchdogCycles},
+		{"watchdog-disabled", 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := testConfig(1)
-			cfg.WatchdogCycles = tc.watchdog
-			done := make(chan struct{})
-			cfg.Done = done
-			sys, q := cancelSystem(cfg)
-			sys.OnCycle(func(_ *System, now uint64) {
-				if now == trigger {
-					close(done)
-				}
-			})
-			_, err := sys.Run(endlessProgram(q))
-			if !errors.Is(err, ErrCanceled) {
-				t.Fatalf("err = %v, want ErrCanceled", err)
-			}
-			var ce *CanceledError
-			if !errors.As(err, &ce) {
-				t.Fatalf("err chain %v carries no *CanceledError", err)
-			}
-			if ce.Cycle < trigger || ce.Cycle > trigger+tc.latency {
-				t.Fatalf("canceled at cycle %d, want within %d cycles of trigger %d",
-					ce.Cycle, tc.latency, trigger)
-			}
-			if ce.Summary == "" {
-				t.Fatal("CanceledError carries no state summary")
+			for _, oracle := range []bool{false, true} {
+				t.Run(fmt.Sprintf("oracle=%v", oracle), func(t *testing.T) {
+					cfg := testConfig(1)
+					cfg.WatchdogCycles = tc.watchdog
+					cfg.NoFastForward = oracle
+					done := make(chan struct{})
+					cfg.Done = done
+					sys, q := cancelSystem(cfg)
+					closedAt := uint64(0)
+					refill := endlessProgram(q)
+					_, err := sys.Run(ProgramFunc(func(s *System) bool {
+						if closedAt == 0 && s.Cycle >= trigger {
+							closedAt = s.Cycle
+							close(done)
+						}
+						return refill.Quiesced(s)
+					}))
+					se := stopError(t, err, ErrCanceled)
+					if want := (closedAt + cancelInterval - 1) / cancelInterval * cancelInterval; se.Cycle != want {
+						t.Fatalf("Done closed at cycle %d, run stopped at %d, want %d", closedAt, se.Cycle, want)
+					}
+					if se.Dump == "" {
+						t.Fatal("StopError carries no state dump")
+					}
+				})
 			}
 		})
 	}

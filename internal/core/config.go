@@ -57,8 +57,8 @@ type Config struct {
 	// WatchdogCycles is the progress watchdog's window: if no component of
 	// the system (datapath firings, queue traffic, memory accesses,
 	// reconfiguration completions) makes progress for this many cycles, Run
-	// fails fast with ErrDeadlock and a structured DeadlockReport instead of
-	// burning the rest of the MaxCycles budget. 0 disables the watchdog.
+	// fails fast with a *StopError for ErrDeadlock instead of burning the
+	// rest of the MaxCycles budget. 0 disables the watchdog.
 	// The watchdog only observes monotonic counters; it never perturbs the
 	// simulation, so results are identical with it on or off.
 	WatchdogCycles uint64
@@ -71,13 +71,13 @@ type Config struct {
 	AuditCycles uint64
 
 	// Done, when non-nil, is the cooperative cancellation hook: Run polls
-	// it at watchdog-checkpoint granularity (half the watchdog window, or
-	// every cancelInterval cycles when the watchdog is disabled) and stops
-	// with ErrCanceled — carrying the cycle count and a BlockedSummary
-	// excerpt — once the channel is closed. The hook only ends the run
-	// early; it never perturbs the cycles that did execute, so results are
-	// bit-identical whether Done is nil or non-nil-but-never-closed, and a
-	// nil Done costs a single predictable branch per checkpoint.
+	// it before the first cycle and every cancelInterval (65536) cycles
+	// after it, and stops with a *StopError for ErrCanceled once the
+	// channel is closed. The hook only ends the run early; it never
+	// perturbs the cycles that did execute, so results are bit-identical
+	// whether Done is nil or non-nil-but-never-closed. A nil Done adds no
+	// boundary cycles; a non-nil one makes clock jumps also stop at its
+	// polls.
 	Done <-chan struct{}
 
 	// Tracer, when non-nil, receives a typed trace.Event at every

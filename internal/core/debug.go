@@ -5,8 +5,7 @@ import (
 	"strings"
 )
 
-// dumpExcerptLines bounds the state-dump excerpt embedded in error messages
-// (deadlock reports, MaxCycles exhaustion, recovered corruption) so a
+// dumpExcerptLines bounds the state-dump excerpt a StopError carries, so a
 // 16-PE system's failure stays readable in a test log or bench report.
 const dumpExcerptLines = 24
 
@@ -17,28 +16,6 @@ func truncateLines(s string, n int) string {
 		return strings.Join(lines, "\n")
 	}
 	return strings.Join(lines[:n], "\n") + fmt.Sprintf("\n... (%d more lines elided)", len(lines)-n)
-}
-
-// BlockedSummary renders a compact diagnosis of why the system is not
-// making progress: the wait-for edges (who is stuck on what) followed by a
-// truncated state dump. It is embedded in the ErrMaxCycles and corruption
-// error messages so even a budget-exhaustion failure is actionable without
-// re-running the simulation.
-func (s *System) BlockedSummary(maxLines int) string {
-	var b strings.Builder
-	edges := s.WaitFor()
-	shown := len(edges)
-	if shown > maxLines/2 {
-		shown = maxLines / 2
-	}
-	for _, e := range edges[:shown] {
-		fmt.Fprintf(&b, "wait-for: %s\n", e)
-	}
-	if elided := len(edges) - shown; elided > 0 {
-		fmt.Fprintf(&b, "... (%d more wait-for edges elided)\n", elided)
-	}
-	b.WriteString(truncateLines(s.Dump(), maxLines-shown))
-	return b.String()
 }
 
 // Dump renders the live state of every PE — active stage, queue occupancies,

@@ -45,9 +45,8 @@ func TestDumpNamesBlockedState(t *testing.T) {
 		d.In().Enq(queue.Data(uint64(arr) + uint64(i*8)))
 	}
 
-	if _, err := sys.Run(ProgramFunc(func(*System) bool { return false })); err == nil {
-		t.Fatal("wedged system ran to completion")
-	}
+	_, err := sys.Run(ProgramFunc(func(*System) bool { return false }))
+	stopError(t, err, ErrMaxCycles)
 
 	dump := sys.Dump()
 	for _, want := range []string{
@@ -64,10 +63,9 @@ func TestDumpNamesBlockedState(t *testing.T) {
 		}
 	}
 
-	summary := sys.BlockedSummary(24)
 	for _, want := range []string{"wait-for", "wedged", "pe0.dout"} {
-		if !strings.Contains(summary, want) {
-			t.Errorf("BlockedSummary lacks %q:\n%s", want, summary)
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Run's error lacks %q:\n%v", want, err)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 
@@ -55,7 +54,7 @@ func checkHorizonCase(t *testing.T, hc horizonCase) {
 	if (fastErr == nil) != (slowErr == nil) {
 		t.Fatalf("error presence differs: fast=%v oracle=%v", fastErr, slowErr)
 	}
-	if fastErr != nil && fastErr.Error() != slowErr.Error() {
+	if !reflect.DeepEqual(fastErr, slowErr) {
 		t.Errorf("error differs\nfast:   %v\noracle: %v", fastErr, slowErr)
 	}
 	if fastSys.Cycle != slowSys.Cycle {
@@ -376,18 +375,15 @@ func checkDeadlockParity(t *testing.T, width func(*Config)) {
 	}
 	_, fastErr, _, _ := runHorizonCase(t, hc, false)
 	_, slowErr, _, _ := runHorizonCase(t, hc, true)
-	var fastDL, slowDL *DeadlockError
-	if !errors.As(fastErr, &fastDL) || !errors.As(slowErr, &slowDL) {
-		t.Fatalf("expected deadlocks, got fast=%v oracle=%v", fastErr, slowErr)
-	}
-	if !reflect.DeepEqual(fastDL.Report, slowDL.Report) {
-		t.Errorf("deadlock reports differ\nfast:   %+v\noracle: %+v", fastDL.Report, slowDL.Report)
+	fastSE, slowSE := stopError(t, fastErr, ErrDeadlock), stopError(t, slowErr, ErrDeadlock)
+	if !reflect.DeepEqual(fastSE, slowSE) {
+		t.Errorf("deadlock reports differ\nfast:   %+v\noracle: %+v", fastSE, slowSE)
 	}
 	checkHorizonCase(t, hc)
 }
 
 // checkMaxCyclesParity pins budget-exhaustion identity on the same machine,
-// including the BlockedSummary embedded in the error string.
+// including the wait-for edges and dump the error carries.
 func checkMaxCyclesParity(t *testing.T, width func(*Config)) {
 	hc := horizonCase{
 		name: "maxcycles",
@@ -400,11 +396,9 @@ func checkMaxCyclesParity(t *testing.T, width func(*Config)) {
 	}
 	_, fastErr, fastSys, _ := runHorizonCase(t, hc, false)
 	_, slowErr, _, _ := runHorizonCase(t, hc, true)
-	if !errors.Is(fastErr, ErrMaxCycles) || !errors.Is(slowErr, ErrMaxCycles) {
-		t.Fatalf("expected ErrMaxCycles, got fast=%v oracle=%v", fastErr, slowErr)
-	}
-	if fastErr.Error() != slowErr.Error() {
-		t.Errorf("error strings differ\nfast:   %v\noracle: %v", fastErr, slowErr)
+	fastSE, slowSE := stopError(t, fastErr, ErrMaxCycles), stopError(t, slowErr, ErrMaxCycles)
+	if !reflect.DeepEqual(fastSE, slowSE) {
+		t.Errorf("budget reports differ\nfast:   %+v\noracle: %+v", fastSE, slowSE)
 	}
 	if fastSys.Cycle != 5000 {
 		t.Errorf("budget exhaustion at cycle %d, want 5000", fastSys.Cycle)
@@ -532,9 +526,7 @@ func TestShardCorruptionParity(t *testing.T) {
 		return ProgramFunc(func(*System) bool { return false })
 	}}
 	_, err, sys, _ := runHorizonCase(t, hc, false)
-	if !errors.Is(err, ErrInvariant) {
-		t.Fatalf("err = %v, want ErrInvariant", err)
-	}
+	stopError(t, err, ErrInvariant)
 	if ks := sys.KernelStats(); ks.Parked() == 0 {
 		t.Fatalf("kernel parked nothing (%+v); the case does not exercise settling", ks)
 	}

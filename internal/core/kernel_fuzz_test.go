@@ -261,7 +261,7 @@ func checkKernelEquivalence(t *testing.T, seed int64, pes uint8, metrics, audit 
 		return kernelRun{res, err, sys, col, p.sunk}
 	}
 	fast, slow := run(false), run(true)
-	if (fast.err == nil) != (slow.err == nil) || fast.err != nil && fast.err.Error() != slow.err.Error() {
+	if !reflect.DeepEqual(fast.err, slow.err) {
 		t.Fatalf("errors differ\nfast:   %v\noracle: %v", fast.err, slow.err)
 	}
 	if !injectFaults {

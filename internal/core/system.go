@@ -1,31 +1,10 @@
 package core
 
 import (
-	"errors"
-	"fmt"
-
 	"fifer/internal/mem"
 	"fifer/internal/queue"
 	"fifer/internal/trace"
 )
-
-// ErrMaxCycles reports that a run elapsed Cfg.MaxCycles before the program
-// quiesced (deadlock or runaway program). Run's error wraps it, so callers
-// up the stack (including the bench harness) can detect budget exhaustion
-// with errors.Is even through their own wrapping.
-var ErrMaxCycles = errors.New("core: exceeded MaxCycles")
-
-// ErrDeadlock reports that the progress watchdog saw no component of the
-// system make progress for Cfg.WatchdogCycles — a deadlock caught long
-// before the MaxCycles budget would have burned down. The returned error is
-// a *DeadlockError; errors.As exposes the structured DeadlockReport.
-var ErrDeadlock = errors.New("core: simulation deadlocked (watchdog)")
-
-// ErrInvariant reports that the live invariant audit (Cfg.AuditCycles)
-// found the simulation in an internally inconsistent state, or that the
-// queue layer raised a typed corruption that Run recovered. The wrapped
-// message names the failing invariant and component.
-var ErrInvariant = errors.New("core: simulation invariant violated")
 
 // System is a complete CGRA-based machine: PEs, the shared cache hierarchy,
 // the functional backing store, and the control core's run loop (Fig. 4 /
@@ -155,15 +134,16 @@ type Result struct {
 	PEActivations []uint64
 }
 
-// Run drives the system until the program reports completion. It fails with
-// ErrMaxCycles when Cfg.MaxCycles elapse first, with ErrDeadlock when the
-// progress watchdog sees no progress for Cfg.WatchdogCycles, with
-// ErrInvariant when the live audit finds inconsistent state (including
-// queue-layer corruption panics, which are recovered here so a corrupted
-// simulation fails as one job instead of crashing the process), and with
-// ErrCanceled when Cfg.Done is closed (checked before the first cycle and
-// at watchdog-checkpoint granularity thereafter). A Cfg.Metrics sink that
-// implements trace.KernelSink receives KernelStats when Run returns.
+// Run drives the system until the program reports completion. It stops
+// early with a *StopError (see stop.go) whose Reason is ErrCanceled once
+// Cfg.Done is closed (polled before the first cycle and every
+// cancelInterval cycles), ErrDeadlock when the progress watchdog sees no
+// progress for Cfg.WatchdogCycles, ErrInvariant when the live audit finds
+// inconsistent state or the queue layer panics with a typed corruption
+// (recovered here, so a corrupted simulation fails as one job instead of
+// crashing the process), and ErrMaxCycles when Cfg.MaxCycles elapse. A
+// Cfg.Metrics sink that implements trace.KernelSink receives KernelStats
+// when Run returns.
 func (s *System) Run(prog Program) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -172,8 +152,7 @@ func (s *System) Run(prog Program) (res Result, err error) {
 				panic(r)
 			}
 			s.settlePanic()
-			err = fmt.Errorf("%w: corruption: %s: %s\n%s",
-				ErrInvariant, c.Component, c.Detail, s.BlockedSummary(dumpExcerptLines))
+			err = s.stop(ErrInvariant, "corruption: %s: %s", c.Component, c.Detail)
 		}
 		if ks, ok := s.Cfg.Metrics.(trace.KernelSink); ok {
 			ks.SampleKernel(s.KernelStats())
@@ -200,33 +179,23 @@ func (s *System) settlePanic() {
 // only the PEs that can act, parks the rest with their accounting deferred,
 // and jumps the clock when every PE is parked (horizon.go).
 func (s *System) run(prog Program) (res Result, err error) {
-	// The watchdog compares monotonic progress counters at checkpoints half
-	// a window apart: two equal consecutive snapshots prove zero progress
-	// over at least half a window, and the deadlock is reported within one
-	// full window of the last real progress.
-	var wdInterval uint64
-	if s.Cfg.WatchdogCycles > 0 {
-		if wdInterval = s.Cfg.WatchdogCycles / 2; wdInterval == 0 {
-			wdInterval = 1
-		}
-	}
-	// Cancellation rides the watchdog's checkpoint cadence so it adds no
-	// per-cycle work of its own; with the watchdog disabled it falls back
-	// to a fixed polling interval.
-	var cancelEvery uint64
+	// The loop observes the machine only at boundary cycles: MaxCycles and
+	// the multiples of each enabled period (0 disables one). cancelEvery
+	// polls Cfg.Done, sampleEvery takes a metrics sample, wdInterval takes
+	// a watchdog checkpoint and AuditCycles runs the live audit. Watchdog
+	// checkpoints are half a window apart: two equal consecutive progress
+	// signatures prove zero progress over at least half a window, and the
+	// deadlock is reported within one full window of the last real
+	// progress.
+	var cancelEvery, sampleEvery, wdInterval uint64
 	if s.Cfg.Done != nil {
-		if cancelEvery = wdInterval; cancelEvery == 0 {
-			cancelEvery = cancelInterval
-		}
+		cancelEvery = cancelInterval
 		select {
 		case <-s.Cfg.Done:
-			return res, s.canceledError()
+			return res, s.stop(ErrCanceled, "")
 		default:
 		}
 	}
-	// Metrics sampling rides its own period; zero Cfg.Metrics keeps
-	// sampleEvery at 0, reducing the per-cycle cost to one comparison.
-	var sampleEvery uint64
 	if s.Cfg.Metrics != nil {
 		if sampleEvery = s.Cfg.MetricsCycles; sampleEvery == 0 {
 			sampleEvery = DefaultMetricsCycles
@@ -235,54 +204,66 @@ func (s *System) run(prog Program) (res Result, err error) {
 			s.lastStacks = make([]CPIStack, len(s.PEs))
 		}
 	}
+	if s.Cfg.WatchdogCycles > 0 {
+		wdInterval = max(s.Cfg.WatchdogCycles/2, 1)
+	}
+	periods := [...]uint64{cancelEvery, sampleEvery, wdInterval, s.Cfg.AuditCycles}
+	// boundary returns the first boundary cycle after the current one.
+	boundary := func() uint64 {
+		next := s.Cfg.MaxCycles
+		for _, p := range periods {
+			if p > 0 {
+				next = min(next, (s.Cycle/p+1)*p)
+			}
+		}
+		return next
+	}
 	lastSig := s.progressSig()
 	lastProgress := s.Cycle
-	// checks runs the per-cycle observation points at the current (already
-	// incremented) cycle, in the order the naive loop runs them:
-	// cancellation poll, metrics sample, watchdog checkpoint, invariant
-	// audit, cycle budget. The clock jump calls it too, after landing
-	// exactly on the next boundary, so every observation happens at its
-	// original cycle. Every boundary that reads non-monotonic state (CPI
-	// stacks, occupancies, state dumps) settles the parked PEs first; the
-	// watchdog signature reads only monotonic counters and runs unsettled.
-	checks := func() (stop bool, err error) {
-		if cancelEvery > 0 && s.Cycle%cancelEvery == 0 {
+	// observe makes the observations due at the current boundary cycle, in
+	// the order the naive loop always made them: cancellation poll, metrics
+	// sample, watchdog checkpoint, invariant audit, cycle budget. It
+	// returns the next boundary. Every observation that reads
+	// non-monotonic state (CPI stacks, occupancies, state dumps) settles
+	// the parked PEs first; the watchdog signature reads only monotonic
+	// counters and runs unsettled.
+	observe := func() (uint64, error) {
+		due := func(period uint64) bool { return period > 0 && s.Cycle%period == 0 }
+		if due(cancelEvery) {
 			select {
 			case <-s.Cfg.Done:
-				s.settle()
-				return true, s.canceledError()
+				return 0, s.stop(ErrCanceled, "")
 			default:
 			}
 		}
-		if sampleEvery > 0 && s.Cycle%sampleEvery == 0 {
+		if due(sampleEvery) {
 			s.settle()
 			s.sampleMetrics()
 		}
-		if wdInterval > 0 && s.Cycle%wdInterval == 0 {
+		if due(wdInterval) {
 			sig := s.progressSig()
 			if s.tracer != nil {
 				s.tracer.Emit(trace.Event{Cycle: s.Cycle, PE: -1,
 					Kind: trace.KindCheckpoint, Name: "watchdog", Arg: sig.firings})
 			}
 			if sig == lastSig {
-				s.settle()
-				return true, s.deadlockError(lastProgress)
+				return 0, s.stop(ErrDeadlock, "no progress since cycle %d (window %d)",
+					lastProgress, s.Cfg.WatchdogCycles)
 			}
 			lastSig, lastProgress = sig, s.Cycle
 		}
-		if s.Cfg.AuditCycles > 0 && s.Cycle%s.Cfg.AuditCycles == 0 {
+		if due(s.Cfg.AuditCycles) {
 			s.settle()
-			if aerr := s.AuditLive(); aerr != nil {
-				return true, aerr
+			if err := s.AuditLive(); err != nil {
+				return 0, err
 			}
 		}
 		if s.Cycle >= s.Cfg.MaxCycles {
-			s.settle()
-			return true, fmt.Errorf("%w: MaxCycles=%d (deadlock or runaway program)\n%s",
-				ErrMaxCycles, s.Cfg.MaxCycles, s.BlockedSummary(dumpExcerptLines))
+			return 0, s.stop(ErrMaxCycles, "MaxCycles=%d (deadlock or runaway program)", s.Cfg.MaxCycles)
 		}
-		return false, nil
+		return boundary(), nil
 	}
+	next := boundary()
 	for {
 		now := s.Cycle
 		// OnCycle hooks (fault injectors) may mutate anything, so they force
@@ -333,24 +314,23 @@ func (s *System) run(prog Program) (res Result, err error) {
 				pe.dirty = true
 			}
 		}
-		if stop, cerr := checks(); stop {
-			return res, cerr
+		if s.Cycle >= next {
+			if next, err = observe(); err != nil {
+				return res, err
+			}
 		}
 		// Whole-machine jump: every PE is parked past the next cycle, so
-		// land the clock on the earlier of sysWake and the next observation
-		// boundary. Skipped when the system just quiesced (the program may
-		// have injected work the stale wakes don't see) and when forced.
+		// land the clock on the earlier of sysWake and the next boundary.
+		// Skipped when the system just quiesced (the program may have
+		// injected work the stale wakes don't see) and when forced.
 		if !quiet && sysWake > s.Cycle && !force {
-			w := min(sysWake, s.Cfg.MaxCycles)
-			for _, period := range [...]uint64{cancelEvery, sampleEvery, wdInterval, s.Cfg.AuditCycles} {
-				if period > 0 {
-					w = min(w, (s.Cycle/period+1)*period)
-				}
-			}
+			w := min(sysWake, next)
 			s.jumped += w - s.Cycle
 			s.Cycle = w
-			if stop, cerr := checks(); stop {
-				return res, cerr
+			if s.Cycle >= next {
+				if next, err = observe(); err != nil {
+					return res, err
+				}
 			}
 		}
 	}
@@ -391,29 +371,4 @@ func (s *System) finishRun(res *Result) {
 		res.MeanReconfig = float64(sumRec) / float64(nRec)
 	}
 	res.Reconfigs = nRec
-}
-
-// CheckInvariants verifies conservation properties after a run; it is used
-// by integration tests. It returns an error describing the first violation.
-func (s *System) CheckInvariants() error {
-	for _, pe := range s.PEs {
-		total := pe.Stack.Total()
-		if total != s.Cycle {
-			return fmt.Errorf("pe%d: CPI stack sums to %d, want %d cycles", pe.ID, total, s.Cycle)
-		}
-		if got := pe.QMem.Buffered(); got != 0 {
-			return fmt.Errorf("pe%d: %d tokens still buffered after completion", pe.ID, got)
-		}
-		for _, d := range pe.DRMs {
-			if d.Busy() {
-				return fmt.Errorf("%s: still busy after completion", d.Name())
-			}
-		}
-	}
-	for _, a := range s.arbiters {
-		if got, want := a.TotalCredits(), a.Queue().Cap(); got != want {
-			return fmt.Errorf("arbiter %q: %d credits outstanding, want %d", a.Queue().Name(), got, want)
-		}
-	}
-	return nil
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // progressSig is a snapshot of every monotonic activity counter in the
 // system. Two equal snapshots taken at different cycles prove that nothing
@@ -52,53 +49,6 @@ type WaitEdge struct {
 
 func (e WaitEdge) String() string {
 	return fmt.Sprintf("%s -> %s (%s)", e.Waiter, e.WaitsOn, e.Reason)
-}
-
-// DeadlockReport is the structured diagnosis attached to ErrDeadlock: where
-// the watchdog tripped, what each blocked component is waiting on, and a
-// truncated state dump. It makes a deadlock diagnosable from the error
-// alone, without re-running under a debugger.
-type DeadlockReport struct {
-	Cycle        uint64 // cycle at which the watchdog tripped
-	LastProgress uint64 // last checkpoint at which progress was observed
-	Window       uint64 // configured WatchdogCycles
-	WaitFor      []WaitEdge
-	Dump         string // truncated Dump() excerpt
-}
-
-// DeadlockError carries a DeadlockReport; it wraps ErrDeadlock so callers
-// detect it with errors.Is and retrieve the report with errors.As.
-type DeadlockError struct {
-	Report DeadlockReport
-}
-
-// Error renders the report: headline, wait-for edges, dump excerpt.
-func (e *DeadlockError) Error() string {
-	r := e.Report
-	var b strings.Builder
-	fmt.Fprintf(&b, "%v: no progress since cycle %d (window %d, tripped at cycle %d)",
-		ErrDeadlock, r.LastProgress, r.Window, r.Cycle)
-	for _, edge := range r.WaitFor {
-		fmt.Fprintf(&b, "\n  wait-for: %s", edge)
-	}
-	if r.Dump != "" {
-		fmt.Fprintf(&b, "\n%s", r.Dump)
-	}
-	return b.String()
-}
-
-// Unwrap makes errors.Is(err, ErrDeadlock) work through the report.
-func (e *DeadlockError) Unwrap() error { return ErrDeadlock }
-
-// deadlockError builds the error the watchdog returns.
-func (s *System) deadlockError(lastProgress uint64) error {
-	return &DeadlockError{Report: DeadlockReport{
-		Cycle:        s.Cycle,
-		LastProgress: lastProgress,
-		Window:       s.Cfg.WatchdogCycles,
-		WaitFor:      s.WaitFor(),
-		Dump:         truncateLines(s.Dump(), dumpExcerptLines),
-	}}
 }
 
 // WaitFor computes the wait-for summary: for every blocked component, which

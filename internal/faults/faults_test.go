@@ -2,7 +2,7 @@ package faults_test
 
 import (
 	"errors"
-	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -89,13 +89,16 @@ func fwdSinkSystem(t *testing.T, cfg core.Config) *core.System {
 	return sys
 }
 
-func runToFailure(t *testing.T, sys *core.System) error {
+// runToFailure runs sys and returns the *core.StopError it stops with,
+// failing the test unless its Reason is reason.
+func runToFailure(t *testing.T, sys *core.System, reason error) *core.StopError {
 	t.Helper()
 	_, err := sys.Run(core.ProgramFunc(func(*core.System) bool { return false }))
-	if err == nil {
-		t.Fatal("faulted run completed cleanly; no detector fired")
+	var se *core.StopError
+	if !errors.As(err, &se) || se.Reason != reason {
+		t.Fatalf("err = %v, want a *core.StopError for %v", err, reason)
 	}
-	return err
+	return se
 }
 
 // TestStuckStageTripsWatchdog hangs the fwd stage mid-run and checks the
@@ -112,27 +115,20 @@ func TestStuckStageTripsWatchdog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	err := runToFailure(t, sys)
-	if !errors.Is(err, core.ErrDeadlock) {
-		t.Fatalf("err = %v, want ErrDeadlock", err)
-	}
-	var de *core.DeadlockError
-	if !errors.As(err, &de) {
-		t.Fatalf("err chain %v carries no *DeadlockError", err)
-	}
+	se := runToFailure(t, sys, core.ErrDeadlock)
 	// Everything after the sink drains q2 is dead time; the watchdog must
 	// notice within ~2 windows of the trigger, not at MaxCycles.
 	if sys.Cycle > at+3*cfg.WatchdogCycles {
 		t.Fatalf("detected at cycle %d, want within a few windows of trigger %d", sys.Cycle, at)
 	}
 	var culprit bool
-	for _, e := range de.Report.WaitFor {
+	for _, e := range se.WaitFor {
 		if strings.Contains(e.Waiter, "fwd") {
 			culprit = true
 		}
 	}
 	if !culprit {
-		t.Fatalf("wait-for summary %v does not name the stuck stage fwd", de.Report.WaitFor)
+		t.Fatalf("wait-for summary %v does not name the stuck stage fwd", se.WaitFor)
 	}
 }
 
@@ -156,10 +152,7 @@ func TestWithheldCreditsTripsAudit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	err := runToFailure(t, sys)
-	if !errors.Is(err, core.ErrInvariant) {
-		t.Fatalf("err = %v, want ErrInvariant", err)
-	}
+	err := runToFailure(t, sys, core.ErrInvariant)
 	for _, want := range []string{"credit-conservation", "xq"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("audit error lacks %q: %v", want, err)
@@ -190,10 +183,7 @@ func TestDroppedGrantTripsAudit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	err := runToFailure(t, sys)
-	if !errors.Is(err, core.ErrInvariant) {
-		t.Fatalf("err = %v, want ErrInvariant", err)
-	}
+	err := runToFailure(t, sys, core.ErrInvariant)
 	for _, want := range []string{"credit-conservation", "dropped grant", "xq"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("audit error lacks %q: %v", want, err)
@@ -213,22 +203,15 @@ func TestDelayedReconfigTripsWatchdog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	err := runToFailure(t, sys)
-	if !errors.Is(err, core.ErrDeadlock) {
-		t.Fatalf("err = %v, want ErrDeadlock", err)
-	}
-	var de *core.DeadlockError
-	if !errors.As(err, &de) {
-		t.Fatalf("err chain %v carries no *DeadlockError", err)
-	}
+	se := runToFailure(t, sys, core.ErrDeadlock)
 	var blamed bool
-	for _, e := range de.Report.WaitFor {
+	for _, e := range se.WaitFor {
 		if e.WaitsOn == "reconfiguration" {
 			blamed = true
 		}
 	}
 	if !blamed {
-		t.Fatalf("wait-for summary %v does not blame reconfiguration", de.Report.WaitFor)
+		t.Fatalf("wait-for summary %v does not blame reconfiguration", se.WaitFor)
 	}
 	// The freeze lasts 100k cycles; detection must come from the watchdog
 	// window, not from waiting the freeze out.
@@ -267,16 +250,9 @@ func TestStalledDRMTripsWatchdog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	err := runToFailure(t, sys)
-	if !errors.Is(err, core.ErrDeadlock) {
-		t.Fatalf("err = %v, want ErrDeadlock", err)
-	}
-	var de *core.DeadlockError
-	if !errors.As(err, &de) {
-		t.Fatalf("err chain %v carries no *DeadlockError", err)
-	}
+	se := runToFailure(t, sys, core.ErrDeadlock)
 	var starved, backedUp bool
-	for _, e := range de.Report.WaitFor {
+	for _, e := range se.WaitFor {
 		if strings.Contains(e.Waiter, "drm0") && e.WaitsOn == "memory" {
 			starved = true
 		}
@@ -285,10 +261,10 @@ func TestStalledDRMTripsWatchdog(t *testing.T) {
 		}
 	}
 	if !starved {
-		t.Fatalf("wait-for summary %v does not show the DRM starved on memory", de.Report.WaitFor)
+		t.Fatalf("wait-for summary %v does not show the DRM starved on memory", se.WaitFor)
 	}
 	if !backedUp {
-		t.Fatalf("wait-for summary %v does not show the feeder backed up", de.Report.WaitFor)
+		t.Fatalf("wait-for summary %v does not show the feeder backed up", se.WaitFor)
 	}
 	// The responses are stalled for 10M cycles; detection must come from
 	// the watchdog window, not from waiting the stall out.
@@ -310,8 +286,8 @@ func TestPlanDeterminism(t *testing.T) {
 		if err := plan.Arm(sys); err != nil {
 			t.Fatal(err)
 		}
-		err := runToFailure(t, sys)
-		return sys.Cycle, err.Error()
+		msg := runToFailure(t, sys, core.ErrDeadlock).Error()
+		return sys.Cycle, msg
 	}
 	c1, e1 := run()
 	c2, e2 := run()
@@ -354,8 +330,8 @@ func TestArmRejectsBadTargets(t *testing.T) {
 // TestShardedDetectorParity pins the failure half of the kernel
 // equivalence contract (DESIGN.md §10): every fault detector must fire
 // under the default kernel exactly as under the Config.NoFastForward oracle
-// — same error chain, same text (wait-for summaries, blamed queues), same
-// detection cycle, same structured report. Each scenario is one of the
+// — the same detection cycle and a deeply equal *core.StopError (reason,
+// cycle, detail, wait-for edges, dump). Each scenario is one of the
 // armed-fault suites above, rebuilt on a 4-PE system. Every fault acts from
 // an OnCycle hook, which forces the default kernel to settle and tick every
 // PE from the first cycle, as the oracle does. The name is kept from the
@@ -363,9 +339,9 @@ func TestArmRejectsBadTargets(t *testing.T) {
 // the one kernel.
 func TestShardedDetectorParity(t *testing.T) {
 	scenarios := []struct {
-		name  string
-		build func(t *testing.T, cfg core.Config) (*core.System, *faults.Plan)
-		check func(t *testing.T, err error)
+		name   string
+		build  func(t *testing.T, cfg core.Config) (*core.System, *faults.Plan)
+		reason error
 	}{
 		{
 			name: "stuck-stage-watchdog",
@@ -375,11 +351,7 @@ func TestShardedDetectorParity(t *testing.T) {
 				plan.Add(faults.StuckStage{PE: 0, Stage: 0, At: 200})
 				return sys, plan
 			},
-			check: func(t *testing.T, err error) {
-				if !errors.Is(err, core.ErrDeadlock) {
-					t.Fatalf("err = %v, want ErrDeadlock", err)
-				}
-			},
+			reason: core.ErrDeadlock,
 		},
 		{
 			name: "withheld-credits-audit",
@@ -396,11 +368,7 @@ func TestShardedDetectorParity(t *testing.T) {
 				plan.Add(faults.WithheldCredits{Arbiter: 0, Port: 0, N: 2, At: 100})
 				return sys, plan
 			},
-			check: func(t *testing.T, err error) {
-				if !errors.Is(err, core.ErrInvariant) {
-					t.Fatalf("err = %v, want ErrInvariant", err)
-				}
-			},
+			reason: core.ErrInvariant,
 		},
 		{
 			name: "dropped-grant-audit",
@@ -416,11 +384,7 @@ func TestShardedDetectorParity(t *testing.T) {
 				plan.Add(faults.DroppedGrant{Arbiter: 0, At: 50})
 				return sys, plan
 			},
-			check: func(t *testing.T, err error) {
-				if !errors.Is(err, core.ErrInvariant) {
-					t.Fatalf("err = %v, want ErrInvariant", err)
-				}
-			},
+			reason: core.ErrInvariant,
 		},
 		{
 			name: "delayed-reconfig-watchdog",
@@ -430,11 +394,7 @@ func TestShardedDetectorParity(t *testing.T) {
 				plan.Add(faults.DelayedReconfig{PE: 0, Extra: 100_000, At: 1})
 				return sys, plan
 			},
-			check: func(t *testing.T, err error) {
-				if !errors.Is(err, core.ErrDeadlock) {
-					t.Fatalf("err = %v, want ErrDeadlock", err)
-				}
-			},
+			reason: core.ErrDeadlock,
 		},
 		{
 			name: "stalled-drm-watchdog",
@@ -459,45 +419,29 @@ func TestShardedDetectorParity(t *testing.T) {
 				plan.Add(faults.StalledDRM{PE: 3, DRM: 0, Extra: 10_000_000, At: 100})
 				return sys, plan
 			},
-			check: func(t *testing.T, err error) {
-				if !errors.Is(err, core.ErrDeadlock) {
-					t.Fatalf("err = %v, want ErrDeadlock", err)
-				}
-			},
+			reason: core.ErrDeadlock,
 		},
 	}
 
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			run := func(oracle bool) (uint64, error) {
+			run := func(oracle bool) (uint64, *core.StopError) {
 				cfg := testConfig(4)
 				cfg.NoFastForward = oracle
 				sys, plan := sc.build(t, cfg)
 				if err := plan.Arm(sys); err != nil {
 					t.Fatal(err)
 				}
-				err := runToFailure(t, sys)
-				return sys.Cycle, err
+				se := runToFailure(t, sys, sc.reason)
+				return sys.Cycle, se
 			}
 			slowCycle, slowErr := run(true)
 			fastCycle, fastErr := run(false)
-			sc.check(t, slowErr)
-			sc.check(t, fastErr)
-			if fastErr.Error() != slowErr.Error() {
-				t.Errorf("error text differs\nfast:   %v\noracle: %v", fastErr, slowErr)
+			if !reflect.DeepEqual(fastErr, slowErr) {
+				t.Errorf("errors differ\nfast:   %+v\noracle: %+v", fastErr, slowErr)
 			}
 			if fastCycle != slowCycle {
 				t.Errorf("detected at cycle %d, oracle %d", fastCycle, slowCycle)
-			}
-			// Structured payloads must match too, not just the formatted text.
-			var slowDL, fastDL *core.DeadlockError
-			if errors.As(slowErr, &slowDL) != errors.As(fastErr, &fastDL) {
-				t.Fatalf("only one kernel produced a DeadlockError: fast=%v oracle=%v", fastErr, slowErr)
-			}
-			if slowDL != nil {
-				if got, want := fmt.Sprintf("%+v", fastDL.Report), fmt.Sprintf("%+v", slowDL.Report); got != want {
-					t.Errorf("deadlock reports differ\nfast:   %s\noracle: %s", got, want)
-				}
 			}
 		})
 	}
