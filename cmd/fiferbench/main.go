@@ -6,9 +6,15 @@
 //	fiferbench -exp fig13           # one experiment
 //	fiferbench -exp fig16 -apps BFS,SpMM -scale 0
 //	fiferbench -exp fig13 -j 8      # fan simulations out over 8 workers
+//	fiferbench -job 'BFS/Hu fifer-16pe qmem=0.25x no-dbuf' -scale 0
 //
 // Experiments: table1 table2 table3 table4 fig13 fig14 fig15 fig16 fig17
 // table5 zerocost all.
+//
+// -job KEY runs the one job of any sweep that the exact key KEY names
+// (DESIGN.md §7), at -scale and -seed, and prints its cycles, CPI stack (or
+// instructions) and energy, or its full stop report and exit status 1. A
+// sweep prints one stderr line per failed job, ending in that command.
 //
 // -j sets how many simulations run concurrently (default: all CPUs). The
 // output is byte-identical for every -j value, including -j 1 (fully
@@ -46,6 +52,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -54,9 +61,11 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"sync"
 	"syscall"
 
 	"fifer"
+	"fifer/internal/apps"
 	"fifer/internal/bench"
 )
 
@@ -78,7 +87,23 @@ func fiferbench() int {
 	noFF := flag.Bool("no-fast-forward", false, "run the naive per-cycle loop instead of the parking kernel (identical results, slower)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
+	jobKey := flag.String("job", "", "run the one job with this exact key, e.g. 'BFS/Hu fifer-16pe qmem=0.25x no-dbuf'")
 	flag.Parse()
+
+	var job bench.Job
+	if *jobKey != "" {
+		var err error
+		job, err = bench.ParseKey(*jobKey)
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "exp" || f.Name == "apps" {
+				err = fmt.Errorf("runs one job; it cannot be combined with -%s", f.Name)
+			}
+		})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "fiferbench: -job: %v\n", err)
+			return 2
+		}
+	}
 
 	opt := bench.Options{Scale: *scale, Seed: *seed, Jobs: *jobs, JobTimeout: *jobTimeout,
 		Override: configOverride(*watchdog, *audit, *noFF)}
@@ -136,7 +161,8 @@ func fiferbench() int {
 	opt.Context = ctx
 
 	// The summary counts every job the drivers report, whether or not
-	// -progress echoes them.
+	// -progress echoes them; each failed job also gets its own line.
+	rerun := rerunCommand(*scale, *seed, *watchdog, *audit)
 	var okCnt, failedCnt, canceledCnt int
 	opt.Progress = func(done, total int, res bench.JobResult) {
 		class := bench.ErrorClass(res.Err)
@@ -147,6 +173,7 @@ func fiferbench() int {
 			canceledCnt++
 		default:
 			failedCnt++
+			fmt.Fprintln(os.Stderr, failureLine(res, rerun))
 		}
 		if *progress {
 			fmt.Fprintf(os.Stderr, "[%d/%d] %s %s\n", done, total, res.Job.Key(), class)
@@ -155,16 +182,17 @@ func fiferbench() int {
 	w := os.Stdout
 
 	code := 0
+	fail := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, format+"\n", args...)
+		code = 1
+	}
 	run := func(name string, f func() error) {
-		if *exp != "all" && *exp != name {
+		if *jobKey != "" || (*exp != "all" && *exp != name) {
 			return
 		}
 		fmt.Fprintf(w, "==== %s ====\n", name)
 		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			if code == 0 {
-				code = 1
-			}
+			fail("%s: %v", name, err)
 			return
 		}
 		fmt.Fprintln(w)
@@ -174,68 +202,26 @@ func fiferbench() int {
 	run("table2", func() error { bench.PrintTable2(w); return nil })
 	run("table3", func() error { bench.PrintTable3(w, opt); return nil })
 	run("table4", func() error { bench.PrintTable4(w, opt); return nil })
+	// Fig. 14, Fig. 15 and Table 5 read the Fig. 13 sweep; it runs once.
+	fig13 := sync.OnceValues(func() (*bench.Fig13Data, error) { return fifer.Fig13(opt) })
+	run("fig13", show(fig13, func(d *bench.Fig13Data) { d.Print(w) }))
+	run("fig14", show(fig13, func(d *bench.Fig13Data) { d.PrintFig14(w, opt) }))
+	run("fig15", show(fig13, func(d *bench.Fig13Data) { d.PrintFig15(w, opt) }))
+	run("table5", show(fig13, func(d *bench.Fig13Data) { d.PrintTable5(w, opt) }))
+	run("fig16", show(func() ([]bench.Fig16Point, error) { return fifer.Fig16(opt) },
+		func(points []bench.Fig16Point) { bench.PrintFig16(w, points, opt) }))
+	run("fig17", show(func() ([]bench.Fig17Row, error) { return fifer.Fig17(opt) },
+		func(rows []bench.Fig17Row) { bench.PrintFig17(w, rows) }))
+	run("zerocost", show(func() (bench.ZeroCostResult, error) { return fifer.ZeroCost(opt) },
+		func(r bench.ZeroCostResult) { bench.PrintZeroCost(w, r) }))
 
-	var fig13 *bench.Fig13Data
-	needFig13 := func() error {
-		if fig13 != nil {
-			return nil
+	if *jobKey != "" {
+		if out, err := job.Run(opt); err != nil {
+			fail("%s: %v", *jobKey, err)
+		} else {
+			printOutcome(w, job, out, opt)
 		}
-		var err error
-		fig13, err = fifer.Fig13(opt)
-		return err
 	}
-	run("fig13", func() error {
-		if err := needFig13(); err != nil {
-			return err
-		}
-		fig13.Print(w)
-		return nil
-	})
-	run("fig14", func() error {
-		if err := needFig13(); err != nil {
-			return err
-		}
-		fig13.PrintFig14(w, opt)
-		return nil
-	})
-	run("fig15", func() error {
-		if err := needFig13(); err != nil {
-			return err
-		}
-		fig13.PrintFig15(w, opt)
-		return nil
-	})
-	run("table5", func() error {
-		if err := needFig13(); err != nil {
-			return err
-		}
-		fig13.PrintTable5(w, opt)
-		return nil
-	})
-	run("fig16", func() error {
-		points, err := fifer.Fig16(opt)
-		if err != nil {
-			return err
-		}
-		bench.PrintFig16(w, points, opt)
-		return nil
-	})
-	run("fig17", func() error {
-		rows, err := fifer.Fig17(opt)
-		if err != nil {
-			return err
-		}
-		bench.PrintFig17(w, rows)
-		return nil
-	})
-	run("zerocost", func() error {
-		r, err := fifer.ZeroCost(opt)
-		if err != nil {
-			return err
-		}
-		bench.PrintZeroCost(w, r)
-		return nil
-	})
 
 	// Observability exports: written even after a partial (interrupted or
 	// failed) sweep, since a trace of what did run is exactly what a
@@ -243,10 +229,7 @@ func fiferbench() int {
 	if sink != nil {
 		if *tracePath != "" {
 			if err := writeFileWith(*tracePath, sink.WriteTrace); err != nil {
-				fmt.Fprintf(os.Stderr, "fiferbench: trace: %v\n", err)
-				if code == 0 {
-					code = 1
-				}
+				fail("fiferbench: trace: %v", err)
 			}
 		}
 		if *metricsPath != "" {
@@ -255,10 +238,7 @@ func fiferbench() int {
 				writeMetrics = sink.WriteMetricsCSV
 			}
 			if err := writeFileWith(*metricsPath, writeMetrics); err != nil {
-				fmt.Fprintf(os.Stderr, "fiferbench: metrics: %v\n", err)
-				if code == 0 {
-					code = 1
-				}
+				fail("fiferbench: metrics: %v", err)
 			}
 		}
 		for _, j := range sink.Jobs() {
@@ -278,11 +258,72 @@ func fiferbench() int {
 		if interrupted {
 			return 130
 		}
-		if code == 0 {
-			code = 1
-		}
+		code = 1
 	}
 	return code
+}
+
+// show returns an experiment that runs driver and prints its result.
+func show[T any](driver func() (T, error), print func(T)) func() error {
+	return func() error {
+		v, err := driver()
+		if err == nil {
+			print(v)
+		}
+		return err
+	}
+}
+
+// rerunCommand returns the fiferbench invocation, without its -job flag,
+// that reruns a sweep's job with the settings that change its outcome.
+func rerunCommand(scale int, seed uint64, watchdog, audit int64) string {
+	cmd := fmt.Sprintf("fiferbench -scale %d -seed %d", scale, seed)
+	if watchdog != 0 {
+		cmd += fmt.Sprintf(" -watchdog %d", watchdog)
+	}
+	if audit != 0 {
+		cmd += fmt.Sprintf(" -audit %d", audit)
+	}
+	return cmd
+}
+
+// failureLine renders one failed sweep job for stderr: its key, why and
+// at which cycle it stopped, the first wait-for edge, and the command
+// (rerun, then -job) that runs it alone with the full stop report.
+func failureLine(res bench.JobResult, rerun string) string {
+	why, _, _ := strings.Cut(res.Err.Error(), "\n")
+	var se *fifer.StopError
+	if errors.As(res.Err, &se) {
+		why = fmt.Sprintf("%v at cycle %d", se.Reason, se.Cycle)
+		if len(se.WaitFor) > 0 {
+			why += fmt.Sprintf(", wait-for: %s", se.WaitFor[0])
+		}
+	}
+	return fmt.Sprintf("fiferbench: %s failed: %s; rerun: %s -job '%s'", res.Job.Key(), why, rerun, res.Job.Key())
+}
+
+// printOutcome renders one job's result: cycles, the output check, the CPI
+// stack and reconfiguration counts of a CGRA run or the instruction count
+// of an OOO one, and the energy breakdown.
+func printOutcome(w io.Writer, j bench.Job, out fifer.Outcome, opt bench.Options) {
+	fmt.Fprintf(w, "%s (scale %d, seed %d)\n  cycles:   %d\n  verified: %v (output matches the reference implementation)\n",
+		j.Key(), opt.Scale, opt.Seed, out.Cycles, out.Verified)
+	switch j.Kind {
+	case apps.StaticPipe, apps.FiferPipe:
+		i, s, q, r, idle := out.Pipe.Total.Fractions()
+		fmt.Fprintf(w, "  CPI stack: issued %.1f%%, stalls %.1f%%, queue full/empty %.1f%%, reconfig %.1f%%, idle %.1f%%\n",
+			100*i, 100*s, 100*q, 100*r, 100*idle)
+		fmt.Fprintf(w, "  firings:  %d  reconfigurations: %d\n", out.Pipe.Firings, out.Pipe.Reconfigs)
+		if out.Pipe.Reconfigs > 0 {
+			fmt.Fprintf(w, "  mean residence: %.0f cycles  mean reconfig period: %.1f cycles\n",
+				out.Pipe.MeanResidence, out.Pipe.MeanReconfig)
+		}
+	default:
+		fmt.Fprintf(w, "  instructions: %d\n", out.Counts.Instrs)
+	}
+	e := fifer.EnergyBreakdown(out)
+	fmt.Fprintf(w, "  energy (uJ): total %.1f = memory %.1f + caches %.1f + compute %.1f + leakage %.1f\n",
+		e.Total()/1e6, e.Memory/1e6, e.Caches/1e6, e.Compute/1e6, e.Leakage/1e6)
 }
 
 // configOverride maps -watchdog, -audit and -no-fast-forward onto every

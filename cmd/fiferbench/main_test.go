@@ -1,9 +1,15 @@
 package main
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"fifer"
+	"fifer/internal/apps"
+	"fifer/internal/bench"
+	"fifer/internal/core"
 )
 
 // TestConfigOverride pins the mapping from -watchdog, -audit and
@@ -42,6 +48,46 @@ func TestConfigOverride(t *testing.T) {
 			want.WatchdogCycles, want.AuditCycles, want.NoFastForward = def.WatchdogCycles, def.AuditCycles, def.NoFastForward
 			if want != def {
 				t.Errorf("the override changed a field no flag names")
+			}
+		})
+	}
+}
+
+// TestFailureLine pins the stderr line a failed sweep job gets: key, stop
+// reason and cycle, the first wait-for edge, and a rerun command carrying
+// the flags that change the outcome; an error that is not a stop report
+// contributes its first line.
+func TestFailureLine(t *testing.T) {
+	job := bench.Job{App: "BFS", Input: "Hu", Kind: apps.FiferPipe, QueueScale: 0.25}
+	stop := &fifer.StopError{Reason: fifer.ErrDeadlock, Cycle: 4, Detail: "no progress",
+		WaitFor: []core.WaitEdge{
+			{Waiter: "pe0.drm0", WaitsOn: "memory", Reason: "1 accesses in flight"},
+			{Waiter: "pe1.drm0", WaitsOn: "memory", Reason: "2 accesses in flight"},
+		}, Dump: "cycle 4\npe0 ..."}
+	for _, tc := range []struct {
+		name  string
+		err   error
+		rerun string
+		want  string
+	}{
+		{"deadlock", fmt.Errorf("fifer-16pe bfs: %w", stop), rerunCommand(0, 1, 4, 0),
+			"fiferbench: BFS/Hu fifer-16pe qmem=0.25x failed: core: simulation deadlocked (watchdog) at cycle 4, " +
+				"wait-for: pe0.drm0 -> memory (1 accesses in flight); " +
+				"rerun: fiferbench -scale 0 -seed 1 -watchdog 4 -job 'BFS/Hu fifer-16pe qmem=0.25x'"},
+		{"no edges", &fifer.StopError{Reason: fifer.ErrMaxCycles, Cycle: 10}, rerunCommand(1, 7, 0, -1),
+			"fiferbench: BFS/Hu fifer-16pe qmem=0.25x failed: " + fifer.ErrMaxCycles.Error() + " at cycle 10; " +
+				"rerun: fiferbench -scale 1 -seed 7 -audit -1 -job 'BFS/Hu fifer-16pe qmem=0.25x'"},
+		{"other", errors.New("queue mem exhausted\ngoroutine 1"), rerunCommand(0, 1, 0, 0),
+			"fiferbench: BFS/Hu fifer-16pe qmem=0.25x failed: queue mem exhausted; " +
+				"rerun: fiferbench -scale 0 -seed 1 -job 'BFS/Hu fifer-16pe qmem=0.25x'"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := failureLine(bench.JobResult{Job: job, Err: tc.err}, tc.rerun)
+			if got != tc.want {
+				t.Errorf("got  %s\nwant %s", got, tc.want)
+			}
+			if strings.Contains(got, "\n") {
+				t.Errorf("the line spans several lines: %q", got)
 			}
 		})
 	}

@@ -46,7 +46,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		merged, err := fifer.RunAppMerged("SpMM", input, fifer.StaticPipe, opt)
+		merged, err := fifer.Job{App: "SpMM", Input: input, Kind: fifer.StaticPipe, Merged: true}.Run(opt)
 		if err != nil {
 			log.Fatal(err)
 		}

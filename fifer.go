@@ -55,6 +55,10 @@ func DefaultOptions() Options { return bench.DefaultOptions() }
 // whether the functional result matched the reference implementation.
 type Outcome = apps.Outcome
 
+// Job describes one simulation as data (app, input, system and config
+// variants); Job.Run runs it and Job.Key names it as progress text does.
+type Job = bench.Job
+
 // JobResult is one sweep job's result as reported to Options.Progress:
 // the job and its outcome or error.
 type JobResult = bench.JobResult
@@ -177,15 +181,6 @@ func RunApp(app, input string, kind SystemKind, opt Options, override ...func(*C
 		ov = override[0]
 	}
 	return bench.RunOne(app, input, kind, false, opt, ov)
-}
-
-// RunAppMerged is RunApp with the merged-stage pipeline variant (Sec. 8.4).
-func RunAppMerged(app, input string, kind SystemKind, opt Options, override ...func(*Config)) (Outcome, error) {
-	var ov func(*Config)
-	if len(override) > 0 {
-		ov = override[0]
-	}
-	return bench.RunOne(app, input, kind, true, opt, ov)
 }
 
 // EnergyBreakdown converts a run's event counts into the Fig. 15 energy

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"time"
 
 	"fifer/internal/apps"
@@ -62,7 +63,7 @@ type Options struct {
 	// Override, when non-nil, adjusts every job's configuration, with the
 	// contract of RunOne's override. It runs after the harness settings
 	// (Context's cancellation hook, Trace's collector) and before the
-	// per-job override (Job.Override, or RunOne's), which wins.
+	// job's own configuration fields and RunOne's override, which win.
 	Override func(*core.Config)
 }
 
@@ -185,8 +186,11 @@ func (opt Options) selected() []string {
 // intentionally raise (or lower) the cycle budget cfg.MaxCycles. If the
 // budget is exhausted the returned error wraps core.ErrMaxCycles.
 func RunOne(app, input string, kind apps.SystemKind, merged bool, opt Options, override func(*core.Config)) (apps.Outcome, error) {
-	return Job{App: app, Input: input, Kind: kind, Merged: merged, Override: override}.run(opt, "", nil)
+	return Job{App: app, Input: input, Kind: kind, Merged: merged}.run(opt, "", nil, override)
 }
+
+// Run executes the job alone, with its own inputs, as RunOne does.
+func (j Job) Run(opt Options) (apps.Outcome, error) { return j.run(opt, "", nil, nil) }
 
 // inputKey names the input j reads when run with opt. An unknown app gets
 // an empty family.
@@ -196,14 +200,16 @@ func (j Job) inputKey(opt Options) inputKey {
 }
 
 // run executes the job as RunOne describes, reading its input and the
-// values derived from it from inputs (nil builds private ones). A traced
-// run files its collector in opt.Trace under the job's traceKey in sweep.
-func (j Job) run(opt Options, sweep string, inputs *inputStore) (apps.Outcome, error) {
+// values derived from it from inputs (nil builds private ones). The config
+// is set by the harness, opt.Override, the job's fields and override, in
+// that order. A traced run files its collector in opt.Trace under its Key
+// after sweep's label, as one sink can see a job in several sweeps.
+func (j Job) run(opt Options, sweep string, inputs *inputStore, override func(*core.Config)) (apps.Outcome, error) {
 	var col *trace.Collector
 	if opt.Trace != nil {
 		col = trace.NewCollector(opt.Trace.BufEvents)
 	}
-	override := func(cfg *core.Config) {
+	configure := func(cfg *core.Config) {
 		cfg.Done = opt.context().Done()
 		if col != nil {
 			if !opt.Trace.MetricsOnly {
@@ -215,8 +221,9 @@ func (j Job) run(opt Options, sweep string, inputs *inputStore) (apps.Outcome, e
 		if opt.Override != nil {
 			opt.Override(cfg)
 		}
-		if j.Override != nil {
-			j.Override(cfg)
+		j.configure(cfg)
+		if override != nil {
+			override(cfg)
 		}
 	}
 	a, ok := lookupApp(j.App)
@@ -226,9 +233,9 @@ func (j Job) run(opt Options, sweep string, inputs *inputStore) (apps.Outcome, e
 	k := j.inputKey(opt)
 	in := inputs.get(k, "", func() any { return a.build(j.Input, opt.Scale, opt.Seed) })
 	derive := func(name string, build func() any) any { return inputs.get(k, name, build) }
-	out, err := a.runOn(in, derive, j.Kind, opt.Scale, opt.Seed, j.Merged, override)
+	out, err := a.runOn(in, derive, j.Kind, opt.Scale, opt.Seed, j.Merged, configure)
 	if col != nil {
-		opt.Trace.add(j.traceKey(sweep), col)
+		opt.Trace.add(strings.TrimPrefix(sweep+" "+j.Key(), " "), col)
 	}
 	return out, err
 }

@@ -36,9 +36,9 @@ func TestRunnerEmptyBatch(t *testing.T) {
 func TestPanicErrorRoundTrip(t *testing.T) {
 	sentinel := errors.New("boom-root")
 	job := Job{App: "BFS", Input: "Rd", Kind: apps.StaticPipe, Merged: true}
-	// Two jobs that differ only by variant (Fig. 16's qmem sweep) must
-	// panic with different messages.
-	variant := Job{App: "BFS", Input: "Rd", Kind: apps.FiferPipe, Variant: "qmem=0.25x"}
+	// Two jobs that differ only by a configuration field (Fig. 16's qmem
+	// sweep) must panic with different messages.
+	variant := Job{App: "BFS", Input: "Rd", Kind: apps.FiferPipe, QueueScale: 0.25}
 	results := runStub(Options{}, []Job{job, variant}, func(Job, Options) (apps.Outcome, error) {
 		panic(fmt.Errorf("kernel blew up: %w", sentinel))
 	})

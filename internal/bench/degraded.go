@@ -1,6 +1,9 @@
 package bench
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Degraded-mode rendering: a partial sweep (canceled, or with failed jobs)
 // still produces every table. Cells whose simulations are missing print an
@@ -20,4 +23,14 @@ func degradedCell(v float64, errClass string) string {
 	default:
 		return fmt.Sprintf("%.2f*", v)
 	}
+}
+
+// speedupText renders a headline speedup, followed by "at where" when
+// where is given, or "n/a" when no cell survived to compute it (the
+// aggregate is then 0).
+func speedupText(v float64, where ...string) string {
+	if v == 0 {
+		return "n/a"
+	}
+	return strings.Join(append([]string{fmt.Sprintf("%.2fx", v)}, where...), " at ")
 }

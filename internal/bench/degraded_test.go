@@ -80,6 +80,15 @@ func TestCanceledFig13RendersDegraded(t *testing.T) {
 					// Every job beat the cancel (tiny sweep, many workers).
 					t.Logf("nothing was canceled at k=%d with %d workers", k, workers)
 				}
+				// A headline no cell survived for prints n/a, never 0.00x:
+				// after three serial jobs no Fifer run has finished.
+				if strings.Contains(out, "0.00x") {
+					t.Fatalf("a headline prints 0.00x:\n%s", out)
+				}
+				if workers == 1 && k == 3 && !strings.Contains(out,
+					"Fifer vs static pipeline:  gmean n/a (paper: 2.8x), max n/a (paper: 5.5x at CC/Rd)") {
+					t.Fatalf("the Fifer headline with no Fifer run does not print n/a:\n%s", out)
+				}
 				got := tableRows(out)
 				for _, c := range d.Cells {
 					if len(c.Errs) > 0 {
@@ -92,6 +101,17 @@ func TestCanceledFig13RendersDegraded(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestZeroCostRendersNA checks that a zero-cost ablation with no surviving
+// pair prints n/a for its aggregate instead of 0.00x.
+func TestZeroCostRendersNA(t *testing.T) {
+	var b strings.Builder
+	PrintZeroCost(&b, ZeroCostResult{Failed: 2, ErrClass: ClassDeadlock})
+	if out := b.String(); !strings.Contains(out, "gmean speedup n/a (paper: ~1.10x), max n/a (paper:") ||
+		strings.Contains(out, "0.00x") {
+		t.Fatalf("no surviving pair, but the aggregate is not n/a:\n%s", out)
 	}
 }
 

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 
@@ -150,18 +151,9 @@ func (d *Fig13Data) Print(w io.Writer) {
 			}
 			return fmt.Sprintf("%.2f", c.Speedup(kind))
 		}
-		fsCell := ""
-		switch {
-		case c.Failed(apps.StaticPipe) != "":
-			fsCell = "!" + c.Failed(apps.StaticPipe)
-		case c.Failed(apps.FiferPipe) != "":
-			fsCell = "!" + c.Failed(apps.FiferPipe)
-		default:
-			fs := 0.0
-			if s := c.Outcomes[apps.StaticPipe].Cycles; s > 0 {
-				fs = float64(s) / float64(c.Outcomes[apps.FiferPipe].Cycles)
-			}
-			fsCell = fmt.Sprintf("%.2f", fs)
+		fsCell := fmt.Sprintf("%.2f", float64(c.Outcomes[apps.StaticPipe].Cycles)/float64(c.Outcomes[apps.FiferPipe].Cycles))
+		if cls := cmp.Or(c.Failed(apps.StaticPipe), c.Failed(apps.FiferPipe)); cls != "" {
+			fsCell = "!" + cls
 		}
 		tbl.Add(c.Input,
 			cell(apps.SerialOOO),
@@ -176,13 +168,13 @@ func (d *Fig13Data) Print(w io.Writer) {
 		fmt.Fprintf(w, "\nDEGRADED: %d simulation(s) missing; affected cells show !error-class and gmeans cover surviving cells only.\n", n)
 	}
 	fmt.Fprintln(w, "\nHeadline comparisons (paper, Sec. 8.1-8.2):")
-	maxFS, where := d.MaxSpeedup(apps.FiferPipe, apps.StaticPipe)
-	fmt.Fprintf(w, "  Fifer vs static pipeline:  gmean %.2fx (paper: 2.8x), max %.2fx at %s (paper: 5.5x at CC/Rd)\n",
-		d.GMeanSpeedup("", apps.FiferPipe, apps.StaticPipe), maxFS, where)
-	fmt.Fprintf(w, "  Fifer vs 4-core OOO:       gmean %.2fx (paper: >17x)\n",
-		d.GMeanSpeedup("", apps.FiferPipe, apps.MulticoreOOO))
-	fmt.Fprintf(w, "  Static vs serial OOO:      gmean %.2fx (paper: 25x)\n",
-		d.GMeanSpeedup("", apps.StaticPipe, apps.SerialOOO))
-	fmt.Fprintf(w, "  Fifer vs serial OOO:       gmean %.2fx (paper: 72x)\n",
-		d.GMeanSpeedup("", apps.FiferPipe, apps.SerialOOO))
+	fmt.Fprintf(w, "  Fifer vs static pipeline:  gmean %s (paper: 2.8x), max %s (paper: 5.5x at CC/Rd)\n",
+		speedupText(d.GMeanSpeedup("", apps.FiferPipe, apps.StaticPipe)),
+		speedupText(d.MaxSpeedup(apps.FiferPipe, apps.StaticPipe)))
+	fmt.Fprintf(w, "  Fifer vs 4-core OOO:       gmean %s (paper: >17x)\n",
+		speedupText(d.GMeanSpeedup("", apps.FiferPipe, apps.MulticoreOOO)))
+	fmt.Fprintf(w, "  Static vs serial OOO:      gmean %s (paper: 25x)\n",
+		speedupText(d.GMeanSpeedup("", apps.StaticPipe, apps.SerialOOO)))
+	fmt.Fprintf(w, "  Fifer vs serial OOO:       gmean %s (paper: 72x)\n",
+		speedupText(d.GMeanSpeedup("", apps.FiferPipe, apps.SerialOOO)))
 }

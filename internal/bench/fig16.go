@@ -1,11 +1,11 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 
 	"fifer/internal/apps"
-	"fifer/internal/core"
 	"fifer/internal/stats"
 )
 
@@ -31,38 +31,23 @@ var Fig16Factors = []float64{0.25, 0.5, 1, 2, 4}
 // results. Failed or canceled jobs degrade their points (ErrClass) instead
 // of aborting the sweep.
 func Fig16(opt Options) ([]Fig16Point, error) {
-	type meta struct {
-		app, input     string
-		factor         float64
-		double, isBase bool
-	}
 	var jobs []Job
-	var metas []meta
 	for _, app := range opt.selected() {
 		// Input-major, so the sweep holds each input only while its jobs
 		// run.
 		for _, input := range InputsOf(app) {
-			// Baseline cycles (factor 1, double-buffered). The default
-			// config is that point of the sweep, so this job is also its
-			// 1x double-buffered run.
+			// The default config (1x, double-buffered) comes first: it is
+			// both the input's baseline and its 1x double-buffered point.
 			jobs = append(jobs, Job{App: app, Input: input, Kind: apps.FiferPipe})
-			metas = append(metas, meta{app: app, input: input, factor: 1, double: true, isBase: true})
 			for _, factor := range Fig16Factors {
 				for _, double := range []bool{true, false} {
-					if factor == 1 && double {
+					j := Job{App: app, Input: input, Kind: apps.FiferPipe, NoDoubleBuffer: !double}
+					if factor != 1 {
+						j.QueueScale = factor
+					} else if double {
 						continue
 					}
-					f, d := factor, double
-					variant := fmt.Sprintf("qmem=%gx", f)
-					if !d {
-						variant += " no-dbuf"
-					}
-					jobs = append(jobs, Job{App: app, Input: input, Kind: apps.FiferPipe, Variant: variant,
-						Override: func(cfg *core.Config) {
-							*cfg = cfg.WithQueueScale(f)
-							cfg.DoubleBuffered = d
-						}})
-					metas = append(metas, meta{app: app, input: input, factor: factor, double: double})
+					jobs = append(jobs, j)
 				}
 			}
 		}
@@ -72,52 +57,34 @@ func Fig16(opt Options) ([]Fig16Point, error) {
 		return nil, err
 	}
 
-	base := make(map[[2]string]uint64)    // (app, input) -> baseline cycles
-	baseErr := make(map[[2]string]string) // (app, input) -> baseline error class
-	for i, m := range metas {
-		if !m.isBase {
-			continue
+	// Each input's gmean term is its baseline's cycles over the job's. An
+	// input whose job or baseline failed drops out of the point's gmean.
+	// Both maps are keyed by a point's identity: App, Factor and Double.
+	speedups := map[Fig16Point][]float64{}
+	errCls := map[Fig16Point]string{}
+	perInput := 2 * len(Fig16Factors)
+	for i := 0; i < len(results); i += perInput {
+		base := results[i]
+		for _, r := range results[i : i+perInput] {
+			k := Fig16Point{App: r.Job.App, Factor: cmp.Or(r.Job.QueueScale, 1), Double: !r.Job.NoDoubleBuffer}
+			if err := cmp.Or(r.Err, base.Err); err != nil {
+				if errCls[k] == "" {
+					errCls[k] = ErrorClass(err)
+				}
+				continue
+			}
+			speedups[k] = append(speedups[k], float64(base.Outcome.Cycles)/float64(r.Outcome.Cycles))
 		}
-		if err := results[i].Err; err != nil {
-			baseErr[[2]string{m.app, m.input}] = ErrorClass(err)
-			continue
-		}
-		base[[2]string{m.app, m.input}] = results[i].Outcome.Cycles
 	}
 	// Points keep the serial sweep's order: per app, factor-major then
 	// double-buffer, gmean across that app's inputs.
 	var points []Fig16Point
-	type ptKey struct {
-		app    string
-		factor float64
-		double bool
-	}
-	speedups := map[ptKey][]float64{}
-	errCls := map[ptKey]string{}
-	for i, m := range metas {
-		k := ptKey{m.app, m.factor, m.double}
-		in := [2]string{m.app, m.input}
-		switch {
-		case results[i].Err != nil:
-			if errCls[k] == "" {
-				errCls[k] = ErrorClass(results[i].Err)
-			}
-		case baseErr[in] != "":
-			// The sweep run succeeded but its normalization baseline is
-			// missing; the input drops out of this point's gmean.
-			if errCls[k] == "" {
-				errCls[k] = baseErr[in]
-			}
-		default:
-			speedups[k] = append(speedups[k], float64(base[in])/float64(results[i].Outcome.Cycles))
-		}
-	}
 	for _, app := range opt.selected() {
 		for _, factor := range Fig16Factors {
 			for _, double := range []bool{true, false} {
-				k := ptKey{app, factor, double}
-				points = append(points, Fig16Point{App: app, Factor: factor, Double: double,
-					Speedup: stats.GMean(speedups[k]), ErrClass: errCls[k]})
+				k := Fig16Point{App: app, Factor: factor, Double: double}
+				k.Speedup, k.ErrClass = stats.GMean(speedups[k]), errCls[k]
+				points = append(points, k)
 			}
 		}
 	}
@@ -139,14 +106,10 @@ func PrintFig16(w io.Writer, points []Fig16Point, opt Options) {
 				label = "no-double-buffer"
 			}
 			row := []any{app, label}
-			for _, f := range Fig16Factors {
-				for _, pt := range points {
-					if pt.App == app && pt.Factor == f && pt.Double == double {
-						if pt.ErrClass != "" {
-							degraded = true
-						}
-						row = append(row, degradedCell(pt.Speedup, pt.ErrClass))
-					}
+			for _, pt := range points { // in factor order within an app
+				if pt.App == app && pt.Double == double {
+					degraded = degraded || pt.ErrClass != ""
+					row = append(row, degradedCell(pt.Speedup, pt.ErrClass))
 				}
 			}
 			tbl.Add(row...)
@@ -178,9 +141,8 @@ func ZeroCost(opt Options) (ZeroCostResult, error) {
 	var jobs []Job
 	for _, app := range opt.selected() {
 		for _, input := range InputsOf(app) {
-			jobs = append(jobs, Job{App: app, Input: input, Kind: apps.FiferPipe})
-			jobs = append(jobs, Job{App: app, Input: input, Kind: apps.FiferPipe, Variant: "zero-cost",
-				Override: func(cfg *core.Config) { cfg.ZeroCostReconfig = true }})
+			jobs = append(jobs, Job{App: app, Input: input, Kind: apps.FiferPipe},
+				Job{App: app, Input: input, Kind: apps.FiferPipe, ZeroCostReconfig: true})
 		}
 	}
 	results := runJobs(opt, "zerocost", jobs)
@@ -190,14 +152,10 @@ func ZeroCost(opt Options) (ZeroCostResult, error) {
 	var xs []float64
 	for i := 0; i < len(results); i += 2 {
 		base, ideal := results[i], results[i+1]
-		if base.Err != nil || ideal.Err != nil {
+		if err := cmp.Or(base.Err, ideal.Err); err != nil {
 			res.Failed++
 			if res.ErrClass == "" {
-				bad := base.Err
-				if bad == nil {
-					bad = ideal.Err
-				}
-				res.ErrClass = ErrorClass(bad)
+				res.ErrClass = ErrorClass(err)
 			}
 			continue
 		}
@@ -214,8 +172,8 @@ func ZeroCost(opt Options) (ZeroCostResult, error) {
 // PrintZeroCost renders the Sec. 8.3 zero-cost-reconfiguration claim.
 func PrintZeroCost(w io.Writer, r ZeroCostResult) {
 	fmt.Fprintln(w, "Sec. 8.3: idealized zero-cost reconfiguration vs Fifer")
-	fmt.Fprintf(w, "  gmean speedup %.2fx (paper: ~1.10x), max %.2fx at %s (paper: 1.8x on SpMM/Gr)\n",
-		r.GMean, r.Max, r.Where)
+	fmt.Fprintf(w, "  gmean speedup %s (paper: ~1.10x), max %s (paper: 1.8x on SpMM/Gr)\n",
+		speedupText(r.GMean), speedupText(r.Max, r.Where))
 	if r.Failed > 0 {
 		fmt.Fprintf(w, "  DEGRADED: %d input pair(s) missing (%s); the aggregate covers surviving pairs only.\n",
 			r.Failed, r.ErrClass)

@@ -285,7 +285,7 @@ func TestInputStoreBuildsOnce(t *testing.T) {
 func runOnStore(opt Options, jobs []Job, store *inputStore) []JobResult {
 	opt.Jobs = 2
 	return runWith(opt, jobs, store, func(j Job, o Options) (apps.Outcome, error) {
-		return j.run(o, "", store)
+		return j.run(o, "", store, nil)
 	})
 }
 

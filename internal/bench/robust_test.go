@@ -59,20 +59,14 @@ func TestRunnerPanicIsolation(t *testing.T) {
 // one job failed and the other jobs' outcomes byte-identical to a clean
 // batch.
 func TestRunnerPanicIsolationIntegration(t *testing.T) {
-	mk := func(poison bool) []Job {
-		jobs := []Job{
-			{App: "BFS", Input: "Hu", Kind: apps.FiferPipe},
-			{App: "BFS", Input: "Dy", Kind: apps.FiferPipe},
-			{App: "BFS", Input: "Ci", Kind: apps.FiferPipe},
-		}
-		if poison {
-			jobs[1].Override = func(cfg *core.Config) { cfg.QueueMemBytes = 8 }
-		}
-		return jobs
+	jobs := []Job{
+		{App: "BFS", Input: "Hu", Kind: apps.FiferPipe},
+		{App: "BFS", Input: "Dy", Kind: apps.FiferPipe},
+		{App: "BFS", Input: "Ci", Kind: apps.FiferPipe},
 	}
 	opt := Options{Scale: 0, Seed: 1, Jobs: 3}
-	clean := runJobs(opt, "", mk(false))
-	faulted := runJobs(opt, "", mk(true))
+	clean := runJobs(opt, "", jobs)
+	faulted := runOverriding(opt, jobs, jobs[1], func(cfg *core.Config) { cfg.QueueMemBytes = 8 })
 
 	var pe *PanicError
 	if !errors.As(faulted[1].Err, &pe) {

@@ -4,49 +4,102 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 
 	"fifer/internal/apps"
 	"fifer/internal/core"
 )
 
-// Job describes one simulation: the same tuple RunOne accepts, plus the
-// label of the configuration variant its Override sets. Experiment drivers
-// enumerate their full job list up front and hand it to runJobs, so the
-// (app × input × system) sweeps that dominate regeneration time can fan
-// out across cores.
+// Job describes one simulation as data: the tuple RunOne accepts plus the
+// configuration variants the sensitivity studies sweep. Its Key and its
+// core.Config change are derived from these fields, and ParseKey inverts
+// Key. Drivers enumerate their jobs up front and hand them to runJobs.
 type Job struct {
 	App, Input string
 	Kind       apps.SystemKind
 	Merged     bool
-	// Variant names what Override changes ("qmem=0.25x", "zero-cost"), so
-	// jobs that differ only in their override stay apart in error and
-	// progress text and in a TraceSink. Empty for the default config.
-	Variant  string
-	Override func(*core.Config)
+	// QueueScale scales the per-PE queue memory (Fig. 16); 0 is the
+	// default 1x.
+	QueueScale       float64
+	NoDoubleBuffer   bool // single-buffered configuration cells (Fig. 16)
+	ZeroCostReconfig bool // idealized free reconfiguration (Sec. 8.3)
 }
 
 // Key renders the job's identity, as errors, progress lines and trace keys
-// show it: "BFS/Hu fifer-16pe", then "merged" and the variant if set.
+// show it: "BFS/Hu fifer-16pe", then each set field in one fixed order,
+// "App/Input kind[ merged][ qmem=<f>x][ no-dbuf][ zero-cost]". ParseKey
+// inverts it.
 func (j Job) Key() string {
 	s := j.App + "/" + j.Input + " " + j.Kind.String()
 	if j.Merged {
 		s += " merged"
 	}
-	if j.Variant != "" {
-		s += " " + j.Variant
+	if j.QueueScale != 0 {
+		s += fmt.Sprintf(" qmem=%gx", j.QueueScale)
+	}
+	if j.NoDoubleBuffer {
+		s += " no-dbuf"
+	}
+	if j.ZeroCostReconfig {
+		s += " zero-cost"
 	}
 	return s
 }
 
-// traceKey names the job in a TraceSink: its Key, after the label of the
-// sweep that ran it, since one sink can see the same job in several sweeps
-// (Fig. 13 and Fig. 16's baseline under fiferbench -exp all).
-func (j Job) traceKey(sweep string) string {
-	if sweep == "" {
-		return j.Key()
+// ParseKey returns the job whose Key is key, and accepts nothing else: a
+// known app and one of its inputs, a known kind, and known tokens in Key's
+// order, each at most once.
+func ParseKey(key string) (Job, error) {
+	id, rest, _ := strings.Cut(key, " ")
+	kind, rest, _ := strings.Cut(rest, " ")
+	var j Job
+	j.App, j.Input, _ = strings.Cut(id, "/")
+	a, ok := lookupApp(j.App)
+	if !ok || !slices.Contains(a.inputs, j.Input) {
+		return Job{}, fmt.Errorf("bench: job key %q: %q is not App/Input for an app of %v and one of its inputs", key, id, AppNames)
 	}
-	return sweep + " " + j.Key()
+	k := slices.IndexFunc(apps.Kinds, func(k apps.SystemKind) bool { return k.String() == kind })
+	if k < 0 {
+		return Job{}, fmt.Errorf("bench: job key %q: unknown kind %q", key, kind)
+	}
+	j.Kind = apps.Kinds[k]
+	for _, tok := range strings.Fields(rest) {
+		switch tok {
+		case "merged":
+			j.Merged = true
+		case "no-dbuf":
+			j.NoDoubleBuffer = true
+		case "zero-cost":
+			j.ZeroCostReconfig = true
+		default:
+			f, err := strconv.ParseFloat(strings.TrimSuffix(strings.TrimPrefix(tok, "qmem="), "x"), 64)
+			if !strings.HasPrefix(tok, "qmem=") || err != nil || !(f > 0) || math.IsInf(f, 0) || f == 1 {
+				return Job{}, fmt.Errorf("bench: job key %q: unknown token %q: want merged, qmem=<f>x (f > 0, f != 1), no-dbuf or zero-cost", key, tok)
+			}
+			j.QueueScale = f
+		}
+	}
+	if j.Key() != key {
+		return Job{}, fmt.Errorf("bench: job key %q: not in the canonical form %q", key, j.Key())
+	}
+	return j, nil
+}
+
+// configure applies the job's configuration fields to cfg.
+func (j Job) configure(cfg *core.Config) {
+	if j.QueueScale != 0 {
+		*cfg = cfg.WithQueueScale(j.QueueScale)
+	}
+	if j.NoDoubleBuffer {
+		cfg.DoubleBuffered = false
+	}
+	if j.ZeroCostReconfig {
+		cfg.ZeroCostReconfig = true
+	}
 }
 
 // JobResult pairs a job with its outcome. Exactly one of Outcome/Err is
@@ -89,7 +142,7 @@ type jobFunc func(Job, Options) (apps.Outcome, error)
 func runJobs(opt Options, sweep string, jobs []Job) []JobResult {
 	inputs := &inputStore{}
 	return runWith(opt, jobs, inputs, func(j Job, opt Options) (apps.Outcome, error) {
-		return j.run(opt, sweep, inputs)
+		return j.run(opt, sweep, inputs, nil)
 	})
 }
 

@@ -47,15 +47,27 @@ func TestRunOneCycleBudgetError(t *testing.T) {
 // back through the worker pool's per-job capture.
 func TestRunnerCapturesCycleBudgetError(t *testing.T) {
 	jobs := []Job{
-		{App: "BFS", Input: "Hu", Kind: apps.FiferPipe,
-			Override: func(cfg *core.Config) { cfg.MaxCycles = 10 }},
 		{App: "BFS", Input: "Hu", Kind: apps.FiferPipe},
+		{App: "BFS", Input: "Dy", Kind: apps.FiferPipe},
 	}
-	results := runJobs(Options{Scale: 0, Seed: 1, Jobs: 2}, "", jobs)
+	results := runOverriding(Options{Scale: 0, Seed: 1, Jobs: 2}, jobs, jobs[0],
+		func(cfg *core.Config) { cfg.MaxCycles = 10 })
 	if !errors.Is(results[0].Err, core.ErrMaxCycles) {
 		t.Fatalf("job 0 err = %v, want core.ErrMaxCycles", results[0].Err)
 	}
 	if results[1].Err != nil {
 		t.Fatalf("job 1 err = %v, want success despite job 0 failing", results[1].Err)
 	}
+}
+
+// runOverriding is runJobs with override applied last to the job equal to
+// target, through the job-function seam runJobs itself uses.
+func runOverriding(opt Options, jobs []Job, target Job, override func(*core.Config)) []JobResult {
+	inputs := &inputStore{}
+	return runWith(opt, jobs, inputs, func(j Job, opt Options) (apps.Outcome, error) {
+		if j != target {
+			return j.run(opt, "", inputs, nil)
+		}
+		return j.run(opt, "", inputs, override)
+	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"fifer/internal/mem"
@@ -380,6 +381,32 @@ func checkDeadlockParity(t *testing.T, width func(*Config)) {
 		t.Errorf("deadlock reports differ\nfast:   %+v\noracle: %+v", fastSE, slowSE)
 	}
 	checkHorizonCase(t, hc)
+}
+
+// TestShortWatchdogWindowNote checks that a deadlock report whose window is
+// shorter than the memory miss path says so, identically under both
+// kernels, and that a report with a longer window does not.
+func TestShortWatchdogWindowNote(t *testing.T) {
+	for _, tc := range []struct {
+		window uint64
+		note   bool
+	}{{64, true}, {163, true}, {164, false}, {2048, false}} {
+		hc := horizonCase{
+			name:  "deadlock",
+			mut:   func(cfg *Config) { cfg.WatchdogCycles = tc.window },
+			build: stuckLastPE,
+		}
+		_, fastErr, _, _ := runHorizonCase(t, hc, false)
+		_, slowErr, _, _ := runHorizonCase(t, hc, true)
+		fastSE, slowSE := stopError(t, fastErr, ErrDeadlock), stopError(t, slowErr, ErrDeadlock)
+		if !reflect.DeepEqual(fastSE, slowSE) {
+			t.Errorf("window %d: deadlock reports differ\nfast:   %+v\noracle: %+v", tc.window, fastSE, slowSE)
+		}
+		const note = "miss path (L1 + LLC + memory latency = 4 + 40 + 120 = 164 cycles)"
+		if got := strings.Contains(fastSE.Detail, note); got != tc.note {
+			t.Errorf("window %d: detail %q names the miss path: %v, want %v", tc.window, fastSE.Detail, got, tc.note)
+		}
+	}
 }
 
 // checkMaxCyclesParity pins budget-exhaustion identity on the same machine,

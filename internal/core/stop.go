@@ -72,6 +72,18 @@ func (s *System) stop(reason error, format string, args ...any) error {
 	}
 }
 
+// shortWindowNote notes, for a deadlock report, a watchdog window shorter
+// than one access that misses every cache level: such a window can close
+// while a healthy PE waits on memory.
+func (c Config) shortWindowNote() string {
+	h := c.Hier
+	if path := h.L1Latency + h.LLCLatency + h.MemLatency; c.WatchdogCycles < path {
+		return fmt.Sprintf("; the window is shorter than the PE hierarchy's miss path (L1 + LLC + memory latency = %d + %d + %d = %d cycles), so a PE waiting on memory may only look stalled",
+			h.L1Latency, h.LLCLatency, h.MemLatency, path)
+	}
+	return ""
+}
+
 // cancelInterval is how often Run polls Cfg.Done: frequent enough that
 // cancellation latency stays far below a second of wall-clock, rare enough
 // that the poll never shows up in a profile.

@@ -247,8 +247,8 @@ func (s *System) run(prog Program) (res Result, err error) {
 					Kind: trace.KindCheckpoint, Name: "watchdog", Arg: sig.firings})
 			}
 			if sig == lastSig {
-				return 0, s.stop(ErrDeadlock, "no progress since cycle %d (window %d)",
-					lastProgress, s.Cfg.WatchdogCycles)
+				return 0, s.stop(ErrDeadlock, "no progress since cycle %d (window %d)%s",
+					lastProgress, s.Cfg.WatchdogCycles, s.Cfg.shortWindowNote())
 			}
 			lastSig, lastProgress = sig, s.Cycle
 		}
